@@ -184,3 +184,23 @@ func TestButterflyFinalStageIsDestinationLink(t *testing.T) {
 		t.Errorf("crushing load utilization = %g, expected small", res.Utilization)
 	}
 }
+
+// TestBatchMeansUnevenHorizon: the last batch absorbs the
+// measured%20 leftover cycles and must be divided by its own length.
+// With think times far beyond the horizon every processor thinks in
+// every cycle, so every batch's utilization is exactly 1 and the
+// interval has zero width; dividing the long last batch by the common
+// batch length would put it above 1 and widen the interval.
+func TestBatchMeansUnevenHorizon(t *testing.T) {
+	cfg := Config{Stages: 3, Think: 1e12, Hold: 4, Cycles: 1019, WarmupCycles: 0, Seed: 1}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Utilization != 1 || res.Completed != 0 {
+		t.Fatalf("utilization %g, completed %d: want an all-thinking run", res.Utilization, res.Completed)
+	}
+	if res.Batches != 20 || res.UtilizationCI95 != 0 {
+		t.Errorf("batches %d, CI half-width %g: want 20 batches and 0", res.Batches, res.UtilizationCI95)
+	}
+}
