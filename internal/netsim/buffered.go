@@ -94,17 +94,26 @@ func (q *fifo) pop() packet {
 	return p
 }
 
-// bufferedProc phases: thinking until `until`, then sending `remaining`
-// packets, then awaiting the last packet's delivery.
+// bufferedProc is a processor between phases: it thinks until a
+// wake-up, then sends `remaining` packets, one per cycle, then awaits
+// the last packet's delivery.
 type bufferedProc struct {
-	phase     phase // thinking / waiting(sending) / holding(awaiting)
-	until     int
 	dst       int
 	remaining int
 	started   int
 }
 
 // RunBuffered simulates the buffered packet-switched network.
+//
+// Each cycle, the non-empty link queues forward one packet each, last
+// stage first and in ascending link order, and deliveries of a
+// transaction's last packet start the sender's thinking (drawing a think
+// time); then processors whose thinking ends draw a destination in
+// ascending index order, and every sending processor injects one packet
+// in ascending index order. Only non-empty queues and active processors
+// are visited; thinking cycles are counted as whole intervals when the
+// spell starts, and cycles in which nothing is queued or sent are
+// skipped.
 func RunBuffered(cfg BufferedConfig) (*BufferedResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -113,83 +122,96 @@ func RunBuffered(cfg BufferedConfig) (*BufferedResult, error) {
 	nproc := 1 << n
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xda3e39cb94b95bdb))
 
+	var thinkingCycles, completed, latencySum, queuedSum uint64
+	measured := cfg.Cycles - cfg.WarmupCycles
+
 	procs := make([]bufferedProc, nproc)
+	wakes := make(wakeHeap, 0, nproc)
+	// think starts processor i's thinking spell over cycles [from,
+	// until) and counts its measured cycles at once.
+	think := func(i, from, until int) {
+		if until < cfg.Cycles {
+			wakes.push(wakeup{until, i})
+		}
+		if lo, hi := max(from, cfg.WarmupCycles), min(until, cfg.Cycles); lo < hi {
+			thinkingCycles += uint64(hi - lo)
+		}
+	}
 	for i := range procs {
-		procs[i] = bufferedProc{phase: thinking, until: int(rng.ExpFloat64() * cfg.Think)}
+		think(i, 0, int(rng.ExpFloat64()*cfg.Think))
 	}
 	// queues[s][l] is the FIFO of packets waiting to cross link l of
-	// stage s.
+	// stage s, and busy[s] the set of its non-empty queues; queued is
+	// the total packet count.
 	queues := make([][]fifo, n)
+	busy := make([]bitset, n)
 	for s := range queues {
 		queues[s] = make([]fifo, nproc)
+		busy[s] = newBitset(nproc)
+	}
+	queued := 0
+	push := func(s, l int, pk packet) {
+		queues[s][l].push(pk)
+		busy[s].set(l)
 	}
 	linkOf := func(stage, src, dst int) int {
 		low := n - 1 - stage
 		return (dst>>low)<<low | (src & (1<<low - 1))
 	}
+	sending := newBitset(nproc)
 
-	var thinkingCycles, completed, latencySum, queuedSum uint64
-	measured := cfg.Cycles - cfg.WarmupCycles
-
-	for now := 0; now < cfg.Cycles; now++ {
+	for now := 0; now < cfg.Cycles; {
 		counting := now >= cfg.WarmupCycles
 		// Move packets, last stage first so each advances at most one
 		// stage per cycle.
 		for s := n - 1; s >= 0; s-- {
-			for l := 0; l < nproc; l++ {
+			busy[s].each(func(l int) {
 				q := &queues[s][l]
-				if q.len() == 0 {
-					continue
-				}
 				pk := q.pop()
-				if s == n-1 {
-					// Delivered to memory.
-					if pk.last {
-						p := &procs[pk.src]
-						p.phase = thinking
-						p.until = now + 1 + int(rng.ExpFloat64()*cfg.Think)
-						if counting {
-							completed++
-							latencySum += uint64(now + 1 - p.started)
-						}
+				if q.len() == 0 {
+					busy[s].clear(l)
+				}
+				if s < n-1 {
+					push(s+1, linkOf(s+1, pk.src, pk.dst), pk)
+					return
+				}
+				// Delivered to memory.
+				queued--
+				if pk.last {
+					think(pk.src, now, now+1+int(rng.ExpFloat64()*cfg.Think))
+					if counting {
+						completed++
+						latencySum += uint64(now + 1 - procs[pk.src].started)
 					}
-					continue
 				}
-				next := linkOf(s+1, pk.src, pk.dst)
-				queues[s+1][next].push(pk)
-			}
+			})
 		}
-		// Processors inject and think.
-		for i := range procs {
+		// Processors wake and inject.
+		for wakes.due(now) {
+			i := wakes.pop().proc
+			procs[i] = bufferedProc{dst: rng.IntN(nproc), remaining: cfg.Packets, started: now}
+			sending.set(i)
+		}
+		sending.each(func(i int) {
 			p := &procs[i]
-			switch p.phase {
-			case thinking:
-				if now >= p.until {
-					p.phase = waiting
-					p.dst = rng.IntN(nproc)
-					p.remaining = cfg.Packets
-					p.started = now
-				} else if counting {
-					thinkingCycles++
-				}
+			p.remaining--
+			push(0, linkOf(0, i, p.dst), packet{src: i, dst: p.dst, last: p.remaining == 0})
+			queued++
+			if p.remaining == 0 {
+				sending.clear(i) // awaiting delivery
 			}
-			if p.phase == waiting {
-				l := linkOf(0, i, p.dst)
-				p.remaining--
-				queues[0][l].push(packet{src: i, dst: p.dst, last: p.remaining == 0})
-				if p.remaining == 0 {
-					p.phase = holding // awaiting delivery
-				}
-			}
-		}
+		})
 		if counting {
-			total := 0
-			for s := range queues {
-				for l := range queues[s] {
-					total += queues[s][l].len()
-				}
-			}
-			queuedSum += uint64(total)
+			queuedSum += uint64(queued)
+		}
+		switch {
+		// A sending processor always has a packet queued.
+		case queued > 0:
+			now++
+		case len(wakes) > 0:
+			now = wakes[0].at
+		default:
+			now = cfg.Cycles
 		}
 	}
 
