@@ -168,7 +168,8 @@ type Spec struct {
 	// cancellation from the caller (e.g. `cohere all` on SIGINT): runners
 	// built on the sweep engine stop claiming grid cells once it is done,
 	// and return the context's error for the unsolved remainder. Runners
-	// whose work is trivial may ignore it.
+	// whose work is trivial may ignore it. Under RunCtx and RunAllCtx the
+	// context also carries the call's simulation memo (see runMemo).
 	Run func(context.Context, Options) (*Dataset, error)
 }
 
@@ -241,13 +242,14 @@ func Run(id string, opt Options) (*Dataset, error) {
 }
 
 // RunCtx executes the experiment with the given ID under ctx's
-// cooperative cancellation.
+// cooperative cancellation. Within the call each distinct trace
+// measurement and simulation runs once.
 func RunCtx(ctx context.Context, id string, opt Options) (*Dataset, error) {
 	s, err := ByID(id)
 	if err != nil {
 		return nil, err
 	}
-	return s.Run(ctx, opt)
+	return s.Run(withMemo(ctx), opt)
 }
 
 // RunAll executes every registered experiment with up to `parallelism`
@@ -261,10 +263,13 @@ func RunAll(opt Options, parallelism int) ([]*Dataset, error) {
 // RunAllCtx is RunAll under cooperative cancellation: once ctx is done,
 // no further experiment starts (skipped ones fail with ctx's error) and
 // running ones wind down at their engine's next cancellation point.
+// The experiments share one simulation memo for the call, so each
+// distinct trace measurement and simulation runs once per call.
 func RunAllCtx(ctx context.Context, opt Options, parallelism int) ([]*Dataset, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
+	ctx = withMemo(ctx)
 	specs := All()
 	results := make([]*Dataset, len(specs))
 	errs := make([]error, len(specs))
