@@ -27,16 +27,18 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Quick perf signal: the sweep engine (sequential vs parallel vs cached,
-# with the speedup metric) and the simulator hot loop only.
+# with the speedup metric), the simulator hot loop, and the two network
+# simulators at the patel/packetsim configurations (cycles/s).
 bench-short:
 	$(GO) test -run=NONE -bench='BenchmarkSweep|BenchmarkEvaluator' -benchmem ./internal/sweep
 	$(GO) test -run=NONE -bench='BenchmarkSimHotLoop|BenchmarkTraceRestrict' -benchmem ./internal/sim
+	$(GO) test -run=NONE -bench='BenchmarkRun' -benchmem ./internal/netsim
 
 # This PR's serving-latency record: cohereload drives the hit-heavy and
 # miss-heavy mixes against an in-process daemon, then the async-job
 # drill and the gateway drill append their scenarios to the same record
 # (later invocations merge into an existing -out file rather than
-# clobbering it). Earlier records (BENCH_PR3..8.json) are append-only
+# clobbering it). Earlier records (BENCH_PR4..8.json) are append-only
 # history — bench-json never rewrites them, so `bench-diff` always
 # compares against the numbers the previous PR actually merged with.
 bench-json:
