@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // HybridUpdate is an EXTENSION, not part of the paper's model: a tunable
 // snoopy hybrid of the update (Dragon) and invalidate (Write-Invalidate)
@@ -20,8 +23,15 @@ type HybridUpdate struct {
 // Name implements Scheme.
 func (HybridUpdate) Name() string { return "Hybrid-Update" }
 
-// String includes the split for diagnostics and cache keys.
-func (h HybridUpdate) String() string { return fmt.Sprintf("Hybrid-Update(update=%.2f)", h.UpdateFrac) }
+// String includes the split, to two decimals, for display.
+func (h HybridUpdate) String() string {
+	return "Hybrid-Update(update=" + strconv.FormatFloat(h.UpdateFrac, 'f', 2, 64) + ")"
+}
+
+// cacheKey carries the exact update fraction (see SchemeKey).
+func (h HybridUpdate) cacheKey() string {
+	return "Hybrid-Update(update=" + strconv.FormatFloat(h.UpdateFrac, 'g', -1, 64) + ")"
+}
 
 // Frequencies implements Scheme: the Dragon formulas applied to the
 // update share of remote-present stores and the Write-Invalidate

@@ -259,15 +259,19 @@ func FieldByName(name string) (FieldSpec, error) {
 // ParamsAt returns a Params with every field at the given Table 7 level.
 func ParamsAt(l Level) Params {
 	var p Params
-	for _, f := range Fields() {
+	for _, f := range fieldSpecs {
 		f.Set(&p, f.Value(l))
 	}
 	return p
 }
 
+// middleParams is ParamsAt(Mid), built once: every decoded workload
+// starts from it.
+var middleParams = ParamsAt(Mid)
+
 // MiddleParams returns the all-middle workload of Table 7, the default
 // operating point of the paper's figures.
-func MiddleParams() Params { return ParamsAt(Mid) }
+func MiddleParams() Params { return middleParams }
 
 // With returns a copy of p with the named parameter set to v.
 func (p Params) With(name string, v float64) (Params, error) {

@@ -32,14 +32,18 @@ func (b PriorityBus) inner() Scheme {
 // discipline marker.
 func (b PriorityBus) Name() string { return b.inner().Name() + "+Prio" }
 
-// String keeps the inner scheme's diagnostic form (which may carry knob
-// values) so cache keys stay distinct across inner configurations.
+// String keeps the inner scheme's display form, which may carry knob
+// values.
 func (b PriorityBus) String() string {
 	if s, ok := b.inner().(fmt.Stringer); ok {
 		return s.String() + "+Prio"
 	}
 	return b.Name()
 }
+
+// cacheKey keeps the inner scheme's cache identity, so keys stay
+// distinct across inner configurations (see SchemeKey).
+func (b PriorityBus) cacheKey() string { return SchemeKey(b.inner()) + "+Prio" }
 
 // Frequencies implements Scheme by delegating to the inner scheme.
 func (b PriorityBus) Frequencies(p Params) ([]OpFreq, error) {

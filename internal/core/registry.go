@@ -163,16 +163,17 @@ func SchemeNames() []string { return registry.Names() }
 // default registry.
 func DefaultCandidates() []Scheme { return registry.Candidates() }
 
-// RegisteredLabel reports whether a scheme label — a Scheme.Name() or
-// String() value such as "Hybrid(lock=0.30)" or "Software-Flush+Prio" —
+// RegisteredLabel reports whether a scheme label — a Scheme.Name(),
+// String() or SchemeKey value such as "Hybrid(lock=0.3)" or
+// "Software-Flush+Prio" —
 // refers to a scheme registered in the default registry. Snapshot
 // restore uses it to fail closed on snapshots written by binaries with
 // schemes this one does not know.
 func RegisteredLabel(label string) bool {
 	base := label
 	if i := strings.IndexByte(base, '('); i >= 0 {
-		// Strip a knob suffix like "(lock=0.30)", keeping any trailing
-		// discipline marker: "Hybrid(lock=0.30)+Prio" -> "Hybrid+Prio".
+		// Strip a knob suffix like "(lock=0.3)", keeping any trailing
+		// discipline marker: "Hybrid(lock=0.3)+Prio" -> "Hybrid+Prio".
 		rest := base[i:]
 		if j := strings.IndexByte(rest, ')'); j >= 0 {
 			base = base[:i] + rest[j+1:]

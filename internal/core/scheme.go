@@ -168,6 +168,23 @@ func DemandBreakdown(s Scheme, p Params, costs *CostTable) ([]OpContribution, De
 	return out, d, nil
 }
 
+// SchemeKey is a scheme's cache identity: two schemes with equal keys
+// produce identical demands for every workload and cost table. Knobbed
+// schemes carry their exact knob value in strconv's shortest round-trip
+// form, so 0.301 and 0.304 key apart where their two-decimal String
+// labels collide; other configured schemes key by String, the rest by
+// Name. The evaluator's demand cache, batch grouping, snapshots and the
+// gateway's routing and response-cache keys all use it.
+func SchemeKey(s Scheme) string {
+	switch v := s.(type) {
+	case interface{ cacheKey() string }:
+		return v.cacheKey()
+	case fmt.Stringer:
+		return v.String()
+	}
+	return s.Name()
+}
+
 // SchemeID enumerates the built-in schemes.
 type SchemeID int
 

@@ -263,7 +263,8 @@ func TestHedgedRequestCutsTail(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	body := `{"scheme": "dragon", "procs": 8}`
-	ranked := g.rank(g.requestKey("/v1/bus", []byte(body)))
+	route, _, _ := g.keys("/v1/bus", []byte(body))
+	ranked := g.rank(route)
 	slowURL.Store(ranked[0].url) // stall the primary; the hedge must win
 
 	start := time.Now()

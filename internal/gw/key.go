@@ -1,12 +1,10 @@
 package gw
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"math"
 
 	"swcc/internal/core"
+	"swcc/internal/serve"
 )
 
 // Routing keys are the gateway's half of the cache-affinity contract:
@@ -53,148 +51,56 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// keyRequest is the tolerant decode of any keyed /v1 body: the routing
-// fields shared by /v1/bus and /v1/network, unknown fields ignored —
-// strict validation is the backend's job, the gateway only needs a
-// stable equivalence class.
-type keyRequest struct {
-	Scheme     string          `json:"scheme"`
-	LockFrac   *float64        `json:"lockfrac"`
-	UpdateFrac *float64        `json:"updatefrac"`
-	Level      string          `json:"level"`
-	Params     json.RawMessage `json:"params"`
-}
-
-// requestKey derives the routing key for one request body. Bus and
-// network requests key on (scheme identity, canonical params); bodies
-// that do not parse — and endpoints with no single scheme (advisor,
-// sensitivity) — fall back to hashing the raw bytes, which affects only
-// affinity quality (identical bodies still co-locate), never
-// correctness.
-func (g *Gateway) requestKey(path string, body []byte) uint64 {
+// keys derives a request's routing key and, for the pure single-point
+// endpoints, its response-cache key. Bus and network bodies decode
+// through the backend's own decoder (serve.DecodeBus, DecodeNetwork) and
+// key on (scheme identity, canonical params). Bodies the decoder rejects
+// — which the backend will reject too — and endpoints with no single
+// scheme (advisor, sensitivity) fall back to hashing the raw bytes,
+// which affects only affinity quality (identical bodies still
+// co-locate), never correctness.
+//
+// Unlike the routing key, the response key must separate everything
+// that changes the response BYTES, so it folds in the path, the
+// processor count as sent (bus routing keys deliberately share one key
+// across populations of a curve), and the point/full response shape.
+// Only a canonically keyed body is cacheable: a canonical key proves two
+// requests are the same question.
+func (g *Gateway) keys(path string, body []byte) (route, resp uint64, cacheable bool) {
+	var q serve.Query
+	var err error
 	switch path {
-	case "/v1/bus", "/v1/network":
-		if key, ok := pointKey(body); ok {
-			return key
-		}
-		g.keyFallbacks.Add(1)
+	case "/v1/bus":
+		q, err = serve.DecodeBus(body)
+	case "/v1/network":
+		q, err = serve.DecodeNetwork(body)
+	default:
+		return rawKey(body), 0, false
 	}
-	return rawKey(body)
+	if err != nil {
+		g.keyFallbacks.Add(1)
+		return rawKey(body), 0, false
+	}
+	route = queryKey(q)
+	h := hashString(route, path)
+	h = hashFloat(h, float64(q.Procs))
+	if q.Point {
+		h = hashString(h, "point")
+	}
+	return route, h, true
 }
 
-// pointKey keys one bus-shaped body on its canonical cache identity.
-func pointKey(body []byte) (uint64, bool) {
-	var req keyRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return 0, false
-	}
-	scheme, err := keyScheme(req.Scheme, req.LockFrac, req.UpdateFrac)
-	if err != nil {
-		return 0, false
-	}
-	p, err := keyParams(req.Level, req.Params)
-	if err != nil {
-		return 0, false
-	}
-	cp := core.CanonicalParams(scheme, p)
-	h := hashString(fnvOffset, schemeLabel(scheme))
+// queryKey keys one resolved query on its canonical cache identity.
+func queryKey(q serve.Query) uint64 {
+	cp := core.CanonicalParams(q.Scheme, q.Params)
+	h := hashString(fnvOffset, core.SchemeKey(q.Scheme))
 	for _, f := range [...]float64{
 		cp.LS, cp.MsDat, cp.MsIns, cp.MD, cp.Shd, cp.WR,
 		cp.APL, cp.MdShd, cp.OClean, cp.OPres, cp.NShd,
 	} {
 		h = hashFloat(h, f)
 	}
-	return h, true
-}
-
-// keyScheme resolves a scheme name the way the backend will, knob
-// values (hybrid lock fraction, hybrid-update update fraction)
-// included: the registry supplies each scheme's knob name, default,
-// and constructor, so new knobbed schemes key correctly with no
-// gateway change.
-func keyScheme(name string, lockFrac, updateFrac *float64) (core.Scheme, error) {
-	info, ok := core.SchemeInfoByName(name)
-	if !ok {
-		return core.SchemeByName(name) // surfaces the names-listing error
-	}
-	if info.Configure == nil {
-		return info.Scheme, nil
-	}
-	v := info.KnobDefault
-	switch info.Knob {
-	case "lockfrac":
-		if lockFrac != nil {
-			v = *lockFrac
-		}
-	case "updatefrac":
-		if updateFrac != nil {
-			v = *updateFrac
-		}
-	}
-	return info.Configure(v)
-}
-
-// keyParams resolves the workload spec the way the backend will: a
-// Table 7 level, explicit params, or the middle defaults.
-func keyParams(level string, params json.RawMessage) (core.Params, error) {
-	switch level {
-	case "low":
-		return core.ParamsAt(core.Low), nil
-	case "mid":
-		return core.ParamsAt(core.Mid), nil
-	case "high":
-		return core.ParamsAt(core.High), nil
-	case "":
-	default:
-		return core.Params{}, fmt.Errorf("gw: unknown level %q", level)
-	}
-	if len(params) == 0 {
-		return core.MiddleParams(), nil
-	}
-	return core.ReadParams(bytes.NewReader(params))
-}
-
-// schemeLabel mirrors the backend's cache identity for a scheme: String
-// when it carries configuration, Name otherwise.
-func schemeLabel(s core.Scheme) string {
-	if str, ok := s.(fmt.Stringer); ok {
-		return str.String()
-	}
-	return s.Name()
-}
-
-// responseKey derives the response-cache key for one request, and
-// whether the request is cacheable at all. Only the pure single-point
-// endpoints qualify, and only when the body parses canonically — a
-// raw-keyed body could alias nothing, but a canonical key proves two
-// requests are the same question. Unlike the routing key, the response
-// key must separate everything that changes the response BYTES, so it
-// folds in the path, the processor count (bus routing keys deliberately
-// share one key across populations of a curve), and the point/full
-// response shape.
-func responseKey(path string, body []byte) (uint64, bool) {
-	switch path {
-	case "/v1/bus", "/v1/network":
-	default:
-		return 0, false
-	}
-	key, ok := pointKey(body)
-	if !ok {
-		return 0, false
-	}
-	var shape struct {
-		Procs int  `json:"procs"`
-		Point bool `json:"point"`
-	}
-	if err := json.Unmarshal(body, &shape); err != nil {
-		return 0, false
-	}
-	h := hashString(key, path)
-	h = hashFloat(h, float64(shape.Procs))
-	if shape.Point {
-		h = hashString(h, "point")
-	}
-	return h, true
+	return h
 }
 
 // rawKey is the fallback routing key: FNV-1a over the body bytes.

@@ -11,15 +11,12 @@ import (
 
 // --- /v1/sweep ---
 
-// sweepRequest is a batch of bus-model queries: a grid of (scheme,
-// workload, procs) points answered in one round trip instead of one
-// /v1/bus call each. Each point accepts exactly the /v1/bus request
-// fields and produces exactly the /v1/bus response for that point, so a
-// client can swap N sequential calls for one batch without changing how
-// it reads results.
-type sweepRequest struct {
-	Points []busRequest `json:"points"`
-}
+// A /v1/sweep body, {"points": [...]}, is a batch of bus-model queries:
+// a grid of (scheme, workload, procs) points answered in one round trip
+// instead of one /v1/bus call each. Each point accepts exactly the
+// /v1/bus request fields (DecodeSweep) and produces exactly the /v1/bus
+// response for that point, so a client can swap N sequential calls for
+// one batch without changing how it reads results.
 
 type sweepResponse struct {
 	Count   int           `json:"count"`
@@ -68,34 +65,29 @@ func pointErr(i int, err error) error {
 // intra-batch parallelism uses the worker pool. Results come back in
 // caller order, each bit-identical to the equivalent /v1/bus response.
 func (s *Server) handleSweep(ctx context.Context, body []byte) (any, error) {
-	var req sweepRequest
-	if err := decodeStrict(body, &req); err != nil {
+	points, _, err := DecodeSweep(body)
+	if err != nil {
 		return nil, err
 	}
-	if len(req.Points) == 0 {
+	if len(points) == 0 {
 		return nil, badRequest(`"points" must be a non-empty array`)
 	}
-	if len(req.Points) > s.cfg.MaxBatchPoints {
+	if len(points) > s.cfg.MaxBatchPoints {
 		return nil, badRequest("batch of %d points exceeds the %d-point cap",
-			len(req.Points), s.cfg.MaxBatchPoints)
+			len(points), s.cfg.MaxBatchPoints)
 	}
-	jobs := make([]sweepJob, len(req.Points))
-	for i, pr := range req.Points {
-		scheme, err := resolveScheme(pr.Scheme, pr.LockFrac, pr.UpdateFrac)
+	jobs := make([]sweepJob, len(points))
+	for i, pt := range points {
+		if pt.Err != nil {
+			return nil, pointErr(i, pt.Err)
+		}
+		procs, err := s.checkProcs(pt.Query.Procs)
 		if err != nil {
 			return nil, pointErr(i, err)
 		}
-		p, err := resolveParams(pr.Level, pr.Params)
-		if err != nil {
-			return nil, pointErr(i, err)
-		}
-		procs, err := s.checkProcs(pr.Procs)
-		if err != nil {
-			return nil, pointErr(i, err)
-		}
-		jobs[i] = sweepJob{scheme: scheme, params: p, procs: procs, point: pr.Point}
+		jobs[i] = sweepJob{scheme: pt.Query.Scheme, params: pt.Query.Params, procs: procs, point: pt.Query.Point}
 	}
-	costs := core.BusCosts()
+	costs := s.costs
 	return s.solve(ctx, func() (any, error) {
 		// Points sharing one (scheme, canonical workload) form a group a
 		// single worker solves population-ascending through a CurveRun —

@@ -249,7 +249,7 @@ func (s *Server) gridJob(req jobSubmitRequest, schemes []core.Scheme, base core.
 		}
 	}
 	points := len(schemes) * len(xs) * (p2 - p1 + 1)
-	costs := core.BusCosts()
+	costs := s.costs
 
 	run := func(ctx context.Context, j *jobs.Job) error {
 		for _, sch := range schemes {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"swcc/internal/core"
@@ -195,5 +197,85 @@ func TestKnobValidation(t *testing.T) {
 	cold := get(`{"scheme": "hybrid-update", "updatefrac": 0.1, "params": {"shd": 0.5}, "procs": 16}`)
 	if hot == cold {
 		t.Errorf("updatefrac has no effect: power %g either way", hot)
+	}
+}
+
+// TestNearKnobValuesServedExactly: knob values 0.003 apart agree to two
+// decimals, so their response labels are equal — but they are different
+// questions. Over /v1/bus (after the other value warmed the cache) and
+// inside one /v1/sweep batch, each must get its uncached answer.
+func TestNearKnobValuesServedExactly(t *testing.T) {
+	for _, tc := range []struct {
+		scheme, knob string
+		va, vb       string
+		a, b         core.Scheme
+	}{
+		{"hybrid", "lockfrac", "0.301", "0.304", core.Hybrid{LockFrac: 0.301}, core.Hybrid{LockFrac: 0.304}},
+		{"hybrid-update", "updatefrac", "0.501", "0.504", core.HybridUpdate{UpdateFrac: 0.501}, core.HybridUpdate{UpdateFrac: 0.504}},
+	} {
+		_, ts := newTestServer(t, Config{})
+		want := func(s core.Scheme) core.BusPoint {
+			t.Helper()
+			pts, err := core.EvaluateBus(s, core.MiddleParams(), core.BusCosts(), 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pts[15]
+		}
+		body := func(v string) string {
+			return fmt.Sprintf(`{"scheme": %q, %q: %s, "procs": 16, "point": true}`, tc.scheme, tc.knob, v)
+		}
+		for _, c := range []struct {
+			v string
+			s core.Scheme
+		}{{tc.va, tc.a}, {tc.vb, tc.b}} {
+			code, data := post(t, ts, "/v1/bus", body(c.v))
+			if code != http.StatusOK {
+				t.Fatalf("status %d: %s", code, data)
+			}
+			var resp busResponse
+			if err := json.Unmarshal(data, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.Points[0]; got != want(c.s) {
+				t.Errorf("/v1/bus %s=%s: %+v, uncached %+v", tc.knob, c.v, got, want(c.s))
+			}
+		}
+
+		_, fresh := newTestServer(t, Config{})
+		code, data := post(t, fresh, "/v1/sweep", `{"points": [`+body(tc.va)+`, `+body(tc.vb)+`]}`)
+		if code != http.StatusOK {
+			t.Fatalf("sweep status %d: %s", code, data)
+		}
+		var resp struct {
+			Results []busResponse `json:"results"`
+		}
+		if err := json.Unmarshal(data, &resp); err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range []core.Scheme{tc.a, tc.b} {
+			if got := resp.Results[i].Points[0]; got != want(s) {
+				t.Errorf("/v1/sweep point %d (%s): %+v, uncached %+v", i, core.SchemeKey(s), got, want(s))
+			}
+		}
+	}
+}
+
+// TestBusCostTableBuiltOnce: every bus query solves under the server's
+// one cost table, so the evaluator's table fingerprint memo holds a
+// single entry however many requests arrive.
+func TestBusCostTableBuiltOnce(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	for i := 0; i < 1000; i++ {
+		body := fmt.Sprintf(`{"scheme": "swflush", "params": {"shd": %g}, "procs": 8, "point": true}`, 0.1+float64(i%50)/100)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bus", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	if n := s.ev.Stats().TableEntries; n != 1 {
+		t.Errorf("TableEntries = %d after 1000 /v1/bus requests, want 1", n)
 	}
 }

@@ -9,6 +9,7 @@ package sweep
 
 import (
 	"context"
+	"math/bits"
 	"testing"
 
 	"swcc/internal/core"
@@ -16,8 +17,8 @@ import (
 
 // TestBusPointWarmPathAllocFree pins the tentpole number: a warm
 // (demand-hit, curve-hit) BusPoint query allocates nothing, for every
-// paper scheme. Hybrid is excluded — its schemeKey goes through
-// fmt.Sprintf by design (configured schemes pay for their Stringer).
+// paper scheme. Hybrid is excluded — its core.SchemeKey builds a string
+// carrying the knob on every call (configured schemes pay for their key).
 func TestBusPointWarmPathAllocFree(t *testing.T) {
 	costs := core.BusCosts()
 	p := core.MiddleParams()
@@ -88,5 +89,37 @@ func TestWarmExtendAllocBudget(t *testing.T) {
 	const budget = 12
 	if avg > budget {
 		t.Errorf("warm extend allocates %.1f/op, budget %d", avg, budget)
+	}
+}
+
+// TestCurveRunAscendingAllocs pins geometric growth: a run walking
+// populations 1..512 in order (a job grid's shape) reallocates its curve
+// O(log n) times — one buffer per doubling plus the run itself — not
+// once per population.
+func TestCurveRunAscendingAllocs(t *testing.T) {
+	costs := core.BusCosts()
+	p := core.MiddleParams()
+	ctx := context.Background()
+	ev := NewEvaluator()
+	if _, err := ev.Demand(core.Dragon{}, p, costs); err != nil {
+		t.Fatal(err)
+	}
+	const n = 512
+	var err error
+	avg := testing.AllocsPerRun(5, func() {
+		// Never finished, so every run starts cold.
+		var run *CurveRun
+		if run, err = ev.StartCurveRun(ctx, core.Dragon{}, p, costs); err != nil {
+			return
+		}
+		for k := 1; k <= n && err == nil; k++ {
+			_, err = run.BusPointAt(ctx, k)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if budget := float64(bits.Len(n) + 2); avg > budget {
+		t.Errorf("ascending 1..%d run allocates %.1f times, want <= %.0f", n, avg, budget)
 	}
 }

@@ -165,7 +165,7 @@ func (ev *mutexEvaluator) BusPoint(s core.Scheme, p core.Params, costs *core.Cos
 		}
 		ev.tables[costs] = fp
 	}
-	key := demandKey{schemeKey(s), core.CanonicalParams(s, p), fp}
+	key := demandKey{core.SchemeKey(s), core.CanonicalParams(s, p), fp}
 	d, ok := ev.demands[key]
 	ev.mu.Unlock()
 	if !ok {

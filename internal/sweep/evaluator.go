@@ -92,9 +92,8 @@ type Stats struct {
 	Shards int
 }
 
-// demandKey identifies one demand solve: the scheme (including any
-// configuration carried in its Stringer form, e.g. Hybrid's lock
-// fraction), the workload canonicalized to the parameters the scheme
+// demandKey identifies one demand solve: the scheme's core.SchemeKey
+// (which carries any knob value exactly), the workload canonicalized to the parameters the scheme
 // actually reads, and the cost table's content fingerprint.
 type demandKey struct {
 	scheme string
@@ -357,17 +356,6 @@ func (ev *Evaluator) ShardSizes() (demand, curve []int) {
 	return demand, curve
 }
 
-// schemeKey distinguishes schemes in the cache. Configured schemes
-// (Hybrid) expose their configuration through String, which must be used
-// instead of the bare Name so two differently configured instances never
-// share an entry.
-func schemeKey(s core.Scheme) string {
-	if str, ok := s.(fmt.Stringer); ok {
-		return str.String()
-	}
-	return s.Name()
-}
-
 // tableMemoCap bounds the pointer-keyed fingerprint memo. Batch callers
 // reuse a handful of table pointers, but a long-lived server handed a
 // fresh *CostTable per request would otherwise grow the memo (and pin
@@ -438,7 +426,7 @@ func (ev *Evaluator) DemandCtx(ctx context.Context, s core.Scheme, p core.Params
 	if err := p.Validate(); err != nil {
 		return core.Demand{}, fmt.Errorf("%s: %w", s.Name(), err)
 	}
-	key := demandKey{schemeKey(s), core.CanonicalParams(s, p), ev.fingerprint(costs)}
+	key := demandKey{core.SchemeKey(s), core.CanonicalParams(s, p), ev.fingerprint(costs)}
 	sh := &ev.demands[key.shard()]
 
 	var sp obs.Span

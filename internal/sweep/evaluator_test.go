@@ -167,6 +167,110 @@ func TestHybridConfigurationsNotShared(t *testing.T) {
 	}
 }
 
+// nearKnobSchemes are the knobbed schemes at knob values 0.003 apart:
+// equal to two decimals, so their display labels collide.
+var nearKnobSchemes = [][2]core.Scheme{
+	{core.Hybrid{LockFrac: 0.301}, core.Hybrid{LockFrac: 0.304}},
+	{core.HybridUpdate{UpdateFrac: 0.501}, core.HybridUpdate{UpdateFrac: 0.504}},
+	{core.PriorityBus{Inner: core.Hybrid{LockFrac: 0.301}}, core.PriorityBus{Inner: core.Hybrid{LockFrac: 0.304}}},
+}
+
+// TestNearKnobValuesNotShared: knob values that agree to two decimals
+// are still different schemes. Each must get its uncached answer, on
+// the single-point path, the curve path, and through a batch CurveRun.
+func TestNearKnobValuesNotShared(t *testing.T) {
+	costs := core.BusCosts()
+	p := core.MiddleParams()
+	ctx := context.Background()
+	for _, pair := range nearKnobSchemes {
+		ev := NewEvaluator()
+		for _, s := range pair {
+			want, err := core.EvaluateBus(s, p, costs, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ev.BusPoint(s, p, costs, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want[15] {
+				t.Errorf("%s: BusPoint %+v, uncached %+v", core.SchemeKey(s), got, want[15])
+			}
+			curve, err := ev.EvaluateBus(s, p, costs, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if curve[7] != want[7] {
+				t.Errorf("%s: EvaluateBus[7] %+v, uncached %+v", core.SchemeKey(s), curve[7], want[7])
+			}
+		}
+		if groups := BatchGroups(2, func(i int) (core.Scheme, core.Params, int) { return pair[i], p, 16 }); len(groups) != 2 {
+			t.Errorf("%s and %s batched into one group", core.SchemeKey(pair[0]), core.SchemeKey(pair[1]))
+		}
+		for _, s := range pair {
+			run, err := NewEvaluator().StartCurveRun(ctx, s, p, costs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := core.EvaluateBus(s, p, costs, 16)
+			if got, err := run.BusPointAt(ctx, 16); err != nil || got != want[15] {
+				t.Errorf("%s: CurveRun point %+v (%v), uncached %+v", core.SchemeKey(s), got, err, want[15])
+			}
+		}
+	}
+}
+
+// TestPublishedCurvesExactLength: the cache holds no spare capacity —
+// a cold solve, a single-point run, and an over-grown ascending run all
+// publish curves with cap == len.
+func TestPublishedCurvesExactLength(t *testing.T) {
+	costs := core.BusCosts()
+	ctx := context.Background()
+	ev := NewEvaluator()
+	check := func(what string, s core.Scheme, p core.Params, n int) {
+		t.Helper()
+		d, err := ev.Demand(s, p, costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := mvaKey{d.Think(), d.Interconnect, d.Priority}
+		sh := &ev.curves[key.shard()]
+		sh.mu.RLock()
+		sl, ok := sh.entries[key]
+		sh.mu.RUnlock()
+		if !ok || len(sl.v) != n || cap(sl.v) != len(sl.v) {
+			t.Errorf("%s: cached curve ok=%v len %d cap %d, want len == cap == %d", what, ok, len(sl.v), cap(sl.v), n)
+		}
+	}
+	p := core.MiddleParams()
+	if _, err := ev.EvaluateBus(core.Base{}, p, costs, 37); err != nil {
+		t.Fatal(err)
+	}
+	check("cold solve", core.Base{}, p, 37)
+
+	run, err := ev.StartCurveRun(ctx, core.Dragon{}, p, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.BusPointAt(ctx, 300); err != nil {
+		t.Fatal(err)
+	}
+	run.Finish(ctx)
+	check("single-point run", core.Dragon{}, p, 300)
+
+	run, err = ev.StartCurveRun(ctx, core.NoCache{}, p, costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 40; n++ { // grows through capacity 64
+		if _, err := run.BusPointAt(ctx, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run.Finish(ctx)
+	check("ascending run", core.NoCache{}, p, 40)
+}
+
 // TestInvalidParamsErrorDespiteCache checks error parity: an invalid
 // workload must error even when a canonically equal valid workload is
 // already cached (Base ignores apl, so apl=-5 canonicalizes onto the

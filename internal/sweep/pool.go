@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"swcc/internal/core"
-	"swcc/internal/queueing"
 )
 
 // Length-bucketed slice pools for the hot batch paths. A sweep batch
@@ -50,8 +49,7 @@ type SlicePool[T any] struct {
 	// strictly request-scoped (busPointPool, serve's response pool) the
 	// difference is the number of buffers currently checked out, so
 	// "acquires == releases at quiescence" is the no-leak invariant the
-	// fault-injection tests assert. It does NOT hold for curveBufPool,
-	// whose published curves are deliberately retained by the shared cache.
+	// fault-injection tests assert.
 	acquires atomic.Uint64
 	releases atomic.Uint64
 }
@@ -102,7 +100,6 @@ func (p *SlicePool[T]) Release(s *[]T) {
 
 var (
 	busPointPool SlicePool[core.BusPoint]
-	curveBufPool SlicePool[queueing.SingleServerResult]
 	resultPool   SlicePool[Result]
 )
 

@@ -12,10 +12,15 @@ import (
 // CurveRun is worker-local incremental solve state for a batch of points
 // that share one (scheme, canonical params, cost table) — and therefore
 // one MVA curve. Within a run, population-ascending points grow a
-// private pooled buffer by resuming the recursion where the previous
-// point left off, instead of round-tripping the shared cache (and its
-// singleflight machinery) once per point. Finish publishes the longest
-// curve reached, so the whole batch costs the cache one write.
+// private buffer by resuming the recursion where the previous point left
+// off, instead of round-tripping the shared cache (and its singleflight
+// machinery) once per point. Finish publishes the longest curve reached,
+// so the whole batch costs the cache one write.
+//
+// The buffer is sized exactly on the run's first solve — the common
+// single-point group allocates n results, no more — and grows
+// geometrically after that, so a population-ascending grid costs
+// O(log n) allocations, not one per step.
 //
 // A CurveRun is NOT safe for concurrent use: it belongs to one worker.
 // Different workers running CurveRuns for the same key race only on the
@@ -24,7 +29,7 @@ type CurveRun struct {
 	ev  *Evaluator
 	d   core.Demand
 	key mvaKey
-	buf *[]queueing.SingleServerResult // private growing curve; nil until first local solve
+	buf []queueing.SingleServerResult // private growing curve; nil until first local solve
 }
 
 // StartCurveRun resolves the batch group's shared demand (through the
@@ -52,14 +57,14 @@ func (r *CurveRun) curveTo(ctx context.Context, n int) ([]queueing.SingleServerR
 		return nil, err
 	}
 	ev := r.ev
-	if r.buf != nil && len(*r.buf) >= n {
+	if len(r.buf) >= n {
 		// Served by earlier work in this same run: a hit in every sense
 		// that matters to the counters.
 		ev.mvaHits.Add(1)
 		if ev.obsv != nil {
 			ev.obsv.CacheEvent(ctx, "mva", EventHit)
 		}
-		return *r.buf, nil
+		return r.buf, nil
 	}
 	sh := &ev.curves[r.key.shard()]
 	var sp obs.Span
@@ -85,8 +90,8 @@ func (r *CurveRun) curveTo(ctx context.Context, n int) ([]queueing.SingleServerR
 	sh.mu.RUnlock()
 
 	// Extend locally from the longest seed available: the run's own
-	// buffer (in-place growth) or the cached prefix (copied into a
-	// pooled buffer by the solver).
+	// buffer (in-place growth) or the cached prefix (copied into a new
+	// buffer by the solver).
 	var ssp obs.Span
 	if ev.obsv != nil {
 		ssp = obs.Start()
@@ -100,21 +105,22 @@ func (r *CurveRun) curveTo(ctx context.Context, n int) ([]queueing.SingleServerR
 		// in place).
 		seed = nil
 		inPlace = r.buf != nil
-	} else if r.buf != nil && len(*r.buf) >= len(prefix) {
-		seed = *r.buf
+	} else if r.buf != nil && len(r.buf) >= len(prefix) {
+		seed = r.buf
 		inPlace = true
 	}
-	// Pick the destination: grow the run's buffer in place when it is
-	// the seed and has room; otherwise acquire a pooled buffer sized for
-	// n (the solver copies the seed into it).
+	// Pick the destination: the run's buffer when it is the seed and has
+	// room; otherwise a new buffer (the solver copies the seed into it),
+	// exactly n long on the run's first solve and at least double the
+	// old capacity after that.
 	var dst []queueing.SingleServerResult
-	var acquired *[]queueing.SingleServerResult
-	if inPlace && cap(*r.buf) >= n {
-		dst = (*r.buf)[:0]
-	} else {
-		acquired = curveBufPool.Acquire(n)
-		*acquired = (*acquired)[:0]
-		dst = *acquired
+	switch {
+	case inPlace && cap(r.buf) >= n:
+		dst = r.buf[:0]
+	case r.buf == nil:
+		dst = make([]queueing.SingleServerResult, 0, n)
+	default:
+		dst = make([]queueing.SingleServerResult, 0, max(n, 2*cap(r.buf)))
 	}
 	var ext []queueing.SingleServerResult
 	var err error
@@ -125,22 +131,9 @@ func (r *CurveRun) curveTo(ctx context.Context, n int) ([]queueing.SingleServerR
 		ext, err = queueing.ExtendSingleServerMVA(r.d.Think(), r.d.Interconnect, seed, n, dst)
 	}
 	if err != nil {
-		if acquired != nil {
-			curveBufPool.Release(acquired)
-		}
 		return nil, err
 	}
-	if acquired != nil {
-		old := r.buf
-		*acquired = ext
-		r.buf = acquired
-		if old != nil {
-			// ext copied the seed out of old above; safe to recycle now.
-			curveBufPool.Release(old)
-		}
-	} else {
-		*r.buf = ext
-	}
+	r.buf = ext
 	ev.mvaSolves.Add(1)
 	if len(seed) > 0 {
 		ev.curveExtends.Add(1)
@@ -151,7 +144,7 @@ func (r *CurveRun) curveTo(ctx context.Context, n int) ([]queueing.SingleServerR
 		ev.obsv.StageObserved(ctx, StageSolve, ssp.Seconds())
 		ev.obsv.CacheEvent(ctx, "mva", EventMiss)
 	}
-	return *r.buf, nil
+	return r.buf, nil
 }
 
 // BusPointAt returns the bus-model prediction at exactly nproc
@@ -185,35 +178,32 @@ func (r *CurveRun) BusPointsInto(ctx context.Context, maxProcs int, dst []core.B
 }
 
 // Finish publishes the run's curve to the shared cache when it is longer
-// than what is already there, or returns the buffer to the pool when it
-// is not. A published buffer becomes cache-owned and immutable, so it is
-// never pooled again. Finish must be the run's last call.
+// than what is already there; the published slice becomes cache-owned
+// and immutable. Curves are published with len == cap, so the cache
+// holds no spare capacity: a run that over-grew its buffer pays one
+// trim copy here. Finish must be the run's last call.
 func (r *CurveRun) Finish(ctx context.Context) {
-	if r.buf == nil {
-		return
-	}
-	v := *r.buf
+	v := r.buf
 	r.buf = nil
 	if len(v) == 0 {
 		return
 	}
+	if cap(v) > len(v) {
+		v = append(make([]queueing.SingleServerResult, 0, len(v)), v...)
+	}
 	ev := r.ev
 	sh := &ev.curves[r.key.shard()]
-	published, evicted := false, false
+	evicted := false
 	sh.mu.Lock()
 	if sl, ok := sh.entries[r.key]; !ok || len(sl.v) < len(v) {
 		if sh.put(r.key, v, ev.shardCap) {
 			ev.curveEvictions.Add(1)
 			evicted = true
 		}
-		published = true
 	}
 	sh.mu.Unlock()
 	if evicted && ev.obsv != nil {
 		ev.obsv.CacheEvent(ctx, "mva", EventEvict)
-	}
-	if !published {
-		curveBufPool.Release(&v)
 	}
 }
 
@@ -235,7 +225,7 @@ func BatchGroups(n int, at func(i int) (core.Scheme, core.Params, int)) [][]int 
 	for i := 0; i < n; i++ {
 		s, p, nproc := at(i)
 		nprocs[i] = nproc
-		k := groupKey{schemeKey(s), core.CanonicalParams(s, p)}
+		k := groupKey{core.SchemeKey(s), core.CanonicalParams(s, p)}
 		gi, ok := groups[k]
 		if !ok {
 			gi = len(out)

@@ -102,7 +102,7 @@ func ModelFingerprint() string {
 		// snapshots, exactly as it invalidates cache entries.
 		for _, info := range core.RegisteredSchemes() {
 			s := info.Scheme
-			h = hashString(h, schemeKey(s))
+			h = hashString(h, core.SchemeKey(s))
 			cp := core.CanonicalParams(s, p)
 			for _, f := range [...]float64{
 				cp.LS, cp.MsDat, cp.MsIns, cp.MD, cp.Shd, cp.WR,
