@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-hammer bench bench-short bench-json bench-diff alloc-check check serve smoke schemes-smoke chaos-smoke jobs-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
+.PHONY: all build test vet race race-hammer bench bench-short bench-json bench-diff alloc-check fuzz-smoke check serve smoke schemes-smoke chaos-smoke jobs-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
 
 all: build vet test
 
@@ -27,12 +27,16 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Quick perf signal: the sweep engine (sequential vs parallel vs cached,
-# with the speedup metric), the simulator hot loop, and the two network
-# simulators at the patel/packetsim configurations (cycles/s).
+# with the speedup metric), the simulator hot loop, the two network
+# simulators at the patel/packetsim configurations (cycles/s), decoding
+# a 64-point cold-sweep-shaped /v1/sweep body, and deriving one
+# request's gateway keys.
 bench-short:
 	$(GO) test -run=NONE -bench='BenchmarkSweep|BenchmarkEvaluator' -benchmem ./internal/sweep
 	$(GO) test -run=NONE -bench='BenchmarkSimHotLoop|BenchmarkTraceRestrict' -benchmem ./internal/sim
 	$(GO) test -run=NONE -bench='BenchmarkRun' -benchmem ./internal/netsim
+	$(GO) test -run=NONE -bench='BenchmarkDecodeSweep' -benchmem ./internal/serve
+	$(GO) test -run=NONE -bench='BenchmarkPointKey' -benchmem ./internal/gw
 
 # This PR's serving-latency record: cohereload drives the hit-heavy and
 # miss-heavy mixes against an in-process daemon, then the async-job
@@ -56,9 +60,23 @@ bench-diff:
 
 # Allocation pins, run WITHOUT the race detector (its instrumentation
 # perturbs testing.AllocsPerRun): the warm BusPoint path must stay at
-# zero allocations and the warm extend path within its budget.
+# zero allocations, the warm extend path within its budget, a
+# population-ascending curve run at O(log n) allocations, and decoding a
+# 64-point /v1/sweep body at its measured count.
 alloc-check:
-	$(GO) test -run 'Alloc' ./internal/core ./internal/sweep
+	$(GO) test -run 'Alloc' ./internal/core ./internal/sweep ./internal/serve
+
+# Fuzz smoke: every native Go fuzz target in the module (Fuzz* functions
+# in *_test.go files) for a fixed 10 s each. A failure leaves the
+# crashing input under the package's testdata/fuzz for a regression seed.
+fuzz-smoke:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for fz in $$(cat $$d/*_test.go 2>/dev/null | sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p'); do \
+			echo "fuzz-smoke: $$d $$fz"; \
+			$(GO) test -run='^$$' -fuzz="^$$fz\$$" -fuzztime=10s $$d > /dev/null || exit 1; \
+		done; \
+	done
+	@echo "fuzz-smoke: ok"
 
 # Focused race hammers: the shared-evaluator and shared-server stress
 # tests, repeated, under the race detector — the concurrency gate on the
@@ -113,10 +131,10 @@ gw-smoke:
 	@echo "gw-smoke: ok (affinity wins, failover clean, warm restart verified)"
 
 # The pre-merge gate: vet, the race-enabled test run, the repeated
-# concurrency hammers, the allocation pins (non-race), the
-# documentation and scheme-registry gates, and the overload +
+# concurrency hammers, the allocation pins (non-race), the fuzz smoke,
+# the documentation and scheme-registry gates, and the overload +
 # async-job + gateway drills.
-check: vet race race-hammer alloc-check docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke
+check: vet race race-hammer alloc-check fuzz-smoke docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke
 
 # Run the model-serving daemon in the foreground.
 COHERED_ADDR ?= 127.0.0.1:8080

@@ -200,6 +200,13 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 		go func() { errc <- pprofSrv.Serve(pprofLn) }()
 	}
 
+	// A daemon with a snapshot to restore is not ready until the restore
+	// below finishes. Mark it before the listener serves, so no /readyz
+	// can answer 200 ahead of the restore.
+	if *snapshotPath != "" {
+		srv.SetNotReady("restoring snapshot")
+	}
+
 	logger.Warn("cohered listening", "addr", ln.Addr().String())
 	if onReady != nil {
 		var pa net.Addr
@@ -218,7 +225,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 	// corrupt one is logged and served cold — the restore fails closed,
 	// never with suspect entries.
 	if *snapshotPath != "" {
-		srv.SetNotReady("restoring snapshot")
 		counts, err := srv.Evaluator().LoadSnapshotFile(*snapshotPath)
 		if err != nil {
 			logger.Warn("snapshot not restored; starting cold",

@@ -49,6 +49,30 @@ func bootDaemon(t *testing.T, extra ...string) (string, func()) {
 	}
 }
 
+// waitReady polls /readyz until it answers 200 and returns that body.
+// The daemon opens its listener before restoring a snapshot and answers
+// 503 until the restore finishes, so a test must wait on readiness —
+// not on scheduling — before asserting on restored state.
+func waitReady(t *testing.T, base string) []byte {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			t.Fatalf("readyz: %v", err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			return body
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("readyz still %d after 10s: %s", resp.StatusCode, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // cacheStats reads the evaluator counters from /healthz.
 func cacheStats(t *testing.T, base string) map[string]float64 {
 	t.Helper()
@@ -101,22 +125,16 @@ func TestWarmStartSnapshot(t *testing.T) {
 	base, shutdown = bootDaemon(t, "-snapshot-path", snap)
 	defer shutdown()
 
+	rzBody := waitReady(t, base)
+	if !strings.Contains(string(rzBody), `"demand_entries"`) {
+		t.Fatalf("readyz after restore: %s", rzBody)
+	}
 	st := cacheStats(t, base)
 	if st["DemandEntries"] == 0 || st["CurveEntries"] == 0 {
 		t.Fatalf("restart restored nothing: %+v", st)
 	}
 	if st["DemandSolves"] != 0 || st["CurveFullSolves"] != 0 {
 		t.Fatalf("restart shows phantom solves: %+v", st)
-	}
-
-	rz, err := http.Get(base + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rzBody, _ := io.ReadAll(rz.Body)
-	rz.Body.Close()
-	if rz.StatusCode != http.StatusOK || !strings.Contains(string(rzBody), `"demand_entries"`) {
-		t.Fatalf("readyz after restore: %d %s", rz.StatusCode, rzBody)
 	}
 
 	for _, b := range bodies {
@@ -153,6 +171,7 @@ func TestStaleSnapshotRejectedCleanly(t *testing.T) {
 	base, shutdown := bootDaemon(t, "-snapshot-path", snap)
 	defer shutdown()
 
+	waitReady(t, base) // the rejected restore is over
 	st := cacheStats(t, base)
 	if st["DemandEntries"] != 0 || st["CurveEntries"] != 0 {
 		t.Fatalf("corrupt snapshot restored entries: %+v", st)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -84,6 +85,38 @@ func TestCanonicalParamsAllocationFree(t *testing.T) {
 			CanonicalParams(s, p)
 		}); avg != 0 {
 			t.Errorf("%s: CanonicalParams allocates %.1f times per call, want 0", s.Name(), avg)
+		}
+	}
+}
+
+// TestParamsDecoderFieldOrder pins the params decoder's tables to
+// fieldSpecs order: paramNames[i] is field i's name, setField(i) writes
+// exactly field i, and the names are paramsJSON's, so decoding and
+// WriteParams agree.
+func TestParamsDecoderFieldOrder(t *testing.T) {
+	fields := Fields()
+	if len(paramNames) != len(fields) {
+		t.Fatalf("%d param names for %d fields", len(paramNames), len(fields))
+	}
+	tags := map[string]bool{}
+	rt := reflect.TypeOf(paramsJSON{})
+	for i := 0; i < rt.NumField(); i++ {
+		tags[rt.Field(i).Tag.Get("json")] = true
+	}
+	for i, f := range fields {
+		if paramNames[i] != f.Name || !tags[f.Name] {
+			t.Errorf("field %d: name %q, spec %q, in paramsJSON %v", i, paramNames[i], f.Name, tags[f.Name])
+		}
+		var p Params
+		p.setField(i, 42)
+		for j, g := range fields {
+			want := 0.0
+			if j == i {
+				want = 42
+			}
+			if v := g.Get(&p); v != want {
+				t.Errorf("setField(%d) (%s): field %s = %g, want %g", i, f.Name, g.Name, v, want)
+			}
 		}
 	}
 }
