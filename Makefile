@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-hammer bench bench-short bench-json bench-diff alloc-check fuzz-smoke check serve smoke schemes-smoke chaos-smoke jobs-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
+.PHONY: all build test vet perfbench-build race race-hammer bench bench-short bench-json bench-diff alloc-check fuzz-smoke check serve smoke schemes-smoke chaos-smoke jobs-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
 
 all: build vet test
 
@@ -15,6 +15,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark in perfbench/ is its own module, so `build` and `vet`
+# never compile it: build and vet it here, so an API change that breaks
+# the benchmark fails the gate.
+perfbench-build:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # Race-detector pass over the whole module; the sweep engine and the
 # parallel experiment runners make this a first-class gate.
@@ -130,11 +136,11 @@ gw-smoke:
 	$(GO) run ./cmd/cohereload -gw -c 8 -d 1s > /dev/null
 	@echo "gw-smoke: ok (affinity wins, failover clean, warm restart verified)"
 
-# The pre-merge gate: vet, the race-enabled test run, the repeated
-# concurrency hammers, the allocation pins (non-race), the fuzz smoke,
-# the documentation and scheme-registry gates, and the overload +
-# async-job + gateway drills.
-check: vet race race-hammer alloc-check fuzz-smoke docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke
+# The pre-merge gate: vet, the benchmark module's build, the
+# race-enabled test run, the repeated concurrency hammers, the
+# allocation pins (non-race), the fuzz smoke, the documentation and
+# scheme-registry gates, and the overload + async-job + gateway drills.
+check: vet perfbench-build race race-hammer alloc-check fuzz-smoke docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke
 
 # Run the model-serving daemon in the foreground.
 COHERED_ADDR ?= 127.0.0.1:8080

@@ -9,6 +9,7 @@ package swcc_test
 // reproduction run.
 
 import (
+	"context"
 	"testing"
 
 	"swcc"
@@ -29,7 +30,7 @@ func runExperiment(b *testing.B, id string, opt experiments.Options) *experiment
 	var ds *experiments.Dataset
 	var err error
 	for i := 0; i < b.N; i++ {
-		ds, err = experiments.Run(id, opt)
+		ds, err = experiments.RunCtx(context.Background(), id, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

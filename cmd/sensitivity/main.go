@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -38,7 +39,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tab8, err := sensitivity.AnalyzeWith(sweep.New(*parallel), core.PaperSchemes(), *procs)
+	tab8, err := sensitivity.AnalyzeWithCtx(context.Background(), sweep.New(*parallel), core.PaperSchemes(), *procs)
 	if err != nil {
 		return err
 	}

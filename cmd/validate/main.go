@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -36,7 +37,7 @@ func run(args []string, w io.Writer) error {
 	if *fig < 1 || *fig > 3 {
 		return fmt.Errorf("fig %d out of range 1..3", *fig)
 	}
-	ds, err := experiments.Run(fmt.Sprintf("fig%d", *fig), experiments.Options{
+	ds, err := experiments.RunCtx(context.Background(), fmt.Sprintf("fig%d", *fig), experiments.Options{
 		Preset:     *preset,
 		TraceScale: *scale,
 	})

@@ -21,8 +21,8 @@ func init() {
 
 // busPowerSeries evaluates one scheme's power curve over 1..maxProcs,
 // through the shared memo cache.
-func busPowerSeries(s core.Scheme, p core.Params, maxProcs int) (plot.Series, error) {
-	pts, err := busEval.EvaluateBus(s, p, core.BusCosts(), maxProcs)
+func busPowerSeries(ctx context.Context, s core.Scheme, p core.Params, maxProcs int) (plot.Series, error) {
+	pts, err := busEval.EvaluateBusCtx(ctx, s, p, core.BusCosts(), maxProcs, nil)
 	if err != nil {
 		return plot.Series{}, err
 	}
@@ -69,9 +69,9 @@ func busLevels(l core.Level) func(context.Context, Options) (*Dataset, error) {
 		// One curve per scheme, solved in parallel into per-scheme slots.
 		schemes := core.PaperSchemes()
 		curves := make([]plot.Series, len(schemes))
-		if err := sweep.Each(0, len(schemes), func(i int) error {
+		if err := sweep.EachCtx(ctx, 0, len(schemes), func(i int) error {
 			var err error
-			curves[i], err = busPowerSeries(schemes[i], p, maxProcs)
+			curves[i], err = busPowerSeries(ctx, schemes[i], p, maxProcs)
 			return err
 		}); err != nil {
 			return nil, err
@@ -115,8 +115,8 @@ func runFig7(ctx context.Context, opt Options) (*Dataset, error) {
 		jobs = append(jobs, job{core.SoftwareFlush{}, p, fmt.Sprintf("SF apl=%g", apl)})
 	}
 	curves := make([]plot.Series, len(jobs))
-	if err := sweep.Each(0, len(jobs), func(i int) error {
-		sr, err := busPowerSeries(jobs[i].scheme, jobs[i].params, maxProcs)
+	if err := sweep.EachCtx(ctx, 0, len(jobs), func(i int) error {
+		sr, err := busPowerSeries(ctx, jobs[i].scheme, jobs[i].params, maxProcs)
 		if err != nil {
 			return err
 		}

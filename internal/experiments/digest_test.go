@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"sync"
 	"testing"
 
@@ -116,6 +117,32 @@ func TestMemoScope(t *testing.T) {
 			if c != call {
 				t.Errorf("RunCtx call %d: %+v computed %d times in all, want once per call", call, k, c)
 			}
+		}
+	}
+}
+
+// TestRunCtxCancelledRunsNoSimulation: the trace-driven experiments
+// honour a context that is already cancelled. RunCtx reports the
+// cancellation and the call's memo measures and simulates nothing.
+func TestRunCtxCancelledRunsNoSimulation(t *testing.T) {
+	var mu sync.Mutex
+	var computed []any
+	testHookComputed = func(k any) {
+		mu.Lock()
+		computed = append(computed, k)
+		mu.Unlock()
+	}
+	defer func() { testHookComputed = nil }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, id := range []string{"fig10sim", "fig1", "scenarios"} {
+		computed = nil
+		if _, err := RunCtx(ctx, id, Options{TraceScale: 0.05}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: RunCtx on a cancelled context returned %v, want context.Canceled", id, err)
+		}
+		if len(computed) != 0 {
+			t.Errorf("%s: ran %d measurements or simulations after cancellation", id, len(computed))
 		}
 	}
 }

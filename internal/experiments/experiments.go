@@ -4,7 +4,7 @@
 // series, a text table, or both — which the CLI and benchmarks render.
 //
 // The registry is the per-experiment index of DESIGN.md in executable
-// form: `Run("fig4", opts)` recomputes paper Figure 4.
+// form: `RunCtx(ctx, "fig4", opts)` recomputes paper Figure 4.
 package experiments
 
 import (
@@ -26,7 +26,7 @@ import (
 // busEval is the package-shared memoizing evaluator: every analytic
 // experiment routes its bus-model solves through it, so solves recur at
 // most once per distinct (scheme, canonical workload, machine size) no
-// matter how many experiments — or RunAll workers — ask. Results are
+// matter how many experiments — or RunAllCtx workers — ask. Results are
 // bit-identical to fresh solves (see internal/sweep), which is what keeps
 // the golden outputs stable.
 var busEval = sweep.NewEvaluator()
@@ -236,11 +236,6 @@ func ByID(id string) (Spec, error) {
 	return s, nil
 }
 
-// Run executes the experiment with the given ID.
-func Run(id string, opt Options) (*Dataset, error) {
-	return RunCtx(context.Background(), id, opt)
-}
-
 // RunCtx executes the experiment with the given ID under ctx's
 // cooperative cancellation. Within the call each distinct trace
 // measurement and simulation runs once.
@@ -252,19 +247,15 @@ func RunCtx(ctx context.Context, id string, opt Options) (*Dataset, error) {
 	return s.Run(withMemo(ctx), opt)
 }
 
-// RunAll executes every registered experiment with up to `parallelism`
-// running concurrently (1 = sequential; 0 defaults to all cores) and
-// returns the datasets in registry order. The first failure is reported
-// with its experiment ID; other experiments still run to completion.
-func RunAll(opt Options, parallelism int) ([]*Dataset, error) {
-	return RunAllCtx(context.Background(), opt, parallelism)
-}
-
-// RunAllCtx is RunAll under cooperative cancellation: once ctx is done,
-// no further experiment starts (skipped ones fail with ctx's error) and
-// running ones wind down at their engine's next cancellation point.
-// The experiments share one simulation memo for the call, so each
-// distinct trace measurement and simulation runs once per call.
+// RunAllCtx executes every registered experiment with up to
+// `parallelism` running concurrently (1 = sequential; 0 defaults to all
+// cores) and returns the datasets in registry order. The first failure
+// is reported with its experiment ID; other experiments still run to
+// completion. Cancellation is cooperative: once ctx is done, no further
+// experiment starts (skipped ones fail with ctx's error) and running
+// ones wind down at their next cancellation point. The experiments
+// share one simulation memo for the call, so each distinct trace
+// measurement and simulation runs once per call.
 func RunAllCtx(ctx context.Context, opt Options, parallelism int) ([]*Dataset, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)

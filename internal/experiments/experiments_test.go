@@ -92,7 +92,7 @@ func TestEveryExperimentRunsAndRenders(t *testing.T) {
 }
 
 func TestFig5ShapeMatchesPaper(t *testing.T) {
-	ds, err := Run("fig5", Options{})
+	ds, err := RunCtx(context.Background(), "fig5", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig6SaturationAnchors(t *testing.T) {
-	ds, err := Run("fig6", Options{MaxProcessors: 32})
+	ds, err := RunCtx(context.Background(), "fig6", Options{MaxProcessors: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFig6SaturationAnchors(t *testing.T) {
 }
 
 func TestFig7APLOrdering(t *testing.T) {
-	ds, err := Run("fig7", Options{})
+	ds, err := RunCtx(context.Background(), "fig7", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFig7APLOrdering(t *testing.T) {
 }
 
 func TestFig1ModelTracksSimulation(t *testing.T) {
-	ds, err := Run("fig1", Options{TraceScale: 0.5})
+	ds, err := RunCtx(context.Background(), "fig1", Options{TraceScale: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFig1ModelTracksSimulation(t *testing.T) {
 // traces the model must still track the simulation.
 func TestValidationRobustAcrossSeeds(t *testing.T) {
 	for _, seed := range []uint64{0x1111, 0x2222, 0x3333} {
-		ds, err := Run("fig1", Options{TraceScale: 0.35, Seed: seed})
+		ds, err := RunCtx(context.Background(), "fig1", Options{TraceScale: 0.35, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestValidationRobustAcrossSeeds(t *testing.T) {
 }
 
 func TestFig2LargerCachesMorePower(t *testing.T) {
-	ds, err := Run("fig2", Options{TraceScale: 0.5})
+	ds, err := RunCtx(context.Background(), "fig2", Options{TraceScale: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFig2LargerCachesMorePower(t *testing.T) {
 }
 
 func TestFig11TwoClasses(t *testing.T) {
-	ds, err := Run("fig11", Options{})
+	ds, err := RunCtx(context.Background(), "fig11", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestFig11TwoClasses(t *testing.T) {
 }
 
 func TestBlockSizeModelTracksSimulation(t *testing.T) {
-	ds, err := Run("blocksize", Options{TraceScale: 0.25})
+	ds, err := RunCtx(context.Background(), "blocksize", Options{TraceScale: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestBlockSizeModelTracksSimulation(t *testing.T) {
 }
 
 func TestFig10SimCrossover(t *testing.T) {
-	ds, err := Run("fig10sim", Options{TraceScale: 0.5})
+	ds, err := RunCtx(context.Background(), "fig10sim", Options{TraceScale: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestFig10SimCrossover(t *testing.T) {
 
 func TestRunAllParallelMatchesSequential(t *testing.T) {
 	opts := Options{TraceScale: 0.1}
-	par, err := RunAll(opts, 8)
+	par, err := RunAllCtx(context.Background(), opts, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	// Spot-check determinism against a direct sequential run.
-	seq, err := Run("fig1", opts)
+	seq, err := RunCtx(context.Background(), "fig1", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,7 +186,7 @@ func runCrossover(ctx context.Context, opt Options) (*Dataset, error) {
 	// and No-Cache target powers recur across all rows and solve once).
 	shds := []float64{0.08, 0.15, 0.25, 0.35, 0.42}
 	rows := make([][3]string, len(shds))
-	if err := sweep.Each(0, len(shds), func(i int) error {
+	if err := sweep.EachCtx(ctx, 0, len(shds), func(i int) error {
 		shd := shds[i]
 		p, err := core.MiddleParams().With("shd", shd)
 		if err != nil {

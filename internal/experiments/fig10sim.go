@@ -61,7 +61,7 @@ func runFig10Sim(ctx context.Context, opt Options) (*Dataset, error) {
 		}
 	}
 	powers := make([]float64, len(jobs))
-	if err := sweep.Each(0, len(jobs), func(i int) error {
+	if err := sweep.EachCtx(ctx, 0, len(jobs), func(i int) error {
 		j := jobs[i]
 		res, err := memo.simulate(src, sim.Config{NCPU: j.n, Cache: cache, Protocol: j.proto, Medium: j.medium})
 		if err != nil {

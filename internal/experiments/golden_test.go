@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -23,7 +24,7 @@ func TestGoldenOutputs(t *testing.T) {
 	for _, id := range goldenIDs {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			ds, err := Run(id, Options{})
+			ds, err := RunCtx(context.Background(), id, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

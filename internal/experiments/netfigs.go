@@ -34,9 +34,9 @@ func runFig10(ctx context.Context, opt Options) (*Dataset, error) {
 	busSeries := make([]plot.Series, len(schemes))
 	netSeries := make([]plot.Series, len(schemes))
 	netPoints := make([][]core.NetworkPoint, len(schemes))
-	if err := sweep.Each(0, len(schemes), func(i int) error {
+	if err := sweep.EachCtx(ctx, 0, len(schemes), func(i int) error {
 		s := schemes[i]
-		sr, err := busPowerSeries(s, p, maxProcs)
+		sr, err := busPowerSeries(ctx, s, p, maxProcs)
 		if err != nil {
 			return err
 		}
@@ -64,7 +64,7 @@ func runFig10(ctx context.Context, opt Options) (*Dataset, error) {
 	ds.Series = append(ds.Series, netSeries...)
 	tab := &report.Table{Header: []string{"processors", "scheme", "bus power", "net power"}}
 	for i, s := range schemes {
-		busPts, err := busEval.EvaluateBus(s, p, core.BusCosts(), maxProcs)
+		busPts, err := busEval.EvaluateBusCtx(ctx, s, p, core.BusCosts(), maxProcs, nil)
 		if err != nil {
 			return nil, err
 		}

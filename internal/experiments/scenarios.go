@@ -44,7 +44,7 @@ func runScenarios(ctx context.Context, opt Options) (*Dataset, error) {
 	scenarios := []string{"timeshare", "message", "pops", "pero"}
 	rows := make([][]string, len(scenarios))
 	memo := memoFrom(ctx)
-	if err := sweep.Each(0, len(scenarios), func(i int) error {
+	if err := sweep.EachCtx(ctx, 0, len(scenarios), func(i int) error {
 		scenario := scenarios[i]
 		cfg, err := tracegen.Preset(scenario)
 		if err != nil {

@@ -49,8 +49,11 @@ type protoScheme struct {
 // validate runs model-vs-simulation for the given schemes and cache size
 // across machine sizes 1..NCPU on src's trace. It returns (simulated,
 // modeled) power series per scheme plus the parameter measurement used
-// by the model.
-func validate(memo *runMemo, src traceSource, cache sim.CacheConfig, pairs []protoScheme) ([]plot.Series, *measure.Measurement, error) {
+// by the model. A done ctx stops it before the next simulation starts.
+func validate(ctx context.Context, memo *runMemo, src traceSource, cache sim.CacheConfig, pairs []protoScheme) ([]plot.Series, *measure.Measurement, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	m, err := memo.extract(src, cache)
 	if err != nil {
 		return nil, nil, err
@@ -64,7 +67,7 @@ func validate(memo *runMemo, src traceSource, cache sim.CacheConfig, pairs []pro
 	// slot. The analytic side goes through the shared cache.
 	nsizes := src.gen.NCPU
 	simPowers := make([]float64, len(pairs)*nsizes)
-	if err := sweep.Each(0, len(simPowers), func(i int) error {
+	if err := sweep.EachCtx(ctx, 0, len(simPowers), func(i int) error {
 		pr := pairs[i/nsizes]
 		n := i%nsizes + 1
 		res := shadows[pr.proto]
@@ -83,7 +86,7 @@ func validate(memo *runMemo, src traceSource, cache sim.CacheConfig, pairs []pro
 	for pi, pr := range pairs {
 		simSeries := plot.Series{Name: pr.scheme.Name() + " sim"}
 		modelSeries := plot.Series{Name: pr.scheme.Name() + " model"}
-		modelPts, err := busEval.EvaluateBus(pr.scheme, m.Params, core.BusCosts(), nsizes)
+		modelPts, err := busEval.EvaluateBusCtx(ctx, pr.scheme, m.Params, core.BusCosts(), nsizes, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -122,7 +125,7 @@ func runFig1(ctx context.Context, opt Options) (*Dataset, error) {
 		return nil, err
 	}
 	cache := sim.CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
-	series, m, err := validate(memoFrom(ctx), newTraceSource(gen), cache, []protoScheme{
+	series, m, err := validate(ctx, memoFrom(ctx), newTraceSource(gen), cache, []protoScheme{
 		{sim.ProtoBase, core.Base{}},
 		{sim.ProtoDragon, core.Dragon{}},
 	})
@@ -158,7 +161,7 @@ func runFig2(ctx context.Context, opt Options) (*Dataset, error) {
 	}
 	for _, size := range []int{16 * 1024, 64 * 1024, 256 * 1024} {
 		cache := sim.CacheConfig{Size: size, BlockSize: 16, Assoc: 2}
-		series, _, err := validate(memo, src, cache, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
+		series, _, err := validate(ctx, memo, src, cache, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +188,7 @@ func runFig3(ctx context.Context, opt Options) (*Dataset, error) {
 	}
 	for _, size := range []int{16 * 1024, 64 * 1024, 256 * 1024} {
 		cache := sim.CacheConfig{Size: size, BlockSize: 16, Assoc: 2}
-		series, _, err := validate(memo, src, cache, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
+		series, _, err := validate(ctx, memo, src, cache, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
 		if err != nil {
 			return nil, err
 		}

@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"swcc/internal/core"
 	"swcc/internal/obs"
 	"swcc/internal/serve"
 )
@@ -304,7 +305,7 @@ func parseBackends(specs []string) ([]*backend, error) {
 			return nil, fmt.Errorf("gw: duplicate backend %s", u)
 		}
 		seen[u] = true
-		bk := &backend{url: u, hash: hashString(fnvOffset, u)}
+		bk := &backend{url: u, hash: core.HashBytes(core.FNVOffset, u)}
 		if weight > 0 {
 			bk.weight.Store(math.Float64bits(weight))
 		}

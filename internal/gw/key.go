@@ -1,8 +1,6 @@
 package gw
 
 import (
-	"math"
-
 	"swcc/internal/core"
 	"swcc/internal/serve"
 )
@@ -10,37 +8,16 @@ import (
 // Routing keys are the gateway's half of the cache-affinity contract:
 // two requests the backend answers from the same memo entries must hash
 // to the same key, so they land on the same backend and the second one
-// is a hit. The gateway reuses the model's own canonicalization —
-// core.CanonicalParams collapses every parameter the scheme ignores —
-// and deliberately leaves procs out of bus keys: the evaluator's curves
-// are prefix-shared, so all populations of one (scheme, workload) curve
-// belong on one backend.
-
-// FNV-1a constants, matching the evaluator's shard hashing.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// is a hit. The routing key is the hash of the evaluator's own cache
+// identity, core.KeyOf, which collapses every parameter the scheme
+// ignores. It deliberately leaves procs out of bus keys: the
+// evaluator's curves are prefix-shared, so all populations of one
+// (scheme, workload) curve belong on one backend.
 
 // jobsKey pins the whole /v1/jobs subtree to one rendezvous owner: job
 // IDs exist in a single backend's registry, so splitting the subtree
 // would make a submitted job unfindable.
-const jobsKey uint64 = fnvOffset ^ 0x6a6f6273 // "jobs"
-
-func hashString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return h
-}
-
-func hashFloat(h uint64, f float64) uint64 {
-	b := math.Float64bits(f)
-	for i := 0; i < 64; i += 8 {
-		h = (h ^ (b >> i & 0xff)) * fnvPrime
-	}
-	return h
-}
+const jobsKey = core.FNVOffset ^ 0x6a6f6273 // "jobs"
 
 // splitmix64 is the rendezvous score mixer: cheap, stateless, and
 // avalanching, so one flipped key bit reshuffles the backend ranking.
@@ -81,33 +58,14 @@ func (g *Gateway) keys(path string, body []byte) (route, resp uint64, cacheable 
 		g.keyFallbacks.Add(1)
 		return rawKey(body), 0, false
 	}
-	route = queryKey(q)
-	h := hashString(route, path)
-	h = hashFloat(h, float64(q.Procs))
+	route = core.KeyOf(q.Scheme, q.Params).Hash(core.FNVOffset)
+	h := core.HashBytes(route, path)
+	h = core.HashFloat(h, float64(q.Procs))
 	if q.Point {
-		h = hashString(h, "point")
+		h = core.HashBytes(h, "point")
 	}
 	return route, h, true
 }
 
-// queryKey keys one resolved query on its canonical cache identity.
-func queryKey(q serve.Query) uint64 {
-	cp := core.CanonicalParams(q.Scheme, q.Params)
-	h := hashString(fnvOffset, core.SchemeKey(q.Scheme))
-	for _, f := range [...]float64{
-		cp.LS, cp.MsDat, cp.MsIns, cp.MD, cp.Shd, cp.WR,
-		cp.APL, cp.MdShd, cp.OClean, cp.OPres, cp.NShd,
-	} {
-		h = hashFloat(h, f)
-	}
-	return h
-}
-
 // rawKey is the fallback routing key: FNV-1a over the body bytes.
-func rawKey(body []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, b := range body {
-		h = (h ^ uint64(b)) * fnvPrime
-	}
-	return h
-}
+func rawKey(body []byte) uint64 { return core.HashBytes(core.FNVOffset, body) }

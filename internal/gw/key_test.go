@@ -1,12 +1,14 @@
 package gw
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"swcc/internal/core"
 	"swcc/internal/serve"
+	"swcc/internal/sweep"
 )
 
 // canonicalBody re-encodes a resolved query as a different body asking
@@ -74,6 +76,45 @@ func FuzzPointKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRoutingKeyMatchesEvaluatorEntry pins the affinity contract on
+// every pair of pinned /v1/bus bodies: two bodies share a routing key
+// exactly when the evaluator answers both from one demand-cache entry.
+func TestRoutingKeyMatchesEvaluatorEntry(t *testing.T) {
+	type keyed struct {
+		body  string
+		q     serve.Query
+		route uint64
+	}
+	g := &Gateway{}
+	var bodies []keyed
+	for _, r := range routingGoldenRequests() {
+		if r.path != "/v1/bus" {
+			continue
+		}
+		q, err := serve.DecodeBus([]byte(r.body))
+		if err != nil {
+			t.Fatalf("%s: %v", r.body, err)
+		}
+		route, _, _ := g.keys(r.path, []byte(r.body))
+		bodies = append(bodies, keyed{r.body, q, route})
+	}
+	ctx, costs := context.Background(), core.BusCosts()
+	for i, a := range bodies {
+		for _, b := range bodies[i+1:] {
+			ev := sweep.NewEvaluator()
+			for _, q := range []serve.Query{a.q, b.q} {
+				if _, err := ev.DemandCtx(ctx, q.Scheme, q.Params, costs); err != nil {
+					t.Fatalf("%s: %v", a.body, err)
+				}
+			}
+			shared := ev.Stats().DemandSolves == 1
+			if (a.route == b.route) != shared {
+				t.Errorf("%s and %s: equal routing keys %v, one evaluator entry %v", a.body, b.body, a.route == b.route, shared)
+			}
+		}
+	}
 }
 
 // BenchmarkPointKey measures deriving both keys of one single-point

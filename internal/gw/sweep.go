@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 
+	"swcc/internal/core"
 	"swcc/internal/obs"
 	"swcc/internal/serve"
 )
@@ -59,7 +60,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	keys := make([]uint64, len(points))
 	for i, pt := range points {
 		if pt.Err == nil {
-			keys[i] = queryKey(pt.Query)
+			keys[i] = core.KeyOf(pt.Query.Scheme, pt.Query.Params).Hash(core.FNVOffset)
 		} else {
 			g.keyFallbacks.Add(1)
 			keys[i] = rawKey(body[pt.Start:pt.End])

@@ -73,22 +73,12 @@ func abs(x float64) float64 {
 	return x
 }
 
-// Analyze runs the one-at-a-time low->high sweep for the given schemes on
-// a bus machine with nproc processors, using the Table 1 costs.
-func Analyze(schemes []core.Scheme, nproc int) (*Table, error) {
-	return AnalyzeWith(sweep.New(0), schemes, nproc)
-}
-
-// AnalyzeWith runs the sweep on the given engine: the full
-// (parameter x scheme x level) grid is evaluated on the engine's worker
-// pool, and its cache collapses the cells a scheme is insensitive to
-// (e.g. varying apl for Base solves once, not twice). Results are
-// bit-identical to a sequential uncached run.
-func AnalyzeWith(eng *sweep.Engine, schemes []core.Scheme, nproc int) (*Table, error) {
-	return AnalyzeWithCtx(context.Background(), eng, schemes, nproc)
-}
-
-// AnalyzeWithCtx is AnalyzeWith under cooperative cancellation: the grid
+// AnalyzeWithCtx runs the one-at-a-time low->high sweep for the given
+// schemes on a bus machine with nproc processors, using the Table 1
+// costs. The full (parameter x scheme x level) grid is evaluated on the
+// engine's worker pool, and its cache collapses the cells a scheme is
+// insensitive to (e.g. varying apl for Base solves once, not twice).
+// Results are bit-identical to a sequential uncached run. The grid
 // evaluation threads ctx into the engine, so a cancelled caller (a
 // timed-out /v1/sensitivity request, an interrupted CLI run) stops
 // solving cells instead of finishing a table nobody will read. The

@@ -1,6 +1,7 @@
 package sensitivity
 
 import (
+	"context"
 	"testing"
 
 	"swcc/internal/core"
@@ -9,7 +10,7 @@ import (
 
 func analyzeAll(t *testing.T, nproc int) *Table {
 	t.Helper()
-	tab, err := Analyze(core.PaperSchemes(), nproc)
+	tab, err := AnalyzeWithCtx(context.Background(), sweep.New(0), core.PaperSchemes(), nproc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestSensitivityGrowsWithContention(t *testing.T) {
 }
 
 func TestAnalyzeErrors(t *testing.T) {
-	if _, err := Analyze(core.PaperSchemes(), 0); err == nil {
+	if _, err := AnalyzeWithCtx(context.Background(), sweep.New(0), core.PaperSchemes(), 0); err == nil {
 		t.Error("want error for zero processors")
 	}
 }
@@ -143,7 +144,7 @@ func names(cells []Cell) []string {
 // the numbers.
 func TestAnalyzeWithEngineVariantsIdentical(t *testing.T) {
 	schemes := core.PaperSchemes()
-	base, err := AnalyzeWith(&sweep.Engine{Workers: 1}, schemes, 16)
+	base, err := AnalyzeWithCtx(context.Background(), &sweep.Engine{Workers: 1}, schemes, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestAnalyzeWithEngineVariantsIdentical(t *testing.T) {
 		"default":           sweep.New(0),
 	}
 	for name, eng := range engines {
-		tab, err := AnalyzeWith(eng, schemes, 16)
+		tab, err := AnalyzeWithCtx(context.Background(), eng, schemes, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -355,7 +355,7 @@ func (s *Server) handleBus(ctx context.Context, body []byte) (any, error) {
 			resp.Points = []core.BusPoint{pt}
 			return resp, nil
 		}
-		pts, err := s.ev.EvaluateBusCtx(ctx, scheme, p, costs, procs)
+		pts, err := s.ev.EvaluateBusCtx(ctx, scheme, p, costs, procs, nil)
 		if err != nil {
 			return nil, err
 		}

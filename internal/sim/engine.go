@@ -21,38 +21,30 @@ const (
 	ProtoWriteInvalidate
 )
 
-// String returns the protocol name.
+// protoNames is each protocol's scheme name in the core registry,
+// indexed by Protocol: the one table behind String and ProtocolByName.
+// Registered schemes absent here (Directory, Hybrid, the priority-bus
+// discipline, ...) are analytic-model-only: asking the simulator for
+// them is ErrBadConfig, not a silent fallback.
+var protoNames = [...]string{
+	ProtoBase:            "Base",
+	ProtoDragon:          "Dragon",
+	ProtoNoCache:         "No-Cache",
+	ProtoSoftwareFlush:   "Software-Flush",
+	ProtoWriteInvalidate: "Write-Invalidate",
+}
+
+// String returns the protocol's registered scheme name.
 func (p Protocol) String() string {
-	switch p {
-	case ProtoBase:
-		return "Base"
-	case ProtoDragon:
-		return "Dragon"
-	case ProtoNoCache:
-		return "No-Cache"
-	case ProtoSoftwareFlush:
-		return "Software-Flush"
-	case ProtoWriteInvalidate:
-		return "Write-Invalidate"
+	if p.valid() {
+		return protoNames[p]
 	}
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
 // valid reports whether p is a known protocol.
 func (p Protocol) valid() bool {
-	return p >= ProtoBase && p <= ProtoWriteInvalidate
-}
-
-// protoByScheme maps a registered scheme's canonical name to its
-// simulator protocol. Registered schemes absent here (Directory,
-// Hybrid, the priority-bus discipline, ...) are analytic-model-only:
-// asking the simulator for them is ErrBadConfig, not a silent fallback.
-var protoByScheme = map[string]Protocol{
-	"Base":             ProtoBase,
-	"Dragon":           ProtoDragon,
-	"No-Cache":         ProtoNoCache,
-	"Software-Flush":   ProtoSoftwareFlush,
-	"Write-Invalidate": ProtoWriteInvalidate,
+	return p >= 0 && int(p) < len(protoNames)
 }
 
 // ProtocolByName resolves a protocol name through the scheme registry,
@@ -64,12 +56,13 @@ func ProtocolByName(name string) (Protocol, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: unknown protocol %q", ErrBadConfig, name)
 	}
-	p, ok := protoByScheme[info.Scheme.Name()]
-	if !ok {
-		return 0, fmt.Errorf("%w: scheme %q has no trace-driven protocol (simulatable: base, dragon, nocache, swflush, wi)",
-			ErrBadConfig, info.Scheme.Name())
+	for p, n := range protoNames {
+		if n == info.Scheme.Name() {
+			return Protocol(p), nil
+		}
 	}
-	return p, nil
+	return 0, fmt.Errorf("%w: scheme %q has no trace-driven protocol (simulatable: base, dragon, nocache, swflush, wi)",
+		ErrBadConfig, info.Scheme.Name())
 }
 
 // Config describes one simulation run.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"swcc/internal/core"
 	"swcc/internal/trace"
 )
 
@@ -70,6 +71,21 @@ func TestProtocolNames(t *testing.T) {
 	}
 	if ProtoDragon.String() != "Dragon" || Protocol(99).String() == "" {
 		t.Error("protocol strings")
+	}
+}
+
+// TestProtocolNamesRegistered: every protocol's name is its scheme's
+// canonical name in the core registry, and resolves back to it.
+func TestProtocolNamesRegistered(t *testing.T) {
+	for p := range protoNames {
+		proto := Protocol(p)
+		info, ok := core.SchemeInfoByName(proto.String())
+		if !ok || info.Scheme.Name() != proto.String() {
+			t.Errorf("%d: %q is not a canonical registered scheme name", p, proto.String())
+		}
+		if got, err := ProtocolByName(proto.String()); err != nil || got != proto {
+			t.Errorf("ProtocolByName(%q) = %v, %v; want %v", proto.String(), got, err, proto)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ func TestBusPointWarmPathAllocFree(t *testing.T) {
 	p := core.MiddleParams()
 	ev := NewEvaluator()
 	for _, s := range core.PaperSchemes() {
-		if _, err := ev.BusPoint(s, p, costs, 64); err != nil {
+		if _, err := ev.BusPointCtx(context.Background(), s, p, costs, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,7 +32,7 @@ func TestBusPointWarmPathAllocFree(t *testing.T) {
 		s := s
 		var err error
 		if avg := testing.AllocsPerRun(200, func() {
-			_, err = ev.BusPoint(s, p, costs, 64)
+			_, err = ev.BusPointCtx(context.Background(), s, p, costs, 64)
 		}); avg != 0 {
 			t.Errorf("%s: warm BusPoint allocates %.1f/op, want 0", s.Name(), avg)
 		}
@@ -49,15 +49,15 @@ func TestEvaluateBusIntoWarmAllocFree(t *testing.T) {
 	p := core.MiddleParams()
 	ev := NewEvaluator()
 	ctx := context.Background()
-	if _, err := ev.EvaluateBus(core.Base{}, p, costs, 64); err != nil {
+	if _, err := ev.EvaluateBusCtx(ctx, core.Base{}, p, costs, 64, nil); err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]core.BusPoint, 0, 64)
 	var err error
 	if avg := testing.AllocsPerRun(200, func() {
-		_, err = ev.EvaluateBusIntoCtx(ctx, core.Base{}, p, costs, 64, dst)
+		_, err = ev.EvaluateBusCtx(ctx, core.Base{}, p, costs, 64, dst)
 	}); avg != 0 {
-		t.Errorf("warm EvaluateBusIntoCtx allocates %.1f/op, want 0", avg)
+		t.Errorf("warm EvaluateBusCtx into dst allocates %.1f/op, want 0", avg)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -74,14 +74,14 @@ func TestWarmExtendAllocBudget(t *testing.T) {
 	costs := core.BusCosts()
 	p := core.MiddleParams()
 	ev := NewEvaluator()
-	if _, err := ev.BusPoint(core.Base{}, p, costs, 8); err != nil {
+	if _, err := ev.BusPointCtx(context.Background(), core.Base{}, p, costs, 8); err != nil {
 		t.Fatal(err)
 	}
 	n := 8
 	var err error
 	avg := testing.AllocsPerRun(100, func() {
 		n += 8
-		_, err = ev.BusPoint(core.Base{}, p, costs, n)
+		_, err = ev.BusPointCtx(context.Background(), core.Base{}, p, costs, n)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestCurveRunAscendingAllocs(t *testing.T) {
 	p := core.MiddleParams()
 	ctx := context.Background()
 	ev := NewEvaluator()
-	if _, err := ev.Demand(core.Dragon{}, p, costs); err != nil {
+	if _, err := ev.DemandCtx(context.Background(), core.Dragon{}, p, costs); err != nil {
 		t.Fatal(err)
 	}
 	const n = 512

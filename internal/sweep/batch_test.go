@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"testing"
 
 	"swcc/internal/core"
@@ -88,7 +89,7 @@ func TestEngineBatchGroupingErrors(t *testing.T) {
 	got := New(1).EvaluateBus(points, core.BusCosts())
 	ref := NewEvaluator()
 	for i, pt := range points {
-		wantBus, wantErr := ref.BusPoint(pt.Scheme, pt.Params, core.BusCosts(), pt.NProc)
+		wantBus, wantErr := ref.BusPointCtx(context.Background(), pt.Scheme, pt.Params, core.BusCosts(), pt.NProc)
 		if wantErr != nil {
 			if got[i].Err == nil || got[i].Err.Error() != wantErr.Error() {
 				t.Errorf("point %d: err %v, want %v", i, got[i].Err, wantErr)
@@ -128,7 +129,7 @@ func TestCurveRunPublishes(t *testing.T) {
 		t.Errorf("MVASolves %d != extends %d + fulls %d", st.MVASolves, st.CurveExtends, st.CurveFullSolves)
 	}
 	before := ev.Stats()
-	if _, err := ev.BusPoint(core.Base{}, p, costs, 64); err != nil {
+	if _, err := ev.BusPointCtx(context.Background(), core.Base{}, p, costs, 64); err != nil {
 		t.Fatal(err)
 	}
 	after := ev.Stats()

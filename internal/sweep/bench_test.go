@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -116,13 +117,13 @@ func BenchmarkEvaluatorBusPoint(b *testing.B) {
 	ev := NewEvaluator()
 	p := core.MiddleParams()
 	costs := core.BusCosts()
-	if _, err := ev.BusPoint(core.SoftwareFlush{}, p, costs, 64); err != nil {
+	if _, err := ev.BusPointCtx(context.Background(), core.SoftwareFlush{}, p, costs, 64); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.BusPoint(core.SoftwareFlush{}, p, costs, 64); err != nil {
+		if _, err := ev.BusPointCtx(context.Background(), core.SoftwareFlush{}, p, costs, 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +132,7 @@ func BenchmarkEvaluatorBusPoint(b *testing.B) {
 // busPointer abstracts the sharded evaluator and the single-mutex
 // baseline so BenchmarkEvaluatorContention drives both identically.
 type busPointer interface {
-	BusPoint(s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error)
+	BusPointCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error)
 }
 
 // mutexEvaluator is the PR 1 evaluator design — every cache behind one
@@ -152,7 +153,7 @@ func newMutexEvaluator() *mutexEvaluator {
 	}
 }
 
-func (ev *mutexEvaluator) BusPoint(s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error) {
+func (ev *mutexEvaluator) BusPointCtx(_ context.Context, s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error) {
 	ev.mu.Lock()
 	fp, ok := ev.tables[costs]
 	if !ok {
@@ -165,7 +166,7 @@ func (ev *mutexEvaluator) BusPoint(s core.Scheme, p core.Params, costs *core.Cos
 		}
 		ev.tables[costs] = fp
 	}
-	key := demandKey{core.SchemeKey(s), core.CanonicalParams(s, p), fp}
+	key := demandKey{core.KeyOf(s, p), fp}
 	d, ok := ev.demands[key]
 	ev.mu.Unlock()
 	if !ok {
@@ -242,7 +243,7 @@ func BenchmarkEvaluatorContention(b *testing.B) {
 			costs := core.BusCosts()
 			ev := impl.mk()
 			for _, k := range keys {
-				if _, err := ev.BusPoint(k.s, k.p, costs, 64); err != nil {
+				if _, err := ev.BusPointCtx(context.Background(), k.s, k.p, costs, 64); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -254,7 +255,7 @@ func BenchmarkEvaluatorContention(b *testing.B) {
 				for pb.Next() {
 					k := keys[i%len(keys)]
 					i++
-					if _, err := ev.BusPoint(k.s, k.p, costs, 64); err != nil {
+					if _, err := ev.BusPointCtx(context.Background(), k.s, k.p, costs, 64); err != nil {
 						b.Error(err)
 						return
 					}
@@ -282,7 +283,7 @@ func BenchmarkEvaluatorContentionMixed(b *testing.B) {
 			costs := core.BusCosts()
 			ev := impl.mk()
 			for _, k := range keys {
-				if _, err := ev.BusPoint(k.s, k.p, costs, 64); err != nil {
+				if _, err := ev.BusPointCtx(context.Background(), k.s, k.p, costs, 64); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -306,7 +307,7 @@ func BenchmarkEvaluatorContentionMixed(b *testing.B) {
 						k = keys[i%len(keys)]
 					}
 					i++
-					if _, err := ev.BusPoint(k.s, k.p, costs, 64); err != nil {
+					if _, err := ev.BusPointCtx(context.Background(), k.s, k.p, costs, 64); err != nil {
 						b.Error(err)
 						return
 					}

@@ -54,12 +54,11 @@ func TestEachCtxParallelCancel(t *testing.T) {
 	}
 }
 
-// TestEachBackgroundUnchanged checks the Each wrapper still runs every
-// index and returns the lowest-index error — the pre-cancellation
-// contract existing callers rely on.
+// TestEachBackgroundUnchanged checks EachCtx under a context that is
+// never cancelled runs every index and returns the lowest-index error.
 func TestEachBackgroundUnchanged(t *testing.T) {
 	var ran atomic.Int64
-	err := Each(4, 64, func(i int) error {
+	err := EachCtx(context.Background(), 4, 64, func(i int) error {
 		ran.Add(1)
 		if i == 3 || i == 40 {
 			return errors.New("boom")
@@ -88,7 +87,7 @@ func TestEvaluatorCtxFailsFast(t *testing.T) {
 	if _, err := ev.BusPointCtx(ctx, core.Base{}, p, costs, 8); !errors.Is(err, context.Canceled) {
 		t.Errorf("BusPointCtx on cancelled ctx: %v", err)
 	}
-	if _, err := ev.EvaluateBusCtx(ctx, core.Base{}, p, costs, 8); !errors.Is(err, context.Canceled) {
+	if _, err := ev.EvaluateBusCtx(ctx, core.Base{}, p, costs, 8, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("EvaluateBusCtx on cancelled ctx: %v", err)
 	}
 	st := ev.Stats()
@@ -133,7 +132,7 @@ func TestSingleflightWaiterCancellable(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := ev.Demand(scheme, p, costs)
+		_, err := ev.DemandCtx(context.Background(), scheme, p, costs)
 		leaderDone <- err
 	}()
 	<-entered // the leader owns the flight before the waiter arrives

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func TestEvaluatorConcurrentHammer(t *testing.T) {
 					defer wg.Done()
 					for r := 0; r < rounds; r++ {
 						rf := refs[(w*7+r)%len(refs)]
-						got, err := ev.BusPoint(rf.s, rf.p, costs, 24)
+						got, err := ev.BusPointCtx(context.Background(), rf.s, rf.p, costs, 24)
 						if err != nil {
 							errc <- err.Error()
 							return
@@ -110,7 +111,7 @@ func TestEvaluatorCapBoundsEntries(t *testing.T) {
 	costs := core.BusCosts()
 	const distinct = 4 * capacity
 	for i := 0; i < distinct; i++ {
-		if _, err := ev.BusPoint(core.Dragon{}, shdParams(t, i, distinct), costs, 8); err != nil {
+		if _, err := ev.BusPointCtx(context.Background(), core.Dragon{}, shdParams(t, i, distinct), costs, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +133,7 @@ func TestEvaluatorCapBoundsEntries(t *testing.T) {
 	// The first key is long evicted; re-querying must re-solve, not
 	// corrupt.
 	p := shdParams(t, 0, distinct)
-	got, err := ev.BusPoint(core.Dragon{}, p, costs, 8)
+	got, err := ev.BusPointCtx(context.Background(), core.Dragon{}, p, costs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,17 +156,17 @@ func TestEvaluatorCapRetainsHotKey(t *testing.T) {
 	ev := NewEvaluatorCap(capacity)
 	costs := core.BusCosts()
 	hot := core.MiddleParams()
-	if _, err := ev.BusPoint(core.Base{}, hot, costs, 8); err != nil {
+	if _, err := ev.BusPointCtx(context.Background(), core.Base{}, hot, costs, 8); err != nil {
 		t.Fatal(err)
 	}
 	const cold = 8 * capacity
 	for i := 0; i < cold; i++ {
-		if _, err := ev.BusPoint(core.Dragon{}, shdParams(t, i, cold), costs, 8); err != nil {
+		if _, err := ev.BusPointCtx(context.Background(), core.Dragon{}, shdParams(t, i, cold), costs, 8); err != nil {
 			t.Fatal(err)
 		}
 		// Touch the hot key so its reference bit is set whenever the
 		// hand sweeps past.
-		if _, err := ev.BusPoint(core.Base{}, hot, costs, 8); err != nil {
+		if _, err := ev.BusPointCtx(context.Background(), core.Base{}, hot, costs, 8); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,6 +174,28 @@ func TestEvaluatorCapRetainsHotKey(t *testing.T) {
 	if st.DemandSolves != uint64(cold)+1 {
 		t.Errorf("hot key was evicted and re-solved: %d demand solves, want %d",
 			st.DemandSolves, cold+1)
+	}
+}
+
+// TestClockEvictsOldestWithoutHits pins the CLOCK victim order: with no
+// reference bits set, the hand evicts in insertion order, so the resident
+// set is exactly the newest cap keys.
+func TestClockEvictsOldestWithoutHits(t *testing.T) {
+	const capacity, inserts = 4, 10
+	var sh striped[int, int]
+	sh.init()
+	for k := 0; k < inserts; k++ {
+		if evicted := sh.put(k, k, capacity); evicted != (k >= capacity) {
+			t.Errorf("insert %d: evicted = %v", k, evicted)
+		}
+	}
+	if len(sh.entries) != capacity {
+		t.Fatalf("%d resident entries, want %d", len(sh.entries), capacity)
+	}
+	for k := inserts - capacity; k < inserts; k++ {
+		if _, ok := sh.entries[k]; !ok {
+			t.Errorf("newest key %d evicted; resident %v", k, sh.ring)
+		}
 	}
 }
 
@@ -187,11 +210,11 @@ func TestTableFingerprintContentShared(t *testing.T) {
 	if t1 == t2 {
 		t.Fatal("BusCosts returned a shared pointer; test needs distinct ones")
 	}
-	d1, err := ev.Demand(core.Dragon{}, p, t1)
+	d1, err := ev.DemandCtx(context.Background(), core.Dragon{}, p, t1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ev.Demand(core.Dragon{}, p, t2)
+	d2, err := ev.DemandCtx(context.Background(), core.Dragon{}, p, t2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,9 @@
 // Observability: an Evaluator optionally reports what it is doing
 // through an Observer (SetObserver) — per-stage wall time for the cache
 // lookup, the singleflight wait, and the cold solve, plus discrete
-// hit/miss/dedup-join/evict events. Callers that care about correlating
-// those events with a specific request thread a trace-carrying
-// context.Context through the *Ctx method variants (DemandCtx,
-// EvaluateBusCtx, BusPointCtx); the context is observability-only — it
-// never changes what is computed, and the non-Ctx methods are exactly
-// the Ctx ones under context.Background().
+// hit/miss/dedup-join/evict events. Every query method (DemandCtx,
+// EvaluateBusCtx, BusPointCtx) takes the caller's context.Context, whose
+// trace ID correlates those events with a request and whose cancellation
+// stops work early; a context never changes what a completed query
+// computes.
 package sweep

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -92,13 +91,11 @@ type Stats struct {
 	Shards int
 }
 
-// demandKey identifies one demand solve: the scheme's core.SchemeKey
-// (which carries any knob value exactly), the workload canonicalized to the parameters the scheme
-// actually reads, and the cost table's content fingerprint.
+// demandKey identifies one demand solve: the query's cache identity
+// (core.KeyOf) and the cost table's content fingerprint.
 type demandKey struct {
-	scheme string
-	params core.Params
-	table  string
+	id    core.Key
+	table string
 }
 
 // mvaKey identifies a single-server MVA curve by its real inputs: think
@@ -114,48 +111,16 @@ type mvaKey struct {
 // per-evaluator footprint.
 const numShards = 32
 
-// --- FNV-1a key hashing (shard selection) ---
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func hashString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-func hashFloat(h uint64, f float64) uint64 {
-	b := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		h ^= b & 0xff
-		h *= fnvPrime
-		b >>= 8
-	}
-	return h
-}
-
 func (k demandKey) shard() int {
-	h := hashString(uint64(fnvOffset), k.scheme)
-	h = hashString(h, k.table)
-	p := k.params
-	for _, f := range [...]float64{
-		p.LS, p.MsDat, p.MsIns, p.MD, p.Shd, p.WR,
-		p.APL, p.MdShd, p.OClean, p.OPres, p.NShd,
-	} {
-		h = hashFloat(h, f)
-	}
+	h := k.id.Hash(core.FNVOffset)
+	h = core.HashBytes(h, k.table)
 	return int(h & (numShards - 1))
 }
 
 func (k mvaKey) shard() int {
-	h := hashFloat(uint64(fnvOffset), k.think)
-	h = hashFloat(h, k.service)
-	h = hashFloat(h, k.prio)
+	h := core.HashFloat(core.FNVOffset, k.think)
+	h = core.HashFloat(h, k.service)
+	h = core.HashFloat(h, k.prio)
 	return int(h & (numShards - 1))
 }
 
@@ -198,44 +163,40 @@ func (s *striped[K, V]) init() {
 }
 
 // put inserts v, evicting one CLOCK victim first when the shard is at
-// cap (cap <= 0 = unbounded). Caller holds mu. Reports whether an
-// eviction happened.
+// cap (cap <= 0 = unbounded); the new key takes the victim's ring slot.
+// Caller holds mu. Reports whether an eviction happened.
 func (s *striped[K, V]) put(key K, v V, cap int) bool {
 	if sl, ok := s.entries[key]; ok {
 		sl.v = v
 		return false
 	}
-	evicted := false
-	if cap > 0 && len(s.entries) >= cap {
-		s.evict()
-		evicted = true
-	}
-	s.entries[key] = &slot[V]{v: v}
-	if cap > 0 {
+	evicted := cap > 0 && len(s.entries) >= cap
+	if evicted {
+		s.ring[s.evict()] = key
+	} else if cap > 0 {
 		s.ring = append(s.ring, key)
 	}
+	s.entries[key] = &slot[V]{v: v}
 	return evicted
 }
 
-// evict removes one entry by the CLOCK policy: sweep the ring clearing
-// reference bits; the first entry not referenced since its last sweep is
-// the victim. Caller holds mu exclusively, so no reader can set a bit
-// mid-sweep and the loop terminates within one revolution.
-func (s *striped[K, V]) evict() {
+// evict removes one entry by the CLOCK policy and returns its ring slot:
+// the hand sweeps the ring clearing reference bits, and the first entry
+// not referenced since its last sweep is the victim. The hand stops just
+// past the victim, so with no hits entries leave in insertion order.
+// Caller holds mu exclusively, so no reader can set a bit mid-sweep and
+// the loop terminates within one revolution.
+func (s *striped[K, V]) evict() int {
 	for {
 		if s.hand >= len(s.ring) {
 			s.hand = 0
 		}
-		key := s.ring[s.hand]
-		if s.entries[key].ref.CompareAndSwap(true, false) {
-			s.hand++
-			continue
+		i := s.hand
+		s.hand++
+		if !s.entries[s.ring[i]].ref.CompareAndSwap(true, false) {
+			delete(s.entries, s.ring[i])
+			return i
 		}
-		delete(s.entries, key)
-		last := len(s.ring) - 1
-		s.ring[s.hand] = s.ring[last]
-		s.ring = s.ring[:last]
-		return
 	}
 }
 
@@ -404,21 +365,16 @@ func (ev *Evaluator) fingerprint(costs *core.CostTable) string {
 	return fp
 }
 
-// Demand is a memoized core.ComputeDemand. The workload is validated
-// first (mirroring ComputeDemand's own order) so an invalid Params always
-// errors even when a canonically equal valid workload is already cached.
-// Error results are not cached, and are shared with (not recomputed by)
-// goroutines that deduplicated onto the failing solve.
-func (ev *Evaluator) Demand(s core.Scheme, p core.Params, costs *core.CostTable) (core.Demand, error) {
-	return ev.DemandCtx(context.Background(), s, p, costs)
-}
-
-// DemandCtx is Demand with an observability and cancellation context:
-// the computation is identical, but stage timings and cache events
-// reported to the evaluator's Observer carry ctx (and hence its trace
-// ID), and a done ctx fails fast with its error — before probing the
-// cache, and while parked on another goroutine's in-flight solve — so a
-// timed-out or abandoned request stops consuming evaluator capacity.
+// DemandCtx is a memoized core.ComputeDemand. The workload is
+// validated first (mirroring ComputeDemand's own order) so an invalid
+// Params always errors even when a canonically equal valid workload is
+// already cached. Error results are not cached, and are shared with (not
+// recomputed by) goroutines that deduplicated onto the failing solve.
+// Stage timings and cache events reported to the evaluator's Observer
+// carry ctx (and hence its trace ID), and a done ctx fails fast with its
+// error — before probing the cache, and while parked on another
+// goroutine's in-flight solve — so a timed-out or abandoned request
+// stops consuming evaluator capacity.
 func (ev *Evaluator) DemandCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable) (core.Demand, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Demand{}, err
@@ -426,7 +382,7 @@ func (ev *Evaluator) DemandCtx(ctx context.Context, s core.Scheme, p core.Params
 	if err := p.Validate(); err != nil {
 		return core.Demand{}, fmt.Errorf("%s: %w", s.Name(), err)
 	}
-	key := demandKey{core.SchemeKey(s), core.CanonicalParams(s, p), ev.fingerprint(costs)}
+	key := demandKey{core.KeyOf(s, p), ev.fingerprint(costs)}
 	sh := &ev.demands[key.shard()]
 
 	var sp obs.Span
@@ -680,7 +636,7 @@ func (ev *Evaluator) curveShared(ctx context.Context, d core.Demand, n int) ([]q
 }
 
 // curvePoint returns the single MVA result at population n, without the
-// caller-owned-clone cost of curve: the hot single-point path (BusPoint,
+// caller-owned-clone cost of curve: the hot single-point path (BusPointCtx,
 // grid cells, bisections) only reads one element, so copying the whole
 // prefix out of the cache on every hit would be pure memory traffic.
 func (ev *Evaluator) curvePoint(ctx context.Context, d core.Demand, n int) (queueing.SingleServerResult, error) {
@@ -710,25 +666,14 @@ func (ev *Evaluator) curvePoint(ctx context.Context, d core.Demand, n int) (queu
 	return c[n-1], nil
 }
 
-// EvaluateBus is a memoized core.EvaluateBus: identical results, served
-// from the demand and curve caches when possible.
-func (ev *Evaluator) EvaluateBus(s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int) ([]core.BusPoint, error) {
-	return ev.EvaluateBusCtx(context.Background(), s, p, costs, maxProcs)
-}
-
-// EvaluateBusCtx is EvaluateBus with an observability context (see
-// DemandCtx); results are identical to EvaluateBus.
-func (ev *Evaluator) EvaluateBusCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int) ([]core.BusPoint, error) {
-	return ev.EvaluateBusIntoCtx(ctx, s, p, costs, maxProcs, nil)
-}
-
-// EvaluateBusIntoCtx is EvaluateBusCtx with a caller-provided result
-// buffer: when cap(dst) >= maxProcs the returned slice reuses dst's
+// EvaluateBusCtx is a memoized core.EvaluateBus: identical results,
+// served from the demand and curve caches when possible (ctx as in
+// DemandCtx). When cap(dst) >= maxProcs the returned slice reuses dst's
 // backing array, so a warm (demand-hit, curve-hit) evaluation allocates
-// nothing. The bus points are converted straight off the shared cached
-// curve — the intermediate MVA slice is never cloned. A nil or short dst
-// falls back to allocating, which is how EvaluateBusCtx calls it.
-func (ev *Evaluator) EvaluateBusIntoCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int, dst []core.BusPoint) ([]core.BusPoint, error) {
+// nothing; a nil or short dst allocates. The bus points are converted
+// straight off the shared cached curve — the intermediate MVA slice is
+// never cloned.
+func (ev *Evaluator) EvaluateBusCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int, dst []core.BusPoint) ([]core.BusPoint, error) {
 	if maxProcs < 1 {
 		return nil, fmt.Errorf("core: maxProcs %d < 1", maxProcs)
 	}
@@ -752,13 +697,8 @@ func (ev *Evaluator) EvaluateBusIntoCtx(ctx context.Context, s core.Scheme, p co
 	return points, nil
 }
 
-// BusPoint returns the bus-model prediction at exactly nproc processors.
-func (ev *Evaluator) BusPoint(s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error) {
-	return ev.BusPointCtx(context.Background(), s, p, costs, nproc)
-}
-
-// BusPointCtx is BusPoint with an observability context (see DemandCtx);
-// results are identical to BusPoint.
+// BusPointCtx returns the bus-model prediction at exactly nproc
+// processors (ctx as in DemandCtx).
 func (ev *Evaluator) BusPointCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error) {
 	if nproc < 1 {
 		return core.BusPoint{}, fmt.Errorf("core: nproc %d < 1", nproc)
@@ -777,7 +717,7 @@ func (ev *Evaluator) BusPointCtx(ctx context.Context, s core.Scheme, p core.Para
 // BusPower implements core.PowerEvaluator, so the evaluator plugs
 // directly into APLToMatchWith, MaxShdForPowerWith, and RankBusWith.
 func (ev *Evaluator) BusPower(s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (float64, error) {
-	pt, err := ev.BusPoint(s, p, costs, nproc)
+	pt, err := ev.BusPointCtx(context.Background(), s, p, costs, nproc)
 	if err != nil {
 		return 0, err
 	}

@@ -43,7 +43,7 @@ func TestEvaluatorMatchesFreshSolves(t *testing.T) {
 				t.Fatalf("trial %d %s: fresh solve: %v", trial, s.Name(), err)
 			}
 			for pass := 0; pass < 2; pass++ {
-				got, err := ev.EvaluateBus(s, p, costs, nproc)
+				got, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, nproc, nil)
 				if err != nil {
 					t.Fatalf("trial %d %s pass %d: %v", trial, s.Name(), pass, err)
 				}
@@ -53,7 +53,7 @@ func TestEvaluatorMatchesFreshSolves(t *testing.T) {
 							trial, s.Name(), pass, i+1, got[i], want[i])
 					}
 				}
-				pt, err := ev.BusPoint(s, p, costs, nproc)
+				pt, err := ev.BusPointCtx(context.Background(), s, p, costs, nproc)
 				if err != nil {
 					t.Fatalf("trial %d %s: BusPoint: %v", trial, s.Name(), err)
 				}
@@ -128,10 +128,10 @@ func TestCanonicalCollapsesUnusedFields(t *testing.T) {
 	p1 := core.MiddleParams()
 	p2 := p1
 	p2.APL = 50
-	if _, err := ev.Demand(core.Base{}, p1, costs); err != nil {
+	if _, err := ev.DemandCtx(context.Background(), core.Base{}, p1, costs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.Demand(core.Base{}, p2, costs); err != nil {
+	if _, err := ev.DemandCtx(context.Background(), core.Base{}, p2, costs); err != nil {
 		t.Fatal(err)
 	}
 	st := ev.Stats()
@@ -147,11 +147,11 @@ func TestHybridConfigurationsNotShared(t *testing.T) {
 	ev := NewEvaluator()
 	costs := core.BusCosts()
 	p := core.MiddleParams()
-	a, err := ev.BusPoint(core.Hybrid{LockFrac: 0.1}, p, costs, 16)
+	a, err := ev.BusPointCtx(context.Background(), core.Hybrid{LockFrac: 0.1}, p, costs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ev.BusPoint(core.Hybrid{LockFrac: 0.9}, p, costs, 16)
+	b, err := ev.BusPointCtx(context.Background(), core.Hybrid{LockFrac: 0.9}, p, costs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +189,14 @@ func TestNearKnobValuesNotShared(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ev.BusPoint(s, p, costs, 16)
+			got, err := ev.BusPointCtx(context.Background(), s, p, costs, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want[15] {
 				t.Errorf("%s: BusPoint %+v, uncached %+v", core.SchemeKey(s), got, want[15])
 			}
-			curve, err := ev.EvaluateBus(s, p, costs, 16)
+			curve, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, 16, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func TestPublishedCurvesExactLength(t *testing.T) {
 	ev := NewEvaluator()
 	check := func(what string, s core.Scheme, p core.Params, n int) {
 		t.Helper()
-		d, err := ev.Demand(s, p, costs)
+		d, err := ev.DemandCtx(context.Background(), s, p, costs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestPublishedCurvesExactLength(t *testing.T) {
 		}
 	}
 	p := core.MiddleParams()
-	if _, err := ev.EvaluateBus(core.Base{}, p, costs, 37); err != nil {
+	if _, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 37, nil); err != nil {
 		t.Fatal(err)
 	}
 	check("cold solve", core.Base{}, p, 37)
@@ -278,12 +278,12 @@ func TestPublishedCurvesExactLength(t *testing.T) {
 func TestInvalidParamsErrorDespiteCache(t *testing.T) {
 	ev := NewEvaluator()
 	costs := core.BusCosts()
-	if _, err := ev.Demand(core.Base{}, core.MiddleParams(), costs); err != nil {
+	if _, err := ev.DemandCtx(context.Background(), core.Base{}, core.MiddleParams(), costs); err != nil {
 		t.Fatal(err)
 	}
 	bad := core.MiddleParams()
 	bad.APL = -5
-	_, cachedErr := ev.Demand(core.Base{}, bad, costs)
+	_, cachedErr := ev.DemandCtx(context.Background(), core.Base{}, bad, costs)
 	_, freshErr := core.ComputeDemand(core.Base{}, bad, costs)
 	if (cachedErr == nil) != (freshErr == nil) {
 		t.Errorf("error parity broken: cached err %v, fresh err %v", cachedErr, freshErr)
@@ -295,11 +295,11 @@ func TestInvalidParamsErrorDespiteCache(t *testing.T) {
 func TestCostTablesNotConfused(t *testing.T) {
 	ev := NewEvaluator()
 	p := core.MiddleParams()
-	busD, err := ev.Demand(core.Base{}, p, core.BusCosts())
+	busD, err := ev.DemandCtx(context.Background(), core.Base{}, p, core.BusCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	netD, err := ev.Demand(core.Base{}, p, core.NetworkCosts(8))
+	netD, err := ev.DemandCtx(context.Background(), core.Base{}, p, core.NetworkCosts(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestCostTablesNotConfused(t *testing.T) {
 		t.Error("bus and network cost tables produced identical demands — fingerprint collision")
 	}
 	// Two separately constructed but identical tables must share entries.
-	if _, err := ev.Demand(core.Base{}, p, core.BusCosts()); err != nil {
+	if _, err := ev.DemandCtx(context.Background(), core.Base{}, p, core.BusCosts()); err != nil {
 		t.Fatal(err)
 	}
 	st := ev.Stats()
@@ -326,7 +326,7 @@ func TestCurveResultsAreCallerOwned(t *testing.T) {
 	ev := NewEvaluator()
 	costs := core.BusCosts()
 	p := core.MiddleParams()
-	d, err := ev.Demand(core.Base{}, p, costs)
+	d, err := ev.DemandCtx(context.Background(), core.Base{}, p, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestTableMemoBounded(t *testing.T) {
 	ev := NewEvaluator()
 	p := core.MiddleParams()
 	for i := 0; i < tableMemoCap+64; i++ {
-		if _, err := ev.Demand(core.Base{}, p, core.BusCosts()); err != nil {
+		if _, err := ev.DemandCtx(context.Background(), core.Base{}, p, core.BusCosts()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,7 +386,7 @@ func TestTableMemoBounded(t *testing.T) {
 // takes nproc, not maxProcs.
 func TestBusPointErrorNamesArgument(t *testing.T) {
 	ev := NewEvaluator()
-	_, err := ev.BusPoint(core.Base{}, core.MiddleParams(), core.BusCosts(), 0)
+	_, err := ev.BusPointCtx(context.Background(), core.Base{}, core.MiddleParams(), core.BusCosts(), 0)
 	if err == nil || !strings.Contains(err.Error(), "nproc") {
 		t.Errorf("want error naming nproc, got %v", err)
 	}
@@ -398,11 +398,11 @@ func TestCurvePrefixReuse(t *testing.T) {
 	ev := NewEvaluator()
 	costs := core.BusCosts()
 	p := core.MiddleParams()
-	long, err := ev.EvaluateBus(core.Base{}, p, costs, 64)
+	long, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := ev.EvaluateBus(core.Base{}, p, costs, 16)
+	short, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,14 @@ func TestCurveExtendBitIdentical(t *testing.T) {
 	s := core.Base{}
 
 	cold := NewEvaluator()
-	want, err := cold.EvaluateBus(s, p, costs, 256)
+	want, err := cold.EvaluateBusCtx(context.Background(), s, p, costs, 256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	inc := NewEvaluator()
 	for _, n := range []int{16, 64, 256} {
-		got, err := inc.EvaluateBus(s, p, costs, n)
+		got, err := inc.EvaluateBusCtx(context.Background(), s, p, costs, n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,13 +65,13 @@ func TestCurveExtendAcrossEviction(t *testing.T) {
 	s := core.Base{}
 
 	ev := NewEvaluatorCap(1) // effectively numShards entries, 1 per shard
-	if _, err := ev.EvaluateBus(s, p, costs, 16); err != nil {
+	if _, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, 16, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Flood the curve cache with distinct (think, service) keys until the
 	// original curve's shard has evicted it. Distinct md values change the
 	// demand and hence the mva key.
-	base, err := ev.Demand(s, p, costs)
+	base, err := ev.DemandCtx(context.Background(), s, p, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCurveExtendAcrossEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ev.BusPoint(s, q, costs, 4); err != nil {
+		if _, err := ev.BusPointCtx(context.Background(), s, q, costs, 4); err != nil {
 			t.Fatal(err)
 		}
 		sh := &ev.curves[key.shard()]
@@ -101,14 +101,14 @@ func TestCurveExtendAcrossEviction(t *testing.T) {
 	}
 
 	extendsBefore := ev.Stats().CurveExtends
-	got, err := ev.EvaluateBus(s, p, costs, 64)
+	got, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ext := ev.Stats().CurveExtends; ext != extendsBefore {
 		t.Errorf("CurveExtends grew by %d after eviction; want a cold full solve", ext-extendsBefore)
 	}
-	want, err := NewEvaluator().EvaluateBus(s, p, costs, 64)
+	want, err := NewEvaluator().EvaluateBusCtx(context.Background(), s, p, costs, 64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestCurveExtendPrefixStableUnderSupersession(t *testing.T) {
 	costs := core.BusCosts()
 	s := core.Dragon{}
 
-	ref, err := NewEvaluator().EvaluateBus(s, p, costs, 520)
+	ref, err := NewEvaluator().EvaluateBusCtx(context.Background(), s, p, costs, 520, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ev := NewEvaluator()
 	// Seed a short prefix so extensions are possible from the start.
-	if _, err := ev.EvaluateBus(s, p, costs, 8); err != nil {
+	if _, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 16
@@ -150,7 +150,7 @@ func TestCurveExtendPrefixStableUnderSupersession(t *testing.T) {
 			defer wg.Done()
 			for _, n := range []int{8, 32, 128, 512, 64, 16} {
 				n := n + w%4 // stagger lengths across workers
-				got, err := ev.EvaluateBus(s, p, costs, n)
+				got, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, n, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -185,12 +185,12 @@ func TestCurveExtendAfterTableMemoSwap(t *testing.T) {
 	s := core.Base{}
 	ev := NewEvaluator()
 	costs := core.BusCosts()
-	if _, err := ev.EvaluateBus(s, p, costs, 16); err != nil {
+	if _, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, 16, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Overflow the pointer-keyed fingerprint memo so it swaps.
 	for i := 0; i < tableMemoCap+8; i++ {
-		if _, err := ev.Demand(s, p, core.BusCosts()); err != nil {
+		if _, err := ev.DemandCtx(context.Background(), s, p, core.BusCosts()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestCurveExtendAfterTableMemoSwap(t *testing.T) {
 	before := ev.Stats()
 	// A fresh, identical table after the swap: the demand cache must hit
 	// (content-keyed) and the curve must extend from the cached prefix.
-	got, err := ev.EvaluateBus(s, p, core.BusCosts(), 48)
+	got, err := ev.EvaluateBusCtx(context.Background(), s, p, core.BusCosts(), 48, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCurveExtendAfterTableMemoSwap(t *testing.T) {
 		t.Errorf("CurveExtends %d -> %d, want +1 (extend from cached 16-prefix)",
 			before.CurveExtends, after.CurveExtends)
 	}
-	want, err := NewEvaluator().EvaluateBus(s, p, costs, 48)
+	want, err := NewEvaluator().EvaluateBusCtx(context.Background(), s, p, costs, 48, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,19 +223,19 @@ func TestCurveExtendAfterTableMemoSwap(t *testing.T) {
 	}
 }
 
-// TestEvaluateBusIntoReusesDst pins EvaluateBusIntoCtx's buffer contract:
+// TestEvaluateBusIntoReusesDst pins EvaluateBusCtx's dst buffer contract:
 // sufficient capacity means the dst backing array is reused; results
 // match the allocating path exactly.
 func TestEvaluateBusIntoReusesDst(t *testing.T) {
 	p := core.MiddleParams()
 	costs := core.BusCosts()
 	ev := NewEvaluator()
-	want, err := ev.EvaluateBus(core.Base{}, p, costs, 32)
+	want, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := make([]core.BusPoint, 0, 64)
-	got, err := ev.EvaluateBusIntoCtx(context.Background(), core.Base{}, p, costs, 32, dst)
+	got, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 32, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +256,10 @@ func TestCurveSharedCoversLonger(t *testing.T) {
 	p := core.MiddleParams()
 	costs := core.BusCosts()
 	ev := NewEvaluator()
-	if _, err := ev.EvaluateBus(core.Base{}, p, costs, 128); err != nil {
+	if _, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 128, nil); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ev.Demand(core.Base{}, p, costs)
+	d, err := ev.DemandCtx(context.Background(), core.Base{}, p, costs)
 	if err != nil {
 		t.Fatal(err)
 	}

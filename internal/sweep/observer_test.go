@@ -126,11 +126,11 @@ func TestUnobservedEvaluatorUnchanged(t *testing.T) {
 	observed := NewEvaluator()
 	observed.SetObserver(rec)
 	for _, procs := range []int{1, 8, 32} {
-		a, err := plain.EvaluateBus(core.Dragon{}, core.MiddleParams(), core.BusCosts(), procs)
+		a, err := plain.EvaluateBusCtx(context.Background(), core.Dragon{}, core.MiddleParams(), core.BusCosts(), procs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := observed.EvaluateBusCtx(context.Background(), core.Dragon{}, core.MiddleParams(), core.BusCosts(), procs)
+		b, err := observed.EvaluateBusCtx(context.Background(), core.Dragon{}, core.MiddleParams(), core.BusCosts(), procs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -159,7 +159,7 @@ func (r *CurveRun) BusPointAt(ctx context.Context, nproc int) (core.BusPoint, er
 }
 
 // BusPointsInto fills dst (reused when cap(dst) >= maxProcs) with the
-// predictions for 1..maxProcs, bit-identical to EvaluateBusIntoCtx.
+// predictions for 1..maxProcs, bit-identical to Evaluator.EvaluateBusCtx.
 func (r *CurveRun) BusPointsInto(ctx context.Context, maxProcs int, dst []core.BusPoint) ([]core.BusPoint, error) {
 	c, err := r.curveTo(ctx, maxProcs)
 	if err != nil {
@@ -215,17 +215,13 @@ func (r *CurveRun) Finish(ctx context.Context) {
 // decomposition is deterministic; callers still write per-point results
 // by index, keeping output order independent of grouping.
 func BatchGroups(n int, at func(i int) (core.Scheme, core.Params, int)) [][]int {
-	type groupKey struct {
-		scheme string
-		params core.Params
-	}
-	groups := map[groupKey]int{}
+	groups := map[core.Key]int{}
 	out := [][]int{}
 	nprocs := make([]int, n)
 	for i := 0; i < n; i++ {
 		s, p, nproc := at(i)
 		nprocs[i] = nproc
-		k := groupKey{core.SchemeKey(s), core.CanonicalParams(s, p)}
+		k := core.KeyOf(s, p)
 		gi, ok := groups[k]
 		if !ok {
 			gi = len(out)

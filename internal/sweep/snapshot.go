@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"swcc/internal/core"
@@ -93,8 +94,7 @@ var modelFingerprint struct {
 // old snapshots valid, exactly as it keeps old cache entries valid.
 func ModelFingerprint() string {
 	modelFingerprint.once.Do(func() {
-		h := uint64(fnvOffset)
-		h = hashString(h, snapshotMagic)
+		h := core.HashBytes(core.FNVOffset, snapshotMagic)
 		p := core.MiddleParams()
 		costs := core.BusCosts()
 		// Probe every registered scheme (default instances): registering,
@@ -102,22 +102,15 @@ func ModelFingerprint() string {
 		// snapshots, exactly as it invalidates cache entries.
 		for _, info := range core.RegisteredSchemes() {
 			s := info.Scheme
-			h = hashString(h, core.SchemeKey(s))
-			cp := core.CanonicalParams(s, p)
-			for _, f := range [...]float64{
-				cp.LS, cp.MsDat, cp.MsIns, cp.MD, cp.Shd, cp.WR,
-				cp.APL, cp.MdShd, cp.OClean, cp.OPres, cp.NShd,
-			} {
-				h = hashFloat(h, f)
-			}
+			h = core.KeyOf(s, p).Hash(h)
 			d, err := core.ComputeDemand(s, p, costs)
 			if err != nil {
-				h = hashString(h, err.Error())
+				h = core.HashBytes(h, err.Error())
 				continue
 			}
-			h = hashFloat(h, d.CPU)
-			h = hashFloat(h, d.Interconnect)
-			h = hashFloat(h, d.Priority)
+			h = core.HashFloat(h, d.CPU)
+			h = core.HashFloat(h, d.Interconnect)
+			h = core.HashFloat(h, d.Priority)
 		}
 		curve, err := queueing.SingleServerMVA(3.75, 1.25, 8)
 		if err == nil {
@@ -125,7 +118,7 @@ func ModelFingerprint() string {
 				for _, f := range [...]float64{
 					r.Residence, r.Wait, r.Throughput, r.QueueLength, r.Utilization,
 				} {
-					h = hashFloat(h, f)
+					h = core.HashFloat(h, f)
 				}
 			}
 		}
@@ -135,7 +128,7 @@ func ModelFingerprint() string {
 				for _, f := range [...]float64{
 					r.Residence, r.Wait, r.Throughput, r.QueueLength, r.Utilization,
 				} {
-					h = hashFloat(h, f)
+					h = core.HashFloat(h, f)
 				}
 			}
 		}
@@ -214,14 +207,10 @@ func (ev *Evaluator) Snapshot(w io.Writer) (SnapshotCounts, error) {
 			}
 			written++
 			d := vals[k]
-			sw.str(k.scheme)
+			sw.str(k.id.Scheme)
 			sw.str(k.table)
-			p := k.params
-			for _, f := range [...]float64{
-				p.LS, p.MsDat, p.MsIns, p.MD, p.Shd, p.WR,
-				p.APL, p.MdShd, p.OClean, p.OPres, p.NShd,
-			} {
-				sw.f64(f)
+			for _, f := range k.id.Params.KeyFields() {
+				sw.f64(*f)
 			}
 			sw.f64(d.CPU)
 			sw.f64(d.Interconnect)
@@ -286,18 +275,16 @@ func (ev *Evaluator) Snapshot(w io.Writer) (SnapshotCounts, error) {
 // less orders demand keys for deterministic snapshot bytes: two
 // evaluators holding the same entries snapshot identically.
 func (k demandKey) less(o demandKey) bool {
-	if k.scheme != o.scheme {
-		return k.scheme < o.scheme
+	if k.id.Scheme != o.id.Scheme {
+		return k.id.Scheme < o.id.Scheme
 	}
 	if k.table != o.table {
 		return k.table < o.table
 	}
-	a, b := k.params, o.params
-	af := [...]float64{a.LS, a.MsDat, a.MsIns, a.MD, a.Shd, a.WR, a.APL, a.MdShd, a.OClean, a.OPres, a.NShd}
-	bf := [...]float64{b.LS, b.MsDat, b.MsIns, b.MD, b.Shd, b.WR, b.APL, b.MdShd, b.OClean, b.OPres, b.NShd}
-	for i := range af {
-		if af[i] != bf[i] {
-			return math.Float64bits(af[i]) < math.Float64bits(bf[i])
+	bf := o.id.Params.KeyFields()
+	for i, a := range k.id.Params.KeyFields() {
+		if *a != *bf[i] {
+			return math.Float64bits(*a) < math.Float64bits(*bf[i])
 		}
 	}
 	return false
@@ -358,11 +345,19 @@ func (sr *snapReader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if err := sr.full(buf); err != nil {
-		return "", err
+	// Read in bounded chunks instead of trusting n for one allocation:
+	// a corrupt length costs only the bytes present.
+	var b strings.Builder
+	var chunk [256]byte
+	for n > 0 {
+		c := chunk[:min(n, len(chunk))]
+		if err := sr.full(c); err != nil {
+			return "", err
+		}
+		b.Write(c)
+		n -= len(c)
 	}
-	return string(buf), nil
+	return b.String(), nil
 }
 
 func (sr *snapReader) f64() (float64, error) {
@@ -417,25 +412,21 @@ func (ev *Evaluator) restore(r io.Reader) (SnapshotCounts, error) {
 	}
 	for i := 0; i < nDemand; i++ {
 		var k demandKey
-		if k.scheme, err = sr.str(); err != nil {
+		if k.id.Scheme, err = sr.str(); err != nil {
 			return SnapshotCounts{}, fmt.Errorf("%w: demand[%d] scheme: %v", ErrSnapshotFormat, i, err)
 		}
 		if k.table, err = sr.str(); err != nil {
 			return SnapshotCounts{}, fmt.Errorf("%w: demand[%d] table: %v", ErrSnapshotFormat, i, err)
 		}
-		if !core.RegisteredLabel(k.scheme) {
+		if !core.RegisteredLabel(k.id.Scheme) {
 			// A snapshot naming a scheme this build does not register
 			// could only have come from a different (or tampered) model:
 			// fail closed rather than carry entries nothing can read.
-			return SnapshotCounts{}, fmt.Errorf("%w: demand[%d] references unregistered scheme %q", ErrSnapshotStale, i, k.scheme)
+			return SnapshotCounts{}, fmt.Errorf("%w: demand[%d] references unregistered scheme %q", ErrSnapshotStale, i, k.id.Scheme)
 		}
-		p := &k.params
 		var d core.Demand
-		for _, dst := range [...]*float64{
-			&p.LS, &p.MsDat, &p.MsIns, &p.MD, &p.Shd, &p.WR,
-			&p.APL, &p.MdShd, &p.OClean, &p.OPres, &p.NShd,
-			&d.CPU, &d.Interconnect, &d.Priority,
-		} {
+		kf := k.id.Params.KeyFields()
+		for _, dst := range append(kf[:], &d.CPU, &d.Interconnect, &d.Priority) {
 			if *dst, err = sr.f64(); err != nil {
 				return SnapshotCounts{}, fmt.Errorf("%w: demand[%d] floats: %v", ErrSnapshotFormat, i, err)
 			}
@@ -468,21 +459,27 @@ func (ev *Evaluator) restore(r io.Reader) (SnapshotCounts, error) {
 		if err != nil {
 			return SnapshotCounts{}, fmt.Errorf("%w: curve[%d] length: %v", ErrSnapshotFormat, i, err)
 		}
-		curve := make([]queueing.SingleServerResult, n)
-		for j := range curve {
+		// The curve grows as its points decode instead of trusting n for
+		// one allocation: a corrupt length costs only the bytes present.
+		// Curves longer than the first chunk are trimmed to len == cap
+		// before they are cached.
+		curve := make([]queueing.SingleServerResult, 0, min(n, 1024))
+		for j := 0; j < n; j++ {
+			var r queueing.SingleServerResult
 			cust, err := sr.uvarint()
 			if err != nil || cust > snapshotLimit {
 				return SnapshotCounts{}, fmt.Errorf("%w: curve[%d][%d] customers: %v", ErrSnapshotFormat, i, j, err)
 			}
-			curve[j].Customers = int(cust)
-			for _, dst := range [...]*float64{
-				&curve[j].Residence, &curve[j].Wait, &curve[j].Throughput,
-				&curve[j].QueueLength, &curve[j].Utilization,
-			} {
+			r.Customers = int(cust)
+			for _, dst := range [...]*float64{&r.Residence, &r.Wait, &r.Throughput, &r.QueueLength, &r.Utilization} {
 				if *dst, err = sr.f64(); err != nil {
 					return SnapshotCounts{}, fmt.Errorf("%w: curve[%d][%d] floats: %v", ErrSnapshotFormat, i, j, err)
 				}
 			}
+			curve = append(curve, r)
+		}
+		if cap(curve) > n {
+			curve = append(make([]queueing.SingleServerResult, 0, n), curve...)
 		}
 		sh := &ev.curves[k.shard()]
 		sh.mu.Lock()

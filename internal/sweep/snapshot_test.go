@@ -2,7 +2,10 @@ package sweep
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,7 +20,7 @@ import (
 // spread of sharing levels, several curve lengths — so the caches hold
 // a realistic mixture of demand entries and MVA curves of different
 // sizes.
-func populateEvaluator(t *testing.T, ev *Evaluator) {
+func populateEvaluator(t testing.TB, ev *Evaluator) {
 	t.Helper()
 	costs := core.BusCosts()
 	schemes := append(core.PaperSchemes(), core.Directory{}, core.Hybrid{LockFrac: 0.3})
@@ -26,7 +29,7 @@ func populateEvaluator(t *testing.T, ev *Evaluator) {
 			p := core.MiddleParams()
 			p.Shd = shd
 			maxProcs := 4 + 4*((si+pi)%3)
-			if _, err := ev.EvaluateBus(s, p, costs, maxProcs); err != nil {
+			if _, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, maxProcs, nil); err != nil {
 				t.Fatalf("EvaluateBus(%v, shd=%g): %v", s.Name(), shd, err)
 			}
 		}
@@ -34,7 +37,7 @@ func populateEvaluator(t *testing.T, ev *Evaluator) {
 }
 
 // snapshotBytes snapshots ev into memory and fails the test on error.
-func snapshotBytes(t *testing.T, ev *Evaluator) ([]byte, SnapshotCounts) {
+func snapshotBytes(t testing.TB, ev *Evaluator) ([]byte, SnapshotCounts) {
 	t.Helper()
 	var buf bytes.Buffer
 	counts, err := ev.Snapshot(&buf)
@@ -96,11 +99,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	p := core.MiddleParams()
 	p.Shd = 0.5
 	for _, s := range append(core.PaperSchemes(), core.Directory{}, core.Hybrid{LockFrac: 0.3}) {
-		want, err := ev.EvaluateBus(s, p, costs, 8)
+		want, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, 8, nil)
 		if err != nil {
 			t.Fatalf("EvaluateBus original: %v", err)
 		}
-		got, err := fresh.EvaluateBus(s, p, costs, 8)
+		got, err := fresh.EvaluateBusCtx(context.Background(), s, p, costs, 8, nil)
 		if err != nil {
 			t.Fatalf("EvaluateBus restored: %v", err)
 		}
@@ -276,7 +279,7 @@ func TestSnapshotRestoreCapped(t *testing.T) {
 		}
 	}
 	// The capped evaluator must still answer correctly.
-	if _, err := capped.EvaluateBus(core.PaperSchemes()[0], core.MiddleParams(), core.BusCosts(), 4); err != nil {
+	if _, err := capped.EvaluateBusCtx(context.Background(), core.PaperSchemes()[0], core.MiddleParams(), core.BusCosts(), 4, nil); err != nil {
 		t.Fatalf("capped evaluator broken after restore: %v", err)
 	}
 }
@@ -313,7 +316,7 @@ func (fireflyScheme) Frequencies(p core.Params) ([]core.OpFreq, error) {
 func TestSnapshotRejectsUnregisteredScheme(t *testing.T) {
 	ev := NewEvaluator()
 	populateEvaluator(t, ev)
-	if _, err := ev.EvaluateBus(fireflyScheme{}, core.MiddleParams(), core.BusCosts(), 8); err != nil {
+	if _, err := ev.EvaluateBusCtx(context.Background(), fireflyScheme{}, core.MiddleParams(), core.BusCosts(), 8, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, _ := snapshotBytes(t, ev)
@@ -330,4 +333,40 @@ func TestSnapshotRejectsUnregisteredScheme(t *testing.T) {
 		t.Fatalf("evaluator not cold after rejected restore: %d demand / %d curves",
 			st.DemandEntries, st.CurveEntries)
 	}
+}
+
+// FuzzRestoreSnapshot mutates snapshot bodies and seals each with a
+// freshly computed CRC32 trailer, so mutations reach the structural
+// decoder instead of stopping at the checksum. Every input must either
+// fail closed — ErrSnapshotFormat or ErrSnapshotStale, with both caches
+// empty — or restore to a fixed point: snapshot, restore into a fresh
+// evaluator, and snapshot again give identical bytes.
+func FuzzRestoreSnapshot(f *testing.F) {
+	for _, capacity := range []int{0, 2 * numShards} {
+		ev := NewEvaluatorCap(capacity)
+		populateEvaluator(f, ev)
+		snap, _ := snapshotBytes(f, ev)
+		f.Add(snap[:len(snap)-4])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sealed := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+		ev := NewEvaluator()
+		if _, err := ev.RestoreSnapshot(bytes.NewReader(sealed)); err != nil {
+			if !errors.Is(err, ErrSnapshotFormat) && !errors.Is(err, ErrSnapshotStale) {
+				t.Fatalf("restore failed with an unclassified error: %v", err)
+			}
+			if st := ev.Stats(); st.DemandEntries != 0 || st.CurveEntries != 0 {
+				t.Fatalf("failed restore left %d demand and %d curve entries", st.DemandEntries, st.CurveEntries)
+			}
+			return
+		}
+		first, _ := snapshotBytes(t, ev)
+		fresh := NewEvaluator()
+		if _, err := fresh.RestoreSnapshot(bytes.NewReader(first)); err != nil {
+			t.Fatalf("restoring a re-snapshot: %v", err)
+		}
+		if second, _ := snapshotBytes(t, fresh); !bytes.Equal(first, second) {
+			t.Fatalf("restore is not a fixed point: re-snapshots differ (%d vs %d bytes)", len(first), len(second))
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,7 +138,7 @@ func TestSingleflightColdKeyRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			demands[i], errs[i] = ev.Demand(scheme, p, costs)
+			demands[i], errs[i] = ev.DemandCtx(context.Background(), scheme, p, costs)
 		}(i)
 	}
 	wg.Wait()

@@ -50,8 +50,14 @@ func (e *Engine) workers() int {
 	return e.Workers
 }
 
-// EvaluateBus solves every grid point on the worker pool and returns the
-// results in input order. Scheduling never affects the output: each
+// EvaluateBus is EvaluateBusCtx with a background context, for callers
+// with no cancellation to pass.
+func (e *Engine) EvaluateBus(points []Point, costs *core.CostTable) []Result {
+	return e.EvaluateBusCtx(context.Background(), points, costs)
+}
+
+// EvaluateBusCtx solves every grid point on the worker pool and returns
+// the results in input order. Scheduling never affects the output: each
 // worker writes only its own slots and every solve is a pure function of
 // the point, so the result slice is bit-identical to a sequential run.
 //
@@ -60,19 +66,13 @@ func (e *Engine) workers() int {
 // population-ascending through a CurveRun: each point resumes the MVA
 // recursion where the previous one stopped, instead of round-tripping
 // the shared cache per point. Single-point groups take the plain
-// BusPoint path unchanged.
-func (e *Engine) EvaluateBus(points []Point, costs *core.CostTable) []Result {
-	return e.EvaluateBusCtx(context.Background(), points, costs)
-}
-
-// EvaluateBusCtx is EvaluateBus under cooperative cancellation: once ctx
-// is done no further group starts, in-flight groups stop at the
-// evaluator's next cancellation point, and every unsolved cell carries
-// ctx's error in Result.Err. A background ctx makes it exactly
-// EvaluateBus. This is the hook that lets `cohere all -parallel` and the
-// sensitivity sweep abandon work on SIGINT instead of solving a grid
-// nobody will read (EvaluateBus used to hardwire context.Background()
-// here, silently dropping the caller's cancellation).
+// BusPointCtx path.
+//
+// Cancellation is cooperative: once ctx is done no further group starts,
+// in-flight groups stop at the evaluator's next cancellation point, and
+// every unsolved cell carries ctx's error in Result.Err. This is what
+// lets `cohere all` and the sensitivity sweep abandon work on SIGINT
+// instead of solving a grid nobody will read.
 func (e *Engine) EvaluateBusCtx(ctx context.Context, points []Point, costs *core.CostTable) []Result {
 	results := make([]Result, len(points))
 	workers := 1
@@ -106,13 +106,13 @@ func (e *Engine) EvaluateBusCtx(ctx context.Context, points []Point, costs *core
 		if len(groups[g]) == 1 {
 			i := groups[g][0]
 			pt := points[i]
-			results[i].Bus, results[i].Err = cache.BusPoint(pt.Scheme, pt.Params, costs, pt.NProc)
+			results[i].Bus, results[i].Err = cache.BusPointCtx(ctx, pt.Scheme, pt.Params, costs, pt.NProc)
 			return nil
 		}
 		var run *CurveRun
 		for _, i := range groups[g] {
 			pt := points[i]
-			// Per-point validation order matches BusPoint exactly, so
+			// Per-point validation order matches BusPointCtx exactly, so
 			// grouping never changes which error a point reports.
 			if pt.NProc < 1 {
 				results[i].Err = fmt.Errorf("core: nproc %d < 1", pt.NProc)
@@ -169,25 +169,21 @@ func FirstError(results []Result) error {
 	return nil
 }
 
-// Each runs fn(i) for every i in [0, n) on up to `workers` goroutines
-// (<= 0 = all cores) and returns the lowest-index error, or nil. Every
-// index runs regardless of failures elsewhere. With one worker the
-// indices run sequentially in order on the calling goroutine, so a
-// single-core Each has no scheduling overhead at all; either way the
-// per-index effects and the returned error are scheduling-independent as
-// long as fn(i) only writes state owned by index i.
-func Each(workers, n int, fn func(i int) error) error {
-	return EachCtx(context.Background(), workers, n, fn)
-}
-
-// EachCtx is Each under cooperative cancellation: once ctx is done, no
-// further fn(i) starts — remaining indices fail with ctx's error instead
-// of running — so a caller that has stopped caring (a timed-out HTTP
-// request, an abandoned batch) stops consuming the worker pool within
-// one in-flight fn per worker. Indices that ran before cancellation keep
-// their results; which indices those are depends on scheduling, so
-// unlike Each the per-index effects are only deterministic when ctx is
-// never cancelled (a background ctx makes EachCtx exactly Each).
+// EachCtx runs fn(i) for every i in [0, n) on up to `workers`
+// goroutines (<= 0 = all cores) and returns the lowest-index error, or
+// nil. Every index runs regardless of failures elsewhere. With one
+// worker the indices run sequentially in order on the calling goroutine,
+// so a single-core EachCtx has no scheduling overhead at all; either way
+// the per-index effects and the returned error are
+// scheduling-independent as long as fn(i) only writes state owned by
+// index i and ctx is never cancelled.
+//
+// Once ctx is done, no further fn(i) starts — remaining indices fail
+// with ctx's error instead of running — so a caller that has stopped
+// caring (a timed-out HTTP request, an interrupted `cohere all`, an
+// abandoned batch) stops consuming the worker pool within one in-flight
+// fn per worker. Indices that ran before cancellation keep their
+// results; which indices those are depends on scheduling.
 func EachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

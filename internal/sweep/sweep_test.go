@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -108,7 +109,7 @@ func TestEachRunsEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 7, 64} {
 		n := 100
 		hits := make([]int32, n)
-		err := Each(workers, n, func(i int) error {
+		err := EachCtx(context.Background(), workers, n, func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -127,7 +128,7 @@ func TestEachReturnsLowestIndexError(t *testing.T) {
 	wantErr := errors.New("boom-3")
 	for _, workers := range []int{1, 4} {
 		var ran int32
-		err := Each(workers, 10, func(i int) error {
+		err := EachCtx(context.Background(), workers, 10, func(i int) error {
 			atomic.AddInt32(&ran, 1)
 			if i == 3 {
 				return wantErr
@@ -147,10 +148,10 @@ func TestEachReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestEachEmpty(t *testing.T) {
-	if err := Each(4, 0, func(int) error { t.Error("fn called"); return nil }); err != nil {
+	if err := EachCtx(context.Background(), 4, 0, func(int) error { t.Error("fn called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := Each(4, -1, func(int) error { t.Error("fn called"); return nil }); err != nil {
+	if err := EachCtx(context.Background(), 4, -1, func(int) error { t.Error("fn called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

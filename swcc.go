@@ -23,6 +23,7 @@
 package swcc
 
 import (
+	"context"
 	"io"
 
 	"swcc/internal/core"
@@ -31,6 +32,7 @@ import (
 	"swcc/internal/netsim"
 	"swcc/internal/sensitivity"
 	"swcc/internal/sim"
+	"swcc/internal/sweep"
 	"swcc/internal/trace"
 	"swcc/internal/tracegen"
 )
@@ -328,7 +330,7 @@ type SensitivityTable = sensitivity.Table
 
 // AnalyzeSensitivity runs the one-at-a-time low→high parameter sweep.
 func AnalyzeSensitivity(schemes []Scheme, nproc int) (*SensitivityTable, error) {
-	return sensitivity.Analyze(schemes, nproc)
+	return sensitivity.AnalyzeWithCtx(context.Background(), sweep.New(0), schemes, nproc)
 }
 
 // Experiment describes one registered table/figure experiment.
@@ -346,5 +348,5 @@ func Experiments() []Experiment { return experiments.All() }
 // RunExperiment regenerates one paper artifact by ID ("table8", "fig4",
 // ...).
 func RunExperiment(id string, opt ExperimentOptions) (*Dataset, error) {
-	return experiments.Run(id, opt)
+	return experiments.RunCtx(context.Background(), id, opt)
 }
