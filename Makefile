@@ -44,23 +44,37 @@ bench-short:
 	$(GO) test -run=NONE -bench='BenchmarkDecodeSweep' -benchmem ./internal/serve
 	$(GO) test -run=NONE -bench='BenchmarkPointKey' -benchmem ./internal/gw
 
-# This PR's serving-latency record: cohereload drives the hit-heavy and
-# miss-heavy mixes against an in-process daemon, then the async-job
-# drill and the gateway drill append their scenarios to the same record
-# (later invocations merge into an existing -out file rather than
-# clobbering it). Earlier records (BENCH_PR4..8.json) are append-only
-# history — bench-json never rewrites them, so `bench-diff` always
-# compares against the numbers the previous PR actually merged with.
+# The benchmark record: `make bench-json PR=<n>` runs perfbench (`bash
+# perfbench/run.sh`, the command BENCHMARK.json names) on every workload
+# BENCHMARK.json lists, for its run_seconds each: untraced on seeds 1-3,
+# then once with --trace 1 for the per-layer metrics. BENCH_PR<n>.json
+# keeps each run's workload, seed and trace flag with perfbench's JSON
+# result line verbatim. A run that exits nonzero is still recorded (its
+# line says correct false, which bench-diff fails) and fails the target.
+# Records are append-only history, one per PR that measures.
 bench-json:
-	$(GO) run ./cmd/cohereload -c 8 -d 3s -hit-ratios 0.95,0.05 \
-		-out BENCH_PR10.json > /dev/null
-	$(GO) run ./cmd/cohereload -jobs -out BENCH_PR10.json > /dev/null
-	$(GO) run ./cmd/cohereload -gw -c 8 -d 2s -out BENCH_PR10.json > /dev/null
-	@echo "bench-json: wrote BENCH_PR10.json (latency mixes + jobs + gateway drills)"
+	@test -n "$(PR)" || { echo "bench-json: usage: make bench-json PR=<n>" >&2; exit 2; }
+	@secs=$$(sed -n 's/^ *"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json); \
+	workloads=$$(sed -n '/"workloads"/,/"end_to_end"/s/^ *"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json); \
+	out=BENCH_PR$(PR).json; status=0; sep=; \
+	printf '{"tool": "perfbench", "runs": [\n' > $$out.tmp; \
+	for w in $$workloads; do \
+		for run in "1 false" "2 false" "3 false" "1 true"; do \
+			set -- $$run; trace=0; [ $$2 = true ] && trace=1; \
+			echo "bench-json: $$w seed $$1 trace $$trace ($$secs s)"; \
+			res=$$(bash perfbench/run.sh --workload $$w --seed $$1 --seconds $$secs --trace $$trace) || status=1; \
+			line=$$(printf '%s\n' "$$res" | tail -n 1); \
+			case "$$line" in "{"*) ;; *) echo "bench-json: $$w: no result line" >&2; rm -f $$out.tmp; exit 1;; esac; \
+			[ -n "$$sep" ] && printf ',\n' >> $$out.tmp; sep=1; \
+			printf '  {"workload": "%s", "seed": %s, "trace": %s, "result": %s}' $$w $$1 $$2 "$$line" >> $$out.tmp; \
+		done; \
+	done; \
+	printf '\n]}\n' >> $$out.tmp; mv $$out.tmp $$out; \
+	echo "bench-json: wrote $$out"; exit $$status
 
-# Cross-PR regression gate: compare the newest benchmark record against
-# the newest earlier record sharing a scenario, and fail if p99 latency
-# rose or throughput fell beyond the noise band (see cmd/benchdiff).
+# Cross-record regression gate over the committed records: the newest
+# BENCH_PR*.json against the one before it, on BENCHMARK.json's bounds,
+# with drift since the oldest record reported (see cmd/benchdiff).
 bench-diff:
 	$(GO) run ./cmd/benchdiff
 
@@ -128,10 +142,12 @@ jobs-smoke:
 # Gateway drill: cohereload's gw mode boots two cache-capped in-process
 # backends behind the affinity gateway and exits nonzero unless (1)
 # affinity routing beats a fresh round-robin control by >= 1.5x on
-# aggregate backend cache-hit ratio with p99 no worse, (2) a backend
-# killed mid-load never surfaces as a client 500/502, and (3) a
-# snapshot-restarted backend serves its old working set with zero new
-# solves (see OPERATIONS.md's gateway section).
+# aggregate backend cache-hit ratio with p99 within 1.05x, (2) hedging
+# cuts an injected latency tail within the 1.10x backend load band, (3)
+# a backend killed mid-load never surfaces as a client 500/502, (4) a
+# live reload shows no client 5xx, and (5) a snapshot-restarted backend
+# serves its old working set with zero new solves (see OPERATIONS.md's
+# gateway section). Those gates are defined once, in cmd/cohereload.
 gw-smoke:
 	$(GO) run ./cmd/cohereload -gw -c 8 -d 1s > /dev/null
 	@echo "gw-smoke: ok (affinity wins, failover clean, warm restart verified)"
@@ -139,8 +155,9 @@ gw-smoke:
 # The pre-merge gate: vet, the benchmark module's build, the
 # race-enabled test run, the repeated concurrency hammers, the
 # allocation pins (non-race), the fuzz smoke, the documentation and
-# scheme-registry gates, and the overload + async-job + gateway drills.
-check: vet perfbench-build race race-hammer alloc-check fuzz-smoke docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke
+# scheme-registry gates, the overload + async-job + gateway drills, and
+# the committed benchmark records (bench-diff only reads them).
+check: vet perfbench-build race race-hammer alloc-check fuzz-smoke docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke bench-diff
 
 # Run the model-serving daemon in the foreground.
 COHERED_ADDR ?= 127.0.0.1:8080

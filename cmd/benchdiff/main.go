@@ -1,354 +1,360 @@
-// Command benchdiff compares the two newest per-PR benchmark records
-// (BENCH_PR<n>.json, as written by `make bench-json`) and fails when
-// the serving latency or throughput regressed beyond a noise band. It
-// is the cross-PR counterpart to the in-tree allocation pins: alloc
-// tests catch per-op waste within one build, benchdiff catches the
-// end-to-end drift between merges.
+// Command benchdiff gates the repository benchmark's records. A record
+// is BENCH_PR<n>.json as `make bench-json PR=<n>` writes it: for each
+// workload, perfbench's JSON result line, copied verbatim, from three
+// untraced runs (seeds 1–3) and one traced run.
 //
 // Usage:
 //
-//	benchdiff [-dir .] [-band 0.15]
+//	benchdiff [-dir .]
 //
-// Only cohereload-format records participate (files whose top-level
-// "tool" field is "cohereload"); older test2json records are skipped.
-// The newest file is the candidate and the newest earlier file sharing
-// at least one scenario label is the baseline — so a chaos-mode record
-// between two latency records does not break the comparison chain. For
-// every shared label, p99 latency may not rise and throughput may not
-// fall by more than the band (default 15%, chosen from observed
-// run-to-run jitter of the 3-second cohereload scenarios). Scenarios
-// whose timed window is shorter than half a second on either side
-// (the single-shot jobs and warm-restart drills) are reported but
-// never gated: their percentiles come from a handful of samples, so
-// one scheduler hiccup would swing them far past any honest band —
-// those drills carry their own pass/fail checks inside cohereload
-// instead. Exit status is 1 on regression, 2 on usage/parse errors,
-// and 0 otherwise — including when no comparable baseline exists yet.
+// Every rule comes from BENCHMARK.json in the same directory: the
+// workloads, each end-to-end metric's better direction and bound, and
+// each per-layer metric's better direction. benchdiff has none of its
+// own. Files whose "tool" is not "perfbench" are skipped.
 //
-// Two gates are within-record rather than cross-PR. When the candidate
-// carries the gateway drill's paired arms ("gw_affinity" and
-// "gw_roundrobin"), affinity must show at least 1.5x round-robin's
-// aggregate backend cache-hit ratio with p99 no worse than round-robin's
-// plus the band. And when it carries the hedging arms ("gw_unhedged"
-// and "gw_hedged"), the hedged arm must show a lower p99 than the
-// unhedged one for a backend send ratio inside the hedge load band —
-// hedging that stops cutting the tail, or starts stampeding the
-// backends, fails the record outright. These are the headline claims
-// about the front tier, so they gate every record that measures them —
-// baseline or not.
+// The newest record is the candidate and the one before it the
+// baseline. Per workload, each end-to-end metric is the median of the
+// untraced runs. The candidate fails when
+//   - any of its runs has "correct": false;
+//   - it lacks a workload or an end-to-end metric BENCHMARK.json names;
+//   - a workload's failed share (failed/attempted) rose;
+//   - a metric is worse than the baseline's by more than its bound.
+//
+// The last two failure lines name the traced per-layer metric of that
+// workload that moved most in its worse direction, a first pointer to
+// the layer to look at. The oldest record is the anchor: the
+// candidate's change against it is printed as a drift table, so slow
+// drift that passes every per-record bound stays visible. The drift
+// table is never gated.
+//
+// Records made at different times are weaker evidence than alternating
+// pairs (perfbench runs of the parent and the changed build,
+// interleaved): the host's speed drifts over minutes, and the median of
+// three seeds blunts that drift without removing it. Claim a gain with
+// alternating pairs; the records keep it from eroding.
+//
+// Exit status is 1 when the candidate fails, 2 on unreadable input, and
+// 0 otherwise, including when the candidate is the only record (the
+// anchor, with no baseline yet).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
-// record is the slice of cohereload's output format that benchdiff
-// compares; unknown fields are ignored so the format can grow.
+// spec is the part of BENCHMARK.json benchdiff reads.
+type spec struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricSpec `json:"end_to_end"`
+	PerLayer []metricSpec `json:"per_layer"`
+}
+
+// metricSpec is one declared metric. Per-layer metrics have no bound.
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"` // "higher" or "lower"
+	Bound  float64 `json:"bound"`
+}
+
+// record is one BENCH_PR<n>.json.
 type record struct {
-	// Tool identifies the writer; only "cohereload" records compare.
-	Tool string `json:"tool"`
-	// Scenarios holds one summary per load mix, keyed by Label.
-	Scenarios []scenario `json:"scenarios"`
+	path string
+	pr   int
+	Tool string     `json:"tool"`
+	Runs []benchRun `json:"runs"`
 }
 
-// scenario is one load mix's summary: its identifying label, the
-// throughput, and the latency percentiles.
-type scenario struct {
-	// Label names the mix (e.g. "hit_ratio_0.95", "chaos_patient").
-	Label string `json:"label"`
-	// DurationSeconds is the scenario's timed window; runs under
-	// minGateSeconds are informational only.
-	DurationSeconds float64 `json:"duration_seconds"`
-	// RequestsPerSecond is the completed-request throughput.
-	RequestsPerSecond float64 `json:"requests_per_second"`
-	// Latency carries the millisecond percentiles; only P99 gates.
-	Latency struct {
-		// P99Ms is the 99th-percentile request latency in milliseconds.
-		P99Ms float64 `json:"p99_ms"`
-	} `json:"latency"`
-	// BackendHitRatio is the gateway drill's aggregate backend
-	// cache-hit ratio; nonzero only on gw_* scenarios.
-	BackendHitRatio float64 `json:"backend_hit_ratio"`
-	// BackendSendRatio is the hedging drill's backend-load
-	// amplification (gateway-to-backend sends over client requests);
-	// nonzero only on the gw_unhedged / gw_hedged arms.
-	BackendSendRatio float64 `json:"backend_send_ratio"`
+// benchRun is one perfbench invocation in a record.
+type benchRun struct {
+	Workload string `json:"workload"`
+	Seed     uint64 `json:"seed"`
+	Trace    bool   `json:"trace"`
+	Result   result `json:"result"`
 }
 
-// gwHitRatioGate is the affinity-vs-round-robin multiplier the gateway
-// arms must clear (mirrors cohereload's own drill gate).
-const gwHitRatioGate = 1.5
-
-// gwHedgeLoadBand caps the hedged arm's backend send ratio (mirrors
-// cohereload's own drill gate): hedging past it buys its tail cut with
-// a backend stampede.
-const gwHedgeLoadBand = 1.10
-
-// minGateSeconds is the shortest timed window whose percentiles are
-// trusted enough to gate: the sub-second single-shot drills
-// (jobs_stream, jobs_cancel, gw_warm_restart) have so few latency
-// samples that their p99 is effectively a max, and a max over ~20
-// samples flips far past the band on an ordinary GC pause.
-const minGateSeconds = 0.5
-
-// benchFile pairs a parsed record with the PR number from its name.
-type benchFile struct {
-	// Path is the file's location, for diagnostics.
-	Path string
-	// PR is the number in BENCH_PR<n>.json; files sort by it.
-	PR int
-	// Rec is the parsed cohereload record.
-	Rec record
+// result is the part of perfbench's JSON result line benchdiff reads.
+type result struct {
+	Correct   bool                               `json:"correct"`
+	Attempted int                                `json:"attempted"`
+	Failed    int                                `json:"failed"`
+	Metrics   map[string]struct{ Value float64 } `json:"metrics"`
 }
 
 var benchName = regexp.MustCompile(`^BENCH_PR(\d+)\.json$`)
 
 func main() {
-	dir := flag.String("dir", ".", "directory holding BENCH_PR*.json records")
-	band := flag.Float64("band", 0.15, "allowed fractional regression before failing")
-	flag.Parse()
-
-	files, err := load(*dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	report, regressed, err := diff(files, *band)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	fmt.Print(report)
-	if regressed {
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// load parses every cohereload-format BENCH_PR*.json in dir, sorted by
-// PR number ascending. Non-cohereload files (e.g. test2json records
-// from earlier PRs) are silently skipped; malformed JSON in a matching
-// file is skipped too, since historical records are not this build's
-// fault.
-func load(dir string) ([]benchFile, error) {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dir := fs.String("dir", ".", "directory holding BENCHMARK.json and the BENCH_PR*.json records")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	sp, err := loadSpec(filepath.Join(*dir, "BENCHMARK.json"))
+	var recs []record
+	if err == nil {
+		recs, err = loadRecords(*dir)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
+	}
+	report, failed := check(sp, recs)
+	fmt.Fprint(stdout, report)
+	if failed {
+		return 1
+	}
+	return 0
+}
+
+// loadSpec reads BENCHMARK.json.
+func loadSpec(path string) (spec, error) {
+	var sp spec
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return sp, err
+	}
+	if err := json.Unmarshal(data, &sp); err != nil {
+		return sp, fmt.Errorf("%s: %w", path, err)
+	}
+	return sp, nil
+}
+
+// loadRecords parses every perfbench BENCH_PR*.json in dir, oldest PR
+// first. A file that is not JSON fails; one from another tool is
+// skipped.
+func loadRecords(dir string) ([]record, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var files []benchFile
+	var recs []record
 	for _, e := range entries {
 		m := benchName.FindStringSubmatch(e.Name())
 		if m == nil || e.IsDir() {
 			continue
 		}
-		pr, err := strconv.Atoi(m[1])
-		if err != nil {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		path := filepath.Join(dir, e.Name())
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		var rec record
-		if err := json.Unmarshal(data, &rec); err != nil || rec.Tool != "cohereload" {
+		r := record{path: path}
+		if err := json.Unmarshal(data, &r); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if r.Tool != "perfbench" {
 			continue
 		}
-		files = append(files, benchFile{Path: filepath.Join(dir, e.Name()), PR: pr, Rec: rec})
+		r.pr, _ = strconv.Atoi(m[1])
+		recs = append(recs, r)
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].PR < files[j].PR })
-	return files, nil
+	sort.Slice(recs, func(i, j int) bool { return recs[i].pr < recs[j].pr })
+	return recs, nil
 }
 
-// diff compares the newest record against the newest earlier record
-// sharing at least one scenario label and returns a human-readable
-// report plus whether any shared scenario regressed beyond band.
-func diff(files []benchFile, band float64) (string, bool, error) {
-	if len(files) == 0 {
-		return "benchdiff: no cohereload records found; nothing to compare\n", false, nil
+// check gates the newest record and returns the report and whether it
+// failed.
+func check(sp spec, recs []record) (string, bool) {
+	if len(recs) == 0 {
+		return "benchdiff: no perfbench records; nothing to compare\n", false
 	}
-	cur := files[len(files)-1]
-	gwReport, gwBad := gwGate(cur.Rec, band)
-	hedgeReport, hedgeBad := hedgeGate(cur.Rec)
-	gwReport += hedgeReport
-	gwBad = gwBad || hedgeBad
-	var base *benchFile
-	for i := len(files) - 2; i >= 0; i-- {
-		if len(sharedLabels(files[i].Rec, cur.Rec)) > 0 {
-			base = &files[i]
-			break
+	var b strings.Builder
+	failed := false
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(&b, "  "+format+" FAIL\n", args...)
+		failed = true
+	}
+	cand := recs[len(recs)-1]
+	fmt.Fprintf(&b, "benchdiff: candidate %s\n", cand.path)
+	for _, r := range cand.Runs {
+		if !r.Result.Correct {
+			fail("%s seed %d trace %v: correct false", r.Workload, r.Seed, r.Trace)
 		}
 	}
-	if base == nil {
-		report := fmt.Sprintf("benchdiff: no earlier record shares a scenario with %s; nothing to compare\n", cur.Path) + gwReport
-		if gwBad {
-			report += "benchdiff: FAIL — gateway within-record gate\n"
+	for _, w := range sp.Workloads {
+		cur := medians(cand, w.Name)
+		if cur == nil {
+			fail("%s: no untraced run", w.Name)
+			continue
 		}
-		return report, gwBad, nil
+		for _, m := range sp.EndToEnd {
+			if _, ok := cur[m.Name]; !ok {
+				fail("%s %s: missing", w.Name, m.Name)
+			}
+		}
 	}
 
-	report := fmt.Sprintf("benchdiff: %s vs baseline %s (band %.0f%%)\n", cur.Path, base.Path, band*100)
-	regressed := gwBad
-	report += gwReport
-	for _, label := range sharedLabels(base.Rec, cur.Rec) {
-		b, c := scenarioByLabel(base.Rec, label), scenarioByLabel(cur.Rec, label)
-		line, bad := compareScenario(label, b, c, band)
-		report += line
-		regressed = regressed || bad
-	}
-	// A label only the candidate has is a new scenario, not a
-	// comparison: note it so its first record visibly becomes the
-	// baseline the next PR gates against, instead of vanishing silently.
-	for _, label := range newLabels(base.Rec, cur.Rec) {
-		report += fmt.Sprintf("  %s: no baseline yet (new scenario; gates from the next record)\n", label)
-	}
-	if regressed {
-		report += "benchdiff: FAIL — regression beyond noise band\n"
+	if len(recs) == 1 {
+		fmt.Fprintf(&b, "benchdiff: %s is the anchor; no baseline yet\n", cand.path)
 	} else {
-		report += "benchdiff: ok\n"
-	}
-	return report, regressed, nil
-}
-
-// gwGate enforces the within-record gateway claim on the candidate:
-// when both drill arms are present, affinity's aggregate backend hit
-// ratio must be at least gwHitRatioGate times round-robin's, and its
-// p99 must not exceed round-robin's by more than band. Records without
-// the paired arms (older PRs, plain latency runs) pass untouched.
-func gwGate(cur record, band float64) (string, bool) {
-	aff := scenarioByLabel(cur, "gw_affinity")
-	rr := scenarioByLabel(cur, "gw_roundrobin")
-	if aff.Label == "" || rr.Label == "" {
-		return "", false
-	}
-	if rr.BackendHitRatio <= 0 {
-		return "  gw gate: round-robin arm recorded no backend hit ratio — record malformed REGRESSION\n", true
-	}
-	gain := aff.BackendHitRatio / rr.BackendHitRatio
-	hitBad := gain < gwHitRatioGate
-	p99Bad := aff.Latency.P99Ms > rr.Latency.P99Ms*(1+band)
-	mark := func(bad bool) string {
-		if bad {
-			return " REGRESSION"
+		base := recs[len(recs)-2]
+		fmt.Fprintf(&b, "baseline %s (median of untraced runs):\n", base.path)
+		for _, w := range sp.Workloads {
+			bm, cm := medians(base, w.Name), medians(cand, w.Name)
+			if cm == nil {
+				continue // failed above
+			}
+			if bm == nil {
+				fmt.Fprintf(&b, "  %s: no baseline yet (gates from the next record)\n", w.Name)
+				continue
+			}
+			layer := worstLayer(sp, base, cand, w.Name)
+			if bs, cs := failedShare(base, w.Name), failedShare(cand, w.Name); cs > bs {
+				fail("%s failed share %.4f%% -> %.4f%%; %s", w.Name, bs*100, cs*100, layer)
+			}
+			for _, d := range deltas(sp, w.Name, bm, cm) {
+				if d.beyond {
+					fail("%s; %s", d.text, layer)
+				} else {
+					fmt.Fprintf(&b, "  %s\n", d.text)
+				}
+			}
 		}
-		return ""
-	}
-	line := fmt.Sprintf("  gw gate: backend hit ratio %.3f vs roundrobin %.3f (%.2fx, need %.1fx)%s, p99 %.3fms vs %.3fms%s\n",
-		aff.BackendHitRatio, rr.BackendHitRatio, gain, gwHitRatioGate, mark(hitBad),
-		aff.Latency.P99Ms, rr.Latency.P99Ms, mark(p99Bad))
-	return line, hitBad || p99Bad
-}
-
-// hedgeGate enforces the within-record hedging claim on the candidate:
-// when both hedging arms are present, the hedged arm's p99 must beat
-// the unhedged arm's, and its backend send ratio must stay inside
-// gwHedgeLoadBand. Arms whose timed window is under minGateSeconds are
-// reported but not gated (their p99 rests on too few tail samples);
-// records without the paired arms pass untouched.
-func hedgeGate(cur record) (string, bool) {
-	un := scenarioByLabel(cur, "gw_unhedged")
-	h := scenarioByLabel(cur, "gw_hedged")
-	if un.Label == "" || h.Label == "" {
-		return "", false
-	}
-	if un.DurationSeconds < minGateSeconds || h.DurationSeconds < minGateSeconds {
-		return fmt.Sprintf("  hedge gate: p99 %.3fms hedged vs %.3fms unhedged, send ratio %.3f (sub-second drill; informational, not gated)\n",
-			h.Latency.P99Ms, un.Latency.P99Ms, h.BackendSendRatio), false
-	}
-	p99Bad := h.Latency.P99Ms >= un.Latency.P99Ms
-	loadBad := h.BackendSendRatio > gwHedgeLoadBand
-	mark := func(bad bool) string {
-		if bad {
-			return " REGRESSION"
+		anchor := recs[0]
+		fmt.Fprintf(&b, "drift since anchor %s (reported, not gated):\n", anchor.path)
+		for _, w := range sp.Workloads {
+			for _, d := range deltas(sp, w.Name, medians(anchor, w.Name), medians(cand, w.Name)) {
+				if d.beyond {
+					d.text += " beyond bound"
+				}
+				fmt.Fprintf(&b, "  %s\n", d.text)
+			}
 		}
-		return ""
 	}
-	line := fmt.Sprintf("  hedge gate: p99 %.3fms hedged vs %.3fms unhedged%s, send ratio %.3f (band %.2fx)%s\n",
-		h.Latency.P99Ms, un.Latency.P99Ms, mark(p99Bad),
-		h.BackendSendRatio, gwHedgeLoadBand, mark(loadBad))
-	return line, p99Bad || loadBad
+	if failed {
+		b.WriteString("benchdiff: FAIL\n")
+	} else {
+		b.WriteString("benchdiff: ok\n")
+	}
+	return b.String(), failed
 }
 
-// compareScenario renders one label's p99/throughput deltas and flags
-// a regression when p99 rose or throughput fell by more than band.
-// Scenarios whose timed window is under minGateSeconds on either side
-// are rendered but never flagged (see the package comment).
-func compareScenario(label string, base, cur scenario, band float64) (string, bool) {
-	if base.DurationSeconds < minGateSeconds || cur.DurationSeconds < minGateSeconds {
-		return fmt.Sprintf("  %s: p99 %.3fms -> %.3fms, throughput %.0f -> %.0f req/s (sub-second drill; informational, not gated)\n",
-			label, base.Latency.P99Ms, cur.Latency.P99Ms,
-			base.RequestsPerSecond, cur.RequestsPerSecond), false
-	}
-	p99Delta := frac(cur.Latency.P99Ms, base.Latency.P99Ms)
-	rpsDelta := frac(cur.RequestsPerSecond, base.RequestsPerSecond)
-	p99Bad := p99Delta > band
-	rpsBad := rpsDelta < -band
-	mark := func(bad bool) string {
-		if bad {
-			return " REGRESSION"
+// delta is one end-to-end metric's change between two records.
+type delta struct {
+	text   string
+	beyond bool // worse by more than the metric's bound
+}
+
+// deltas compares the workload's end-to-end medians from one record to
+// another, for every metric both carry.
+func deltas(sp spec, workload string, from, to map[string]float64) []delta {
+	var out []delta
+	for _, m := range sp.EndToEnd {
+		fv, okF := from[m.Name]
+		tv, okT := to[m.Name]
+		if !okF || !okT {
+			continue
 		}
-		return ""
+		out = append(out, delta{
+			text: fmt.Sprintf("%s %s: %.6g -> %.6g (%+.1f%%, bound %.0f%%)",
+				workload, m.Name, fv, tv, change(fv, tv)*100, m.Bound*100),
+			beyond: worsening(m.Better, fv, tv) > m.Bound,
+		})
 	}
-	line := fmt.Sprintf("  %s: p99 %.3fms -> %.3fms (%+.1f%%)%s, throughput %.0f -> %.0f req/s (%+.1f%%)%s\n",
-		label,
-		base.Latency.P99Ms, cur.Latency.P99Ms, p99Delta*100, mark(p99Bad),
-		base.RequestsPerSecond, cur.RequestsPerSecond, rpsDelta*100, mark(rpsBad))
-	return line, p99Bad || rpsBad
+	return out
 }
 
-// frac is the fractional change from base to cur, 0 when base is 0 or
-// negative (degenerate records never gate).
-func frac(cur, base float64) float64 {
+// medians returns each metric's median over the workload's untraced
+// runs in r, or nil when there are none.
+func medians(r record, workload string) map[string]float64 {
+	vals := map[string][]float64{}
+	n := 0
+	for _, run := range r.Runs {
+		if run.Workload != workload || run.Trace {
+			continue
+		}
+		n++
+		for name, m := range run.Result.Metrics {
+			vals[name] = append(vals[name], m.Value)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(map[string]float64, len(vals))
+	for name, v := range vals {
+		sort.Float64s(v)
+		out[name] = (v[(len(v)-1)/2] + v[len(v)/2]) / 2
+	}
+	return out
+}
+
+// failedShare is failed/attempted over every run of the workload in r.
+func failedShare(r record, workload string) float64 {
+	attempted, failed := 0, 0
+	for _, run := range r.Runs {
+		if run.Workload == workload {
+			attempted += run.Result.Attempted
+			failed += run.Result.Failed
+		}
+	}
+	if attempted == 0 {
+		return 0
+	}
+	return float64(failed) / float64(attempted)
+}
+
+// worstLayer names the per-layer metric whose traced value moved most in
+// its worse direction between the two records' traced runs of the
+// workload.
+func worstLayer(sp spec, base, cand record, workload string) string {
+	bt, ct := traced(base, workload), traced(cand, workload)
+	if bt == nil || ct == nil {
+		return "no traced runs to compare"
+	}
+	worst, name := 0.0, ""
+	for _, m := range sp.PerLayer {
+		bv, okB := bt.Metrics[m.Name]
+		cv, okC := ct.Metrics[m.Name]
+		if w := worsening(m.Better, bv.Value, cv.Value); okB && okC && w > worst {
+			worst, name = w, m.Name
+		}
+	}
+	if name == "" {
+		return "no traced layer moved worse"
+	}
+	return fmt.Sprintf("worst layer %s (%.0f%% worse)", name, worst*100)
+}
+
+// traced returns the workload's traced result in r, or nil.
+func traced(r record, workload string) *result {
+	for i, run := range r.Runs {
+		if run.Workload == workload && run.Trace {
+			return &r.Runs[i].Result
+		}
+	}
+	return nil
+}
+
+// change is the signed fractional change from base to cur, 0 when base
+// is not positive.
+func change(base, cur float64) float64 {
 	if base <= 0 {
 		return 0
 	}
 	return (cur - base) / base
 }
 
-// sharedLabels returns the scenario labels present in both records, in
-// a's order.
-func sharedLabels(a, b record) []string {
-	inB := make(map[string]bool, len(b.Scenarios))
-	for _, s := range b.Scenarios {
-		inB[s.Label] = true
+// worsening is the fractional change from base to cur in the metric's
+// worse direction: positive is worse.
+func worsening(better string, base, cur float64) float64 {
+	if better == "higher" {
+		return -change(base, cur)
 	}
-	var shared []string
-	for _, s := range a.Scenarios {
-		if inB[s.Label] {
-			shared = append(shared, s.Label)
-		}
-	}
-	return shared
-}
-
-// newLabels returns the labels present in cur but absent from base, in
-// cur's order — the scenarios making their first appearance.
-func newLabels(base, cur record) []string {
-	inBase := make(map[string]bool, len(base.Scenarios))
-	for _, s := range base.Scenarios {
-		inBase[s.Label] = true
-	}
-	var out []string
-	for _, s := range cur.Scenarios {
-		if !inBase[s.Label] {
-			out = append(out, s.Label)
-		}
-	}
-	return out
-}
-
-// scenarioByLabel returns the scenario with the given label, or a zero
-// scenario if absent (callers only pass labels from sharedLabels).
-func scenarioByLabel(r record, label string) scenario {
-	for _, s := range r.Scenarios {
-		if s.Label == label {
-			return s
-		}
-	}
-	return scenario{}
+	return change(base, cur)
 }

@@ -1,14 +1,116 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// write drops one benchmark record file into dir.
+// workloads are the workloads BENCHMARK.json names, in its order.
+var workloads = []string{"gw_hot", "cold_sweep", "paper_artifacts"}
+
+// captured reads testdata/<workload>.jsonl: the JSON result lines of a
+// short real perfbench run of the workload, untraced then traced.
+func captured(t *testing.T, workload string) (untraced, traced json.RawMessage) {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", workload+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var lines []json.RawMessage
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		lines = append(lines, json.RawMessage(append([]byte(nil), sc.Bytes()...)))
+	}
+	if err := sc.Err(); err != nil || len(lines) != 2 {
+		t.Fatalf("%s: want 2 result lines, got %d (%v)", workload, len(lines), err)
+	}
+	return lines[0], lines[1]
+}
+
+// fullRecord is the runs `make bench-json` writes, built from the
+// captured lines: three untraced seeds and one traced run per workload.
+func fullRecord(t *testing.T) []benchRun {
+	t.Helper()
+	var runs []benchRun
+	for _, w := range workloads {
+		u, tr := captured(t, w)
+		for seed := uint64(1); seed <= 3; seed++ {
+			runs = append(runs, benchRun{Workload: w, Seed: seed, Result: parse(t, u)})
+		}
+		runs = append(runs, benchRun{Workload: w, Seed: 1, Trace: true, Result: parse(t, tr)})
+	}
+	return runs
+}
+
+func parse(t *testing.T, line json.RawMessage) result {
+	t.Helper()
+	var r result
+	if err := json.Unmarshal(line, &r); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// scale multiplies metric in every run of workload (traced or untraced,
+// as selected) by f, on a copy of runs.
+func scale(runs []benchRun, workload string, trace bool, metric string, f float64) []benchRun {
+	out := make([]benchRun, len(runs))
+	for i, r := range runs {
+		out[i] = r
+		if r.Workload != workload || r.Trace != trace {
+			continue
+		}
+		m := make(map[string]struct{ Value float64 }, len(r.Result.Metrics))
+		for k, v := range r.Result.Metrics {
+			if k == metric {
+				v.Value *= f
+			}
+			m[k] = v
+		}
+		out[i].Result.Metrics = m
+	}
+	return out
+}
+
+// benchDir returns a directory holding the repository's BENCHMARK.json
+// and one record per runs argument, numbered BENCH_PR1.json onward.
+func benchDir(t *testing.T, records ...[]benchRun) string {
+	t.Helper()
+	dir := t.TempDir()
+	spec, err := os.ReadFile(filepath.Join("..", "..", "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(t, dir, "BENCHMARK.json", string(spec))
+	for i, runs := range records {
+		writeRecord(t, dir, fmt.Sprintf("BENCH_PR%d.json", i+1), runs)
+	}
+	return dir
+}
+
+// writeRecord writes runs into dir as a perfbench record.
+func writeRecord(t *testing.T, dir, name string, runs []benchRun) {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		Tool string     `json:"tool"`
+		Runs []benchRun `json:"runs"`
+	}{"perfbench", runs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(t, dir, name, string(data))
+}
+
+// write drops one file into dir.
 func write(t *testing.T, dir, name, content string) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
@@ -16,444 +118,271 @@ func write(t *testing.T, dir, name, content string) {
 	}
 }
 
-// rec builds a minimal cohereload record with one or more scenarios,
-// given (label, p99_ms, rps) triples.
-func rec(scenarios ...string) string {
-	return `{"tool": "cohereload", "scenarios": [` + strings.Join(scenarios, ",") + `]}`
+// diffDir runs benchdiff on dir and returns its exit code and report.
+func diffDir(dir string) (int, string) {
+	var out bytes.Buffer
+	code := run([]string{"-dir", dir}, &out, &out)
+	return code, out.String()
 }
 
-// scen renders one scenario object with a gate-eligible 3s window.
-func scen(label string, p99, rps float64) string {
-	return fmt.Sprintf(`{"label": %q, "duration_seconds": 3, "requests_per_second": %g, "latency": {"p99_ms": %g}}`,
-		label, rps, p99)
+// failLine returns the report's FAIL line mentioning every part, or "".
+func failLine(report string, parts ...string) string {
+	for _, l := range strings.Split(report, "\n") {
+		if !strings.HasSuffix(l, " FAIL") {
+			continue
+		}
+		all := true
+		for _, p := range parts {
+			all = all && strings.Contains(l, p)
+		}
+		if all {
+			return l
+		}
+	}
+	return ""
 }
 
-// shortScen renders a sub-second single-shot drill scenario, which the
-// duration floor must keep informational.
-func shortScen(label string, p99, rps float64) string {
-	return fmt.Sprintf(`{"label": %q, "duration_seconds": 0.1, "requests_per_second": %g, "latency": {"p99_ms": %g}}`,
-		label, rps, p99)
-}
-
-// TestDiffPassesWithinBand: small deltas inside the band are reported
-// but do not fail.
-func TestDiffPassesWithinBand(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR4.json", rec(scen("hit_ratio_0.95", 2.0, 10000)))
-	write(t, dir, "BENCH_PR6.json", rec(scen("hit_ratio_0.95", 2.2, 9200)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Errorf("10%% p99 rise inside 15%% band flagged as regression:\n%s", report)
-	}
-	if !strings.Contains(report, "BENCH_PR4.json") || !strings.Contains(report, "benchdiff: ok") {
-		t.Errorf("report missing baseline name or ok line:\n%s", report)
-	}
-}
-
-// TestDiffFailsOnP99Regression: p99 beyond the band fails even when
-// throughput improved.
-func TestDiffFailsOnP99Regression(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR4.json", rec(scen("hit_ratio_0.95", 2.0, 10000)))
-	write(t, dir, "BENCH_PR6.json", rec(scen("hit_ratio_0.95", 3.0, 12000)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Errorf("50%% p99 rise not flagged:\n%s", report)
-	}
-	if !strings.Contains(report, "REGRESSION") {
-		t.Errorf("report does not mark the regressed metric:\n%s", report)
-	}
-}
-
-// TestDiffFailsOnThroughputDrop: a throughput collapse fails even with
-// flat latency.
-func TestDiffFailsOnThroughputDrop(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR5.json", rec(scen("chaos_patient", 40, 100)))
-	write(t, dir, "BENCH_PR7.json", rec(scen("chaos_patient", 40, 60)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Error("40% throughput drop not flagged")
-	}
-}
-
-// TestDiffSkipsUnsharedBaseline: the baseline is the newest EARLIER
-// record sharing a label — a chaos record between two latency records
-// must not break the chain, and test2json records must be ignored.
-func TestDiffSkipsUnsharedBaseline(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR3.json", `{"Time":"t","Action":"start","Package":"p"}`)
-	write(t, dir, "BENCH_PR4.json", rec(scen("hit_ratio_0.95", 2.0, 10000)))
-	write(t, dir, "BENCH_PR5.json", rec(scen("chaos_patient", 40, 100)))
-	write(t, dir, "BENCH_PR6.json", rec(scen("hit_ratio_0.95", 2.1, 9900)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 3 {
-		t.Fatalf("load kept %d files, want 3 (test2json skipped)", len(files))
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Errorf("unexpected regression:\n%s", report)
-	}
-	if !strings.Contains(report, "BENCH_PR4.json") {
-		t.Errorf("baseline should be PR4 (PR5 shares no label):\n%s", report)
-	}
-}
-
-// TestDiffNoBaseline: a lone record, or one sharing no labels with any
-// predecessor, exits cleanly with a message rather than failing.
-func TestDiffNoBaseline(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR6.json", rec(scen("hit_ratio_0.95", 2.0, 10000)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Error("lone record flagged as regression")
-	}
-	if !strings.Contains(report, "nothing to compare") {
-		t.Errorf("report should say there is nothing to compare:\n%s", report)
-	}
-
-	empty := t.TempDir()
-	files, err = load(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err = diff(files, 0.15)
-	if err != nil || regressed {
-		t.Fatalf("empty dir: regressed=%v err=%v", regressed, err)
-	}
-	if !strings.Contains(report, "nothing to compare") {
-		t.Errorf("empty dir report:\n%s", report)
-	}
-}
-
-// TestDiffNotesNewScenario: a label only the candidate carries is
-// noted as "no baseline yet" rather than silently dropped, and does not
-// gate this run.
-func TestDiffNotesNewScenario(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR6.json", rec(scen("hit_ratio_0.95", 2.0, 10000)))
-	write(t, dir, "BENCH_PR7.json", rec(
-		scen("hit_ratio_0.95", 2.1, 9900),
-		scen("jobs_stream", 5.0, 150000)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Errorf("new scenario must not gate its first run:\n%s", report)
-	}
-	if !strings.Contains(report, "jobs_stream: no baseline yet") {
-		t.Errorf("report missing the new-scenario note:\n%s", report)
-	}
-	// A label only the baseline has (retired scenario) gets no note.
-	if strings.Contains(report, "chaos_patient") {
-		t.Errorf("unexpected label in report:\n%s", report)
-	}
-}
-
-// gwScen renders a gateway-arm scenario with a backend hit ratio.
-func gwScen(label string, p99, rps, ratio float64) string {
-	return fmt.Sprintf(`{"label": %q, "duration_seconds": 2, "requests_per_second": %g, "latency": {"p99_ms": %g}, "backend_hit_ratio": %g}`,
-		label, rps, p99, ratio)
-}
-
-// TestDiffSkipsShortRuns: a sub-second drill's p99 and throughput may
-// swing arbitrarily without gating — its line is informational — while
-// a full-length scenario in the same record still gates.
-func TestDiffSkipsShortRuns(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR7.json", rec(
-		scen("hit_ratio_0.95", 2.0, 10000),
-		shortScen("jobs_stream", 13.0, 200000)))
-	write(t, dir, "BENCH_PR8.json", rec(
-		scen("hit_ratio_0.95", 2.1, 9900),
-		shortScen("jobs_stream", 26.0, 40000)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Errorf("2x p99 swing on a 0.1s drill gated the run:\n%s", report)
-	}
-	if !strings.Contains(report, "jobs_stream") || !strings.Contains(report, "not gated") {
-		t.Errorf("report missing the informational short-run line:\n%s", report)
-	}
-
-	// The floor protects against flakes, not against real regressions in
-	// gate-eligible scenarios sharing the record.
-	write(t, dir, "BENCH_PR8.json", rec(
-		scen("hit_ratio_0.95", 4.0, 9900),
-		shortScen("jobs_stream", 26.0, 40000)))
-	files, err = load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err = diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Errorf("full-length regression masked by short-run floor:\n%s", report)
-	}
-}
-
-// TestGwGatePasses: paired gateway arms where affinity clears 1.5x with
-// better p99 do not gate, with or without a baseline record.
-func TestGwGatePasses(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR8.json", rec(
-		gwScen("gw_affinity", 0.8, 9000, 0.97),
-		gwScen("gw_roundrobin", 1.4, 7000, 0.58)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Errorf("healthy gateway record flagged:\n%s", report)
-	}
-	if !strings.Contains(report, "gw gate:") {
-		t.Errorf("report missing the gw gate line:\n%s", report)
-	}
-}
-
-// TestGwGateFailsOnHitRatio: affinity below 1.5x round-robin fails the
-// candidate even when no baseline exists to diff against.
-func TestGwGateFailsOnHitRatio(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR8.json", rec(
-		gwScen("gw_affinity", 0.8, 9000, 0.70),
-		gwScen("gw_roundrobin", 1.4, 7000, 0.58)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Errorf("1.2x hit-ratio gain passed a 1.5x gate:\n%s", report)
-	}
-	if !strings.Contains(report, "REGRESSION") {
-		t.Errorf("report does not mark the gate failure:\n%s", report)
-	}
-}
-
-// TestGwGateFailsOnP99: affinity p99 beyond round-robin's plus the band
-// fails even with a winning hit ratio.
-func TestGwGateFailsOnP99(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR7.json", rec(scen("hit_ratio_0.95", 2.0, 10000)))
-	write(t, dir, "BENCH_PR8.json", rec(
-		scen("hit_ratio_0.95", 2.0, 10000),
-		gwScen("gw_affinity", 2.0, 9000, 0.97),
-		gwScen("gw_roundrobin", 1.4, 7000, 0.58)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Errorf("affinity p99 43%% over round-robin passed a 15%% band:\n%s", report)
-	}
-	if !strings.Contains(report, "gw gate:") || !strings.Contains(report, "REGRESSION") {
-		t.Errorf("report missing the marked gw gate line:\n%s", report)
-	}
-}
-
-// TestGwGateSkipsUnpairedRecords: a record without both arms (all older
-// PRs) is untouched by the within-record gate.
-func TestGwGateSkipsUnpairedRecords(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR8.json", rec(
-		scen("hit_ratio_0.95", 2.0, 10000),
-		gwScen("gw_affinity", 0.8, 9000, 0.97)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Errorf("unpaired record gated:\n%s", report)
-	}
-	if strings.Contains(report, "gw gate:") {
-		t.Errorf("gw gate ran without both arms:\n%s", report)
-	}
-}
-
-// hedgeScen renders a hedging-arm scenario with a backend send ratio.
-func hedgeScen(label string, p99, sendRatio float64) string {
-	return fmt.Sprintf(`{"label": %q, "duration_seconds": 2, "requests_per_second": 1000, "latency": {"p99_ms": %g}, "backend_send_ratio": %g}`,
-		label, p99, sendRatio)
-}
-
-// TestHedgeGatePasses: a hedged arm that cuts p99 inside the load band
-// does not gate, even without a baseline record.
-func TestHedgeGatePasses(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR10.json", rec(
-		hedgeScen("gw_unhedged", 120.0, 1.0),
-		hedgeScen("gw_hedged", 35.0, 1.06)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Errorf("healthy hedging record flagged:\n%s", report)
-	}
-	if !strings.Contains(report, "hedge gate:") {
-		t.Errorf("report missing the hedge gate line:\n%s", report)
-	}
-}
-
-// TestHedgeGateFailsOnP99: a hedged arm whose p99 no longer beats the
-// unhedged arm fails the candidate.
-func TestHedgeGateFailsOnP99(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR10.json", rec(
-		hedgeScen("gw_unhedged", 120.0, 1.0),
-		hedgeScen("gw_hedged", 121.0, 1.05)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Errorf("hedged p99 above unhedged passed the gate:\n%s", report)
-	}
-	if !strings.Contains(report, "hedge gate:") || !strings.Contains(report, "REGRESSION") {
-		t.Errorf("report missing the marked hedge gate line:\n%s", report)
-	}
-}
-
-// TestHedgeGateFailsOnLoad: a hedged arm past the backend load band
-// fails even with a winning p99.
-func TestHedgeGateFailsOnLoad(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR10.json", rec(
-		hedgeScen("gw_unhedged", 120.0, 1.0),
-		hedgeScen("gw_hedged", 35.0, 1.25)))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Errorf("1.25x backend send ratio passed a 1.10x band:\n%s", report)
-	}
-	if !strings.Contains(report, "REGRESSION") {
-		t.Errorf("report does not mark the load-band failure:\n%s", report)
-	}
-}
-
-// TestHedgeGateSkipsShortRuns: sub-second hedging arms are reported but
-// never gated, like every other short drill.
-func TestHedgeGateSkipsShortRuns(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR10.json", rec(
-		`{"label": "gw_unhedged", "duration_seconds": 0.4, "latency": {"p99_ms": 120}, "backend_send_ratio": 1.0}`,
-		`{"label": "gw_hedged", "duration_seconds": 0.4, "latency": {"p99_ms": 130}, "backend_send_ratio": 1.4}`))
-	files, err := load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, regressed, err := diff(files, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Errorf("sub-second hedging arms gated the run:\n%s", report)
-	}
-	if !strings.Contains(report, "hedge gate:") || !strings.Contains(report, "not gated") {
-		t.Errorf("report missing the informational hedge line:\n%s", report)
-	}
-}
-
-// TestLoadRealFormat parses a record shaped like cohereload's actual
-// output (extra fields present) without error.
+// TestLoadRealFormat: the captured perfbench lines carry every metric
+// BENCHMARK.json names, end-to-end untraced and per-layer traced, and a
+// record of them passes as the anchor. A change to perfbench's output
+// format breaks this test.
 func TestLoadRealFormat(t *testing.T) {
-	dir := t.TempDir()
-	write(t, dir, "BENCH_PR4.json", `{
-  "tool": "cohereload",
-  "target": "127.0.0.1:1",
-  "scenarios": [{
-    "label": "hit_ratio_0.95",
-    "hit_ratio": 0.95,
-    "concurrency": 8,
-    "requests": 100,
-    "errors": 0,
-    "requests_per_second": 13285.3,
-    "latency": {"p50_ms": 0.4, "p90_ms": 0.9, "p99_ms": 2.2, "mean_ms": 0.6, "max_ms": 6.1},
-    "mix_counts": {"curve": 1, "point": 2, "sweep": 3}
-  }]
-}`)
-	files, err := load(dir)
+	sp, err := loadSpec(filepath.Join("..", "..", "BENCHMARK.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 1 || files[0].Rec.Scenarios[0].Latency.P99Ms != 2.2 {
-		t.Fatalf("parsed %+v", files)
+	for _, w := range workloads {
+		u, tr := captured(t, w)
+		ur, trr := parse(t, u), parse(t, tr)
+		if !ur.Correct || !trr.Correct || ur.Attempted == 0 || trr.Attempted == 0 {
+			t.Errorf("%s: captured runs not correct or empty", w)
+		}
+		for _, m := range sp.EndToEnd {
+			if _, ok := ur.Metrics[m.Name]; !ok {
+				t.Errorf("%s untraced: no %s", w, m.Name)
+			}
+		}
+		for _, m := range sp.PerLayer {
+			if _, ok := trr.Metrics[m.Name]; !ok {
+				t.Errorf("%s traced: no %s", w, m.Name)
+			}
+		}
+	}
+	code, report := diffDir(benchDir(t, fullRecord(t)))
+	if code != 0 || !strings.Contains(report, "is the anchor; no baseline yet") {
+		t.Errorf("exit %d, want 0 with the anchor line:\n%s", code, report)
+	}
+}
+
+// TestDiffNoBaseline: a lone record is the anchor; nothing to compare,
+// exit 0.
+func TestDiffNoBaseline(t *testing.T) {
+	code, report := diffDir(benchDir(t, fullRecord(t)))
+	if code != 0 || !strings.Contains(report, "BENCH_PR1.json is the anchor") ||
+		strings.Contains(report, "baseline BENCH") {
+		t.Errorf("exit %d:\n%s", code, report)
+	}
+	code, report = diffDir(benchDir(t))
+	if code != 0 || !strings.Contains(report, "no perfbench records") {
+		t.Errorf("empty directory: exit %d:\n%s", code, report)
+	}
+}
+
+// TestDiffPassesWithinBand: changes inside every bound are reported but
+// do not fail.
+func TestDiffPassesWithinBand(t *testing.T) {
+	base := fullRecord(t)
+	cand := scale(base, "gw_hot", false, "ops_per_s", 0.9)
+	cand = scale(cand, "gw_hot", false, "latency_p90_ms", 1.2)
+	dir := benchDir(t, base, cand)
+	code, report := diffDir(dir)
+	if code != 0 || !strings.Contains(report, "benchdiff: ok") ||
+		!strings.Contains(report, "baseline "+filepath.Join(dir, "BENCH_PR1.json")) {
+		t.Errorf("exit %d, want 0 against BENCH_PR1.json:\n%s", code, report)
+	}
+	if !strings.Contains(report, "gw_hot ops_per_s") || !strings.Contains(report, "(-10.0%, bound 25%)") {
+		t.Errorf("report does not show the change against its bound:\n%s", report)
+	}
+}
+
+// TestDiffFailsOnP90Regression: a tail-latency rise past its bound
+// fails even when throughput improved. p90 is the bounded tail;
+// perfbench's README says why p99 is not.
+func TestDiffFailsOnP90Regression(t *testing.T) {
+	base := fullRecord(t)
+	cand := scale(base, "gw_hot", false, "latency_p90_ms", 1.5)
+	cand = scale(cand, "gw_hot", false, "ops_per_s", 1.2)
+	code, report := diffDir(benchDir(t, base, cand))
+	if code != 1 || failLine(report, "gw_hot latency_p90_ms") == "" {
+		t.Errorf("exit %d, want 1 with a latency_p90_ms FAIL line:\n%s", code, report)
+	}
+	if failLine(report, "ops_per_s") != "" {
+		t.Errorf("improved throughput marked as failing:\n%s", report)
+	}
+}
+
+// TestDiffFailsOnThroughputDrop: ops_per_s falling past its bound fails.
+func TestDiffFailsOnThroughputDrop(t *testing.T) {
+	base := fullRecord(t)
+	cand := scale(base, "paper_artifacts", false, "ops_per_s", 0.7)
+	code, report := diffDir(benchDir(t, base, cand))
+	if code != 1 || failLine(report, "paper_artifacts ops_per_s", "-30.0%") == "" {
+		t.Errorf("exit %d, want 1 with an ops_per_s FAIL line:\n%s", code, report)
+	}
+}
+
+// TestDiffNamesRegressedStage: a 2x solve stage that halves cold_sweep
+// throughput fails, and the failure line names the stage.
+func TestDiffNamesRegressedStage(t *testing.T) {
+	base := fullRecord(t)
+	cand := scale(base, "cold_sweep", false, "ops_per_s", 0.5)
+	cand = scale(cand, "cold_sweep", true, "serve.stage.solve_us", 2)
+	code, report := diffDir(benchDir(t, base, cand))
+	if code != 1 {
+		t.Fatalf("exit %d, want 1:\n%s", code, report)
+	}
+	if failLine(report, "cold_sweep ops_per_s", "worst layer serve.stage.solve_us") == "" {
+		t.Errorf("failure line does not name serve.stage.solve_us:\n%s", report)
+	}
+}
+
+// TestDiffFailsOnFailedShareRise: more failed operations per attempted
+// one fails, even with every metric unchanged.
+func TestDiffFailsOnFailedShareRise(t *testing.T) {
+	base := fullRecord(t)
+	cand := append([]benchRun(nil), base...)
+	cand[0].Result.Failed = 1 // still correct: the share gate alone
+	code, report := diffDir(benchDir(t, base, cand))
+	if code != 1 || failLine(report, cand[0].Workload+" failed share") == "" {
+		t.Errorf("exit %d, want 1 with a failed-share FAIL line:\n%s", code, report)
+	}
+}
+
+// TestDiffFailsOnIncorrectRun: any run reporting correct false fails,
+// traced or not, with or without a baseline.
+func TestDiffFailsOnIncorrectRun(t *testing.T) {
+	runs := fullRecord(t)
+	runs[len(runs)-1].Result.Correct = false
+	code, report := diffDir(benchDir(t, runs))
+	if code != 1 || failLine(report, "paper_artifacts seed 1 trace true: correct false") == "" {
+		t.Errorf("exit %d, want 1 naming the incorrect run:\n%s", code, report)
+	}
+}
+
+// TestDiffFailsOnMissingWorkloadOrMetric: the candidate must carry every
+// workload and end-to-end metric BENCHMARK.json names.
+func TestDiffFailsOnMissingWorkloadOrMetric(t *testing.T) {
+	base := fullRecord(t)
+	var noCold []benchRun
+	for _, r := range base {
+		if r.Workload != "cold_sweep" {
+			noCold = append(noCold, r)
+		}
+	}
+	tracedOnly := append([]benchRun(nil), base...)
+	for i := range tracedOnly {
+		tracedOnly[i].Trace = tracedOnly[i].Trace || tracedOnly[i].Workload == "gw_hot"
+	}
+	noHeap := append([]benchRun(nil), base...)
+	for i, r := range noHeap {
+		if r.Workload == "gw_hot" {
+			m := map[string]struct{ Value float64 }{}
+			for k, v := range r.Result.Metrics {
+				if k != "heap_peak_mb" {
+					m[k] = v
+				}
+			}
+			noHeap[i].Result.Metrics = m
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		runs []benchRun
+		line string
+	}{
+		{"workload", noCold, "cold_sweep: no untraced run"},
+		{"untraced runs", tracedOnly, "gw_hot: no untraced run"},
+		{"metric", noHeap, "gw_hot heap_peak_mb: missing"},
+	} {
+		for _, records := range [][][]benchRun{{tc.runs}, {base, tc.runs}} {
+			code, report := diffDir(benchDir(t, records...))
+			if code != 1 || failLine(report, tc.line) == "" {
+				t.Errorf("%s (%d records): exit %d, want 1 with %q:\n%s", tc.name, len(records), code, tc.line, report)
+			}
+		}
+	}
+}
+
+// TestDiffReportsAnchorDrift: drift past a bound since the anchor is
+// printed, but only the baseline gates, so the exit code stays 0.
+func TestDiffReportsAnchorDrift(t *testing.T) {
+	anchor := fullRecord(t)
+	mid := scale(anchor, "cold_sweep", false, "ops_per_s", 0.8)
+	cand := scale(anchor, "cold_sweep", false, "ops_per_s", 0.64)
+	code, report := diffDir(benchDir(t, anchor, mid, cand))
+	if code != 0 {
+		t.Fatalf("exit %d, want 0 (each step is inside the bound):\n%s", code, report)
+	}
+	drift := report[strings.Index(report, "drift since anchor"):]
+	if !strings.Contains(drift, "BENCH_PR1.json") ||
+		!strings.Contains(drift, "cold_sweep ops_per_s") || !strings.Contains(drift, "(-36.0%, bound 25%) beyond bound") {
+		t.Errorf("drift table does not flag the 36%% drop:\n%s", report)
+	}
+}
+
+// TestDiffNotesNewScenario: a workload the baseline lacks (one just
+// added to BENCHMARK.json) is noted, not failed; it gates from the next
+// record.
+func TestDiffNotesNewScenario(t *testing.T) {
+	cand := fullRecord(t)
+	var base []benchRun
+	for _, r := range cand {
+		if r.Workload != "paper_artifacts" {
+			base = append(base, r)
+		}
+	}
+	code, report := diffDir(benchDir(t, base, cand))
+	if code != 0 || !strings.Contains(report, "paper_artifacts: no baseline yet") {
+		t.Errorf("exit %d, want 0 with the no-baseline note:\n%s", code, report)
+	}
+}
+
+// TestDiffSkipsUnsharedBaseline: a record in another format (the old
+// cohereload records) shares nothing to compare and is skipped; the
+// baseline is the newest earlier perfbench record.
+func TestDiffSkipsUnsharedBaseline(t *testing.T) {
+	base := fullRecord(t)
+	dir := benchDir(t, base)
+	write(t, dir, "BENCH_PR2.json", `{"tool": "cohereload", "scenarios": [{"label": "hit_ratio_0.95"}]}`)
+	writeRecord(t, dir, "BENCH_PR3.json", scale(base, "gw_hot", false, "ops_per_s", 0.95))
+	code, report := diffDir(dir)
+	if code != 0 || !strings.Contains(report, "baseline "+filepath.Join(dir, "BENCH_PR1.json")) {
+		t.Errorf("exit %d, want 0 against BENCH_PR1.json:\n%s", code, report)
+	}
+}
+
+// TestDiffSkipsTracedRuns: the traced run pays for its spans, so it
+// never enters the end-to-end medians.
+func TestDiffSkipsTracedRuns(t *testing.T) {
+	base := fullRecord(t)
+	for i := range base {
+		if base[i].Trace {
+			base[i].Result.Metrics["ops_per_s"] = struct{ Value float64 }{1e12}
+		}
+	}
+	code, report := diffDir(benchDir(t, base, base))
+	if code != 0 || strings.Contains(report, "1e+12") {
+		t.Errorf("exit %d; traced values leaked into the medians:\n%s", code, report)
+	}
+}
+
+// TestDiffRejectsMalformedRecord: a BENCH_PR file that is not JSON is
+// an input error, exit 2, not a silent skip.
+func TestDiffRejectsMalformedRecord(t *testing.T) {
+	dir := benchDir(t, fullRecord(t))
+	write(t, dir, "BENCH_PR2.json", `{"tool": "perfbench", "runs": [`)
+	var stderr bytes.Buffer
+	if code := run([]string{"-dir", dir}, io.Discard, &stderr); code != 2 || !strings.Contains(stderr.String(), "BENCH_PR2.json") {
+		t.Errorf("exit %d, want 2 naming the file: %s", code, stderr.String())
 	}
 }

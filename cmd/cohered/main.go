@@ -105,7 +105,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 	maxJobs := fs.Int("max-jobs", 16, "resident async sweep jobs; submissions past it get 503")
 	jobTTL := fs.Duration("job-ttl", 10*time.Minute, "evict finished jobs nobody collected after this long")
 	cacheCap := fs.Int("cache-cap", 0, "cap demand/curve cache entries each, CLOCK-evicting past it (0 = unbounded)")
-	weight := fs.Float64("weight", 0, "routing weight advertised on /readyz for a weighted-rendezvous gateway (0 = none)")
 	snapshotPath := fs.String("snapshot-path", "", "memo-cache snapshot file: restored on boot, written on shutdown after drain (empty = disabled)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown grace period for in-flight requests")
@@ -119,9 +118,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	if *weight < 0 {
-		return fmt.Errorf("-weight must be >= 0, got %g", *weight)
 	}
 	var inj *fault.Injector
 	if *faultErrP > 0 || *faultLatencyP > 0 {
@@ -162,7 +158,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 		BaseContext: ctx,
 		CacheCap:    *cacheCap,
 		Fault:       inj,
-		Weight:      *weight,
 		Logger:      logger,
 	})
 	if inj != nil {

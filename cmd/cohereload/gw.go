@@ -16,6 +16,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -728,7 +729,7 @@ func gwReload(conc int, dur time.Duration, seed int64) (summary, error) {
 // runGw runs the full gateway drill and writes the report. Any phase
 // failing its gate fails the process, so `make gw-smoke` is a build
 // gate, not a report generator.
-func runGw(stdout, stderr io.Writer, conc int, dur time.Duration, seed int64, outPath string) error {
+func runGw(stdout, stderr io.Writer, conc int, dur time.Duration, seed int64) error {
 	rep := report{Tool: "cohereload", Target: "in-process gateway fleet (gw)"}
 
 	affinity, rr, err := gwBenchArms(conc, dur, seed)
@@ -743,24 +744,15 @@ func runGw(stdout, stderr io.Writer, conc int, dur time.Duration, seed int64, ou
 	if affinity.Errors > 0 || rr.Errors > 0 {
 		return fmt.Errorf("gw bench: errors under healthy fleets (affinity %d, roundrobin %d)", affinity.Errors, rr.Errors)
 	}
-	if rr.BackendHitRatio <= 0 {
-		return fmt.Errorf("gw bench: round-robin arm recorded no lookups")
-	}
-	if gain := affinity.BackendHitRatio / rr.BackendHitRatio; gain < gwHitRatioGate {
-		return fmt.Errorf("gw bench: affinity hit ratio %.3f is only %.2fx round-robin's %.3f (gate %.1fx)",
-			affinity.BackendHitRatio, gain, rr.BackendHitRatio, gwHitRatioGate)
-	}
-	if affinity.Latency.P99 > rr.Latency.P99*gwP99Band {
+	if err := affinityGate(affinity, rr); err != nil {
 		// The race detector's instrumentation perturbs latency tails far
-		// past the band, so race builds (`go test -race`) report the
-		// miss instead of failing; normal builds — `make gw-smoke` and
-		// the bench-json record benchdiff gates — enforce it.
-		if !raceEnabled {
-			return fmt.Errorf("gw bench: affinity p99 %.3fms worse than round-robin's %.3fms (band %.2fx)",
-				affinity.Latency.P99, rr.Latency.P99, gwP99Band)
+		// past the band, so race builds (`go test -race`) report a p99
+		// miss instead of failing; normal builds (`make gw-smoke`)
+		// enforce it.
+		if !errors.Is(err, errTailBand) || !raceEnabled {
+			return err
 		}
-		fmt.Fprintf(stderr, "cohereload: gw: affinity p99 %.3fms over round-robin's %.3fms band — informational under the race detector\n",
-			affinity.Latency.P99, rr.Latency.P99)
+		fmt.Fprintf(stderr, "cohereload: %v — informational under the race detector\n", err)
 	}
 
 	// The hedging comparison runs both arms on the same seed: same tail
@@ -782,17 +774,8 @@ func runGw(stdout, stderr io.Writer, conc int, dur time.Duration, seed int64, ou
 	if unhedged.Errors > 0 || hedged.Errors > 0 {
 		return fmt.Errorf("gw hedge: errors under latency-only injection (unhedged %d, hedged %d)", unhedged.Errors, hedged.Errors)
 	}
-	if unhedged.Latency.P99 < float64(gwTailLatency.Milliseconds()) {
-		return fmt.Errorf("gw hedge: unhedged p99 %.3fms never reached the %.0fms injected tail — the drill measured nothing",
-			unhedged.Latency.P99, float64(gwTailLatency.Milliseconds()))
-	}
-	if hedged.Latency.P99 >= unhedged.Latency.P99 {
-		return fmt.Errorf("gw hedge: hedged p99 %.3fms did not cut the unhedged %.3fms tail",
-			hedged.Latency.P99, unhedged.Latency.P99)
-	}
-	if hedged.BackendSendRatio > gwHedgeLoadBand {
-		return fmt.Errorf("gw hedge: backend send ratio %.3f exceeds the %.2fx load band — hedging is over-firing",
-			hedged.BackendSendRatio, gwHedgeLoadBand)
+	if err := hedgeGate(unhedged, hedged); err != nil {
+		return err
 	}
 
 	failover, err := gwFailover(conc, dur, seed+2)
@@ -822,23 +805,47 @@ func runGw(stdout, stderr io.Writer, conc int, dur time.Duration, seed int64, ou
 	rep.Scenarios = append(rep.Scenarios, restart)
 	fmt.Fprintf(stderr, "cohereload: gw_warm_restart: %d demand + %d curve entries restored, zero re-solves\n",
 		restart.Mix["restored_demand"], restart.Mix["restored_curve"])
+	return printReport(stdout, rep)
+}
 
-	// Like the jobs drill, -out pointing at an existing cohereload
-	// report merges these scenarios so one BENCH_PR record can carry
-	// the latency mixes and the gateway drill together.
-	rep = mergeInto(outPath, rep)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+// errTailBand marks an affinityGate failure on the p99 band alone.
+var errTailBand = errors.New("gw bench: affinity p99 over round-robin's band")
+
+// affinityGate is the drill's claim about affinity routing: its
+// aggregate backend hit ratio is at least gwHitRatioGate times the
+// round-robin control's, with client p99 within gwP99Band of it. A p99
+// miss alone wraps errTailBand.
+func affinityGate(affinity, rr summary) error {
+	if rr.BackendHitRatio <= 0 {
+		return errors.New("gw bench: round-robin arm recorded no lookups")
 	}
-	data = append(data, '\n')
-	if _, err := stdout.Write(data); err != nil {
-		return err
+	if gain := affinity.BackendHitRatio / rr.BackendHitRatio; gain < gwHitRatioGate {
+		return fmt.Errorf("gw bench: affinity hit ratio %.3f is only %.2fx round-robin's %.3f (gate %.1fx)",
+			affinity.BackendHitRatio, gain, rr.BackendHitRatio, gwHitRatioGate)
 	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
+	if affinity.Latency.P99 > rr.Latency.P99*gwP99Band {
+		return fmt.Errorf("%w: %.3fms vs %.3fms (band %.2fx)",
+			errTailBand, affinity.Latency.P99, rr.Latency.P99, gwP99Band)
+	}
+	return nil
+}
+
+// hedgeGate is the drill's claim about hedging, on two arms run on the
+// same seed: the unhedged arm's p99 reaches the injected tail, the
+// hedged arm's p99 is lower, and its backend send ratio stays inside
+// gwHedgeLoadBand.
+func hedgeGate(unhedged, hedged summary) error {
+	if unhedged.Latency.P99 < float64(gwTailLatency.Milliseconds()) {
+		return fmt.Errorf("gw hedge: unhedged p99 %.3fms never reached the %.0fms injected tail — the drill measured nothing",
+			unhedged.Latency.P99, float64(gwTailLatency.Milliseconds()))
+	}
+	if hedged.Latency.P99 >= unhedged.Latency.P99 {
+		return fmt.Errorf("gw hedge: hedged p99 %.3fms did not cut the unhedged %.3fms tail",
+			hedged.Latency.P99, unhedged.Latency.P99)
+	}
+	if hedged.BackendSendRatio > gwHedgeLoadBand {
+		return fmt.Errorf("gw hedge: backend send ratio %.3f exceeds the %.2fx load band — hedging is over-firing",
+			hedged.BackendSendRatio, gwHedgeLoadBand)
 	}
 	return nil
 }

@@ -7,12 +7,12 @@
 //
 //	cohereload [-addr HOST:PORT] [-c 8] [-d 3s] [-hit-ratios 0.95,0.05]
 //	           [-mix point:4,curve:1,sweep:1] [-warm-pool 64] [-procs 16]
-//	           [-seed 1] [-out FILE] [-chaos] [-jobs] [-gw]
+//	           [-seed 1] [-chaos] [-jobs] [-gw]
 //
 // With -addr empty (the default) cohereload boots an in-process daemon —
 // the same serve.Server behind cohered — on an ephemeral loopback port
-// and loads that, so `make bench-json` needs no separately managed
-// process. Point it at a running daemon with -addr to measure a real
+// and loads that, so a drill needs no separately managed process.
+// Point it at a running daemon with -addr to measure a real
 // deployment.
 //
 // The hit ratio is enforced by key choice: "hit" requests draw their
@@ -59,6 +59,10 @@
 // set, -chaos skips the gates that assume its own tiny self-booted
 // daemon (nonzero sheds, the /metrics scrape) and keeps the
 // client-facing one: no 500s, ever.
+//
+// Every mode prints its JSON report to stdout and writes no file: the
+// drills are pass/fail gates, and the repository's benchmark record is
+// perfbench's (`make bench-json`, gated by cmd/benchdiff).
 package main
 
 import (
@@ -137,8 +141,7 @@ type summary struct {
 	Latency     percentiles    `json:"latency"`
 	Mix         map[string]int `json:"mix_counts"`
 
-	// Chaos-mode extras; omitted from normal-mode reports so the
-	// BENCH_PR4.json shape is unchanged.
+	// Chaos-mode extras; omitted from normal-mode reports.
 	StatusCounts   map[string]int `json:"status_counts,omitempty"`
 	Retries        int            `json:"retries,omitempty"`
 	ClientTimeouts int            `json:"client_timeouts,omitempty"`
@@ -166,8 +169,8 @@ type chaosStats struct {
 	ServerError500s int `json:"server_500s"`
 }
 
-// report is the full document cohereload emits (BENCH_PR4.json's shape;
-// -chaos adds the chaos block for BENCH_PR5.json).
+// report is the JSON document every mode prints to stdout; -chaos adds
+// the chaos block.
 type report struct {
 	Tool      string      `json:"tool"`
 	Target    string      `json:"target"`
@@ -175,39 +178,11 @@ type report struct {
 	Chaos     *chaosStats `json:"chaos,omitempty"`
 }
 
-// mergeInto folds rep's scenarios into a previous cohereload report at
-// outPath, if one exists: a scenario whose label the earlier report
-// already carries replaces it in place, so rerunning one drill updates
-// its rows instead of appending duplicate labels (benchdiff reads the
-// first match per label); unseen labels append in order. With no
-// outPath, no readable earlier file, or a non-cohereload file, rep is
-// returned unchanged.
-func mergeInto(outPath string, rep report) report {
-	if outPath == "" {
-		return rep
-	}
-	prev, err := os.ReadFile(outPath)
-	if err != nil {
-		return rep
-	}
-	var merged report
-	if json.Unmarshal(prev, &merged) != nil || merged.Tool != "cohereload" {
-		return rep
-	}
-	for _, s := range rep.Scenarios {
-		replaced := false
-		for i := range merged.Scenarios {
-			if merged.Scenarios[i].Label == s.Label {
-				merged.Scenarios[i] = s
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			merged.Scenarios = append(merged.Scenarios, s)
-		}
-	}
-	return merged
+// printReport writes rep to w as indented JSON, one trailing newline.
+func printReport(w io.Writer, rep report) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
 }
 
 func main() {
@@ -229,7 +204,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scheme := fs.String("scheme", "swflush", "coherence scheme the generated load names (any registered name or alias)")
 	procs := fs.Int("procs", 16, "machine size per query")
 	seed := fs.Int64("seed", 1, "RNG seed for the request schedule")
-	out := fs.String("out", "", "also write the JSON report to this file")
 	chaos := fs.Bool("chaos", false, "overload drill: fault-injected in-process daemon, or -addr to drive an existing daemon/gateway (fails on any 500)")
 	jobsMode := fs.Bool("jobs", false, "async-job drill: submit, stream, and cancel /v1/jobs sweeps (fails on lost rows or a surviving cancelled job)")
 	gwMode := fs.Bool("gw", false, "gateway drill: affinity-vs-roundrobin bench, mid-load backend kill, and snapshot warm restart (fails unless affinity wins and failover is clean)")
@@ -257,16 +231,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-chaos, -jobs, and -gw are mutually exclusive drills")
 	}
 	if *chaos {
-		return runChaos(stdout, stderr, *addr, *conc, *dur, *seed, *procs, *out)
+		return runChaos(stdout, stderr, *addr, *conc, *dur, *seed, *procs)
 	}
 	if *jobsMode {
-		return runJobs(stdout, stderr, *addr, *out)
+		return runJobs(stdout, stderr, *addr)
 	}
 	if *gwMode {
 		if *addr != "" {
 			return fmt.Errorf("-gw boots its own backend fleet and gateway; it cannot target -addr")
 		}
-		return runGw(stdout, stderr, *conc, *dur, *seed, *out)
+		return runGw(stdout, stderr, *conc, *dur, *seed)
 	}
 	mix, err := parseMix(*mixSpec)
 	if err != nil {
@@ -307,21 +281,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "cohereload: %s: %d requests, %d errors, p50 %.3fms p99 %.3fms\n",
 			s.Label, s.Requests, s.Errors, s.Latency.P50, s.Latency.P99)
 	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if _, err := stdout.Write(data); err != nil {
-		return err
-	}
-	if *out != "" {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
+	return printReport(stdout, rep)
 }
 
 // startLocalDaemon boots a serve.Server over real HTTP on an ephemeral
@@ -570,7 +530,7 @@ const jobGridRows = 2 * 10 * 1000
 // then cancel a second one mid-stream. It returns an error — failing
 // the process — if any row is lost, the trailer is missing or unclean,
 // or the cancelled job remains resident.
-func runJobs(stdout, stderr io.Writer, addr, outPath string) error {
+func runJobs(stdout, stderr io.Writer, addr string) error {
 	target := addr
 	if target == "" {
 		stopSrv, bound, err := startLocalDaemon()
@@ -634,26 +594,7 @@ func runJobs(stdout, stderr io.Writer, addr, outPath string) error {
 		Mix:      map[string]int{"rows": partial},
 	})
 	fmt.Fprintf(stderr, "cohereload: jobs_cancel: cancelled after %d rows; job gone\n", partial)
-
-	// -out pointing at an existing cohereload report merges the job
-	// scenarios into it instead of clobbering it, so `make bench-json`
-	// can land the latency mixes and the jobs drill in one BENCH_PR
-	// record.
-	rep = mergeInto(outPath, rep)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if _, err := stdout.Write(data); err != nil {
-		return err
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
+	return printReport(stdout, rep)
 }
 
 // submitJob posts the drill grid and returns the job ID.
@@ -800,7 +741,7 @@ func startChaosDaemon(seed int64) (func(), string, error) {
 // existing daemon or gateway instead of booting its own; the verdicts
 // that assume the tiny self-booted daemon (nonzero sheds, the /metrics
 // scrape) are skipped then, the no-500s one is not.
-func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration, seed int64, procs int, outPath string) error {
+func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration, seed int64, procs int) error {
 	target := addr
 	selfBooted := addr == ""
 	if selfBooted {
@@ -847,18 +788,8 @@ func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration
 		rep.Chaos = &stats
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := printReport(stdout, rep); err != nil {
 		return err
-	}
-	data = append(data, '\n')
-	if _, err := stdout.Write(data); err != nil {
-		return err
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
 	}
 
 	client500s := 0

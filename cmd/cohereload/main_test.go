@@ -3,22 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
 // TestLoadRunProducesReport runs a short two-scenario load against the
 // in-process daemon and checks the report shape: both scenarios present,
-// sane counts, ordered percentiles, and the -out file byte-identical to
-// stdout.
+// sane counts and ordered percentiles.
 func TestLoadRunProducesReport(t *testing.T) {
-	outPath := filepath.Join(t.TempDir(), "bench.json")
 	var stdout bytes.Buffer
 	err := run([]string{
 		"-c", "4", "-d", "300ms", "-hit-ratios", "1,0",
-		"-warm-pool", "8", "-procs", "8", "-out", outPath,
+		"-warm-pool", "8", "-procs", "8",
 	}, &stdout, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -45,14 +42,6 @@ func TestLoadRunProducesReport(t *testing.T) {
 		if l.P50 <= 0 {
 			t.Errorf("%s: nonpositive p50 %v", s.Label, l.P50)
 		}
-	}
-
-	fileData, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fileData, stdout.Bytes()) {
-		t.Error("-out file differs from stdout report")
 	}
 }
 
@@ -87,6 +76,7 @@ func TestBadFlags(t *testing.T) {
 		{"-chaos", "-gw"},
 		{"-jobs", "-gw"},
 		{"-gw", "-addr", "localhost:8080"},
+		{"-out", "BENCH.json"}, // the report goes to stdout only
 		{"positional"},
 	} {
 		if err := run(args, io.Discard, io.Discard); err == nil {
@@ -127,47 +117,59 @@ func TestWorkerSeedDerivation(t *testing.T) {
 	}
 }
 
-// TestMergeIntoReplacesLabels: rerunning a drill against an existing
-// -out report must replace its old scenarios in place, not append
-// duplicate labels for benchdiff to misread, while unseen labels append
-// and non-cohereload files are left out of the merge.
-func TestMergeIntoReplacesLabels(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH.json")
-	prev := report{Tool: "cohereload", Scenarios: []summary{
-		{Label: "hit_ratio_0.95", RPS: 100},
-		{Label: "jobs_stream", RPS: 200},
-	}}
-	data, err := json.Marshal(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+// gateArm is a drill summary carrying only the fields the gw gates read.
+func gateArm(p99, hitRatio, sendRatio float64) summary {
+	s := summary{BackendHitRatio: hitRatio, BackendSendRatio: sendRatio}
+	s.Latency.P99 = p99
+	return s
+}
 
-	got := mergeInto(out, report{Tool: "cohereload", Scenarios: []summary{
-		{Label: "jobs_stream", RPS: 300},
-		{Label: "jobs_cancel", RPS: 400},
-	}})
-	if len(got.Scenarios) != 3 {
-		t.Fatalf("merged %d scenarios, want 3 (replace, not append): %+v", len(got.Scenarios), got.Scenarios)
+// TestGwGatePasses: affinity past gwHitRatioGate times round-robin's
+// hit ratio, with a lower p99, passes.
+func TestGwGatePasses(t *testing.T) {
+	if err := affinityGate(gateArm(0.8, 0.97, 0), gateArm(1.4, 0.58, 0)); err != nil {
+		t.Errorf("healthy arms failed the gate: %v", err)
 	}
-	if got.Scenarios[1].Label != "jobs_stream" || got.Scenarios[1].RPS != 300 {
-		t.Errorf("jobs_stream not replaced in place: %+v", got.Scenarios)
-	}
-	if got.Scenarios[2].Label != "jobs_cancel" || got.Scenarios[2].RPS != 400 {
-		t.Errorf("new label not appended: %+v", got.Scenarios)
-	}
+}
 
-	// A non-cohereload file (e.g. a stale test2json record) is not a
-	// merge target; the fresh report stands alone.
-	if err := os.WriteFile(out, []byte(`{"Time": "t", "Action": "start"}`), 0o644); err != nil {
-		t.Fatal(err)
+// TestGwGateFailsOnHitRatio: a 1.2x hit-ratio gain fails the 1.5x gate.
+func TestGwGateFailsOnHitRatio(t *testing.T) {
+	err := affinityGate(gateArm(0.8, 0.70, 0), gateArm(1.4, 0.58, 0))
+	if err == nil || errors.Is(err, errTailBand) {
+		t.Errorf("1.2x hit-ratio gain: got %v, want a hit-ratio failure", err)
 	}
-	got = mergeInto(out, report{Tool: "cohereload", Scenarios: []summary{{Label: "x"}}})
-	if len(got.Scenarios) != 1 || got.Scenarios[0].Label != "x" {
-		t.Errorf("non-cohereload file merged: %+v", got.Scenarios)
+}
+
+// TestGwGateFailsOnP99: affinity p99 past round-robin's times gwP99Band
+// fails with errTailBand even with a winning hit ratio.
+func TestGwGateFailsOnP99(t *testing.T) {
+	err := affinityGate(gateArm(1.5, 0.97, 0), gateArm(1.4, 0.58, 0))
+	if !errors.Is(err, errTailBand) {
+		t.Errorf("affinity p99 7%% over round-robin: got %v, want errTailBand", err)
+	}
+}
+
+// TestHedgeGatePasses: a hedged arm that cuts the injected tail inside
+// the load band passes.
+func TestHedgeGatePasses(t *testing.T) {
+	if err := hedgeGate(gateArm(130, 0, 1.0), gateArm(35, 0, 1.06)); err != nil {
+		t.Errorf("healthy hedging arms failed the gate: %v", err)
+	}
+}
+
+// TestHedgeGateFailsOnP99: a hedged p99 that no longer beats the
+// unhedged arm's fails.
+func TestHedgeGateFailsOnP99(t *testing.T) {
+	if err := hedgeGate(gateArm(130, 0, 1.0), gateArm(131, 0, 1.05)); err == nil {
+		t.Error("hedged p99 above unhedged passed the gate")
+	}
+}
+
+// TestHedgeGateFailsOnLoad: a hedged arm past gwHedgeLoadBand fails
+// even with a winning p99.
+func TestHedgeGateFailsOnLoad(t *testing.T) {
+	if err := hedgeGate(gateArm(130, 0, 1.0), gateArm(35, 0, 1.25)); err == nil {
+		t.Error("1.25x backend send ratio passed the 1.10x load band")
 	}
 }
 
@@ -176,9 +178,8 @@ func TestMergeIntoReplacesLabels(t *testing.T) {
 // hit ratio with p99 no worse, clean failover, zero-solve warm restart)
 // and emit all four gateway scenarios.
 func TestGwRun(t *testing.T) {
-	outPath := filepath.Join(t.TempDir(), "gw.json")
 	var stdout bytes.Buffer
-	err := run([]string{"-gw", "-c", "4", "-d", "400ms", "-out", outPath}, &stdout, io.Discard)
+	err := run([]string{"-gw", "-c", "4", "-d", "400ms"}, &stdout, io.Discard)
 	if err != nil {
 		t.Fatalf("gateway drill failed its gate: %v", err)
 	}
@@ -212,9 +213,8 @@ func TestGwRun(t *testing.T) {
 // drill must pass its own gate (no 500s, nonzero sheds) and emit the
 // chaos report block with both fleets present.
 func TestChaosRun(t *testing.T) {
-	outPath := filepath.Join(t.TempDir(), "chaos.json")
 	var stdout bytes.Buffer
-	err := run([]string{"-chaos", "-c", "12", "-d", "700ms", "-out", outPath}, &stdout, io.Discard)
+	err := run([]string{"-chaos", "-c", "12", "-d", "700ms"}, &stdout, io.Discard)
 	if err != nil {
 		t.Fatalf("chaos drill failed its gate: %v", err)
 	}

@@ -33,6 +33,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,9 +60,8 @@ type Config struct {
 	// Backends lists the cohered base URLs ("http://127.0.0.1:8081" or
 	// bare "127.0.0.1:8081") the gateway routes across, each with an
 	// optional "=WEIGHT" suffix ("http://big:8080=4") giving its
-	// rendezvous weight for heterogeneous fleets. Weight defaults to 1;
-	// a backend without an explicit weight adopts the one it advertises
-	// on /readyz (cohered -weight), if any. Required.
+	// rendezvous weight for heterogeneous fleets. Weight defaults to 1.
+	// Required.
 	Backends []string
 	// Policy selects the routing policy: PolicyAffinity (default) or
 	// PolicyRoundRobin.
@@ -152,16 +152,14 @@ type backend struct {
 	hash uint64 // rendezvous identity
 
 	// weight holds the float64 bits of the configured rendezvous weight
-	// (atomic because a live reload may repin it); 0 = unpinned, adopt
-	// the /readyz-advertised weight.
+	// (atomic because a live reload may repin it); 0 = unpinned, weight 1.
 	weight atomic.Uint64
 
-	healthy   atomic.Bool
-	fails     atomic.Int32 // consecutive probe failures
-	warmth    atomic.Pointer[serve.ReadyzCache]
-	advWeight atomic.Uint64          // float64 bits of the /readyz-advertised weight
-	modelFP   atomic.Pointer[string] // model fingerprint from the last /readyz probe
-	stop      context.CancelFunc     // cancels this backend's probe loop (guarded by Gateway.mu)
+	healthy atomic.Bool
+	fails   atomic.Int32 // consecutive probe failures
+	warmth  atomic.Pointer[serve.ReadyzCache]
+	modelFP atomic.Pointer[string] // model fingerprint from the last /readyz probe
+	stop    context.CancelFunc     // cancels this backend's probe loop (guarded by Gateway.mu)
 
 	routes    atomic.Int64    // requests answered from here
 	sends     atomic.Int64    // proxied attempts issued here, hedges and retries included
@@ -169,17 +167,10 @@ type backend struct {
 }
 
 // effWeight is the backend's rendezvous weight: the configured one when
-// pinned in the backend spec, else the /readyz-advertised one, else 1.
+// pinned in the backend spec, else 1.
 func (b *backend) effWeight() float64 {
-	if bits := b.weight.Load(); bits != 0 {
-		if w := math.Float64frombits(bits); w > 0 {
-			return w
-		}
-	}
-	if bits := b.advWeight.Load(); bits != 0 {
-		if w := math.Float64frombits(bits); w > 0 {
-			return w
-		}
+	if w := b.pinnedWeight(); w > 0 {
+		return w
 	}
 	return 1
 }
@@ -315,10 +306,11 @@ func parseBackends(specs []string) ([]*backend, error) {
 	return set, nil
 }
 
-// parseWeight parses the "=WEIGHT" suffix of a backend spec.
+// parseWeight parses the "=WEIGHT" suffix of a backend spec; the whole
+// suffix must be a number ("4x" is rejected, not read as 4).
 func parseWeight(s string) (float64, error) {
-	var w float64
-	if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &w); err != nil {
+	w, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
 		return 0, fmt.Errorf("bad weight %q", s)
 	}
 	if !(w > 0) || math.IsInf(w, 0) {

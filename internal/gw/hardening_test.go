@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"swcc/internal/obs"
-	"swcc/internal/serve"
 )
 
 // Regression and feature tests for the front-tier hardening pass: the
@@ -359,39 +358,14 @@ func TestWeightedRendezvous(t *testing.T) {
 	}
 }
 
-// TestAdvertisedWeightAdopted pins the other half of weighted
-// rendezvous: a backend spec without a pinned weight adopts the weight
-// the backend advertises on /readyz (cohered -weight).
-func TestAdvertisedWeightAdopted(t *testing.T) {
-	s := serve.NewServer(serve.Config{
-		Weight: 3,
-		Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)),
-	})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(s.Close)
-	t.Cleanup(ts.Close)
-
-	g, _ := newGateway(t, PolicyAffinity, ts.URL)
-	if w := g.Weights()[ts.URL]; w != 3 {
-		t.Fatalf("effective weight %g, want the advertised 3", w)
-	}
-
-	// A spec-pinned weight beats the advertised one.
-	pinned, err := New(Config{Backends: []string{ts.URL + "=5"},
-		Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned.CheckNow(context.Background())
-	if w := pinned.Weights()[ts.URL]; w != 5 {
-		t.Fatalf("pinned weight %g, want 5 over the advertised 3", w)
-	}
-}
-
 // TestParseBackendWeights pins spec parsing: bad weights are rejected,
 // good ones recorded.
 func TestParseBackendWeights(t *testing.T) {
-	for _, bad := range []string{"http://a=0", "http://a=-2", "http://a=x", "http://a="} {
+	for _, bad := range []string{
+		"http://a=0", "http://a=-2", "http://a=x", "http://a=",
+		// Trailing garbage after a valid number rejects the whole spec.
+		"http://big:8080=4x", "http://a=2.5kg", "http://a=1e3junk",
+	} {
 		if _, err := parseBackends([]string{bad}); err == nil {
 			t.Errorf("spec %q accepted, want error", bad)
 		}

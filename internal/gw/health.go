@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"time"
 
@@ -17,8 +16,8 @@ import (
 // success re-admits it — exclusion is cautious, re-admission eager,
 // because a re-admitted backend that flaps just gets excluded again
 // while a healthy backend kept excluded sheds its whole key range onto
-// the survivors for no reason. The warmth counters, advertised weight,
-// and model fingerprint in the body are recorded either way (a shedding
+// the survivors for no reason. The warmth counters and model
+// fingerprint in the body are recorded either way (a shedding
 // backend still reports its cache), so /healthz aggregation, the
 // metrics page, and the response cache reflect the fleet's real state.
 func (g *Gateway) probe(ctx context.Context, b *backend) {
@@ -39,9 +38,6 @@ func (g *Gateway) probe(ctx context.Context, b *backend) {
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&rz); err == nil {
 		warmth := rz.Cache
 		b.warmth.Store(&warmth)
-		if rz.Weight > 0 {
-			b.advWeight.Store(math.Float64bits(rz.Weight))
-		}
 		if rz.ModelFingerprint != "" {
 			fp := rz.ModelFingerprint
 			b.modelFP.Store(&fp)

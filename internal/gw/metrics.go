@@ -41,7 +41,7 @@ func (g *Gateway) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE swcc_gw_healthy_backends gauge")
 	fmt.Fprintf(w, "swcc_gw_healthy_backends %d\n", healthy)
 
-	fmt.Fprintln(w, "# HELP swcc_gw_backend_weight Effective rendezvous weight per backend (configured, else advertised, else 1).")
+	fmt.Fprintln(w, "# HELP swcc_gw_backend_weight Effective rendezvous weight per backend (configured, else 1).")
 	fmt.Fprintln(w, "# TYPE swcc_gw_backend_weight gauge")
 	for _, b := range backends {
 		fmt.Fprintf(w, "swcc_gw_backend_weight{backend=%q} %s\n", b.url, strconv.FormatFloat(b.effWeight(), 'g', -1, 64))

@@ -102,7 +102,7 @@ func (g *Gateway) Weights() map[string]float64 {
 }
 
 // pinnedWeight returns the configured (spec-pinned) weight, or 0 when
-// the backend adopts the advertised one.
+// the spec pins none.
 func (b *backend) pinnedWeight() float64 {
 	if bits := b.weight.Load(); bits != 0 {
 		return math.Float64frombits(bits)

@@ -583,10 +583,6 @@ type ReadyzResponse struct {
 	Reason string `json:"reason,omitempty"`
 	// Cache reports the evaluator's warmth.
 	Cache ReadyzCache `json:"cache"`
-	// Weight is the advertised routing weight for a weighted-rendezvous
-	// gateway (cohered -weight); 0 when the backend does not advertise
-	// one.
-	Weight float64 `json:"weight,omitempty"`
 	// ModelFingerprint identifies the analytic model build this backend
 	// runs (sweep.ModelFingerprint). A gateway response cache keys on it
 	// so bytes computed by one build are never served for another.
@@ -603,7 +599,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	resp := ReadyzResponse{Ready: true, Cache: ReadyzCache{
 		DemandEntries: st.DemandEntries,
 		CurveEntries:  st.CurveEntries,
-	}, Weight: s.cfg.Weight, ModelFingerprint: sweep.ModelFingerprint()}
+	}, ModelFingerprint: sweep.ModelFingerprint()}
 	if lookups := st.DemandHits + st.MVAHits + st.DemandSolves + st.MVASolves; lookups > 0 {
 		resp.Cache.HitRatio = float64(st.DemandHits+st.MVAHits) / float64(lookups)
 	}

@@ -73,11 +73,6 @@ type Config struct {
 	// schedule — the chaos-testing hook. Default nil: no injection, one
 	// nil check per solve.
 	Fault *fault.Injector
-	// Weight is the routing weight this backend advertises on /readyz
-	// for a weighted-rendezvous gateway: 2 means "send me twice the key
-	// space of a weight-1 peer". Default 0: advertise nothing, let the
-	// gateway assume 1.
-	Weight float64
 	// Logger receives structured access and lifecycle logs. Default
 	// slog.Default().
 	Logger *slog.Logger
