@@ -104,7 +104,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 	maxBatch := fs.Int("max-batch", 1024, "largest /v1/sweep batch in points")
 	maxJobs := fs.Int("max-jobs", 16, "resident async sweep jobs; submissions past it get 503")
 	jobTTL := fs.Duration("job-ttl", 10*time.Minute, "evict finished jobs nobody collected after this long")
-	cacheCap := fs.Int("cache-cap", 0, "cap demand/curve cache entries each, CLOCK-evicting past it (0 = unbounded)")
+	cacheCap := fs.Int("cache-cap", 0, "cap curve cache entries, CLOCK-evicting past it (0 = unbounded)")
 	snapshotPath := fs.String("snapshot-path", "", "memo-cache snapshot file: restored on boot, written on shutdown after drain (empty = disabled)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown grace period for in-flight requests")
@@ -227,7 +227,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 		} else if counts != (sweep.SnapshotCounts{}) {
 			logger.Warn("snapshot restored",
 				"path", *snapshotPath,
-				"demand_entries", counts.DemandEntries,
 				"curve_entries", counts.CurveEntries)
 		}
 		srv.SetReady()
@@ -266,7 +265,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 		} else {
 			logger.Warn("snapshot written",
 				"path", *snapshotPath,
-				"demand_entries", counts.DemandEntries,
 				"curve_entries", counts.CurveEntries)
 		}
 	}

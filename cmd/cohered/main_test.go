@@ -133,10 +133,10 @@ func TestBatchFlags(t *testing.T) {
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(data)
-	if !strings.Contains(text, `swcc_cache_evictions_total{cache="demand"}`) {
+	if !strings.Contains(text, `swcc_cache_evictions_total{cache="mva"}`) {
 		t.Fatalf("metrics missing eviction series:\n%s", text)
 	}
-	if strings.Contains(text, `swcc_cache_evictions_total{cache="demand"} 0`) {
+	if strings.Contains(text, `swcc_cache_evictions_total{cache="mva"} 0`) {
 		t.Errorf("-cache-cap 32 with 60 distinct workloads evicted nothing:\n%s", text)
 	}
 

@@ -126,14 +126,14 @@ func TestWarmStartSnapshot(t *testing.T) {
 	defer shutdown()
 
 	rzBody := waitReady(t, base)
-	if !strings.Contains(string(rzBody), `"demand_entries"`) {
+	if !strings.Contains(string(rzBody), `"curve_entries"`) {
 		t.Fatalf("readyz after restore: %s", rzBody)
 	}
 	st := cacheStats(t, base)
-	if st["DemandEntries"] == 0 || st["CurveEntries"] == 0 {
+	if st["CurveEntries"] == 0 {
 		t.Fatalf("restart restored nothing: %+v", st)
 	}
-	if st["DemandSolves"] != 0 || st["CurveFullSolves"] != 0 {
+	if st["MVASolves"] != 0 {
 		t.Fatalf("restart shows phantom solves: %+v", st)
 	}
 
@@ -149,13 +149,10 @@ func TestWarmStartSnapshot(t *testing.T) {
 		}
 	}
 	st = cacheStats(t, base)
-	if st["DemandSolves"] != 0 {
-		t.Errorf("warm replay performed %v demand solves; snapshot did not skip the ramp", st["DemandSolves"])
+	if st["MVASolves"] != 0 {
+		t.Errorf("warm replay performed %v MVA solves; snapshot did not skip the ramp", st["MVASolves"])
 	}
-	if st["CurveFullSolves"] != 0 {
-		t.Errorf("warm replay performed %v full MVA solves; snapshot did not skip the ramp", st["CurveFullSolves"])
-	}
-	if st["DemandHits"] == 0 || st["MVAHits"] == 0 {
+	if st["MVAHits"] == 0 {
 		t.Errorf("warm replay recorded no hits: %+v", st)
 	}
 }
@@ -173,7 +170,7 @@ func TestStaleSnapshotRejectedCleanly(t *testing.T) {
 
 	waitReady(t, base) // the rejected restore is over
 	st := cacheStats(t, base)
-	if st["DemandEntries"] != 0 || st["CurveEntries"] != 0 {
+	if st["CurveEntries"] != 0 {
 		t.Fatalf("corrupt snapshot restored entries: %+v", st)
 	}
 	resp, err := http.Post(base+"/v1/bus", "application/json",

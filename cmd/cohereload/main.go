@@ -152,6 +152,11 @@ type summary struct {
 	// number the affinity-vs-round-robin comparison gates on.
 	BackendHitRatio float64 `json:"backend_hit_ratio,omitempty"`
 
+	// WindowP99 is the gateway drill's client p99 (ms) in each of its
+	// timed windows; the affinity gate compares the arms window by
+	// window.
+	WindowP99 []float64 `json:"window_p99_ms,omitempty"`
+
 	// BackendSendRatio is the hedging drill's backend-load amplification:
 	// gateway-to-backend sends over client requests in the timed window.
 	// 1.0 means every request cost one backend call; the hedged arm gates

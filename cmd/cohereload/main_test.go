@@ -117,9 +117,10 @@ func TestWorkerSeedDerivation(t *testing.T) {
 	}
 }
 
-// gateArm is a drill summary carrying only the fields the gw gates read.
+// gateArm is a drill summary carrying only the fields the gw gates
+// read: one timed window whose p99 is p99.
 func gateArm(p99, hitRatio, sendRatio float64) summary {
-	s := summary{BackendHitRatio: hitRatio, BackendSendRatio: sendRatio}
+	s := summary{BackendHitRatio: hitRatio, BackendSendRatio: sendRatio, WindowP99: []float64{p99}}
 	s.Latency.P99 = p99
 	return s
 }
@@ -146,6 +147,33 @@ func TestGwGateFailsOnP99(t *testing.T) {
 	err := affinityGate(gateArm(1.5, 0.97, 0), gateArm(1.4, 0.58, 0))
 	if !errors.Is(err, errTailBand) {
 		t.Errorf("affinity p99 7%% over round-robin: got %v, want errTailBand", err)
+	}
+}
+
+// TestGwGateP99WindowMedian: the p99 band gates on the median window
+// ratio, so one or two slow affinity windows of five pass and three
+// fail.
+func TestGwGateP99WindowMedian(t *testing.T) {
+	arms := func(slow int) (summary, summary) {
+		aff, rr := gateArm(0, 0.97, 0), gateArm(0, 0.58, 0)
+		aff.WindowP99, rr.WindowP99 = nil, nil
+		for w := 0; w < 5; w++ {
+			p99 := 0.9
+			if w < slow {
+				p99 = 1.3
+			}
+			aff.WindowP99 = append(aff.WindowP99, p99)
+			rr.WindowP99 = append(rr.WindowP99, 1.0)
+		}
+		return aff, rr
+	}
+	for slow := 0; slow <= 2; slow++ {
+		if err := affinityGate(arms(slow)); err != nil {
+			t.Errorf("%d slow windows of 5: %v", slow, err)
+		}
+	}
+	if err := affinityGate(arms(3)); !errors.Is(err, errTailBand) {
+		t.Errorf("3 slow windows of 5: got %v, want errTailBand", err)
 	}
 }
 
@@ -204,7 +232,7 @@ func TestGwRun(t *testing.T) {
 	if fo := byLabel["gw_failover"]; fo.StatusCounts["500"] != 0 || fo.StatusCounts["502"] != 0 {
 		t.Errorf("failover scenario recorded 5xx: %v", fo.StatusCounts)
 	}
-	if wr := byLabel["gw_warm_restart"]; wr.Mix["restored_demand"] == 0 || wr.Mix["restored_curve"] == 0 {
+	if wr := byLabel["gw_warm_restart"]; wr.Mix["restored_curve"] == 0 {
 		t.Errorf("warm restart restored nothing: %v", wr.Mix)
 	}
 }

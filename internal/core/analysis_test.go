@@ -70,8 +70,8 @@ func TestAPLToMatchBaseImpossible(t *testing.T) {
 type idealScheme struct{}
 
 func (idealScheme) Name() string { return "Ideal" }
-func (idealScheme) Frequencies(Params) ([]OpFreq, error) {
-	return []OpFreq{{OpInstr, 1}}, nil
+func (idealScheme) Frequencies(Params) (OpFreqs, error) {
+	return MakeOpFreqs([]OpFreq{{OpInstr, 1}}), nil
 }
 
 func TestMaxShdForPower(t *testing.T) {

@@ -73,6 +73,33 @@ func BusPointFromMVA(d Demand, r queueing.SingleServerResult) BusPoint {
 	}
 }
 
+// BusResidence solves the bus contention model's residence times
+// R(1..n) for demand d, reusing dst when its capacity allows. An FCFS
+// solve resumes from prefix, the curve's residence times for
+// 1..len(prefix); a priority solve cannot resume and ignores it.
+// BusPointFromResidence turns each R back into EvaluateBus's point, bit
+// for bit, so a curve cached as R alone answers every query exactly.
+func BusResidence(d Demand, prefix []float64, n int, dst []float64) ([]float64, error) {
+	if d.Priority > 0 {
+		hi, lo := d.PrioritySplit()
+		return queueing.PriorityResidence(d.Think(), hi, lo, n, dst)
+	}
+	return queueing.ExtendResidence(d.Think(), d.Interconnect, prefix, n, dst)
+}
+
+// BusPointFromResidence is the bus point at population n whose
+// residence time is r. It expands r with the service demand the solver
+// ran with: Interconnect for FCFS, hi+lo for the priority discipline
+// (the two can differ in the last bit).
+func BusPointFromResidence(d Demand, n int, r float64) BusPoint {
+	service := d.Interconnect
+	if d.Priority > 0 {
+		hi, lo := d.PrioritySplit()
+		service = hi + lo
+	}
+	return BusPointFromMVA(d, queueing.ResidenceResult(d.Think(), service, n, r))
+}
+
 // BusPower is a convenience wrapper returning only the processing power at
 // exactly nproc processors.
 func BusPower(s Scheme, p Params, costs *CostTable, nproc int) (float64, error) {

@@ -243,3 +243,68 @@ func TestSaturationPowerNoBusTraffic(t *testing.T) {
 		t.Errorf("bus-free workload saturation sentinel = %g, want 0", sat)
 	}
 }
+
+// TestBusResidenceMatchesEvaluateBus: every registered scheme's curve,
+// stored as residence times and expanded by BusPointFromResidence,
+// reproduces EvaluateBus point for point, at every Table 7 level and
+// populations up to 512 — and for FCFS schemes, resumed from every
+// prefix length.
+func TestBusResidenceMatchesEvaluateBus(t *testing.T) {
+	const n = 512
+	costs := BusCosts()
+	for _, info := range RegisteredSchemes() {
+		for _, level := range Levels() {
+			s, p := info.Scheme, ParamsAt(level)
+			want, err := EvaluateBus(s, p, costs, n)
+			if err != nil {
+				t.Fatalf("%s: %v", SchemeKey(s), err)
+			}
+			d, err := ComputeDemand(s, p, costs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := BusResidence(d, nil, n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range rs {
+				if got := BusPointFromResidence(d, i+1, r); got != want[i] {
+					t.Fatalf("%s %v n=%d: %+v, EvaluateBus %+v", SchemeKey(s), level, i+1, got, want[i])
+				}
+			}
+			if d.Priority > 0 {
+				continue
+			}
+			dst := make([]float64, n)
+			for split := 0; split <= n; split++ {
+				ext, err := BusResidence(d, rs[:split], n, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ext {
+					if ext[i] != rs[i] {
+						t.Fatalf("%s %v: resumed from %d, R(%d) = %v, full %v", SchemeKey(s), level, split, i+1, ext[i], rs[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestComputeDemandAllocFree: demand is computed on every model query,
+// so it must not allocate — the scheme's frequency list comes back by
+// value, not as a slice escaping through the Scheme interface.
+func TestComputeDemandAllocFree(t *testing.T) {
+	costs := BusCosts()
+	p := MiddleParams()
+	for _, info := range RegisteredSchemes() {
+		s := info.Scheme
+		var err error
+		if avg := testing.AllocsPerRun(100, func() { _, err = ComputeDemand(s, p, costs) }); avg != 0 {
+			t.Errorf("%s: ComputeDemand allocates %.1f/op, want 0", SchemeKey(s), avg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -16,7 +16,7 @@ func extFreqMap(t *testing.T, s Scheme, p Params) map[Op]float64 {
 		t.Fatalf("%s: %v", s.Name(), err)
 	}
 	m := map[Op]float64{}
-	for _, f := range fs {
+	for _, f := range fs.List() {
 		if f.Freq != 0 {
 			m[f.Op] += f.Freq
 		}
@@ -137,7 +137,7 @@ func TestPriorityBusDelegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range fs {
+	for _, f := range fs.List() {
 		if zero.HighPriority(f.Op) {
 			wantHi += f.Freq * costs.Cost(f.Op).Interconnect
 		}

@@ -37,9 +37,9 @@ func (h Hybrid) cacheKey() string {
 
 // Frequencies implements Scheme: the No-Cache formulas applied to the
 // lock share and the Software-Flush formulas applied to the rest.
-func (h Hybrid) Frequencies(p Params) ([]OpFreq, error) {
+func (h Hybrid) Frequencies(p Params) (OpFreqs, error) {
 	if !(h.LockFrac >= 0 && h.LockFrac <= 1) { // rejects NaN too
-		return nil, fmt.Errorf("%w: hybrid lock fraction %g not in [0,1]", ErrInvalidParams, h.LockFrac)
+		return OpFreqs{}, fmt.Errorf("%w: hybrid lock fraction %g not in [0,1]", ErrInvalidParams, h.LockFrac)
 	}
 	lockRefs := p.LS * p.Shd * h.LockFrac
 	flushShd := p.Shd * (1 - h.LockFrac)
@@ -48,7 +48,7 @@ func (h Hybrid) Frequencies(p Params) ([]OpFreq, error) {
 		f = p.LS * flushShd / p.APL
 	}
 	miss := p.LS*p.MsDat*(1-p.Shd) + p.MsIns*(1+f)
-	return []OpFreq{
+	return MakeOpFreqs([]OpFreq{
 		{OpInstr, 1},
 		{OpCleanMissMem, miss*(1-p.MD) + f},
 		{OpDirtyMissMem, miss * p.MD},
@@ -56,5 +56,5 @@ func (h Hybrid) Frequencies(p Params) ([]OpFreq, error) {
 		{OpWriteThrough, lockRefs * p.WR},
 		{OpCleanFlush, f * (1 - p.MdShd)},
 		{OpDirtyFlush, f * p.MdShd},
-	}, nil
+	}), nil
 }

@@ -37,9 +37,9 @@ func (h HybridUpdate) cacheKey() string {
 // update share of remote-present stores and the Write-Invalidate
 // formulas applied to the rest. Only the invalidate share adds re-fetch
 // misses; only the update share broadcasts and steals cycles.
-func (h HybridUpdate) Frequencies(p Params) ([]OpFreq, error) {
+func (h HybridUpdate) Frequencies(p Params) (OpFreqs, error) {
 	if !(h.UpdateFrac >= 0 && h.UpdateFrac <= 1) { // rejects NaN too
-		return nil, fmt.Errorf("%w: hybrid update fraction %g not in [0,1]", ErrInvalidParams, h.UpdateFrac)
+		return OpFreqs{}, fmt.Errorf("%w: hybrid update fraction %g not in [0,1]", ErrInvalidParams, h.UpdateFrac)
 	}
 	w := p.LS * p.Shd * p.WR * p.OPres
 	upd := w * h.UpdateFrac
@@ -48,7 +48,7 @@ func (h HybridUpdate) Frequencies(p Params) ([]OpFreq, error) {
 	dataMiss := p.LS*p.MsDat + inval
 	memMiss := dataMiss*(1-fromCache) + p.MsIns
 	cacheMiss := dataMiss * fromCache
-	return []OpFreq{
+	return MakeOpFreqs([]OpFreq{
 		{OpInstr, 1},
 		{OpCleanMissMem, memMiss * (1 - p.MD)},
 		{OpDirtyMissMem, memMiss * p.MD},
@@ -57,5 +57,5 @@ func (h HybridUpdate) Frequencies(p Params) ([]OpFreq, error) {
 		{OpDirtyMissCache, cacheMiss * p.MD},
 		{OpCycleSteal, upd * p.NShd},
 		{OpInvalidate, inval},
-	}, nil
+	}), nil
 }

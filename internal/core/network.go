@@ -145,7 +145,7 @@ func NetworkWorkloadPoint(s Scheme, l Level, stages int) (rate, msgWords, utiliz
 		return 0, 0, 0, err
 	}
 	var transactions float64
-	for _, f := range freqs {
+	for _, f := range freqs.List() {
 		if costs.Cost(f.Op).Interconnect > 0 {
 			transactions += f.Freq
 		}

@@ -46,7 +46,7 @@ func (b PriorityBus) String() string {
 func (b PriorityBus) cacheKey() string { return SchemeKey(b.inner()) + "+Prio" }
 
 // Frequencies implements Scheme by delegating to the inner scheme.
-func (b PriorityBus) Frequencies(p Params) ([]OpFreq, error) {
+func (b PriorityBus) Frequencies(p Params) (OpFreqs, error) {
 	return b.inner().Frequencies(p)
 }
 

@@ -19,6 +19,31 @@ type OpFreq struct {
 	Freq float64
 }
 
+// OpFreqs is a scheme's operation-frequency list, held by value in a
+// fixed array plus a count. ComputeDemand runs on every model query, and
+// a slice returned through the Scheme interface would escape to the
+// heap on each call; an array returned by value does not. The array is
+// as long as the longest list (Hybrid-Update's), since every byte of it
+// is copied on each return.
+type OpFreqs struct {
+	ops [8]OpFreq
+	n   int
+}
+
+// MakeOpFreqs returns the list fs, in order. Past eight entries it
+// panics, a scheme definition bug no workload can trigger. It is small
+// enough to inline, so a scheme builds its list in place.
+func MakeOpFreqs(fs []OpFreq) (l OpFreqs) {
+	if len(fs) > len(l.ops) {
+		panic("core: more operation frequencies than OpFreqs holds")
+	}
+	l.n = copy(l.ops[:], fs)
+	return l
+}
+
+// List returns the operations in the order the scheme listed them.
+func (l *OpFreqs) List() []OpFreq { return l.ops[:l.n] }
+
 // Scheme is a cache-coherence scheme's workload model: it converts the
 // workload parameters into per-instruction operation frequencies (paper
 // Tables 3-6).
@@ -27,7 +52,7 @@ type Scheme interface {
 	Name() string
 	// Frequencies returns the operation frequencies per instruction for
 	// the workload p. The list always includes OpInstr with frequency 1.
-	Frequencies(p Params) ([]OpFreq, error)
+	Frequencies(p Params) (OpFreqs, error)
 }
 
 // Demand holds the per-instruction resource demands of a scheme under a
@@ -90,7 +115,7 @@ func ComputeDemand(s Scheme, p Params, costs *CostTable) (Demand, error) {
 	}
 	split, prioritized := s.(PrioritySplitter)
 	var d Demand
-	for _, f := range freqs {
+	for _, f := range freqs.List() {
 		if f.Freq == 0 {
 			continue
 		}
@@ -138,7 +163,7 @@ func DemandBreakdown(s Scheme, p Params, costs *CostTable) ([]OpContribution, De
 		return nil, Demand{}, err
 	}
 	byOp := map[Op]*OpContribution{}
-	for _, f := range freqs {
+	for _, f := range freqs.List() {
 		c := costs.Cost(f.Op)
 		oc := byOp[f.Op]
 		if oc == nil {
@@ -173,7 +198,7 @@ func DemandBreakdown(s Scheme, p Params, costs *CostTable) ([]OpContribution, De
 // schemes carry their exact knob value in strconv's shortest round-trip
 // form, so 0.301 and 0.304 key apart where their two-decimal String
 // labels collide; other configured schemes key by String, the rest by
-// Name. The evaluator's demand cache, batch grouping, snapshots and the
+// Name. Batch grouping, the snapshot fingerprint and the
 // gateway's routing and response-cache keys all use it.
 func SchemeKey(s Scheme) string {
 	switch v := s.(type) {

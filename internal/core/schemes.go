@@ -10,13 +10,13 @@ func (Base) Name() string { return "Base" }
 // Frequencies implements Scheme per paper Table 3. A data miss occurs when
 // a load/store (prob ls) misses (prob msdat); instruction misses add
 // mains. A miss is dirty when the replaced block is dirty (prob md).
-func (Base) Frequencies(p Params) ([]OpFreq, error) {
+func (Base) Frequencies(p Params) (OpFreqs, error) {
 	miss := p.LS*p.MsDat + p.MsIns
-	return []OpFreq{
+	return MakeOpFreqs([]OpFreq{
 		{OpInstr, 1},
 		{OpCleanMissMem, miss * (1 - p.MD)},
 		{OpDirtyMissMem, miss * p.MD},
-	}, nil
+	}), nil
 }
 
 // NoCache is the simplest software scheme (paper Table 4): shared data is
@@ -29,15 +29,15 @@ type NoCache struct{}
 func (NoCache) Name() string { return "No-Cache" }
 
 // Frequencies implements Scheme per paper Table 4.
-func (NoCache) Frequencies(p Params) ([]OpFreq, error) {
+func (NoCache) Frequencies(p Params) (OpFreqs, error) {
 	miss := p.LS*p.MsDat*(1-p.Shd) + p.MsIns
-	return []OpFreq{
+	return MakeOpFreqs([]OpFreq{
 		{OpInstr, 1},
 		{OpCleanMissMem, miss * (1 - p.MD)},
 		{OpDirtyMissMem, miss * p.MD},
 		{OpReadThrough, p.LS * p.Shd * (1 - p.WR)},
 		{OpWriteThrough, p.LS * p.Shd * p.WR},
-	}, nil
+	}), nil
 }
 
 // SoftwareFlush caches shared data but purges it with explicit flush
@@ -62,19 +62,19 @@ func (SoftwareFlush) Name() string { return "Software-Flush" }
 //     lengthen the instruction stream.
 //
 // Unshared data misses as in No-Cache.
-func (SoftwareFlush) Frequencies(p Params) ([]OpFreq, error) {
+func (SoftwareFlush) Frequencies(p Params) (OpFreqs, error) {
 	f := 0.0
 	if p.APL > 0 {
 		f = p.LS * p.Shd / p.APL
 	}
 	miss := p.LS*p.MsDat*(1-p.Shd) + p.MsIns*(1+f)
-	return []OpFreq{
+	return MakeOpFreqs([]OpFreq{
 		{OpInstr, 1},
 		{OpCleanMissMem, miss*(1-p.MD) + f},
 		{OpDirtyMissMem, miss * p.MD},
 		{OpCleanFlush, f * (1 - p.MdShd)},
 		{OpDirtyFlush, f * p.MdShd},
-	}, nil
+	}), nil
 }
 
 // Dragon is the snoopy write-broadcast hardware protocol (paper Table 6),
@@ -90,12 +90,12 @@ func (Dragon) Name() string { return "Dragon" }
 // Frequencies implements Scheme per paper Table 6. Data misses split
 // between memory-supplied (the block is clean elsewhere or unshared,
 // probability 1 - shd*(1-oclean)) and cache-supplied (shd*(1-oclean)).
-func (Dragon) Frequencies(p Params) ([]OpFreq, error) {
+func (Dragon) Frequencies(p Params) (OpFreqs, error) {
 	fromCache := p.Shd * (1 - p.OClean)
 	memMiss := p.LS*p.MsDat*(1-fromCache) + p.MsIns
 	cacheMiss := p.LS * p.MsDat * fromCache
 	bcast := p.LS * p.Shd * p.WR * p.OPres
-	return []OpFreq{
+	return MakeOpFreqs([]OpFreq{
 		{OpInstr, 1},
 		{OpCleanMissMem, memMiss * (1 - p.MD)},
 		{OpDirtyMissMem, memMiss * p.MD},
@@ -103,7 +103,7 @@ func (Dragon) Frequencies(p Params) ([]OpFreq, error) {
 		{OpCleanMissCache, cacheMiss * (1 - p.MD)},
 		{OpDirtyMissCache, cacheMiss * p.MD},
 		{OpCycleSteal, bcast * p.NShd},
-	}, nil
+	}), nil
 }
 
 // Directory is an EXTENSION, not part of the paper's model: a minimal
@@ -123,16 +123,16 @@ type Directory struct{}
 func (Directory) Name() string { return "Directory" }
 
 // Frequencies implements Scheme.
-func (Directory) Frequencies(p Params) ([]OpFreq, error) {
+func (Directory) Frequencies(p Params) (OpFreqs, error) {
 	miss := p.LS*p.MsDat + p.MsIns
 	// Invalidations force the next reference by another processor to
 	// miss: add a re-fetch miss per invalidating write, scaled by the
 	// probability another cache holds the block.
 	inval := p.LS * p.Shd * p.WR * p.OPres
-	return []OpFreq{
+	return MakeOpFreqs([]OpFreq{
 		{OpInstr, 1},
 		{OpCleanMissMem, (miss + inval) * (1 - p.MD)},
 		{OpDirtyMissMem, (miss + inval) * p.MD},
 		{OpWriteThrough, inval},
-	}, nil
+	}), nil
 }

@@ -49,7 +49,7 @@ func TestBaseFrequenciesTable3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := freqMap(fr)
+	m := freqMap(fr.List())
 	miss := p.LS*p.MsDat + p.MsIns
 	if !approx(m[OpCleanMissMem], miss*(1-p.MD), 1e-12) {
 		t.Errorf("clean miss = %g", m[OpCleanMissMem])
@@ -209,7 +209,7 @@ func TestComputeDemandInvariants(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			for _, fr := range freqs {
+			for _, fr := range freqs.List() {
 				if fr.Freq < 0 {
 					return false
 				}
@@ -311,5 +311,5 @@ func mustFreqs(t *testing.T, s Scheme, p Params) []OpFreq {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fr
+	return fr.List()
 }

@@ -22,18 +22,18 @@ func (WriteInvalidate) Name() string { return "Write-Invalidate" }
 // rate. Misses split between memory-supplied and cache-supplied exactly
 // as in Dragon (probability shd*(1-oclean) that the block is dirty in
 // another cache).
-func (WriteInvalidate) Frequencies(p Params) ([]OpFreq, error) {
+func (WriteInvalidate) Frequencies(p Params) (OpFreqs, error) {
 	inval := p.LS * p.Shd * p.WR * p.OPres
 	fromCache := p.Shd * (1 - p.OClean)
 	dataMiss := p.LS*p.MsDat + inval
 	memMiss := dataMiss*(1-fromCache) + p.MsIns
 	cacheMiss := dataMiss * fromCache
-	return []OpFreq{
+	return MakeOpFreqs([]OpFreq{
 		{OpInstr, 1},
 		{OpCleanMissMem, memMiss * (1 - p.MD)},
 		{OpDirtyMissMem, memMiss * p.MD},
 		{OpCleanMissCache, cacheMiss * (1 - p.MD)},
 		{OpDirtyMissCache, cacheMiss * p.MD},
 		{OpInvalidate, inval},
-	}, nil
+	}), nil
 }

@@ -54,7 +54,7 @@ func runTable36(context.Context, Options) (*Dataset, error) {
 			return nil, err
 		}
 		freqs[i] = map[core.Op]float64{}
-		for _, f := range fr {
+		for _, f := range fr.List() {
 			freqs[i][f.Op] += f.Freq
 		}
 	}

@@ -28,7 +28,7 @@ import (
 // gateway's probes keep it admitted.
 func readyzOK(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, `{"ready": true, "cache": {"demand_entries": 0, "curve_entries": 0, "hit_ratio": 0}}`)
+	fmt.Fprintln(w, `{"ready": true, "cache": {"curve_entries": 0, "hit_ratio": 0}}`)
 }
 
 // newFakeBackend boots an httptest backend with a healthy /readyz plus

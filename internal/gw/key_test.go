@@ -79,8 +79,11 @@ func FuzzPointKey(f *testing.F) {
 }
 
 // TestRoutingKeyMatchesEvaluatorEntry pins the affinity contract on
-// every pair of pinned /v1/bus bodies: two bodies share a routing key
-// exactly when the evaluator answers both from one demand-cache entry.
+// every pair of pinned /v1/bus bodies: two bodies that share a routing
+// key are answered from one curve-cache entry. The converse does not
+// hold: different questions with equal demands correctly share one
+// curve (at level low, swflush and swflush-prio have no high-priority
+// demand and so one FCFS curve).
 func TestRoutingKeyMatchesEvaluatorEntry(t *testing.T) {
 	type keyed struct {
 		body  string
@@ -103,15 +106,17 @@ func TestRoutingKeyMatchesEvaluatorEntry(t *testing.T) {
 	ctx, costs := context.Background(), core.BusCosts()
 	for i, a := range bodies {
 		for _, b := range bodies[i+1:] {
+			if a.route != b.route {
+				continue
+			}
 			ev := sweep.NewEvaluator()
 			for _, q := range []serve.Query{a.q, b.q} {
-				if _, err := ev.DemandCtx(ctx, q.Scheme, q.Params, costs); err != nil {
+				if _, err := ev.BusPointCtx(ctx, q.Scheme, q.Params, costs, 1); err != nil {
 					t.Fatalf("%s: %v", a.body, err)
 				}
 			}
-			shared := ev.Stats().DemandSolves == 1
-			if (a.route == b.route) != shared {
-				t.Errorf("%s and %s: equal routing keys %v, one evaluator entry %v", a.body, b.body, a.route == b.route, shared)
+			if n := ev.Stats().CurveEntries; n != 1 {
+				t.Errorf("%s and %s: equal routing keys but %d curve entries", a.body, b.body, n)
 			}
 		}
 	}

@@ -117,14 +117,13 @@ func (g *Gateway) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE swcc_gw_response_cache_invalidations_total counter")
 	fmt.Fprintf(w, "swcc_gw_response_cache_invalidations_total %d\n", invalidations)
 
-	fmt.Fprintln(w, "# HELP swcc_gw_backend_cache_entries Memo-cache entries per backend, from its last /readyz probe.")
+	fmt.Fprintln(w, "# HELP swcc_gw_backend_cache_entries Curve-cache entries per backend, from its last /readyz probe.")
 	fmt.Fprintln(w, "# TYPE swcc_gw_backend_cache_entries gauge")
 	for _, b := range backends {
-		var demand, curve int
+		var curve int
 		if c := b.warmth.Load(); c != nil {
-			demand, curve = c.DemandEntries, c.CurveEntries
+			curve = c.CurveEntries
 		}
-		fmt.Fprintf(w, "swcc_gw_backend_cache_entries{backend=%q,cache=\"demand\"} %d\n", b.url, demand)
 		fmt.Fprintf(w, "swcc_gw_backend_cache_entries{backend=%q,cache=\"curve\"} %d\n", b.url, curve)
 	}
 

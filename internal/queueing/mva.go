@@ -48,13 +48,96 @@ func SingleServerMVA(think, service float64, customers int) ([]SingleServerResul
 	return ExtendSingleServerMVA(think, service, nil, customers, nil)
 }
 
+// checkFCFS validates the FCFS solvers' inputs.
+func checkFCFS(think, service float64, customers int) error {
+	if customers < 1 {
+		return fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
+	}
+	if think < 0 || service < 0 {
+		return fmt.Errorf("%w: think %g or service %g negative", ErrInvalidInput, think, service)
+	}
+	return nil
+}
+
+// throughput is the MVA throughput at population n whose residence time
+// is r: n/(think+r), or 0 for a system with no think or service time.
+func throughput(think float64, n int, r float64) float64 {
+	if think+r > 0 {
+		return float64(n) / (think + r)
+	}
+	return 0
+}
+
+// fcfsStep is the FCFS recursion's one loop body: from the queue length
+// q with n-1 customers it returns the residence time and throughput
+// with n; the queue length with n is their product. Every FCFS solver
+// runs it, so their floats agree bit for bit.
+func fcfsStep(think, service float64, n int, q float64) (r, x float64) {
+	r = service * (1 + q)
+	return r, throughput(think, n, r)
+}
+
+// expand is population n's full result from its residence time r and
+// throughput x.
+func expand(service float64, n int, r, x float64) SingleServerResult {
+	return SingleServerResult{
+		Customers:   n,
+		Residence:   r,
+		Wait:        r - service,
+		Throughput:  x,
+		QueueLength: x * r,
+		Utilization: x * service,
+	}
+}
+
+// ResidenceResult expands population n's residence time r into the full
+// result, with the float operations the solvers use: Wait = r-service,
+// Throughput = n/(think+r), Utilization = Throughput*service and
+// QueueLength = Throughput*r. For an FCFS curve every field equals the
+// solver's bit for bit, so a curve stored as its residence times alone
+// is an exact encoding. For a priority curve (service = hi+lo) every
+// field but QueueLength does; the solver's QueueLength is the per-class
+// sum, which the residence time does not determine.
+func ResidenceResult(think, service float64, n int, r float64) SingleServerResult {
+	return expand(service, n, r, throughput(think, n, r))
+}
+
+// ExtendResidence solves the FCFS recursion for the residence times
+// R(1..customers), resuming from a prefix R(1..len(prefix)). The
+// recursion's only inter-population state is the queue length, which is
+// a function of the last residence time, so a resumed solve is
+// bit-identical to a full one. The prefix is copied, never written, and
+// dst is reused when its capacity allows, as in ExtendSingleServerMVA.
+func ExtendResidence(think, service float64, prefix []float64, customers int, dst []float64) ([]float64, error) {
+	if err := checkFCFS(think, service, customers); err != nil {
+		return nil, err
+	}
+	if len(prefix) > customers {
+		prefix = prefix[:customers]
+	}
+	var rs []float64
+	if cap(dst) >= customers {
+		rs = dst[:customers]
+	} else {
+		rs = make([]float64, customers)
+	}
+	copy(rs, prefix)
+	q := 0.0 // queue length with n-1 customers
+	if n := len(prefix); n > 0 {
+		q = throughput(think, n, prefix[n-1]) * prefix[n-1]
+	}
+	for n := len(prefix) + 1; n <= customers; n++ {
+		r, x := fcfsStep(think, service, n, q)
+		rs[n-1], q = r, x*r
+	}
+	return rs, nil
+}
+
 // ExtendSingleServerMVA resumes the single-server MVA recursion from a
 // previously computed prefix: given the solution for populations
 // 1..len(prefix), it produces the solution for 1..customers without
-// redoing the prefix. The recursion's only inter-population state is the
-// mean queue length, so resuming from prefix's last QueueLength yields
-// results bit-identical to a full solve — both paths run the exact same
-// loop body over the same float64 sequence.
+// redoing the prefix. It runs ExtendResidence's loop body and expands
+// each population as ResidenceResult does, so the two agree bit for bit.
 //
 // The prefix is copied: callers may pass a slice that other goroutines
 // are reading concurrently (e.g. a published cache entry) and the result
@@ -65,11 +148,8 @@ func SingleServerMVA(think, service float64, customers int) ([]SingleServerResul
 // partially overlapping dst would corrupt the prefix copy. A nil prefix
 // is a full solve from population 1.
 func ExtendSingleServerMVA(think, service float64, prefix []SingleServerResult, customers int, dst []SingleServerResult) ([]SingleServerResult, error) {
-	if customers < 1 {
-		return nil, fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
-	}
-	if think < 0 || service < 0 {
-		return nil, fmt.Errorf("%w: think %g or service %g negative", ErrInvalidInput, think, service)
+	if err := checkFCFS(think, service, customers); err != nil {
+		return nil, err
 	}
 	if len(prefix) > customers {
 		prefix = prefix[:customers]
@@ -86,20 +166,9 @@ func ExtendSingleServerMVA(think, service float64, prefix []SingleServerResult, 
 		q = prefix[n-1].QueueLength
 	}
 	for n := len(prefix) + 1; n <= customers; n++ {
-		r := service * (1 + q)
-		var x float64
-		if think+r > 0 {
-			x = float64(n) / (think + r)
-		}
+		r, x := fcfsStep(think, service, n, q)
 		q = x * r
-		results[n-1] = SingleServerResult{
-			Customers:   n,
-			Residence:   r,
-			Wait:        r - service,
-			Throughput:  x,
-			QueueLength: q,
-			Utilization: x * service,
-		}
+		results[n-1] = expand(service, n, r, x)
 	}
 	return results, nil
 }

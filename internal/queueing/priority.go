@@ -27,11 +27,8 @@ import "fmt"
 // ones — use a full solve. When dst has capacity for customers results
 // it is reused as the backing array.
 func PrioritySingleServerMVA(think, hi, lo float64, customers int, dst []SingleServerResult) ([]SingleServerResult, error) {
-	if customers < 1 {
-		return nil, fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
-	}
-	if think < 0 || hi < 0 || lo < 0 {
-		return nil, fmt.Errorf("%w: think %g, high %g, or low %g negative", ErrInvalidInput, think, hi, lo)
+	if err := checkPriority(think, hi, lo, customers); err != nil {
+		return nil, err
 	}
 	var results []SingleServerResult
 	if cap(dst) >= customers {
@@ -39,36 +36,71 @@ func PrioritySingleServerMVA(think, hi, lo float64, customers int, dst []SingleS
 	} else {
 		results = make([]SingleServerResult, customers)
 	}
-	service := hi + lo
-	// Per-class queue lengths and high-class utilization with n-1
-	// customers.
-	qh, ql, uh := 0.0, 0.0, 0.0
+	var st prioState
 	for n := 1; n <= customers; n++ {
-		rh := hi * (1 + qh)
-		var rl float64
-		if lo > 0 {
-			den := 1 - uh
-			if den < 1e-12 {
-				den = 1e-12
-			}
-			rl = lo * (1 + ql) / den
-		}
-		r := rh + rl
-		var x float64
-		if think+r > 0 {
-			x = float64(n) / (think + r)
-		}
-		qh = x * rh
-		ql = x * rl
-		uh = x * hi
-		results[n-1] = SingleServerResult{
-			Customers:   n,
-			Residence:   r,
-			Wait:        r - service,
-			Throughput:  x,
-			QueueLength: qh + ql,
-			Utilization: x * service,
-		}
+		var r, x float64
+		st, r, x = st.step(think, hi, lo, n)
+		results[n-1] = expand(hi+lo, n, r, x)
+		results[n-1].QueueLength = st.qh + st.ql
 	}
 	return results, nil
+}
+
+// PriorityResidence solves the priority recursion for the residence
+// times R(1..customers) alone, through the same step as
+// PrioritySingleServerMVA: ResidenceResult(think, hi+lo, n, R(n))
+// reproduces every field of that solver's result but QueueLength. dst
+// is reused when its capacity allows. There is no resume: the
+// inter-population state is per-class, and R does not determine it.
+func PriorityResidence(think, hi, lo float64, customers int, dst []float64) ([]float64, error) {
+	if err := checkPriority(think, hi, lo, customers); err != nil {
+		return nil, err
+	}
+	var rs []float64
+	if cap(dst) >= customers {
+		rs = dst[:customers]
+	} else {
+		rs = make([]float64, customers)
+	}
+	var st prioState
+	for n := 1; n <= customers; n++ {
+		st, rs[n-1], _ = st.step(think, hi, lo, n)
+	}
+	return rs, nil
+}
+
+// checkPriority validates the priority solvers' inputs.
+func checkPriority(think, hi, lo float64, customers int) error {
+	if customers < 1 {
+		return fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
+	}
+	if think < 0 || hi < 0 || lo < 0 {
+		return fmt.Errorf("%w: think %g, high %g, or low %g negative", ErrInvalidInput, think, hi, lo)
+	}
+	return nil
+}
+
+// prioState is the priority recursion's inter-population state: the
+// per-class queue lengths and the high-class utilization with n-1
+// customers.
+type prioState struct {
+	qh, ql, uh float64
+}
+
+// step is the priority recursion's one loop body: it returns the state
+// with n customers and the residence time and throughput there. The
+// state travels by value, in registers, not through memory.
+func (st prioState) step(think, hi, lo float64, n int) (next prioState, r, x float64) {
+	rh := hi * (1 + st.qh)
+	var rl float64
+	if lo > 0 {
+		den := 1 - st.uh
+		if den < 1e-12 {
+			den = 1e-12
+		}
+		rl = lo * (1 + st.ql) / den
+	}
+	r = rh + rl
+	x = throughput(think, n, r)
+	return prioState{qh: x * rh, ql: x * rl, uh: x * hi}, r, x
 }

@@ -186,21 +186,19 @@ func TestSweepMetrics(t *testing.T) {
 		t.Errorf("swcc_cache_shards = %v, want a sharded cache", shards)
 	}
 	for _, name := range []string{
-		`swcc_singleflight_dedups_total{cache="demand"}`,
 		`swcc_singleflight_dedups_total{cache="mva"}`,
 		`swcc_cache_evictions_total{cache="mva"}`,
-		`swcc_cache_shard_entries{cache="demand",shard="0"}`,
 		`swcc_cache_shard_entries{cache="mva",shard="0"}`,
 	} {
 		if !strings.Contains(text, name) {
 			t.Errorf("metrics missing series %s", name)
 		}
 	}
-	if ev := labeledMetric(t, text, `swcc_cache_evictions_total{cache="demand"}`); ev == 0 {
-		t.Errorf("capped cache under key pressure exported zero demand evictions")
+	if ev := labeledMetric(t, text, `swcc_cache_evictions_total{cache="mva"}`); ev == 0 {
+		t.Errorf("capped cache under key pressure exported zero curve evictions")
 	}
-	// The per-shard gauges must sum to the aggregate entry gauges.
-	for _, cache := range []string{"demand", "mva"} {
+	// The per-shard gauges must sum to the aggregate entry gauge.
+	for _, cache := range []string{"mva"} {
 		total := labeledMetric(t, text, fmt.Sprintf(`swcc_cache_entries{cache=%q}`, cache))
 		var sum float64
 		for i := 0; ; i++ {

@@ -564,12 +564,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // gateway prefers routing to (and snapshotting from) warm backends,
 // and the warm-restart drill asserts entries survived a restart.
 type ReadyzCache struct {
-	// DemandEntries is the number of cached per-scheme demand results.
-	DemandEntries int `json:"demand_entries"`
 	// CurveEntries is the number of cached MVA curves.
 	CurveEntries int `json:"curve_entries"`
-	// HitRatio is lifetime cache hits over lookups across the demand
-	// and curve caches, 0 on a cold server.
+	// HitRatio is lifetime curve-cache hits over lookups, 0 on a cold
+	// server.
 	HitRatio float64 `json:"hit_ratio"`
 }
 
@@ -596,12 +594,10 @@ type ReadyzResponse struct {
 // lifetime: ready is "send me traffic", healthy is "don't restart me".
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	st := s.ev.Stats()
-	resp := ReadyzResponse{Ready: true, Cache: ReadyzCache{
-		DemandEntries: st.DemandEntries,
-		CurveEntries:  st.CurveEntries,
-	}, ModelFingerprint: sweep.ModelFingerprint()}
-	if lookups := st.DemandHits + st.MVAHits + st.DemandSolves + st.MVASolves; lookups > 0 {
-		resp.Cache.HitRatio = float64(st.DemandHits+st.MVAHits) / float64(lookups)
+	resp := ReadyzResponse{Ready: true, Cache: ReadyzCache{CurveEntries: st.CurveEntries},
+		ModelFingerprint: sweep.ModelFingerprint()}
+	if lookups := st.MVAHits + st.MVASolves; lookups > 0 {
+		resp.Cache.HitRatio = float64(st.MVAHits) / float64(lookups)
 	}
 	if reason := s.notReady.Load(); reason != nil {
 		resp.Ready, resp.Reason = false, *reason

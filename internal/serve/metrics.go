@@ -176,33 +176,23 @@ func (m *metrics) write(w io.Writer, ev *sweep.Evaluator, inj *fault.Injector, r
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	counter("swcc_demand_solves_total", "ComputeDemand evaluations (cache misses).", st.DemandSolves)
-	counter("swcc_demand_cache_hits_total", "Demand queries served from the memo.", st.DemandHits)
 	counter("swcc_mva_solves_total", "SingleServerMVA recursions (cache misses).", st.MVASolves)
 	counter("swcc_mva_cache_hits_total", "MVA curve queries served from the memo.", st.MVAHits)
 	counter("swcc_curve_extends_total", "MVA solves resumed from a cached shorter curve.", st.CurveExtends)
 	counter("swcc_curve_full_solves_total", "MVA solves started cold from population 1.", st.CurveFullSolves)
 
 	fmt.Fprintf(w, "# HELP swcc_cache_entries Current entries per evaluator cache.\n# TYPE swcc_cache_entries gauge\n")
-	fmt.Fprintf(w, "swcc_cache_entries{cache=\"demand\"} %d\n", st.DemandEntries)
 	fmt.Fprintf(w, "swcc_cache_entries{cache=\"mva\"} %d\n", st.CurveEntries)
-	fmt.Fprintf(w, "swcc_cache_entries{cache=\"table\"} %d\n", st.TableEntries)
 
 	fmt.Fprintf(w, "# HELP swcc_singleflight_dedups_total Concurrent misses served by another goroutine's in-flight solve.\n# TYPE swcc_singleflight_dedups_total counter\n")
-	fmt.Fprintf(w, "swcc_singleflight_dedups_total{cache=\"demand\"} %d\n", st.DemandDedups)
 	fmt.Fprintf(w, "swcc_singleflight_dedups_total{cache=\"mva\"} %d\n", st.MVADedups)
 
 	fmt.Fprintf(w, "# HELP swcc_cache_evictions_total Entries dropped by the bounded-capacity CLOCK policy.\n# TYPE swcc_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "swcc_cache_evictions_total{cache=\"demand\"} %d\n", st.DemandEvictions)
 	fmt.Fprintf(w, "swcc_cache_evictions_total{cache=\"mva\"} %d\n", st.CurveEvictions)
 
 	fmt.Fprintf(w, "# HELP swcc_cache_shards Lock-striped shards per evaluator cache.\n# TYPE swcc_cache_shards gauge\nswcc_cache_shards %d\n", st.Shards)
-	demandShards, curveShards := ev.ShardSizes()
 	fmt.Fprintf(w, "# HELP swcc_cache_shard_entries Current entries per cache shard.\n# TYPE swcc_cache_shard_entries gauge\n")
-	for i, n := range demandShards {
-		fmt.Fprintf(w, "swcc_cache_shard_entries{cache=\"demand\",shard=\"%d\"} %d\n", i, n)
-	}
-	for i, n := range curveShards {
+	for i, n := range ev.ShardSizes() {
 		fmt.Fprintf(w, "swcc_cache_shard_entries{cache=\"mva\",shard=\"%d\"} %d\n", i, n)
 	}
 

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"swcc/internal/core"
@@ -258,24 +256,5 @@ func TestNearKnobValuesServedExactly(t *testing.T) {
 				t.Errorf("/v1/sweep point %d (%s): %+v, uncached %+v", i, core.SchemeKey(s), got, want(s))
 			}
 		}
-	}
-}
-
-// TestBusCostTableBuiltOnce: every bus query solves under the server's
-// one cost table, so the evaluator's table fingerprint memo holds a
-// single entry however many requests arrive.
-func TestBusCostTableBuiltOnce(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	h := s.Handler()
-	for i := 0; i < 1000; i++ {
-		body := fmt.Sprintf(`{"scheme": "swflush", "params": {"shd": %g}, "procs": 8, "point": true}`, 0.1+float64(i%50)/100)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/bus", strings.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
-		}
-	}
-	if n := s.ev.Stats().TableEntries; n != 1 {
-		t.Errorf("TableEntries = %d after 1000 /v1/bus requests, want 1", n)
 	}
 }

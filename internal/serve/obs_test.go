@@ -106,9 +106,9 @@ func TestTraceIDOnAccessLogAndCacheEvents(t *testing.T) {
 	if access != 1 {
 		t.Errorf("want 1 access log line carrying the trace ID, got %d\n%s", access, logs)
 	}
-	// A cold /v1/bus query misses both the demand and the MVA cache.
-	if events < 2 {
-		t.Errorf("want >= 2 cache event lines carrying the trace ID, got %d\n%s", events, logs)
+	// A cold /v1/bus query misses the curve cache.
+	if events < 1 {
+		t.Errorf("want >= 1 cache event line carrying the trace ID, got %d\n%s", events, logs)
 	}
 }
 
@@ -211,8 +211,8 @@ func TestSingleflightWaitStageRecorded(t *testing.T) {
 		t.Fatalf("singleflight_wait series missing:\n%s", grepMetrics(text, "swcc_stage"))
 	}
 	st := s.ev.Stats()
-	if st.DemandDedups > 0 && m[1] == "0" {
-		t.Errorf("evaluator reports %d dedups but singleflight_wait count is 0", st.DemandDedups)
+	if st.MVADedups > 0 && m[1] == "0" {
+		t.Errorf("evaluator reports %d dedups but singleflight_wait count is 0", st.MVADedups)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestConcurrentRequestsBitIdentical(t *testing.T) {
 		t.Error(e)
 	}
 	st := s.Evaluator().Stats()
-	if st.DemandHits == 0 || st.MVAHits == 0 {
+	if st.MVAHits == 0 {
 		t.Errorf("hammering produced no cache hits: %+v", st)
 	}
 }

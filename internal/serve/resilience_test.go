@@ -192,8 +192,8 @@ func TestCancelledBatchStopsSolving(t *testing.T) {
 	if code, out := post(t, ctlTS, "/v1/sweep", body); code != http.StatusOK {
 		t.Fatalf("control sweep: status %d: %s", code, out)
 	}
-	if got := ctl.ev.Stats().DemandSolves; got != points {
-		t.Fatalf("completed batch did %d demand solves, want %d", got, points)
+	if got := ctl.ev.Stats().MVASolves; got != points {
+		t.Fatalf("completed batch did %d MVA solves, want %d", got, points)
 	}
 
 	// Cancelled run: injected per-point latency paces the batch so the
@@ -215,15 +215,15 @@ func TestCancelledBatchStopsSolving(t *testing.T) {
 		}
 	}()
 	waitUntil(t, 10*time.Second, "the batch to start solving", func() bool {
-		return s.ev.Stats().DemandSolves >= 5
+		return s.ev.Stats().MVASolves >= 5
 	})
 	cancel()
 	<-reqDone
 	waitUntil(t, 10*time.Second, "the abandoned solve goroutine to drain", func() bool {
 		return s.met.solveInFlight.Load() == 0
 	})
-	if got := s.ev.Stats().DemandSolves; got == 0 || got >= points {
-		t.Errorf("cancelled batch did %d demand solves, want 0 < n < %d", got, points)
+	if got := s.ev.Stats().MVASolves; got == 0 || got >= points {
+		t.Errorf("cancelled batch did %d MVA solves, want 0 < n < %d", got, points)
 	}
 }
 

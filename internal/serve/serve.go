@@ -45,9 +45,9 @@ type Config struct {
 	// even read, with a Retry-After derived from the observed
 	// solve-latency histogram. Default 2*MaxInFlight.
 	MaxQueueDepth int
-	// CacheCap, when positive, bounds the evaluator's demand and curve
-	// caches to roughly CacheCap entries each, evicting cold entries by
-	// a per-shard CLOCK policy — a hard memory ceiling for a long-lived
+	// CacheCap, when positive, bounds the evaluator's curve cache (its
+	// only cache) to roughly CacheCap entries, evicting cold entries by a
+	// per-shard CLOCK policy — a hard memory ceiling for a long-lived
 	// daemon fed adversarial parameter mixes. Default 0 (unbounded:
 	// cache growth tracks distinct work).
 	CacheCap int

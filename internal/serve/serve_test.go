@@ -382,14 +382,11 @@ func TestMetricsReportCacheHits(t *testing.T) {
 	resp.Body.Close()
 	text := string(data)
 
-	if hits := metricValue(t, text, "swcc_demand_cache_hits_total"); hits < repeats-1 {
-		t.Errorf("demand hits %v after %d identical queries", hits, repeats)
-	}
 	if hits := metricValue(t, text, "swcc_mva_cache_hits_total"); hits < repeats-1 {
 		t.Errorf("mva hits %v after %d identical queries", hits, repeats)
 	}
-	if solves := metricValue(t, text, "swcc_demand_solves_total"); solves != 1 {
-		t.Errorf("demand solves %v, want 1", solves)
+	if solves := metricValue(t, text, "swcc_mva_solves_total"); solves != 1 {
+		t.Errorf("mva solves %v, want 1", solves)
 	}
 	if got := metricValue(t, text, "swcc_http_in_flight"); got != 1 {
 		// The /metrics request itself is in flight while rendering.
@@ -401,7 +398,7 @@ func TestMetricsReportCacheHits(t *testing.T) {
 	if !strings.Contains(text, `swcc_http_requests_total{path="/v1/bus",code="200"} 5`) {
 		t.Errorf("missing per-path request counter:\n%s", text)
 	}
-	if !strings.Contains(text, `swcc_cache_entries{cache="demand"} 1`) {
+	if !strings.Contains(text, `swcc_cache_entries{cache="mva"} 1`) {
 		t.Errorf("missing cache size gauge:\n%s", text)
 	}
 }

@@ -10,31 +10,31 @@ package sweep
 import (
 	"context"
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"swcc/internal/core"
 )
 
 // TestBusPointWarmPathAllocFree pins the tentpole number: a warm
-// (demand-hit, curve-hit) BusPoint query allocates nothing, for every
-// paper scheme. Hybrid is excluded — its core.SchemeKey builds a string
-// carrying the knob on every call (configured schemes pay for their key).
+// (curve-hit) BusPoint query allocates nothing, for every registered
+// scheme — the demand computed on every query included.
 func TestBusPointWarmPathAllocFree(t *testing.T) {
 	costs := core.BusCosts()
 	p := core.MiddleParams()
 	ev := NewEvaluator()
-	for _, s := range core.PaperSchemes() {
-		if _, err := ev.BusPointCtx(context.Background(), s, p, costs, 64); err != nil {
+	for _, info := range core.RegisteredSchemes() {
+		if _, err := ev.BusPointCtx(context.Background(), info.Scheme, p, costs, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, s := range core.PaperSchemes() {
-		s := s
+	for _, info := range core.RegisteredSchemes() {
+		s := info.Scheme
 		var err error
 		if avg := testing.AllocsPerRun(200, func() {
 			_, err = ev.BusPointCtx(context.Background(), s, p, costs, 64)
 		}); avg != 0 {
-			t.Errorf("%s: warm BusPoint allocates %.1f/op, want 0", s.Name(), avg)
+			t.Errorf("%s: warm BusPoint allocates %.1f/op, want 0", core.SchemeKey(s), avg)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -101,9 +101,6 @@ func TestCurveRunAscendingAllocs(t *testing.T) {
 	p := core.MiddleParams()
 	ctx := context.Background()
 	ev := NewEvaluator()
-	if _, err := ev.DemandCtx(context.Background(), core.Dragon{}, p, costs); err != nil {
-		t.Fatal(err)
-	}
 	const n = 512
 	var err error
 	avg := testing.AllocsPerRun(5, func() {
@@ -121,5 +118,41 @@ func TestCurveRunAscendingAllocs(t *testing.T) {
 	}
 	if budget := float64(bits.Len(n) + 2); avg > budget {
 		t.Errorf("ascending 1..%d run allocates %.1f times, want <= %.0f", n, avg, budget)
+	}
+}
+
+// TestColdCurveAllocBytes pins the cached curve's encoding: a cold
+// 512-population BusPoint query allocates one float64 per population
+// plus a small constant for the flight and the cache slot — not a
+// full MVA result struct per population.
+func TestColdCurveAllocBytes(t *testing.T) {
+	const n, queries = 512, 64
+	costs := core.BusCosts()
+	ev := NewEvaluator()
+	params := make([]core.Params, queries)
+	for i := range params {
+		p, err := core.MiddleParams().With("shd", 0.1+0.8*float64(i)/queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params[i] = p
+	}
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, p := range params {
+		if _, err := ev.BusPointCtx(ctx, core.Dragon{}, p, costs, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := ev.Stats().CurveFullSolves; got != queries {
+		t.Fatalf("%d cold solves, want %d: the workloads share curves", got, queries)
+	}
+	perQuery := (after.TotalAlloc - before.TotalAlloc) / queries
+	t.Logf("cold %d-population query: %d bytes", n, perQuery)
+	if budget := uint64(8*n + 1024); perQuery > budget {
+		t.Errorf("cold %d-population query allocates %d bytes, budget %d", n, perQuery, budget)
 	}
 }

@@ -2,14 +2,12 @@ package sweep
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"swcc/internal/core"
-	"swcc/internal/queueing"
 )
 
 // benchGrid is a Table 8-scale sensitivity grid made heavy enough to
@@ -135,68 +133,38 @@ type busPointer interface {
 	BusPointCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error)
 }
 
-// mutexEvaluator is the PR 1 evaluator design — every cache behind one
-// sync.Mutex — kept as the contention baseline the sharded design is
-// measured against. Results are identical; only the locking differs.
+// mutexEvaluator is the evaluator with its curve cache behind one
+// sync.Mutex — the contention baseline the sharded design is measured
+// against. Results are identical; only the locking differs.
 type mutexEvaluator struct {
-	mu      sync.Mutex
-	demands map[demandKey]core.Demand
-	curves  map[mvaKey][]queueing.SingleServerResult
-	tables  map[*core.CostTable]string
+	mu     sync.Mutex
+	curves map[mvaKey][]float64
 }
 
 func newMutexEvaluator() *mutexEvaluator {
-	return &mutexEvaluator{
-		demands: map[demandKey]core.Demand{},
-		curves:  map[mvaKey][]queueing.SingleServerResult{},
-		tables:  map[*core.CostTable]string{},
-	}
+	return &mutexEvaluator{curves: map[mvaKey][]float64{}}
 }
 
 func (ev *mutexEvaluator) BusPointCtx(_ context.Context, s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error) {
-	ev.mu.Lock()
-	fp, ok := ev.tables[costs]
-	if !ok {
-		fp = costs.Name
-		for _, op := range core.Ops() {
-			if costs.Defines(op) {
-				c := costs.Cost(op)
-				fp += fmt.Sprintf("|%d:%x:%x", int(op), c.CPU, c.Interconnect)
-			}
-		}
-		ev.tables[costs] = fp
-	}
-	key := demandKey{core.KeyOf(s, p), fp}
-	d, ok := ev.demands[key]
-	ev.mu.Unlock()
-	if !ok {
-		var err error
-		if d, err = core.ComputeDemand(s, p, costs); err != nil {
-			return core.BusPoint{}, err
-		}
-		ev.mu.Lock()
-		ev.demands[key] = d
-		ev.mu.Unlock()
-	}
-	ck := mvaKey{d.Think(), d.Interconnect, d.Priority}
-	ev.mu.Lock()
-	c, ok := ev.curves[ck]
-	if ok && len(c) >= nproc {
-		out := append([]queueing.SingleServerResult(nil), c[:nproc]...)
-		ev.mu.Unlock()
-		return core.BusPointFromMVA(d, out[nproc-1]), nil
-	}
-	ev.mu.Unlock()
-	c, err := queueing.SingleServerMVA(d.Think(), d.Interconnect, nproc)
+	d, err := core.ComputeDemand(s, p, costs)
 	if err != nil {
 		return core.BusPoint{}, err
 	}
+	ck := curveKey(d)
 	ev.mu.Lock()
-	if prev, ok := ev.curves[ck]; !ok || len(prev) < len(c) {
-		ev.curves[ck] = append([]queueing.SingleServerResult(nil), c...)
-	}
+	c, ok := ev.curves[ck]
 	ev.mu.Unlock()
-	return core.BusPointFromMVA(d, c[nproc-1]), nil
+	if !ok || len(c) < nproc {
+		if c, err = core.BusResidence(d, nil, nproc, nil); err != nil {
+			return core.BusPoint{}, err
+		}
+		ev.mu.Lock()
+		if prev, ok := ev.curves[ck]; !ok || len(prev) < len(c) {
+			ev.curves[ck] = c
+		}
+		ev.mu.Unlock()
+	}
+	return core.BusPointFromResidence(d, nproc, c[nproc-1]), nil
 }
 
 // contentionKeys is the hit-heavy mix: a few dozen workloads per scheme,

@@ -81,8 +81,8 @@ func TestEvaluatorCtxFailsFast(t *testing.T) {
 	cancel()
 	p := core.MiddleParams()
 	costs := core.BusCosts()
-	if _, err := ev.DemandCtx(ctx, core.Base{}, p, costs); !errors.Is(err, context.Canceled) {
-		t.Errorf("DemandCtx on cancelled ctx: %v", err)
+	if _, err := ev.StartCurveRun(ctx, core.Base{}, p, costs); !errors.Is(err, context.Canceled) {
+		t.Errorf("StartCurveRun on cancelled ctx: %v", err)
 	}
 	if _, err := ev.BusPointCtx(ctx, core.Base{}, p, costs, 8); !errors.Is(err, context.Canceled) {
 		t.Errorf("BusPointCtx on cancelled ctx: %v", err)
@@ -91,39 +91,23 @@ func TestEvaluatorCtxFailsFast(t *testing.T) {
 		t.Errorf("EvaluateBusCtx on cancelled ctx: %v", err)
 	}
 	st := ev.Stats()
-	if st.DemandSolves+st.MVASolves != 0 || st.DemandEntries+st.CurveEntries != 0 {
+	if st.MVASolves != 0 || st.CurveEntries != 0 {
 		t.Errorf("cancelled queries still did work: %+v", st)
 	}
 }
 
-// signalingScheme parks every Frequencies call on release like
-// blockingScheme, but first announces entry on entered, so a test can
-// guarantee which goroutine is the singleflight leader.
-type signalingScheme struct {
-	inner   core.Scheme
-	entered chan struct{}
-	release chan struct{}
-}
-
-// Name labels the scheme for cache keys and error messages.
-func (s signalingScheme) Name() string { return "signaling-" + s.inner.Name() }
-
-// Frequencies announces entry, parks until released, then delegates.
-func (s signalingScheme) Frequencies(p core.Params) ([]core.OpFreq, error) {
-	close(s.entered)
-	<-s.release
-	return s.inner.Frequencies(p)
-}
-
 // TestSingleflightWaiterCancellable parks a waiter on a leader's
-// in-flight solve, cancels the waiter, and checks it returns promptly
-// with the context error while the leader — deliberately unaffected —
-// still completes and publishes for future callers.
+// in-flight curve solve, cancels the waiter, and checks it returns
+// promptly with the context error while the leader — deliberately
+// unaffected — still completes and publishes for future callers.
 func TestSingleflightWaiterCancellable(t *testing.T) {
 	ev := NewEvaluator()
 	release := make(chan struct{})
 	entered := make(chan struct{})
-	scheme := signalingScheme{inner: core.Base{}, entered: entered, release: release}
+	ev.solveHook = func() {
+		close(entered)
+		<-release
+	}
 	parked := make(chan struct{})
 	ev.waitHook = func() { close(parked) }
 
@@ -132,7 +116,7 @@ func TestSingleflightWaiterCancellable(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := ev.DemandCtx(context.Background(), scheme, p, costs)
+		_, err := ev.BusPointCtx(context.Background(), core.Base{}, p, costs, 16)
 		leaderDone <- err
 	}()
 	<-entered // the leader owns the flight before the waiter arrives
@@ -140,7 +124,7 @@ func TestSingleflightWaiterCancellable(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := ev.DemandCtx(ctx, scheme, p, costs)
+		_, err := ev.BusPointCtx(ctx, core.Base{}, p, costs, 16)
 		waiterDone <- err
 	}()
 
@@ -160,10 +144,10 @@ func TestSingleflightWaiterCancellable(t *testing.T) {
 		t.Fatalf("leader failed: %v", err)
 	}
 	st := ev.Stats()
-	if st.DemandSolves != 1 {
-		t.Errorf("DemandSolves = %d, want 1 (the leader's)", st.DemandSolves)
+	if st.MVASolves != 1 {
+		t.Errorf("MVASolves = %d, want 1 (the leader's)", st.MVASolves)
 	}
-	if st.DemandEntries != 1 {
-		t.Errorf("DemandEntries = %d, want 1 (the leader still published)", st.DemandEntries)
+	if st.CurveEntries != 1 {
+		t.Errorf("CurveEntries = %d, want 1 (the leader still published)", st.CurveEntries)
 	}
 }

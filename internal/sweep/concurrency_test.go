@@ -87,12 +87,12 @@ func TestEvaluatorConcurrentHammer(t *testing.T) {
 				t.Error(e)
 			}
 			st := ev.Stats()
-			if st.DemandSolves == 0 || st.MVASolves == 0 {
+			if st.MVASolves == 0 {
 				t.Errorf("no solves recorded: %+v", st)
 			}
 			if cap > 0 {
 				bound := ev.Capacity()
-				if st.DemandEntries > bound || st.CurveEntries > bound {
+				if st.CurveEntries > bound {
 					t.Errorf("capped evaluator exceeded bound %d: %+v", bound, st)
 				}
 			}
@@ -120,13 +120,10 @@ func TestEvaluatorCapBoundsEntries(t *testing.T) {
 	if bound < capacity {
 		t.Fatalf("Capacity() = %d < configured %d", bound, capacity)
 	}
-	if st.DemandEntries > bound {
-		t.Errorf("demand entries %d exceed bound %d", st.DemandEntries, bound)
-	}
 	if st.CurveEntries > bound {
 		t.Errorf("curve entries %d exceed bound %d", st.CurveEntries, bound)
 	}
-	if st.DemandEvictions == 0 || st.CurveEvictions == 0 {
+	if st.CurveEvictions == 0 {
 		t.Errorf("feeding %d distinct keys into capacity %d evicted nothing: %+v",
 			distinct, capacity, st)
 	}
@@ -171,9 +168,9 @@ func TestEvaluatorCapRetainsHotKey(t *testing.T) {
 		}
 	}
 	st := ev.Stats()
-	if st.DemandSolves != uint64(cold)+1 {
-		t.Errorf("hot key was evicted and re-solved: %d demand solves, want %d",
-			st.DemandSolves, cold+1)
+	if st.MVASolves != uint64(cold)+1 {
+		t.Errorf("hot key was evicted and re-solved: %d MVA solves, want %d",
+			st.MVASolves, cold+1)
 	}
 }
 
@@ -182,10 +179,11 @@ func TestEvaluatorCapRetainsHotKey(t *testing.T) {
 // set is exactly the newest cap keys.
 func TestClockEvictsOldestWithoutHits(t *testing.T) {
 	const capacity, inserts = 4, 10
-	var sh striped[int, int]
+	var sh striped
 	sh.init()
+	key := func(k int) mvaKey { return mvaKey{think: float64(k)} }
 	for k := 0; k < inserts; k++ {
-		if evicted := sh.put(k, k, capacity); evicted != (k >= capacity) {
+		if evicted := sh.put(key(k), nil, capacity); evicted != (k >= capacity) {
 			t.Errorf("insert %d: evicted = %v", k, evicted)
 		}
 	}
@@ -193,42 +191,8 @@ func TestClockEvictsOldestWithoutHits(t *testing.T) {
 		t.Fatalf("%d resident entries, want %d", len(sh.entries), capacity)
 	}
 	for k := inserts - capacity; k < inserts; k++ {
-		if _, ok := sh.entries[k]; !ok {
+		if _, ok := sh.entries[key(k)]; !ok {
 			t.Errorf("newest key %d evicted; resident %v", k, sh.ring)
 		}
-	}
-}
-
-// TestTableFingerprintContentShared is the pointer-keyed memo's
-// regression test: two distinct *CostTable pointers with equal content
-// must fingerprint to one demand-cache entry (one solve, one entry, two
-// memoized pointers).
-func TestTableFingerprintContentShared(t *testing.T) {
-	ev := NewEvaluator()
-	p := core.MiddleParams()
-	t1, t2 := core.BusCosts(), core.BusCosts()
-	if t1 == t2 {
-		t.Fatal("BusCosts returned a shared pointer; test needs distinct ones")
-	}
-	d1, err := ev.DemandCtx(context.Background(), core.Dragon{}, p, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := ev.DemandCtx(context.Background(), core.Dragon{}, p, t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Errorf("equal-content tables gave different demands: %+v vs %+v", d1, d2)
-	}
-	st := ev.Stats()
-	if st.DemandSolves != 1 || st.DemandHits != 1 {
-		t.Errorf("equal-content tables did not share one demand entry: %+v", st)
-	}
-	if st.DemandEntries != 1 {
-		t.Errorf("DemandEntries = %d, want 1", st.DemandEntries)
-	}
-	if st.TableEntries != 2 {
-		t.Errorf("TableEntries = %d, want 2 (both pointers memoized)", st.TableEntries)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"swcc/internal/core"
-	"swcc/internal/queueing"
 )
 
 // randomParams draws every Table 7 parameter uniformly from its
@@ -64,10 +63,10 @@ func TestEvaluatorMatchesFreshSolves(t *testing.T) {
 		}
 	}
 	st := ev.Stats()
-	if st.DemandHits == 0 || st.MVAHits == 0 {
+	if st.MVAHits == 0 {
 		t.Errorf("repeat passes produced no cache hits: %+v", st)
 	}
-	if st.DemandSolves == 0 || st.MVASolves == 0 {
+	if st.MVASolves == 0 {
 		t.Errorf("no solves recorded: %+v", st)
 	}
 }
@@ -121,21 +120,21 @@ func TestParamsUsedDeclarationsSound(t *testing.T) {
 
 // TestCanonicalCollapsesUnusedFields checks the cache actually merges
 // workloads differing only in ignored fields: Base ignores apl, so two
-// workloads differing only there must cost one demand solve.
+// workloads differing only there must cost one curve solve.
 func TestCanonicalCollapsesUnusedFields(t *testing.T) {
 	ev := NewEvaluator()
 	costs := core.BusCosts()
 	p1 := core.MiddleParams()
 	p2 := p1
 	p2.APL = 50
-	if _, err := ev.DemandCtx(context.Background(), core.Base{}, p1, costs); err != nil {
+	if _, err := ev.BusPointCtx(context.Background(), core.Base{}, p1, costs, 16); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ev.DemandCtx(context.Background(), core.Base{}, p2, costs); err != nil {
+	if _, err := ev.BusPointCtx(context.Background(), core.Base{}, p2, costs, 16); err != nil {
 		t.Fatal(err)
 	}
 	st := ev.Stats()
-	if st.DemandSolves != 1 || st.DemandHits != 1 {
+	if st.MVASolves != 1 || st.MVAHits != 1 || st.CurveEntries != 1 {
 		t.Errorf("apl variation not collapsed for Base: %+v", st)
 	}
 }
@@ -229,11 +228,11 @@ func TestPublishedCurvesExactLength(t *testing.T) {
 	ev := NewEvaluator()
 	check := func(what string, s core.Scheme, p core.Params, n int) {
 		t.Helper()
-		d, err := ev.DemandCtx(context.Background(), s, p, costs)
+		d, err := core.ComputeDemand(s, p, costs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := mvaKey{d.Think(), d.Interconnect, d.Priority}
+		key := curveKey(d)
 		sh := &ev.curves[key.shard()]
 		sh.mu.RLock()
 		sl, ok := sh.entries[key]
@@ -278,12 +277,12 @@ func TestPublishedCurvesExactLength(t *testing.T) {
 func TestInvalidParamsErrorDespiteCache(t *testing.T) {
 	ev := NewEvaluator()
 	costs := core.BusCosts()
-	if _, err := ev.DemandCtx(context.Background(), core.Base{}, core.MiddleParams(), costs); err != nil {
+	if _, err := ev.BusPointCtx(context.Background(), core.Base{}, core.MiddleParams(), costs, 16); err != nil {
 		t.Fatal(err)
 	}
 	bad := core.MiddleParams()
 	bad.APL = -5
-	_, cachedErr := ev.DemandCtx(context.Background(), core.Base{}, bad, costs)
+	_, cachedErr := ev.BusPointCtx(context.Background(), core.Base{}, bad, costs, 16)
 	_, freshErr := core.ComputeDemand(core.Base{}, bad, costs)
 	if (cachedErr == nil) != (freshErr == nil) {
 		t.Errorf("error parity broken: cached err %v, fresh err %v", cachedErr, freshErr)
@@ -291,57 +290,53 @@ func TestInvalidParamsErrorDespiteCache(t *testing.T) {
 }
 
 // TestCostTablesNotConfused checks bus and network tables keep separate
-// entries even though the lookups interleave.
+// curves even though the lookups interleave, while two separately
+// constructed but identical tables share one.
 func TestCostTablesNotConfused(t *testing.T) {
 	ev := NewEvaluator()
 	p := core.MiddleParams()
-	busD, err := ev.DemandCtx(context.Background(), core.Base{}, p, core.BusCosts())
+	bus, err := ev.BusPointCtx(context.Background(), core.Base{}, p, core.BusCosts(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	netD, err := ev.DemandCtx(context.Background(), core.Base{}, p, core.NetworkCosts(8))
+	net, err := ev.BusPointCtx(context.Background(), core.Base{}, p, core.NetworkCosts(8), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if busD == netD {
-		t.Error("bus and network cost tables produced identical demands — fingerprint collision")
+	if bus == net {
+		t.Error("bus and network cost tables produced identical points — key collision")
 	}
-	// Two separately constructed but identical tables must share entries.
-	if _, err := ev.DemandCtx(context.Background(), core.Base{}, p, core.BusCosts()); err != nil {
+	if _, err := ev.BusPointCtx(context.Background(), core.Base{}, p, core.BusCosts(), 16); err != nil {
 		t.Fatal(err)
 	}
 	st := ev.Stats()
-	if st.DemandSolves != 2 {
-		t.Errorf("want 2 demand solves (bus + network), got %+v", st)
+	if st.MVASolves != 2 {
+		t.Errorf("want 2 MVA solves (bus + network), got %+v", st)
 	}
-	if st.DemandHits != 1 {
+	if st.MVAHits != 1 {
 		t.Errorf("fresh-but-identical bus table missed the cache: %+v", st)
 	}
 }
 
-// TestCurveResultsAreCallerOwned checks the aliasing fix: a caller that
-// mutates a returned curve must not corrupt later cache hits, on either
-// the miss-path return or the hit-path return.
+// TestCurveResultsAreCallerOwned checks the aliasing contract: a caller
+// that mutates returned points must not corrupt later cache hits, on
+// either the miss-path return or the hit-path return.
 func TestCurveResultsAreCallerOwned(t *testing.T) {
 	ev := NewEvaluator()
 	costs := core.BusCosts()
 	p := core.MiddleParams()
-	d, err := ev.DemandCtx(context.Background(), core.Base{}, p, costs)
+	want, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ev.curve(context.Background(), d, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pristine := append([]queueing.SingleServerResult(nil), want...)
+	pristine := append([]core.BusPoint(nil), want...)
 	// Scribble over the miss-path return, then over a hit-path return.
 	for pass := 0; pass < 2; pass++ {
 		for i := range want {
 			want[i].Wait = -1
-			want[i].Utilization = 99
+			want[i].BusUtilization = 99
 		}
-		got, err := ev.curve(context.Background(), d, 16)
+		got, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,31 +349,7 @@ func TestCurveResultsAreCallerOwned(t *testing.T) {
 		want = got
 	}
 	if st := ev.Stats(); st.MVASolves != 1 {
-		t.Errorf("clone defeated the cache: %+v", st)
-	}
-}
-
-// TestTableMemoBounded feeds the evaluator more distinct *CostTable
-// pointers than the memo cap, as a long-running server handling
-// per-request tables does, and checks the pointer memo stays bounded
-// while the content-keyed demand cache keeps hitting.
-func TestTableMemoBounded(t *testing.T) {
-	ev := NewEvaluator()
-	p := core.MiddleParams()
-	for i := 0; i < tableMemoCap+64; i++ {
-		if _, err := ev.DemandCtx(context.Background(), core.Base{}, p, core.BusCosts()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := ev.Stats()
-	if st.TableEntries > tableMemoCap {
-		t.Errorf("table memo grew past its cap: %d > %d", st.TableEntries, tableMemoCap)
-	}
-	if st.DemandSolves != 1 {
-		t.Errorf("identical tables under fresh pointers re-solved demand: %+v", st)
-	}
-	if st.DemandEntries != 1 || st.CurveEntries != 0 {
-		t.Errorf("unexpected cache sizes: %+v", st)
+		t.Errorf("returned points defeated the cache: %+v", st)
 	}
 }
 

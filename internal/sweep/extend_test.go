@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"swcc/internal/core"
-	"swcc/internal/queueing"
 )
 
 // TestCurveExtendBitIdentical is the gate on the incremental kernel: an
@@ -71,11 +70,11 @@ func TestCurveExtendAcrossEviction(t *testing.T) {
 	// Flood the curve cache with distinct (think, service) keys until the
 	// original curve's shard has evicted it. Distinct md values change the
 	// demand and hence the mva key.
-	base, err := ev.DemandCtx(context.Background(), s, p, costs)
+	base, err := core.ComputeDemand(s, p, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := mvaKey{base.Think(), base.Interconnect, base.Priority}
+	key := curveKey(base)
 	for i := 0; i < 64*numShards; i++ {
 		q, err := p.With("md", 0.3+float64(i)*1e-4)
 		if err != nil {
@@ -176,53 +175,6 @@ func TestCurveExtendPrefixStableUnderSupersession(t *testing.T) {
 	}
 }
 
-// TestCurveExtendAfterTableMemoSwap: extending a curve whose cost table
-// fingerprint memo was swapped wholesale (the bounded tableMemo dropping
-// its map) must still hit the same demand and curve entries — the caches
-// key on content, not on the memo's pointer identity.
-func TestCurveExtendAfterTableMemoSwap(t *testing.T) {
-	p := core.MiddleParams()
-	s := core.Base{}
-	ev := NewEvaluator()
-	costs := core.BusCosts()
-	if _, err := ev.EvaluateBusCtx(context.Background(), s, p, costs, 16, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Overflow the pointer-keyed fingerprint memo so it swaps.
-	for i := 0; i < tableMemoCap+8; i++ {
-		if _, err := ev.DemandCtx(context.Background(), s, p, core.BusCosts()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := int(ev.tables.count.Load()); n > tableMemoCap {
-		t.Fatalf("tableMemo grew to %d entries, cap %d", n, tableMemoCap)
-	}
-	before := ev.Stats()
-	// A fresh, identical table after the swap: the demand cache must hit
-	// (content-keyed) and the curve must extend from the cached prefix.
-	got, err := ev.EvaluateBusCtx(context.Background(), s, p, core.BusCosts(), 48, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := ev.Stats()
-	if after.DemandSolves != before.DemandSolves {
-		t.Errorf("demand re-solved after memo swap: %d -> %d", before.DemandSolves, after.DemandSolves)
-	}
-	if after.CurveExtends != before.CurveExtends+1 {
-		t.Errorf("CurveExtends %d -> %d, want +1 (extend from cached 16-prefix)",
-			before.CurveExtends, after.CurveExtends)
-	}
-	want, err := NewEvaluator().EvaluateBusCtx(context.Background(), s, p, costs, 48, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("point %d differs after memo swap", i+1)
-		}
-	}
-}
-
 // TestEvaluateBusIntoReusesDst pins EvaluateBusCtx's dst buffer contract:
 // sufficient capacity means the dst backing array is reused; results
 // match the allocating path exactly.
@@ -249,9 +201,9 @@ func TestEvaluateBusIntoReusesDst(t *testing.T) {
 	}
 }
 
-// TestCurveSharedCoversLonger: a dedup join on a longer in-flight solve
-// returns a slice longer than requested; the public paths must slice it
-// to n. This pins curve()'s clone length.
+// TestCurveSharedCoversLonger: a hit on a longer cached curve serves a
+// longer slice than requested; the public paths must return exactly n
+// points, equal to a fresh solve of n.
 func TestCurveSharedCoversLonger(t *testing.T) {
 	p := core.MiddleParams()
 	costs := core.BusCosts()
@@ -259,25 +211,23 @@ func TestCurveSharedCoversLonger(t *testing.T) {
 	if _, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 128, nil); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ev.DemandCtx(context.Background(), core.Base{}, p, costs)
+	got, err := ev.EvaluateBusCtx(context.Background(), core.Base{}, p, costs, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ev.curve(context.Background(), d, 5)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != 5 {
+		t.Fatalf("EvaluateBusCtx(5) returned %d points", len(got))
 	}
-	if len(c) != 5 {
-		t.Fatalf("curve(5) returned %d results", len(c))
-	}
-	var want []queueing.SingleServerResult
-	want, err = queueing.SingleServerMVA(d.Think(), d.Interconnect, 5)
+	want, err := core.EvaluateBus(core.Base{}, p, costs, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if c[i] != want[i] {
+		if got[i] != want[i] {
 			t.Fatalf("population %d differs", i+1)
 		}
+	}
+	if st := ev.Stats(); st.MVASolves != 1 || st.MVAHits != 1 {
+		t.Errorf("short query did not hit the long curve: %+v", st)
 	}
 }

@@ -56,11 +56,11 @@ func TestObserverSeesStagesAndEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.mu.Lock()
-	if rec.events["demand/miss"] != 1 || rec.events["mva/miss"] != 1 {
-		t.Errorf("cold query events = %v, want one demand/miss and one mva/miss", rec.events)
+	if rec.events["mva/miss"] != 1 || len(rec.events) != 1 {
+		t.Errorf("cold query events = %v, want one mva/miss", rec.events)
 	}
-	if rec.stages[StageSolve] != 2 {
-		t.Errorf("cold query solve stages = %d, want 2 (demand + MVA)", rec.stages[StageSolve])
+	if rec.stages[StageSolve] != 1 {
+		t.Errorf("cold query solve stages = %d, want 1 (the MVA solve)", rec.stages[StageSolve])
 	}
 	rec.mu.Unlock()
 
@@ -69,11 +69,11 @@ func TestObserverSeesStagesAndEvents(t *testing.T) {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.events["demand/hit"] != 1 || rec.events["mva/hit"] != 1 {
-		t.Errorf("warm query events = %v, want one demand/hit and one mva/hit", rec.events)
+	if rec.events["mva/hit"] != 1 || len(rec.events) != 2 {
+		t.Errorf("warm query events = %v, want one mva/hit", rec.events)
 	}
-	if rec.stages[StageCacheLookup] < 2 {
-		t.Errorf("cache_lookup stages = %d, want >= 2", rec.stages[StageCacheLookup])
+	if rec.stages[StageCacheLookup] != 1 {
+		t.Errorf("cache_lookup stages = %d, want 1", rec.stages[StageCacheLookup])
 	}
 	if !rec.traces["trace-observer-test"] {
 		t.Errorf("trace ID never reached the observer; saw %v", rec.traces)
@@ -85,7 +85,7 @@ func TestObserverSeesStagesAndEvents(t *testing.T) {
 	}
 	// The observer is telemetry only: Stats must agree with the events.
 	st := ev.Stats()
-	if st.DemandHits != 1 || st.MVAHits != 1 || st.DemandSolves != 1 || st.MVASolves != 1 {
+	if st.MVAHits != 1 || st.MVASolves != 1 {
 		t.Errorf("stats diverge from observed events: %+v", st)
 	}
 }
@@ -107,14 +107,14 @@ func TestObserverSeesEvictions(t *testing.T) {
 		}
 	}
 	rec.mu.Lock()
-	evicts := rec.events["demand/evict"]
+	evicts := rec.events["mva/evict"]
 	rec.mu.Unlock()
 	st := ev.Stats()
-	if st.DemandEvictions == 0 {
+	if st.CurveEvictions == 0 {
 		t.Fatalf("cap produced no evictions: %+v", st)
 	}
-	if uint64(evicts) != st.DemandEvictions {
-		t.Errorf("observer saw %d demand evictions, Stats says %d", evicts, st.DemandEvictions)
+	if uint64(evicts) != st.CurveEvictions {
+		t.Errorf("observer saw %d curve evictions, Stats says %d", evicts, st.CurveEvictions)
 	}
 }
 

@@ -136,15 +136,15 @@ func TestRefineMatchesDenseGrid(t *testing.T) {
 	}
 
 	// (c) >= 10x fewer solves, both by cell count and by the evaluator's
-	// own demand-solve counter (the costly part of an apl sweep: every
-	// distinct apl is a fresh workload for Software-Flush).
+	// own MVA-solve counter (the costly part of an apl sweep: every
+	// distinct apl is a fresh curve for Software-Flush).
 	denseCells := len(lattice) * len(schemes)
 	if res.Solves*10 > denseCells {
 		t.Errorf("refine used %d cell solves; dense grid is %d (want >= 10x saving)", res.Solves, denseCells)
 	}
 	ds, rs := denseEng.Cache.Stats(), refineEng.Cache.Stats()
-	if rs.DemandSolves*10 > ds.DemandSolves {
-		t.Errorf("refine demand solves = %d, dense = %d (want >= 10x fewer)", rs.DemandSolves, ds.DemandSolves)
+	if rs.MVASolves*10 > ds.MVASolves {
+		t.Errorf("refine MVA solves = %d, dense = %d (want >= 10x fewer)", rs.MVASolves, ds.MVASolves)
 	}
 	if res.Waves < 2 {
 		t.Errorf("Waves = %d, want >= 2 (the coarse grid alone cannot reach minStep resolution)", res.Waves)
@@ -262,7 +262,7 @@ func TestRefineValidation(t *testing.T) {
 // cancellingScheme delegates to a real scheme but fires cancel on the
 // k-th Frequencies call, simulating a SIGINT landing mid-grid. Its
 // distinct name keeps it out of the built-in canonicalization tables, so
-// every distinct workload is a distinct demand solve.
+// every distinct workload is a distinct curve.
 type cancellingScheme struct {
 	inner  core.Scheme
 	calls  *atomic.Int64
@@ -272,7 +272,7 @@ type cancellingScheme struct {
 
 func (s cancellingScheme) Name() string { return "cancelling-" + s.inner.Name() }
 
-func (s cancellingScheme) Frequencies(p core.Params) ([]core.OpFreq, error) {
+func (s cancellingScheme) Frequencies(p core.Params) (core.OpFreqs, error) {
 	if s.calls.Add(1) == s.at {
 		s.cancel()
 	}
@@ -280,7 +280,7 @@ func (s cancellingScheme) Frequencies(p core.Params) ([]core.OpFreq, error) {
 }
 
 // TestEvaluateBusCtxCancelSkipsSolves pins the satellite fix: a grid
-// interrupted mid-solve must do strictly fewer demand solves than the
+// interrupted mid-solve must do strictly fewer MVA solves than the
 // full grid, and the unsolved cells must report the context error.
 // Before EvaluateBus threaded the caller's context, the whole grid
 // always solved to completion (the old hardwired context.Background()).
@@ -319,11 +319,11 @@ func TestEvaluateBusCtxCancelSkipsSolves(t *testing.T) {
 		}
 	}
 	st := ev.Stats()
-	if st.DemandSolves >= n {
-		t.Errorf("DemandSolves = %d, want strictly fewer than the %d-cell grid", st.DemandSolves, n)
+	if st.MVASolves >= n {
+		t.Errorf("MVASolves = %d, want strictly fewer than the %d-cell grid", st.MVASolves, n)
 	}
-	if st.DemandSolves < 1 || solved < 1 {
-		t.Errorf("nothing solved before the cancel (solves=%d, ok results=%d); the test lost its race", st.DemandSolves, solved)
+	if st.MVASolves < 1 || solved < 1 {
+		t.Errorf("nothing solved before the cancel (solves=%d, ok results=%d); the test lost its race", st.MVASolves, solved)
 	}
 	if cancelled < n/2 {
 		t.Errorf("only %d of %d cells report context.Canceled", cancelled, n)

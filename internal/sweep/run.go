@@ -6,7 +6,6 @@ import (
 
 	"swcc/internal/core"
 	"swcc/internal/obs"
-	"swcc/internal/queueing"
 )
 
 // CurveRun is worker-local incremental solve state for a batch of points
@@ -29,30 +28,30 @@ type CurveRun struct {
 	ev  *Evaluator
 	d   core.Demand
 	key mvaKey
-	buf []queueing.SingleServerResult // private growing curve; nil until first local solve
+	buf []float64 // private growing residence curve; nil until first local solve
 }
 
-// StartCurveRun resolves the batch group's shared demand (through the
-// demand cache) and returns a run ready to answer per-point queries.
-// The workload must already be validated — per-point raw-params
-// validation stays with the caller, which is what keeps an invalid
-// point erroring even when a canonically equal valid point shares its
-// group (see TestInvalidParamsErrorDespiteCache).
+// StartCurveRun computes the batch group's shared demand and returns a
+// run ready to answer per-point queries. The workload must already be
+// validated — per-point raw-params validation stays with the caller,
+// which is what keeps an invalid point erroring even when a canonically
+// equal valid point shares its group (see
+// TestInvalidParamsErrorDespiteCache).
 func (ev *Evaluator) StartCurveRun(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable) (*CurveRun, error) {
-	d, err := ev.DemandCtx(ctx, s, p, costs)
+	d, err := demand(ctx, s, p, costs)
 	if err != nil {
 		return nil, err
 	}
-	return &CurveRun{ev: ev, d: d, key: mvaKey{d.Think(), d.Interconnect, d.Priority}}, nil
+	return &CurveRun{ev: ev, d: d, key: curveKey(d)}, nil
 }
 
 // Demand returns the group's shared per-instruction demand.
 func (r *CurveRun) Demand() core.Demand { return r.d }
 
-// curveTo returns a slice covering populations 1..n: the run's private
-// buffer, or a shared immutable cache entry. Callers must not mutate or
-// retain it past the next curveTo/Finish call.
-func (r *CurveRun) curveTo(ctx context.Context, n int) ([]queueing.SingleServerResult, error) {
+// curveTo returns a residence curve covering populations 1..n: the
+// run's private buffer, or a shared immutable cache entry. Callers must
+// not mutate or retain it past the next curveTo/Finish call.
+func (r *CurveRun) curveTo(ctx context.Context, n int) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -72,17 +71,13 @@ func (r *CurveRun) curveTo(ctx context.Context, n int) ([]queueing.SingleServerR
 		sp = obs.Start()
 	}
 	sh.mu.RLock()
-	var prefix []queueing.SingleServerResult
+	var prefix []float64
 	if sl, ok := sh.entries[r.key]; ok {
 		sl.ref.Store(true)
 		if len(sl.v) >= n {
 			out := sl.v // immutable once published
 			sh.mu.RUnlock()
-			ev.mvaHits.Add(1)
-			if ev.obsv != nil {
-				ev.obsv.StageObserved(ctx, StageCacheLookup, sp.Seconds())
-				ev.obsv.CacheEvent(ctx, "mva", EventHit)
-			}
+			ev.hit(ctx, sp)
 			return out, nil
 		}
 		prefix = sl.v
@@ -113,23 +108,16 @@ func (r *CurveRun) curveTo(ctx context.Context, n int) ([]queueing.SingleServerR
 	// room; otherwise a new buffer (the solver copies the seed into it),
 	// exactly n long on the run's first solve and at least double the
 	// old capacity after that.
-	var dst []queueing.SingleServerResult
+	var dst []float64
 	switch {
 	case inPlace && cap(r.buf) >= n:
 		dst = r.buf[:0]
 	case r.buf == nil:
-		dst = make([]queueing.SingleServerResult, 0, n)
+		dst = make([]float64, 0, n)
 	default:
-		dst = make([]queueing.SingleServerResult, 0, max(n, 2*cap(r.buf)))
+		dst = make([]float64, 0, max(n, 2*cap(r.buf)))
 	}
-	var ext []queueing.SingleServerResult
-	var err error
-	if r.d.Priority > 0 {
-		hi, lo := r.d.PrioritySplit()
-		ext, err = queueing.PrioritySingleServerMVA(r.d.Think(), hi, lo, n, dst)
-	} else {
-		ext, err = queueing.ExtendSingleServerMVA(r.d.Think(), r.d.Interconnect, seed, n, dst)
-	}
+	ext, err := core.BusResidence(r.d, seed, n, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -151,30 +139,21 @@ func (r *CurveRun) curveTo(ctx context.Context, n int) ([]queueing.SingleServerR
 // processors, growing the run's curve as needed. Results are
 // bit-identical to Evaluator.BusPointCtx for the same inputs.
 func (r *CurveRun) BusPointAt(ctx context.Context, nproc int) (core.BusPoint, error) {
-	c, err := r.curveTo(ctx, nproc)
+	rs, err := r.curveTo(ctx, nproc)
 	if err != nil {
 		return core.BusPoint{}, err
 	}
-	return core.BusPointFromMVA(r.d, c[nproc-1]), nil
+	return core.BusPointFromResidence(r.d, nproc, rs[nproc-1]), nil
 }
 
 // BusPointsInto fills dst (reused when cap(dst) >= maxProcs) with the
 // predictions for 1..maxProcs, bit-identical to Evaluator.EvaluateBusCtx.
 func (r *CurveRun) BusPointsInto(ctx context.Context, maxProcs int, dst []core.BusPoint) ([]core.BusPoint, error) {
-	c, err := r.curveTo(ctx, maxProcs)
+	rs, err := r.curveTo(ctx, maxProcs)
 	if err != nil {
 		return nil, err
 	}
-	var points []core.BusPoint
-	if cap(dst) >= maxProcs {
-		points = dst[:maxProcs]
-	} else {
-		points = make([]core.BusPoint, maxProcs)
-	}
-	for i := 0; i < maxProcs; i++ {
-		points[i] = core.BusPointFromMVA(r.d, c[i])
-	}
-	return points, nil
+	return busPoints(r.d, rs, maxProcs, dst), nil
 }
 
 // Finish publishes the run's curve to the shared cache when it is longer
@@ -189,7 +168,7 @@ func (r *CurveRun) Finish(ctx context.Context) {
 		return
 	}
 	if cap(v) > len(v) {
-		v = append(make([]queueing.SingleServerResult, 0, len(v)), v...)
+		v = append(make([]float64, 0, len(v)), v...)
 	}
 	ev := r.ev
 	sh := &ev.curves[r.key.shard()]
@@ -208,8 +187,8 @@ func (r *CurveRun) Finish(ctx context.Context) {
 }
 
 // BatchGroups partitions point indices 0..n-1 into groups that share one
-// (scheme, canonical workload) pair — and hence one demand solve and one
-// MVA curve — with each group sorted population-ascending so a CurveRun
+// (scheme, canonical workload) pair — and hence one demand and one MVA
+// curve — with each group sorted population-ascending so a CurveRun
 // visits it in pure-extension order. at reports point i's fields.
 // Groups appear in first-occurrence order and sorting is stable, so the
 // decomposition is deterministic; callers still write per-point results

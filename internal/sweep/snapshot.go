@@ -18,19 +18,16 @@ import (
 	"swcc/internal/queueing"
 )
 
-// The snapshot format persists the evaluator's two content-addressed
-// memo caches — demand results and MVA curves — so a restarted daemon
-// starts warm instead of re-solving its whole working set (the software
-// analogue of not flushing every cache on a context switch). Layout:
+// The snapshot format persists the evaluator's content-addressed curve
+// cache, so a restarted daemon starts warm instead of re-solving its
+// whole working set (the software analogue of not flushing every cache
+// on a context switch). Layout:
 //
-//	magic "SWCCSNP2"
+//	magic "SWCCSNP3"
 //	fingerprint  (uvarint length + bytes; see ModelFingerprint)
-//	demand section: uvarint entry count, then per entry
-//	    scheme string, table string, 11 params float64s, 3 demand float64s
-//	    (CPU, Interconnect, Priority)
 //	curve section: uvarint entry count, then per entry
-//	    think, service, prio float64s, uvarint curve length, then per point
-//	    uvarint customers + 5 float64s
+//	    think, service, prio float64s, uvarint curve length, then one
+//	    residence-time float64 per population
 //	crc32 (IEEE) of everything above, 4 bytes little-endian
 //
 // Floats are written as their exact IEEE-754 bit patterns, so a restore
@@ -45,19 +42,27 @@ import (
 
 // snapshotMagic identifies the snapshot file format, version included:
 // an incompatible layout change must change the magic. SNP2 added the
-// demand Priority float and the curve key's prio float.
-const snapshotMagic = "SWCCSNP2"
+// demand Priority float and the curve key's prio float; SNP3 dropped the
+// demand section and stores each curve as its residence times alone.
+// A file carrying another version's magic is stale, not corrupt.
+const snapshotMagic = "SWCCSNP3"
+
+// snapshotMagicFamily is the version-free prefix every snapshot magic
+// shares.
+const snapshotMagicFamily = "SWCCSNP"
 
 // Snapshot decode sentinels. Both mean "start cold"; they are separate
 // so operators can tell a corrupt file (investigate disk/transfer) from
 // a stale one (expected after a model-changing deploy).
 var (
 	// ErrSnapshotFormat reports a snapshot that is not a well-formed
-	// snapshot file: wrong magic, truncated, or failing its checksum.
+	// snapshot file: not a snapshot magic, truncated, or failing its
+	// checksum.
 	ErrSnapshotFormat = errors.New("sweep: snapshot corrupt or truncated")
-	// ErrSnapshotStale reports a well-formed snapshot whose model
-	// fingerprint does not match this build — its cached answers may
-	// disagree with the current model, so none of them are loaded.
+	// ErrSnapshotStale reports a snapshot from another build: another
+	// format version, or a model fingerprint that does not match this
+	// build — its cached answers may disagree with the current model, so
+	// none of them are loaded.
 	ErrSnapshotStale = errors.New("sweep: snapshot from a different model version")
 )
 
@@ -68,9 +73,6 @@ const snapshotLimit = 1 << 26
 
 // SnapshotCounts reports what a restore (or snapshot) covered.
 type SnapshotCounts struct {
-	// DemandEntries is the number of demand-cache entries in the
-	// snapshot.
-	DemandEntries int
 	// CurveEntries is the number of MVA-curve entries in the snapshot.
 	CurveEntries int
 }
@@ -169,7 +171,7 @@ func (sw *snapWriter) f64(f float64) {
 	sw.write(buf[:])
 }
 
-// Snapshot serializes the demand and curve caches to w in the
+// Snapshot serializes the curve cache to w in the
 // version-stamped format above and returns what it wrote. It is safe to
 // call on a live evaluator — each shard is read-locked only long enough
 // to copy its entry references (values are immutable once published),
@@ -182,43 +184,6 @@ func (ev *Evaluator) Snapshot(w io.Writer) (SnapshotCounts, error) {
 	sw.str(ModelFingerprint())
 
 	var counts SnapshotCounts
-	for i := range ev.demands {
-		sh := &ev.demands[i]
-		sh.mu.RLock()
-		counts.DemandEntries += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	sw.uvarint(uint64(counts.DemandEntries))
-	written := 0
-	for i := range ev.demands {
-		sh := &ev.demands[i]
-		sh.mu.RLock()
-		keys := make([]demandKey, 0, len(sh.entries))
-		vals := make(map[demandKey]core.Demand, len(sh.entries))
-		for k, sl := range sh.entries {
-			keys = append(keys, k)
-			vals[k] = sl.v
-		}
-		sh.mu.RUnlock()
-		sort.Slice(keys, func(a, b int) bool { return keys[a].less(keys[b]) })
-		for _, k := range keys {
-			if written >= counts.DemandEntries {
-				break // a concurrent publish grew the shard after the count pass
-			}
-			written++
-			d := vals[k]
-			sw.str(k.id.Scheme)
-			sw.str(k.table)
-			for _, f := range k.id.Params.KeyFields() {
-				sw.f64(*f)
-			}
-			sw.f64(d.CPU)
-			sw.f64(d.Interconnect)
-			sw.f64(d.Priority)
-		}
-	}
-	counts.DemandEntries = written
-
 	curveTotal := 0
 	for i := range ev.curves {
 		sh := &ev.curves[i]
@@ -227,12 +192,12 @@ func (ev *Evaluator) Snapshot(w io.Writer) (SnapshotCounts, error) {
 		sh.mu.RUnlock()
 	}
 	sw.uvarint(uint64(curveTotal))
-	written = 0
+	written := 0
 	for i := range ev.curves {
 		sh := &ev.curves[i]
 		sh.mu.RLock()
 		keys := make([]mvaKey, 0, len(sh.entries))
-		vals := make(map[mvaKey][]queueing.SingleServerResult, len(sh.entries))
+		vals := make(map[mvaKey][]float64, len(sh.entries))
 		for k, sl := range sh.entries {
 			keys = append(keys, k)
 			vals[k] = sl.v // immutable once published; safe to read after unlock
@@ -250,12 +215,7 @@ func (ev *Evaluator) Snapshot(w io.Writer) (SnapshotCounts, error) {
 			sw.f64(k.prio)
 			sw.uvarint(uint64(len(curve)))
 			for _, r := range curve {
-				sw.uvarint(uint64(r.Customers))
-				sw.f64(r.Residence)
-				sw.f64(r.Wait)
-				sw.f64(r.Throughput)
-				sw.f64(r.QueueLength)
-				sw.f64(r.Utilization)
+				sw.f64(r)
 			}
 		}
 	}
@@ -270,24 +230,6 @@ func (ev *Evaluator) Snapshot(w io.Writer) (SnapshotCounts, error) {
 		sw.err = sw.w.Flush()
 	}
 	return counts, sw.err
-}
-
-// less orders demand keys for deterministic snapshot bytes: two
-// evaluators holding the same entries snapshot identically.
-func (k demandKey) less(o demandKey) bool {
-	if k.id.Scheme != o.id.Scheme {
-		return k.id.Scheme < o.id.Scheme
-	}
-	if k.table != o.table {
-		return k.table < o.table
-	}
-	bf := o.id.Params.KeyFields()
-	for i, a := range k.id.Params.KeyFields() {
-		if *a != *bf[i] {
-			return math.Float64bits(*a) < math.Float64bits(*bf[i])
-		}
-	}
-	return false
 }
 
 // less orders curve keys for deterministic snapshot bytes.
@@ -395,6 +337,9 @@ func (ev *Evaluator) restore(r io.Reader) (SnapshotCounts, error) {
 		return SnapshotCounts{}, fmt.Errorf("%w: reading magic: %v", ErrSnapshotFormat, err)
 	}
 	if string(magic) != snapshotMagic {
+		if strings.HasPrefix(string(magic), snapshotMagicFamily) {
+			return SnapshotCounts{}, fmt.Errorf("%w: format %q, build reads %q", ErrSnapshotStale, magic, snapshotMagic)
+		}
 		return SnapshotCounts{}, fmt.Errorf("%w: bad magic %q", ErrSnapshotFormat, magic)
 	}
 	fp, err := sr.str()
@@ -406,40 +351,6 @@ func (ev *Evaluator) restore(r io.Reader) (SnapshotCounts, error) {
 	}
 
 	var counts SnapshotCounts
-	nDemand, err := sr.length()
-	if err != nil {
-		return SnapshotCounts{}, fmt.Errorf("%w: demand count: %v", ErrSnapshotFormat, err)
-	}
-	for i := 0; i < nDemand; i++ {
-		var k demandKey
-		if k.id.Scheme, err = sr.str(); err != nil {
-			return SnapshotCounts{}, fmt.Errorf("%w: demand[%d] scheme: %v", ErrSnapshotFormat, i, err)
-		}
-		if k.table, err = sr.str(); err != nil {
-			return SnapshotCounts{}, fmt.Errorf("%w: demand[%d] table: %v", ErrSnapshotFormat, i, err)
-		}
-		if !core.RegisteredLabel(k.id.Scheme) {
-			// A snapshot naming a scheme this build does not register
-			// could only have come from a different (or tampered) model:
-			// fail closed rather than carry entries nothing can read.
-			return SnapshotCounts{}, fmt.Errorf("%w: demand[%d] references unregistered scheme %q", ErrSnapshotStale, i, k.id.Scheme)
-		}
-		var d core.Demand
-		kf := k.id.Params.KeyFields()
-		for _, dst := range append(kf[:], &d.CPU, &d.Interconnect, &d.Priority) {
-			if *dst, err = sr.f64(); err != nil {
-				return SnapshotCounts{}, fmt.Errorf("%w: demand[%d] floats: %v", ErrSnapshotFormat, i, err)
-			}
-		}
-		sh := &ev.demands[k.shard()]
-		sh.mu.Lock()
-		if sh.put(k, d, ev.shardCap) {
-			ev.demandEvictions.Add(1)
-		}
-		sh.mu.Unlock()
-		counts.DemandEntries++
-	}
-
 	nCurves, err := sr.length()
 	if err != nil {
 		return SnapshotCounts{}, fmt.Errorf("%w: curve count: %v", ErrSnapshotFormat, err)
@@ -463,23 +374,16 @@ func (ev *Evaluator) restore(r io.Reader) (SnapshotCounts, error) {
 		// one allocation: a corrupt length costs only the bytes present.
 		// Curves longer than the first chunk are trimmed to len == cap
 		// before they are cached.
-		curve := make([]queueing.SingleServerResult, 0, min(n, 1024))
+		curve := make([]float64, 0, min(n, 1024))
 		for j := 0; j < n; j++ {
-			var r queueing.SingleServerResult
-			cust, err := sr.uvarint()
-			if err != nil || cust > snapshotLimit {
-				return SnapshotCounts{}, fmt.Errorf("%w: curve[%d][%d] customers: %v", ErrSnapshotFormat, i, j, err)
-			}
-			r.Customers = int(cust)
-			for _, dst := range [...]*float64{&r.Residence, &r.Wait, &r.Throughput, &r.QueueLength, &r.Utilization} {
-				if *dst, err = sr.f64(); err != nil {
-					return SnapshotCounts{}, fmt.Errorf("%w: curve[%d][%d] floats: %v", ErrSnapshotFormat, i, j, err)
-				}
+			r, err := sr.f64()
+			if err != nil {
+				return SnapshotCounts{}, fmt.Errorf("%w: curve[%d][%d]: %v", ErrSnapshotFormat, i, j, err)
 			}
 			curve = append(curve, r)
 		}
 		if cap(curve) > n {
-			curve = append(make([]queueing.SingleServerResult, 0, n), curve...)
+			curve = append(make([]float64, 0, n), curve...)
 		}
 		sh := &ev.curves[k.shard()]
 		sh.mu.Lock()
@@ -503,21 +407,13 @@ func (ev *Evaluator) restore(r io.Reader) (SnapshotCounts, error) {
 	return counts, nil
 }
 
-// wipe resets both caches to empty — the fail-closed landing state for
-// a restore that went wrong partway through committing entries.
+// wipe resets the cache to empty — the fail-closed landing state for a
+// restore that went wrong partway through committing entries.
 func (ev *Evaluator) wipe() {
-	for i := range ev.demands {
-		sh := &ev.demands[i]
-		sh.mu.Lock()
-		sh.entries = map[demandKey]*slot[core.Demand]{}
-		sh.ring = nil
-		sh.hand = 0
-		sh.mu.Unlock()
-	}
 	for i := range ev.curves {
 		sh := &ev.curves[i]
 		sh.mu.Lock()
-		sh.entries = map[mvaKey]*slot[[]queueing.SingleServerResult]{}
+		sh.entries = map[mvaKey]*slot{}
 		sh.ring = nil
 		sh.hand = 0
 		sh.mu.Unlock()

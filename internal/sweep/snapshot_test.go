@@ -18,8 +18,7 @@ import (
 // populateEvaluator drives the evaluator through the public API with a
 // varied working set — every paper scheme plus directory and hybrid, a
 // spread of sharing levels, several curve lengths — so the caches hold
-// a realistic mixture of demand entries and MVA curves of different
-// sizes.
+// a realistic mixture of MVA curves of different sizes.
 func populateEvaluator(t testing.TB, ev *Evaluator) {
 	t.Helper()
 	costs := core.BusCosts()
@@ -50,20 +49,18 @@ func snapshotBytes(t testing.TB, ev *Evaluator) ([]byte, SnapshotCounts) {
 // TestSnapshotRoundTrip is the core property test: restoring a snapshot
 // into a fresh evaluator reproduces the cache bit-for-bit (re-snapshot
 // is byte-identical), and the restored evaluator serves the same
-// working set entirely from cache — not one full MVA solve, not one
-// demand solve.
+// working set entirely from cache — not one MVA solve.
 func TestSnapshotRoundTrip(t *testing.T) {
 	ev := NewEvaluator()
 	populateEvaluator(t, ev)
 	before := ev.Stats()
-	if before.DemandEntries == 0 || before.CurveEntries == 0 {
-		t.Fatalf("population left caches empty: %+v", before)
+	if before.CurveEntries == 0 {
+		t.Fatalf("population left the cache empty: %+v", before)
 	}
 
 	snap, counts := snapshotBytes(t, ev)
-	if counts.DemandEntries != before.DemandEntries || counts.CurveEntries != before.CurveEntries {
-		t.Fatalf("snapshot counts %+v, evaluator holds %d demand / %d curves",
-			counts, before.DemandEntries, before.CurveEntries)
+	if counts.CurveEntries != before.CurveEntries {
+		t.Fatalf("snapshot counts %+v, evaluator holds %d curves", counts, before.CurveEntries)
 	}
 
 	fresh := NewEvaluator()
@@ -84,13 +81,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Warm service: replaying the exact working set must be all hits.
 	populateEvaluator(t, fresh)
 	st := fresh.Stats()
-	if st.CurveFullSolves != 0 {
-		t.Fatalf("restored evaluator did %d full MVA solves on a warm working set", st.CurveFullSolves)
+	if st.MVASolves != 0 {
+		t.Fatalf("restored evaluator did %d MVA solves on a warm working set", st.MVASolves)
 	}
-	if st.DemandSolves != 0 {
-		t.Fatalf("restored evaluator did %d demand solves on a warm working set", st.DemandSolves)
-	}
-	if st.DemandHits == 0 || st.MVAHits == 0 {
+	if st.MVAHits == 0 {
 		t.Fatalf("warm replay recorded no hits: %+v", st)
 	}
 
@@ -139,10 +133,8 @@ func TestSnapshotFailClosed(t *testing.T) {
 
 	assertCold := func(t *testing.T, ev *Evaluator) {
 		t.Helper()
-		st := ev.Stats()
-		if st.DemandEntries != 0 || st.CurveEntries != 0 {
-			t.Fatalf("evaluator not cold after failed restore: %d demand / %d curves",
-				st.DemandEntries, st.CurveEntries)
+		if n := ev.Stats().CurveEntries; n != 0 {
+			t.Fatalf("evaluator not cold after failed restore: %d curves", n)
 		}
 	}
 
@@ -227,7 +219,7 @@ func TestSnapshotFileLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
-	if wrote.DemandEntries == 0 || wrote.CurveEntries == 0 {
+	if wrote.CurveEntries == 0 {
 		t.Fatalf("wrote empty snapshot: %+v", wrote)
 	}
 
@@ -272,10 +264,9 @@ func TestSnapshotRestoreCapped(t *testing.T) {
 	if _, err := capped.RestoreSnapshot(bytes.NewReader(snap)); err != nil {
 		t.Fatalf("RestoreSnapshot into capped evaluator: %v", err)
 	}
-	d, c := capped.ShardSizes()
-	for i := range d {
-		if d[i] > 2 || c[i] > 2 {
-			t.Fatalf("shard %d over cap after restore: demand %d, curves %d", i, d[i], c[i])
+	for i, n := range capped.ShardSizes() {
+		if n > 2 {
+			t.Fatalf("shard %d over cap after restore: %d curves", i, n)
 		}
 	}
 	// The capped evaluator must still answer correctly.
@@ -296,49 +287,30 @@ func TestModelFingerprintStable(t *testing.T) {
 	}
 }
 
-// fireflyScheme is a deliberately unregistered scheme: structurally
-// valid (OpInstr present) but unknown to the core registry.
-type fireflyScheme struct{}
-
-func (fireflyScheme) Name() string { return "Firefly" }
-func (fireflyScheme) Frequencies(p core.Params) ([]core.OpFreq, error) {
-	return []core.OpFreq{
-		{Op: core.OpInstr, Freq: 1},
-		{Op: core.OpCleanMissMem, Freq: p.MsDat * p.LS},
-	}, nil
-}
-
-// TestSnapshotRejectsUnregisteredScheme: a snapshot holding cache
-// entries for a scheme this binary's registry does not know must fail
-// closed with ErrSnapshotStale — restoring it would let lookups under
-// a future (or vanished third-party) scheme name alias into entries
-// whose provenance cannot be checked.
-func TestSnapshotRejectsUnregisteredScheme(t *testing.T) {
+// TestSnapshotOlderFormatIsStale: a snapshot in another format version
+// — the file an upgraded daemon finds on its first boot — is stale, not
+// corrupt, and leaves the cache cold.
+func TestSnapshotOlderFormatIsStale(t *testing.T) {
 	ev := NewEvaluator()
 	populateEvaluator(t, ev)
-	if _, err := ev.EvaluateBusCtx(context.Background(), fireflyScheme{}, core.MiddleParams(), core.BusCosts(), 8, nil); err != nil {
-		t.Fatal(err)
-	}
 	snap, _ := snapshotBytes(t, ev)
-
-	fresh := NewEvaluator()
-	_, err := fresh.RestoreSnapshot(bytes.NewReader(snap))
-	if !errors.Is(err, ErrSnapshotStale) {
-		t.Fatalf("restore of unregistered-scheme snapshot: err = %v, want ErrSnapshotStale", err)
-	}
-	if !strings.Contains(err.Error(), "Firefly") {
-		t.Errorf("error %q does not name the offending scheme", err)
-	}
-	if st := fresh.Stats(); st.DemandEntries != 0 || st.CurveEntries != 0 {
-		t.Fatalf("evaluator not cold after rejected restore: %d demand / %d curves",
-			st.DemandEntries, st.CurveEntries)
+	for _, magic := range []string{"SWCCSNP1", "SWCCSNP2"} {
+		old := append([]byte(magic), snap[len(snapshotMagic):]...)
+		fresh := NewEvaluator()
+		_, err := fresh.RestoreSnapshot(bytes.NewReader(old))
+		if !errors.Is(err, ErrSnapshotStale) {
+			t.Errorf("%s snapshot: err = %v, want ErrSnapshotStale", magic, err)
+		}
+		if n := fresh.Stats().CurveEntries; n != 0 {
+			t.Errorf("%s snapshot left %d curves resident", magic, n)
+		}
 	}
 }
 
 // FuzzRestoreSnapshot mutates snapshot bodies and seals each with a
 // freshly computed CRC32 trailer, so mutations reach the structural
 // decoder instead of stopping at the checksum. Every input must either
-// fail closed — ErrSnapshotFormat or ErrSnapshotStale, with both caches
+// fail closed — ErrSnapshotFormat or ErrSnapshotStale, with the cache
 // empty — or restore to a fixed point: snapshot, restore into a fresh
 // evaluator, and snapshot again give identical bytes.
 func FuzzRestoreSnapshot(f *testing.F) {
@@ -355,8 +327,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			if !errors.Is(err, ErrSnapshotFormat) && !errors.Is(err, ErrSnapshotStale) {
 				t.Fatalf("restore failed with an unclassified error: %v", err)
 			}
-			if st := ev.Stats(); st.DemandEntries != 0 || st.CurveEntries != 0 {
-				t.Fatalf("failed restore left %d demand and %d curve entries", st.DemandEntries, st.CurveEntries)
+			if n := ev.Stats().CurveEntries; n != 0 {
+				t.Fatalf("failed restore left %d curve entries", n)
 			}
 			return
 		}

@@ -58,19 +58,14 @@ func TestAPLToMatchSolveReduction(t *testing.T) {
 	if direct.calls == 0 || st.MVASolves == 0 {
 		t.Fatalf("degenerate counts: direct=%d cached=%+v", direct.calls, st)
 	}
-	// Every direct BusPower call is one MVA solve (and one demand solve).
+	// Every direct BusPower call is one MVA solve.
 	if uint64(direct.calls) < 5*st.MVASolves {
 		t.Errorf("MVA solves: direct %d vs cached %d — less than the required 5x reduction",
 			direct.calls, st.MVASolves)
 	}
-	if uint64(direct.calls) < 5*st.DemandSolves {
-		t.Errorf("demand solves: direct %d vs cached %d — less than the required 5x reduction",
-			direct.calls, st.DemandSolves)
-	}
-	t.Logf("APLToMatch x%d: %d fresh solves -> %d cached MVA solves (%.1fx), %d demand solves (%.1fx)",
+	t.Logf("APLToMatch x%d: %d fresh solves -> %d cached MVA solves (%.1fx)",
 		repeats*len(shds)*len(targets), direct.calls, st.MVASolves,
-		float64(direct.calls)/float64(st.MVASolves),
-		st.DemandSolves, float64(direct.calls)/float64(st.DemandSolves))
+		float64(direct.calls)/float64(st.MVASolves))
 
 	// The cached answers are still bit-identical to fresh ones.
 	for _, shd := range shds {
@@ -95,33 +90,17 @@ func TestAPLToMatchSolveReduction(t *testing.T) {
 	}
 }
 
-// blockingScheme delegates to an inner scheme but parks every
-// Frequencies call on a channel, so a test controls exactly when the
-// singleflight leader's solve completes.
-type blockingScheme struct {
-	inner   core.Scheme
-	release chan struct{}
-}
-
-func (b blockingScheme) Name() string { return "blocking-" + b.inner.Name() }
-
-func (b blockingScheme) Frequencies(p core.Params) ([]core.OpFreq, error) {
-	<-b.release
-	return b.inner.Frequencies(p)
-}
-
 // TestSingleflightColdKeyRace is the dedup acceptance criterion: N
-// goroutines racing one cold (scheme, params, table) key must cost
-// exactly 1 ComputeDemand — the leader's — with the other N-1 waiting on
-// the in-flight solve and sharing its result. The leader's solve parks
-// inside the scheme until the evaluator's wait hook has seen all N-1
-// racers commit to waiting, so the count assertions are deterministic,
-// not timing-dependent.
+// goroutines racing one cold curve key must cost exactly 1 MVA solve —
+// the leader's — with the other N-1 waiting on the in-flight solve and
+// sharing its result. The leader parks before solving until the
+// evaluator's wait hook has seen all N-1 racers commit to waiting, so
+// the count assertions are deterministic, not timing-dependent.
 func TestSingleflightColdKeyRace(t *testing.T) {
 	const n = 16
 	ev := NewEvaluator()
 	release := make(chan struct{})
-	scheme := blockingScheme{inner: core.Base{}, release: release}
+	ev.solveHook = func() { <-release }
 	var parked atomic.Int32
 	ev.waitHook = func() {
 		if parked.Add(1) == n-1 {
@@ -131,19 +110,19 @@ func TestSingleflightColdKeyRace(t *testing.T) {
 
 	costs := core.BusCosts()
 	p := core.MiddleParams()
-	demands := make([]core.Demand, n)
+	points := make([]core.BusPoint, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			demands[i], errs[i] = ev.DemandCtx(context.Background(), scheme, p, costs)
+			points[i], errs[i] = ev.BusPointCtx(context.Background(), core.Base{}, p, costs, 16)
 		}(i)
 	}
 	wg.Wait()
 
-	want, err := core.ComputeDemand(core.Base{}, p, costs)
+	want, err := core.EvaluateBus(core.Base{}, p, costs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,21 +130,21 @@ func TestSingleflightColdKeyRace(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
-		if demands[i] != want {
-			t.Errorf("goroutine %d: demand %+v != fresh %+v", i, demands[i], want)
+		if points[i] != want[15] {
+			t.Errorf("goroutine %d: point %+v != fresh %+v", i, points[i], want[15])
 		}
 	}
 	st := ev.Stats()
-	if st.DemandSolves != 1 {
-		t.Errorf("N concurrent cold requests cost %d solves, want exactly 1", st.DemandSolves)
+	if st.MVASolves != 1 {
+		t.Errorf("N concurrent cold requests cost %d solves, want exactly 1", st.MVASolves)
 	}
-	if st.DemandDedups != n-1 {
-		t.Errorf("DemandDedups = %d, want %d", st.DemandDedups, n-1)
+	if st.MVADedups != n-1 {
+		t.Errorf("MVADedups = %d, want %d", st.MVADedups, n-1)
 	}
-	if st.DemandHits != 0 {
-		t.Errorf("DemandHits = %d, want 0 (no entry existed to hit)", st.DemandHits)
+	if st.MVAHits != 0 {
+		t.Errorf("MVAHits = %d, want 0 (no entry existed to hit)", st.MVAHits)
 	}
-	if st.DemandEntries != 1 {
-		t.Errorf("DemandEntries = %d, want 1", st.DemandEntries)
+	if st.CurveEntries != 1 {
+		t.Errorf("CurveEntries = %d, want 1", st.CurveEntries)
 	}
 }
