@@ -27,7 +27,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"swcc/internal/fault"
@@ -84,42 +83,12 @@ const (
 	gwHedgeLoadBand = 1.10
 )
 
-// gwBackend is one in-process cohered replica under the drill gateway.
-type gwBackend struct {
-	srv *serve.Server
-	hs  *http.Server
-	url string
-}
-
-// startGwBackend boots a serve.Server on an ephemeral loopback port,
-// cache-capped when cacheCap > 0 and chaos-armed when inj is non-nil.
-func startGwBackend(cacheCap int, inj *fault.Injector) (*gwBackend, error) {
-	srv := serve.NewServer(serve.Config{
-		CacheCap: cacheCap,
-		Fault:    inj,
-		Logger:   slog.New(slog.NewJSONHandler(io.Discard, nil)),
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	return &gwBackend{srv: srv, hs: hs, url: "http://" + ln.Addr().String()}, nil
-}
-
-// stop hard-closes the backend: listener, in-flight connections, jobs.
-func (b *gwBackend) stop() {
-	b.hs.Close()
-	b.srv.Close()
-}
-
-// startGwTierCfg boots a gateway with the given config (Backends filled
+// startGwTier boots a gateway with the given config (Backends filled
 // from the backend list) and returns the gateway itself — the reload
 // drill drives Gateway.Reload on it — plus its base URL and a stop
 // func. The prober runs fast (failover inside a sub-second drill
 // window) and the first probe round has settled before this returns.
-func startGwTierCfg(cfg gw.Config, backends []*gwBackend) (*gw.Gateway, string, func(), error) {
+func startGwTier(cfg gw.Config, backends []*backend) (*gw.Gateway, string, func(), error) {
 	urls := make([]string, len(backends))
 	for i, b := range backends {
 		urls[i] = b.url
@@ -152,26 +121,17 @@ func startGwTierCfg(cfg gw.Config, backends []*gwBackend) (*gw.Gateway, string, 
 	return g, "http://" + ln.Addr().String(), stop, nil
 }
 
-// startGwTier is startGwTierCfg with only a policy to set.
-func startGwTier(policy string, backends []*gwBackend) (string, func(), error) {
-	_, base, stop, err := startGwTierCfg(gw.Config{Policy: policy}, backends)
-	return base, stop, err
-}
-
 // scrapeStats reads one backend's evaluator counters off its /healthz.
 func scrapeStats(client *http.Client, baseURL string) (sweep.Stats, error) {
-	resp, err := client.Get(baseURL + "/healthz")
+	data, err := get(client, baseURL+"/healthz")
 	if err != nil {
 		return sweep.Stats{}, err
 	}
-	defer resp.Body.Close()
 	var h struct {
 		Cache sweep.Stats `json:"cache"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return sweep.Stats{}, err
-	}
-	return h.Cache, nil
+	err = json.Unmarshal(data, &h)
+	return h.Cache, err
 }
 
 // fleetHitRatio aggregates the fleet's curve-cache hit ratio over the
@@ -191,24 +151,25 @@ func fleetHitRatio(before, after []sweep.Stats) float64 {
 	return float64(hits) / float64(lookups)
 }
 
-// gwPointBody is the drill's request: a single point on a gwProcs-sized
-// machine, so a cache miss pays the full incremental-MVA ramp while a
-// hit is a lookup — the cost asymmetry the hit ratio turns into latency.
-func gwPointBody(shd float64) string {
-	return fmt.Sprintf(`{"scheme": "swflush", "params": {"shd": %g}, "procs": %d, "point": true}`, shd, gwProcs)
+// gwWarmPoints is the drill fleets' body: a single point on a
+// gwProcs-sized machine, drawn uniformly from a pool of warm workloads.
+// A cache miss pays the full incremental-MVA ramp while a hit is a
+// lookup — the cost asymmetry the hit ratio turns into latency.
+func gwWarmPoints(pool int) func(*rand.Rand) (string, string) {
+	return func(rng *rand.Rand) (string, string) {
+		return "/v1/bus", pointBody(defaultScheme, warmShd(rng.Intn(pool), pool), gwProcs)
+	}
 }
 
 // gwArm is one policy's fleet in the affinity-vs-round-robin
-// comparison, and what its timed window recorded.
+// comparison, and what its timed windows recorded.
 type gwArm struct {
 	label     string
-	base      string
-	backends  []*gwBackend
+	fleet     fleet
+	backends  []*backend
 	before    []sweep.Stats
-	latencies []float64
+	total     result
 	windowP99 []float64 // per timed window, ms
-	requests  int
-	errs      int
 }
 
 // scrape reads every backend's evaluator counters.
@@ -245,27 +206,29 @@ func gwBenchArms(conc int, dur time.Duration, seed int64) (affinity, rr summary,
 		// concurrency.
 		a := &gwArm{label: p.label}
 		for j := 0; j < 2; j++ {
-			b, err := startGwBackend(gwCacheCap, nil)
+			b, err := startBackend(serve.Config{CacheCap: gwCacheCap})
 			if err != nil {
 				return summary{}, summary{}, err
 			}
 			defer b.stop()
 			a.backends = append(a.backends, b)
 		}
-		base, stopGw, err := startGwTier(p.policy, a.backends)
+		_, base, stopGw, err := startGwTier(gw.Config{Policy: p.policy}, a.backends)
 		if err != nil {
 			return summary{}, summary{}, err
 		}
 		defer stopGw()
-		a.base = base
+		a.fleet = fleet{base: base, concurrency: conc, duration: dur, timeout: 30 * time.Second, body: gwWarmPoints(gwWarmPool)}
 		for k := 0; k < gwWarmPool; k++ {
-			code, body, err := post(context.Background(), client, base+"/v1/bus", gwPointBody(warmShd(k, gwWarmPool)))
+			code, body, _, err := post(context.Background(), client, base+"/v1/bus", pointBody(defaultScheme, warmShd(k, gwWarmPool), gwProcs))
 			if err != nil || code != http.StatusOK {
 				return summary{}, summary{}, fmt.Errorf("%s: priming pool: status %d err %v body %s", p.label, code, err, body)
 			}
 		}
-		if _, _, errs := gwDrive(client, base, conc, dur/2, seed+int64(i)+gwWarmupSeed); errs > 0 {
-			return summary{}, summary{}, fmt.Errorf("%s: warm-up: %d errors", p.label, errs)
+		warm := a.fleet
+		warm.duration, warm.seed = dur/2, seed+int64(i)+gwWarmupSeed
+		if r := drive(context.Background(), warm); r.requests > len(r.latencies) {
+			return summary{}, summary{}, fmt.Errorf("%s: warm-up: %d errors", p.label, r.requests-len(r.latencies))
 		}
 		arms[i] = a
 	}
@@ -277,12 +240,11 @@ func gwBenchArms(conc int, dur time.Duration, seed int64) (affinity, rr summary,
 	for w := 0; w < gwWindows; w++ {
 		for k := range arms {
 			a := arms[(w+k)%len(arms)]
-			lat, n, errs := gwDrive(client, a.base, conc, dur, seed+int64(w))
-			sort.Float64s(lat)
-			a.windowP99 = append(a.windowP99, summarize(lat).P99)
-			a.latencies = append(a.latencies, lat...)
-			a.requests += n
-			a.errs += errs
+			f := a.fleet
+			f.seed = seed + int64(w)
+			r := drive(context.Background(), f)
+			a.windowP99 = append(a.windowP99, summarize(r.latencies).P99)
+			a.total.add(r)
 		}
 	}
 	var out [2]summary
@@ -291,20 +253,12 @@ func gwBenchArms(conc int, dur time.Duration, seed int64) (affinity, rr summary,
 		if err != nil {
 			return summary{}, summary{}, err
 		}
-		sort.Float64s(a.latencies)
-		out[i] = summary{
-			Label:           a.label,
-			HitRatio:        1, // the schedule draws only warm-pool keys
-			Concurrency:     conc,
-			Duration:        gwWindows * dur.Seconds(),
-			Requests:        a.requests,
-			Errors:          a.errs,
-			RPS:             float64(a.requests) / (gwWindows * dur.Seconds()),
-			Latency:         summarize(a.latencies),
-			Mix:             map[string]int{"point": a.requests},
-			BackendHitRatio: fleetHitRatio(a.before, after),
-			WindowP99:       a.windowP99,
-		}
+		f := a.fleet
+		f.duration = gwWindows * dur
+		out[i] = a.total.summary(a.label, f, false)
+		out[i].HitRatio = 1 // the schedule draws only warm-pool keys
+		out[i].BackendHitRatio = fleetHitRatio(a.before, after)
+		out[i].WindowP99 = a.windowP99
 	}
 	return out[0], out[1], nil
 }
@@ -312,102 +266,31 @@ func gwBenchArms(conc int, dur time.Duration, seed int64) (affinity, rr summary,
 // gwWarmupSeed offsets the warm-up's key draws from the timed window's.
 const gwWarmupSeed = 1 << 32
 
-// gwDrive runs conc closed-loop workers posting warm-pool point queries
-// through the gateway at base for dur, and returns the latencies (in
-// seconds) of the successful requests, the request count, and the
-// error count.
-func gwDrive(client *http.Client, base string, conc int, dur time.Duration, seed int64) (latencies []float64, requests, errs int) {
-	var mu sync.Mutex
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(seed, worker)))
-			for time.Now().Before(deadline) {
-				body := gwPointBody(warmShd(rng.Intn(gwWarmPool), gwWarmPool))
-				start := time.Now()
-				code, _, err := post(context.Background(), client, base+"/v1/bus", body)
-				elapsed := time.Since(start).Seconds()
-				mu.Lock()
-				requests++
-				if err != nil || code != http.StatusOK {
-					errs++
-				} else {
-					latencies = append(latencies, elapsed)
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	return latencies, requests, errs
-}
-
 // gwFailover drives load through an affinity gateway and hard-kills one
 // backend a third of the way in. The surviving window must stay clean:
 // the gateway retries transport failures onto the survivor, so clients
 // may see retried latency but never a 500 or a gateway-minted 502.
 func gwFailover(conc int, dur time.Duration, seed int64) (summary, error) {
-	var backends []*gwBackend
+	var backends []*backend
 	for i := 0; i < 2; i++ {
-		b, err := startGwBackend(0, nil)
+		b, err := startBackend(serve.Config{})
 		if err != nil {
 			return summary{}, err
 		}
 		defer b.stop()
 		backends = append(backends, b)
 	}
-	base, stopGw, err := startGwTier(gw.PolicyAffinity, backends)
+	_, base, stopGw, err := startGwTier(gw.Config{Policy: gw.PolicyAffinity}, backends)
 	if err != nil {
 		return summary{}, err
 	}
 	defer stopGw()
 
-	client := newClient(10 * time.Second)
-	kill := time.AfterFunc(dur/3, func() { backends[0].stop() })
+	kill := time.AfterFunc(dur/3, backends[0].stop)
 	defer kill.Stop()
-
-	var (
-		mu       sync.Mutex
-		status   = map[string]int{}
-		requests int
-		errs     int
-	)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(seed, worker)))
-			for time.Now().Before(deadline) {
-				body := gwPointBody(warmShd(rng.Intn(64), 64))
-				code, _, err := post(context.Background(), client, base+"/v1/bus", body)
-				mu.Lock()
-				requests++
-				if err != nil {
-					errs++
-				} else {
-					status[fmt.Sprint(code)]++
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	s := summary{
-		Label:        "gw_failover",
-		Concurrency:  conc,
-		Duration:     dur.Seconds(),
-		Requests:     requests,
-		Errors:       errs,
-		RPS:          float64(requests) / dur.Seconds(),
-		Mix:          map[string]int{"point": requests},
-		StatusCounts: status,
-	}
+	f := fleet{base: base, concurrency: conc, duration: dur, seed: seed, timeout: 10 * time.Second, body: gwWarmPoints(64)}
+	s := drive(context.Background(), f).summary("gw_failover", f, true)
+	status := s.StatusCounts
 	if status["500"] > 0 || status["502"] > 0 {
 		return s, fmt.Errorf("gw_failover: clients saw %d 500s and %d 502s after a backend kill — failover must absorb it",
 			status["500"], status["502"])
@@ -431,7 +314,7 @@ func gwWarmRestart() (summary, error) {
 	defer os.RemoveAll(dir)
 	snapPath := filepath.Join(dir, "memo.snap")
 
-	first, err := startGwBackend(0, nil)
+	first, err := startBackend(serve.Config{})
 	if err != nil {
 		return summary{}, err
 	}
@@ -443,7 +326,7 @@ func gwWarmRestart() (summary, error) {
 	}()
 	client := newClient(30 * time.Second)
 	for i := 0; i < keys; i++ {
-		code, _, err := post(context.Background(), client, first.url+"/v1/bus", gwPointBody(warmShd(i, keys)))
+		code, _, _, err := post(context.Background(), client, first.url+"/v1/bus", pointBody(defaultScheme, warmShd(i, keys), gwProcs))
 		if err != nil || code != http.StatusOK {
 			return summary{}, fmt.Errorf("gw_warm_restart: warming: status %d err %v", code, err)
 		}
@@ -458,7 +341,7 @@ func gwWarmRestart() (summary, error) {
 		return summary{}, fmt.Errorf("gw_warm_restart: snapshot captured nothing: %+v", counts)
 	}
 
-	second, err := startGwBackend(0, nil)
+	second, err := startBackend(serve.Config{})
 	if err != nil {
 		return summary{}, err
 	}
@@ -471,7 +354,7 @@ func gwWarmRestart() (summary, error) {
 		return summary{}, fmt.Errorf("gw_warm_restart: restored %+v of snapshot %+v", restored, counts)
 	}
 	for i := 0; i < keys; i++ {
-		code, _, err := post(context.Background(), client, second.url+"/v1/bus", gwPointBody(warmShd(i, keys)))
+		code, _, _, err := post(context.Background(), client, second.url+"/v1/bus", pointBody(defaultScheme, warmShd(i, keys), gwProcs))
 		if err != nil || code != http.StatusOK {
 			return summary{}, fmt.Errorf("gw_warm_restart: replaying: status %d err %v", code, err)
 		}
@@ -504,11 +387,10 @@ type gwTierView struct {
 
 // scrapeGwTier reads the gateway's /healthz aggregation.
 func scrapeGwTier(client *http.Client, base string) (gwTierView, error) {
-	resp, err := client.Get(base + "/healthz")
+	data, err := get(client, base+"/healthz")
 	if err != nil {
 		return gwTierView{}, err
 	}
-	defer resp.Body.Close()
 	var h struct {
 		Reloads  int64 `json:"reloads"`
 		Backends []struct {
@@ -516,7 +398,7 @@ func scrapeGwTier(client *http.Client, base string) (gwTierView, error) {
 			Sends int64  `json:"sends"`
 		} `json:"backends"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := json.Unmarshal(data, &h); err != nil {
 		return gwTierView{}, err
 	}
 	v := gwTierView{Reloads: h.Reloads}
@@ -536,21 +418,20 @@ func scrapeGwTier(client *http.Client, base string) (gwTierView, error) {
 // BackendSendRatio comes from the gateway's own send counters over the
 // window — the backend-load amplification the hedge band gates.
 func gwHedgeArm(label string, hedged bool, conc int, dur time.Duration, seed int64) (summary, error) {
-	var backends []*gwBackend
+	var backends []*backend
 	for i := 0; i < 2; i++ {
-		inj := fault.New(fault.Config{
+		b, err := startBackend(serve.Config{Fault: fault.New(fault.Config{
 			Seed:     seed + int64(i),
 			Latency:  gwTailLatency,
 			LatencyP: gwTailP,
-		})
-		b, err := startGwBackend(0, inj)
+		})})
 		if err != nil {
 			return summary{}, err
 		}
 		defer b.stop()
 		backends = append(backends, b)
 	}
-	_, base, stopGw, err := startGwTierCfg(gw.Config{
+	_, base, stopGw, err := startGwTier(gw.Config{
 		Policy:     gw.PolicyAffinity,
 		Hedge:      hedged,
 		HedgeDelay: gwHedgeDelay,
@@ -566,7 +447,7 @@ func gwHedgeArm(label string, hedged bool, conc int, dur time.Duration, seed int
 	client := newClient(30 * time.Second)
 	for i := 0; i < gwHedgePool; i++ {
 		for _, b := range backends {
-			code, body, err := post(context.Background(), client, b.url+"/v1/bus", gwPointBody(warmShd(i, gwHedgePool)))
+			code, body, _, err := post(context.Background(), client, b.url+"/v1/bus", pointBody(defaultScheme, warmShd(i, gwHedgePool), gwProcs))
 			if err != nil || code != http.StatusOK {
 				return summary{}, fmt.Errorf("%s: warming %s: status %d err %v body %s", label, b.url, code, err, body)
 			}
@@ -576,59 +457,18 @@ func gwHedgeArm(label string, hedged bool, conc int, dur time.Duration, seed int
 	if err != nil {
 		return summary{}, fmt.Errorf("%s: scraping gateway: %w", label, err)
 	}
-
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		requests  int
-		errs      int
-	)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(seed, worker)))
-			for time.Now().Before(deadline) {
-				body := gwPointBody(warmShd(rng.Intn(gwHedgePool), gwHedgePool))
-				start := time.Now()
-				code, _, err := post(context.Background(), client, base+"/v1/bus", body)
-				elapsed := time.Since(start).Seconds()
-				mu.Lock()
-				requests++
-				if err != nil || code != http.StatusOK {
-					errs++
-				} else {
-					latencies = append(latencies, elapsed)
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-
+	f := fleet{base: base, concurrency: conc, duration: dur, seed: seed, timeout: 30 * time.Second, body: gwWarmPoints(gwHedgePool)}
+	r := drive(context.Background(), f)
 	after, err := scrapeGwTier(client, base)
 	if err != nil {
 		return summary{}, fmt.Errorf("%s: scraping gateway: %w", label, err)
 	}
-	sendRatio := 0.0
-	if requests > 0 {
-		sendRatio = float64(after.Sends-before.Sends) / float64(requests)
+	s := r.summary(label, f, false)
+	s.HitRatio = 1
+	if r.requests > 0 {
+		s.BackendSendRatio = float64(after.Sends-before.Sends) / float64(r.requests)
 	}
-	sort.Float64s(latencies)
-	return summary{
-		Label:            label,
-		HitRatio:         1,
-		Concurrency:      conc,
-		Duration:         dur.Seconds(),
-		Requests:         requests,
-		Errors:           errs,
-		RPS:              float64(requests) / dur.Seconds(),
-		Latency:          summarize(latencies),
-		Mix:              map[string]int{"point": requests},
-		BackendSendRatio: sendRatio,
-	}, nil
+	return s, nil
 }
 
 // gwReload drives load through an affinity gateway while the backend
@@ -638,22 +478,21 @@ func gwHedgeArm(label string, hedged bool, conc int, dur time.Duration, seed int
 // invisible to clients: zero transport errors, zero 5xx, and the
 // gateway's final /healthz must show exactly the post-reload fleet.
 func gwReload(conc int, dur time.Duration, seed int64) (summary, error) {
-	var backends []*gwBackend
+	var backends []*backend
 	for i := 0; i < 3; i++ {
-		b, err := startGwBackend(0, nil)
+		b, err := startBackend(serve.Config{})
 		if err != nil {
 			return summary{}, err
 		}
 		defer b.stop()
 		backends = append(backends, b)
 	}
-	g, base, stopGw, err := startGwTierCfg(gw.Config{Policy: gw.PolicyAffinity}, backends[:2])
+	g, base, stopGw, err := startGwTier(gw.Config{Policy: gw.PolicyAffinity}, backends[:2])
 	if err != nil {
 		return summary{}, err
 	}
 	defer stopGw()
 
-	client := newClient(10 * time.Second)
 	reloadErr := make(chan error, 1)
 	go func() {
 		time.Sleep(dur / 3)
@@ -669,68 +508,23 @@ func gwReload(conc int, dur time.Duration, seed int64) (summary, error) {
 		reloadErr <- nil
 	}()
 
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		status    = map[string]int{}
-		requests  int
-		errs      int
-	)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(seed, worker)))
-			for time.Now().Before(deadline) {
-				body := gwPointBody(warmShd(rng.Intn(64), 64))
-				start := time.Now()
-				code, _, err := post(context.Background(), client, base+"/v1/bus", body)
-				elapsed := time.Since(start).Seconds()
-				mu.Lock()
-				requests++
-				if err != nil {
-					errs++
-				} else {
-					status[fmt.Sprint(code)]++
-					if code == http.StatusOK {
-						latencies = append(latencies, elapsed)
-					}
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	sort.Float64s(latencies)
-	s := summary{
-		Label:        "gw_reload",
-		Concurrency:  conc,
-		Duration:     dur.Seconds(),
-		Requests:     requests,
-		Errors:       errs,
-		RPS:          float64(requests) / dur.Seconds(),
-		Latency:      summarize(latencies),
-		Mix:          map[string]int{"point": requests},
-		StatusCounts: status,
-	}
+	f := fleet{base: base, concurrency: conc, duration: dur, seed: seed, timeout: 10 * time.Second, body: gwWarmPoints(64)}
+	s := drive(context.Background(), f).summary("gw_reload", f, true)
 	if err := <-reloadErr; err != nil {
 		return s, fmt.Errorf("gw_reload: %w", err)
 	}
-	if errs > 0 {
-		return s, fmt.Errorf("gw_reload: %d transport errors while the backend set changed shape", errs)
+	if n := s.Errors + s.ClientTimeouts; n > 0 {
+		return s, fmt.Errorf("gw_reload: %d transport errors while the backend set changed shape", n)
 	}
-	for code, n := range status {
+	for code, n := range s.StatusCounts {
 		if n > 0 && strings.HasPrefix(code, "5") {
 			return s, fmt.Errorf("gw_reload: clients saw %d %ss during reloads — membership changes must be invisible", n, code)
 		}
 	}
-	if status["200"] == 0 {
+	if s.StatusCounts["200"] == 0 {
 		return s, fmt.Errorf("gw_reload: no request ever succeeded")
 	}
-	view, err := scrapeGwTier(client, base)
+	view, err := scrapeGwTier(newClient(10*time.Second), base)
 	if err != nil {
 		return s, fmt.Errorf("gw_reload: scraping gateway: %w", err)
 	}

@@ -30,9 +30,10 @@
 // patient client fleet (retrying 503s after honoring Retry-After) and
 // an abandoning fleet (aggressive client timeouts, exercising the
 // cancellation paths). The run fails — nonzero exit — unless the daemon
-// sheds at least once and never answers 500: under overload plus
-// injected faults the only acceptable failures are retryable 503s and
-// clean timeouts. `make chaos-smoke` runs exactly this.
+// sheds at least once, never answers 500, and no request fails in
+// transport except by its client timeout: under overload plus injected
+// faults the only acceptable failures are retryable 503s and clean
+// timeouts. `make chaos-smoke` runs exactly this.
 //
 // -jobs replaces the normal scenarios with an async-job drill against
 // the /v1/jobs API: it submits a multi-thousand-point grid job, streams
@@ -58,7 +59,14 @@
 // address drives the same drills through the gateway tier. With -addr
 // set, -chaos skips the gates that assume its own tiny self-booted
 // daemon (nonzero sheds, the /metrics scrape) and keeps the
-// client-facing one: no 500s, ever.
+// client-facing ones: no 500s and no transport errors, ever.
+//
+// Every drill's load comes from one closed-loop driver, drive: a fleet
+// of workers, each posting its next request as soon as the last one
+// answers, with its own seeded request schedule. The scenarios differ
+// only in the fleet they hand it — target, concurrency, window, seed,
+// request bodies, client timeout, and whether a 503 is retried after
+// Retry-After — so a change to how the drills measure is made once.
 //
 // Every mode prints its JSON report to stdout and writes no file: the
 // drills are pass/fail gates, and the repository's benchmark record is
@@ -83,6 +91,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"swcc/internal/core"
@@ -109,15 +118,17 @@ func newClient(timeout time.Duration) *http.Client {
 	return &http.Client{Transport: sharedTransport, Timeout: timeout}
 }
 
-// loadConfig is one scenario's knobs.
+// defaultScheme is the scheme generated load names unless -scheme says
+// otherwise, and the one the gateway drill always uses.
+const defaultScheme = "swflush"
+
+// loadConfig is one normal-mode scenario's knobs beyond its fleet.
 type loadConfig struct {
-	Concurrency int           // worker goroutines
-	Duration    time.Duration // timed window per scenario
-	HitRatio    float64       // fraction of requests drawn from the warm pool
-	Mix         map[string]int
-	WarmPool    int // distinct warm workloads
-	Procs       int // machine size per query
-	Seed        int64
+	Scheme   string  // scheme every generated body names
+	HitRatio float64 // fraction of requests drawn from the warm pool
+	Mix      mix
+	WarmPool int // distinct warm workloads
+	Procs    int // machine size per query
 }
 
 // percentiles summarizes a latency sample in milliseconds.
@@ -206,7 +217,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ratios := fs.String("hit-ratios", "0.95,0.05", "comma-separated cache-hit ratios, one scenario each")
 	mixSpec := fs.String("mix", "point:4,curve:1,sweep:1", "request mix as kind:weight pairs (kinds: point, curve, sweep)")
 	warmPool := fs.Int("warm-pool", 64, "distinct workloads in the warm (cache-hit) pool")
-	scheme := fs.String("scheme", "swflush", "coherence scheme the generated load names (any registered name or alias)")
+	scheme := fs.String("scheme", defaultScheme, "coherence scheme the generated load names (any registered name or alias)")
 	procs := fs.Int("procs", 16, "machine size per query")
 	seed := fs.Int64("seed", 1, "RNG seed for the request schedule")
 	chaos := fs.Bool("chaos", false, "overload drill: fault-injected in-process daemon, or -addr to drive an existing daemon/gateway (fails on any 500)")
@@ -225,7 +236,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if _, err := core.SchemeByName(*scheme); err != nil {
 		return err
 	}
-	loadScheme = *scheme
 	modes := 0
 	for _, m := range []bool{*chaos, *jobsMode, *gwMode} {
 		if m {
@@ -236,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-chaos, -jobs, and -gw are mutually exclusive drills")
 	}
 	if *chaos {
-		return runChaos(stdout, stderr, *addr, *conc, *dur, *seed, *procs)
+		return runChaos(stdout, stderr, *addr, *conc, *dur, *seed, *scheme, *procs)
 	}
 	if *jobsMode {
 		return runJobs(stdout, stderr, *addr)
@@ -254,31 +264,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var hitRatios []float64
 	for _, s := range strings.Split(*ratios, ",") {
 		r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || r < 0 || r > 1 {
+		// Written so NaN, which every comparison rejects, fails too.
+		if err != nil || !(r >= 0 && r <= 1) {
 			return fmt.Errorf("-hit-ratios: %q is not a ratio in [0,1]", s)
 		}
 		hitRatios = append(hitRatios, r)
 	}
 
-	target := *addr
-	if target == "" {
-		stopSrv, bound, err := startLocalDaemon()
-		if err != nil {
-			return err
-		}
-		defer stopSrv()
-		target = bound
-		fmt.Fprintf(stderr, "cohereload: booted in-process daemon on %s\n", target)
+	target, err := resolveTarget(stderr, *addr, serve.Config{})
+	if err != nil {
+		return err
 	}
-	base := "http://" + target
+	defer target.stop()
 
-	rep := report{Tool: "cohereload", Target: target}
+	rep := report{Tool: "cohereload", Target: target.addr}
 	for _, r := range hitRatios {
-		cfg := loadConfig{
-			Concurrency: *conc, Duration: *dur, HitRatio: r,
-			Mix: mix, WarmPool: *warmPool, Procs: *procs, Seed: *seed,
-		}
-		s, err := runLoad(context.Background(), base, cfg)
+		f := fleet{base: target.url, concurrency: *conc, duration: *dur, seed: *seed, timeout: 30 * time.Second}
+		cfg := loadConfig{Scheme: *scheme, HitRatio: r, Mix: mix, WarmPool: *warmPool, Procs: *procs}
+		s, err := runLoad(context.Background(), f, cfg)
 		if err != nil {
 			return err
 		}
@@ -289,46 +292,112 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return printReport(stdout, rep)
 }
 
-// startLocalDaemon boots a serve.Server over real HTTP on an ephemeral
-// loopback port and returns a stop func plus the bound host:port.
-func startLocalDaemon() (func(), string, error) {
-	srv := serve.NewServer(serve.Config{
-		Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)),
-	})
+// backend is a cohered replica booted in-process: a serve.Server over
+// real HTTP on an ephemeral loopback port. A backend standing for an
+// -addr target has no server of its own.
+type backend struct {
+	srv  *serve.Server
+	hs   *http.Server
+	addr string // host:port
+	url  string // http://host:port
+}
+
+// startBackend boots a serve.Server with cfg, its logs discarded.
+func startBackend(cfg serve.Config) (*backend, error) {
+	cfg.Logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
+	srv := serve.NewServer(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, "", err
+		srv.Close()
+		return nil, err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
-	return func() { hs.Close() }, ln.Addr().String(), nil
+	addr := ln.Addr().String()
+	return &backend{srv: srv, hs: hs, addr: addr, url: "http://" + addr}, nil
 }
 
-// parseMix turns "point:4,curve:1,sweep:1" into weights.
-func parseMix(spec string) (map[string]int, error) {
-	mix := map[string]int{}
-	total := 0
+// resolveTarget returns addr as a backend to load, or, with addr empty,
+// boots an in-process daemon with cfg in its place.
+func resolveTarget(stderr io.Writer, addr string, cfg serve.Config) (*backend, error) {
+	if addr != "" {
+		return &backend{addr: addr, url: "http://" + addr}, nil
+	}
+	b, err := startBackend(cfg)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(stderr, "cohereload: booted in-process daemon on %s\n", b.addr)
+	return b, nil
+}
+
+// stop hard-closes a booted backend: listener, in-flight connections,
+// jobs. It does nothing for an -addr target.
+func (b *backend) stop() {
+	if b.srv == nil {
+		return
+	}
+	b.hs.Close()
+	b.srv.Close()
+}
+
+// mix is a parsed -mix: its kinds in sorted order, each with its weight.
+type mix struct {
+	kinds   []string
+	weights []int
+	total   int
+}
+
+// parseMix turns "point:4,curve:1,sweep:1" into a mix.
+func parseMix(spec string) (mix, error) {
+	weights := map[string]int{}
 	for _, part := range strings.Split(spec, ",") {
 		kind, weight, ok := strings.Cut(strings.TrimSpace(part), ":")
 		if !ok {
-			return nil, fmt.Errorf("-mix: %q is not kind:weight", part)
+			return mix{}, fmt.Errorf("-mix: %q is not kind:weight", part)
 		}
 		switch kind {
 		case "point", "curve", "sweep":
 		default:
-			return nil, fmt.Errorf("-mix: unknown kind %q (want point, curve, or sweep)", kind)
+			return mix{}, fmt.Errorf("-mix: unknown kind %q (want point, curve, or sweep)", kind)
 		}
 		w, err := strconv.Atoi(weight)
 		if err != nil || w < 0 {
-			return nil, fmt.Errorf("-mix: weight %q is not a non-negative integer", weight)
+			return mix{}, fmt.Errorf("-mix: weight %q is not a non-negative integer", weight)
 		}
-		mix[kind] = w
-		total += w
+		weights[kind] = w
 	}
-	if total == 0 {
-		return nil, fmt.Errorf("-mix: all weights are zero")
+	var m mix
+	for kind := range weights {
+		m.kinds = append(m.kinds, kind)
 	}
-	return mix, nil
+	sort.Strings(m.kinds) // map order is random; the schedule should not be
+	for _, kind := range m.kinds {
+		w := weights[kind]
+		if w > math.MaxInt-m.total {
+			return mix{}, fmt.Errorf("-mix: total weight overflows int")
+		}
+		m.weights = append(m.weights, w)
+		m.total += w
+	}
+	if m.total == 0 {
+		return mix{}, fmt.Errorf("-mix: all weights are zero")
+	}
+	return m, nil
+}
+
+// pick maps a draw in [0, m.total) to an index into m.kinds. Each kind
+// owns a run of consecutive draws as long as its weight, in sorted
+// order — the kind that a sorted slice of weight copies of every kind
+// holds at that index, without building the slice.
+func (m mix) pick(draw int) int {
+	for i, w := range m.weights {
+		if draw < w {
+			return i
+		}
+		draw -= w
+	}
+	panic(fmt.Sprintf("cohereload: mix draw %d out of range [0,%d)", draw, m.total))
 }
 
 // splitmix64 is the SplitMix64 mixing function — the same mixer
@@ -367,156 +436,259 @@ func missShd(n uint64) float64 {
 	return 0.1 + 0.8*(f-math.Floor(f))
 }
 
-// runLoad primes the warm pool, then drives cfg's mix at cfg.Concurrency
-// for cfg.Duration and summarizes the latencies.
-func runLoad(ctx context.Context, base string, cfg loadConfig) (summary, error) {
+// fleet is one closed-loop client fleet: concurrency workers, each
+// posting its next request as soon as the last one is answered, until
+// duration has passed. Worker w draws its schedule from its own rng,
+// seeded workerSeed(seed, w), so a fleet's requests are a pure
+// function of its fields.
+type fleet struct {
+	base        string // target base URL, http://host:port
+	concurrency int
+	duration    time.Duration
+	seed        int64
+	// body returns the next request's path and JSON body.
+	body func(rng *rand.Rand) (path, body string)
+	// timeout is each request's client-side deadline; 0 means none. A
+	// request that outlives it is a client timeout, not an error.
+	timeout time.Duration
+	// retry503 retries a 503 after honoring its Retry-After, capped to
+	// the rest of the window and jittered, up to three attempts in all:
+	// the chaos drill's patient client.
+	retry503 bool
+}
+
+// result is what a fleet's window recorded.
+type result struct {
+	latencies []float64      // seconds, one per 200 answer
+	requests  int            // attempts, retries included
+	errs      int            // transport errors other than client timeouts
+	timeouts  int            // requests abandoned at the client timeout
+	retries   int            // 503s retried
+	status    map[string]int // answered attempts by status code
+}
+
+// add folds o into r.
+func (r *result) add(o result) {
+	r.latencies = append(r.latencies, o.latencies...)
+	r.requests += o.requests
+	r.errs += o.errs
+	r.timeouts += o.timeouts
+	r.retries += o.retries
+	if r.status == nil {
+		r.status = map[string]int{}
+	}
+	for code, n := range o.status {
+		r.status[code] += n
+	}
+}
+
+// drive runs f's window and returns what its workers recorded. The
+// driver draws nothing from a worker's rng itself: f.body and the retry
+// jitter are its only draws, so every seed replays the same schedule.
+// Each worker records into its own result, merged once all have
+// stopped, so no request waits on another worker's bookkeeping.
+func drive(ctx context.Context, f fleet) result {
+	client := newClient(0) // per-request deadlines come from f.timeout
+	deadline := time.Now().Add(f.duration)
+	perWorker := make([]result, f.concurrency)
+	var wg sync.WaitGroup
+	for w := range perWorker {
+		wg.Add(1)
+		go func(r *result, rng *rand.Rand) {
+			defer wg.Done()
+			r.status = map[string]int{}
+			for time.Now().Before(deadline) && ctx.Err() == nil {
+				path, body := f.body(rng)
+				for attempt := 1; ; attempt++ {
+					code, retryAfter := r.send(ctx, client, f, path, body)
+					if !f.retry503 || code != http.StatusServiceUnavailable || attempt == 3 {
+						break
+					}
+					r.retries++
+					backoff := time.Duration(retryAfter) * time.Second
+					if remaining := time.Until(deadline); backoff > remaining {
+						backoff = remaining
+					}
+					if backoff > 0 {
+						// Jitter so a shed burst does not retry in lockstep.
+						time.Sleep(backoff/2 + time.Duration(rng.Int63n(int64(backoff/2+1))))
+					}
+				}
+			}
+		}(&perWorker[w], rand.New(rand.NewSource(workerSeed(f.seed, w))))
+	}
+	wg.Wait()
+	var total result
+	for _, r := range perWorker {
+		total.add(r)
+	}
+	return total
+}
+
+// send posts one request under f's client timeout and records its
+// outcome in r. It returns the status code (0 when none came back) and
+// the Retry-After seconds.
+func (r *result) send(ctx context.Context, client *http.Client, f fleet, path, body string) (code, retryAfter int) {
+	reqCtx, cancel := ctx, context.CancelFunc(func() {})
+	if f.timeout > 0 {
+		reqCtx, cancel = context.WithTimeout(ctx, f.timeout)
+	}
+	defer cancel()
+	start := time.Now()
+	code, _, retryAfter, err := post(reqCtx, client, f.base+path, body)
+	elapsed := time.Since(start).Seconds()
+	r.requests++
+	switch {
+	case err != nil && reqCtx.Err() != nil:
+		r.timeouts++
+	case err != nil:
+		r.errs++
+	default:
+		r.status[strconv.Itoa(code)]++
+		if code == http.StatusOK {
+			r.latencies = append(r.latencies, elapsed)
+		}
+	}
+	if err != nil {
+		return 0, 0
+	}
+	return code, retryAfter
+}
+
+// summary turns r, recorded by f, into its report entry. With statuses
+// the entry tallies answers by status code, and Errors counts transport
+// errors alone; without, the fleet expects nothing but 200s, and Errors
+// counts every request that did not get one.
+func (r result) summary(label string, f fleet, statuses bool) summary {
+	s := summary{
+		Label:       label,
+		Concurrency: f.concurrency,
+		Duration:    f.duration.Seconds(),
+		Requests:    r.requests,
+		Errors:      r.requests - len(r.latencies),
+		RPS:         float64(r.requests) / f.duration.Seconds(),
+		Latency:     summarize(r.latencies),
+		Mix:         map[string]int{"point": r.requests},
+	}
+	if statuses {
+		s.Errors, s.StatusCounts, s.Retries, s.ClientTimeouts = r.errs, r.status, r.retries, r.timeouts
+	}
+	return s
+}
+
+// runLoad primes the warm pool, then drives cfg's mix with f and
+// summarizes the window.
+func runLoad(ctx context.Context, f fleet, cfg loadConfig) (summary, error) {
 	client := newClient(30 * time.Second)
 
 	// Prime: every warm-pool key solved once, so in-window "hit"
 	// requests measure the cache path, not a first-touch solve.
 	for i := 0; i < cfg.WarmPool; i++ {
-		body := pointBody(warmShd(i, cfg.WarmPool), cfg.Procs)
-		if _, _, err := post(ctx, client, base+"/v1/bus", body); err != nil {
+		body := pointBody(cfg.Scheme, warmShd(i, cfg.WarmPool), cfg.Procs)
+		if _, _, _, err := post(ctx, client, f.base+"/v1/bus", body); err != nil {
 			return summary{}, fmt.Errorf("priming warm pool: %w", err)
 		}
 	}
 
-	var kinds []string
-	for kind, w := range cfg.Mix {
-		for i := 0; i < w; i++ {
-			kinds = append(kinds, kind)
-		}
-	}
-	sort.Strings(kinds) // map order is random; the schedule should not be
-
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		mixCounts = map[string]int{}
-		errs      int
-		requests  int
-		missSeq   uint64 // claimed in batches, one per worker draw
-		seqMu     sync.Mutex
-	)
-	nextMiss := func() uint64 {
-		seqMu.Lock()
-		defer seqMu.Unlock()
-		missSeq++
-		return missSeq
-	}
-
-	deadline := time.Now().Add(cfg.Duration)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(cfg.Seed, worker)))
-			for time.Now().Before(deadline) && ctx.Err() == nil {
-				kind := kinds[rng.Intn(len(kinds))]
-				hit := rng.Float64() < cfg.HitRatio
-				shd := func() float64 {
-					if hit {
-						return warmShd(rng.Intn(cfg.WarmPool), cfg.WarmPool)
-					}
-					return missShd(nextMiss())
-				}
-				var path, body string
-				switch kind {
-				case "point":
-					path, body = "/v1/bus", pointBody(shd(), cfg.Procs)
-				case "curve":
-					path, body = "/v1/bus", curveBody(shd(), cfg.Procs)
-				case "sweep":
-					pts := make([]string, 8)
-					for i := range pts {
-						pts[i] = pointBody(shd(), cfg.Procs)
-					}
-					path, body = "/v1/sweep", `{"points": [`+strings.Join(pts, ",")+`]}`
-				}
-				start := time.Now()
-				code, _, err := post(ctx, client, base+path, body)
-				elapsed := time.Since(start).Seconds()
-				mu.Lock()
-				requests++
-				mixCounts[kind]++
-				if err != nil || code != http.StatusOK {
-					errs++
-				} else {
-					latencies = append(latencies, elapsed)
-				}
-				mu.Unlock()
+	var missSeq atomic.Uint64
+	kindCounts := make([]atomic.Int64, len(cfg.Mix.kinds))
+	f.body = func(rng *rand.Rand) (string, string) {
+		k := cfg.Mix.pick(rng.Intn(cfg.Mix.total))
+		kindCounts[k].Add(1)
+		hit := rng.Float64() < cfg.HitRatio
+		shd := func() float64 {
+			if hit {
+				return warmShd(rng.Intn(cfg.WarmPool), cfg.WarmPool)
 			}
-		}(w)
+			return missShd(missSeq.Add(1))
+		}
+		switch cfg.Mix.kinds[k] {
+		case "point":
+			return "/v1/bus", pointBody(cfg.Scheme, shd(), cfg.Procs)
+		case "curve":
+			return "/v1/bus", curveBody(cfg.Scheme, shd(), cfg.Procs)
+		}
+		pts := make([]string, 8)
+		for i := range pts {
+			pts[i] = pointBody(cfg.Scheme, shd(), cfg.Procs)
+		}
+		return "/v1/sweep", `{"points": [` + strings.Join(pts, ",") + `]}`
 	}
-	wg.Wait()
-
-	sort.Float64s(latencies)
-	s := summary{
-		Label:       fmt.Sprintf("hit_ratio_%g", cfg.HitRatio),
-		HitRatio:    cfg.HitRatio,
-		Concurrency: cfg.Concurrency,
-		Duration:    cfg.Duration.Seconds(),
-		Requests:    requests,
-		Errors:      errs,
-		RPS:         float64(requests) / cfg.Duration.Seconds(),
-		Latency:     summarize(latencies),
-		Mix:         mixCounts,
+	s := drive(ctx, f).summary(fmt.Sprintf("hit_ratio_%g", cfg.HitRatio), f, false)
+	s.HitRatio = cfg.HitRatio
+	s.Mix = map[string]int{}
+	for i, kind := range cfg.Mix.kinds {
+		if n := kindCounts[i].Load(); n > 0 {
+			s.Mix[kind] = int(n)
+		}
 	}
 	return s, nil
 }
 
-// loadScheme is the scheme every generated /v1/bus and /v1/sweep body
-// names, set by the -scheme flag (default swflush, the historical load
-// shape). Any registered scheme name or alias works; the daemon under
-// test resolves it through the same registry.
-var loadScheme = "swflush"
-
-func pointBody(shd float64, procs int) string {
-	return fmt.Sprintf(`{"scheme": %q, "params": {"shd": %g}, "procs": %d, "point": true}`, loadScheme, shd, procs)
+func pointBody(scheme string, shd float64, procs int) string {
+	return fmt.Sprintf(`{"scheme": %q, "params": {"shd": %g}, "procs": %d, "point": true}`, scheme, shd, procs)
 }
 
-func curveBody(shd float64, procs int) string {
-	return fmt.Sprintf(`{"scheme": %q, "params": {"shd": %g}, "procs": %d}`, loadScheme, shd, procs)
+func curveBody(scheme string, shd float64, procs int) string {
+	return fmt.Sprintf(`{"scheme": %q, "params": {"shd": %g}, "procs": %d}`, scheme, shd, procs)
 }
 
-func post(ctx context.Context, client *http.Client, url, body string) (int, []byte, error) {
+// post sends one JSON POST and returns the status code, the response
+// body, and the Retry-After header in seconds (0 when absent).
+func post(ctx context.Context, client *http.Client, url, body string) (code int, data []byte, retryAfter int, err error) {
 	req, err := http.NewRequestWithContext(ctx, "POST", url, strings.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, 0, err
+	}
+	defer resp.Body.Close()
+	data, err = io.ReadAll(resp.Body)
+	retryAfter, _ = strconv.Atoi(resp.Header.Get("Retry-After"))
+	return resp.StatusCode, data, retryAfter, err
+}
+
+// get fetches url and returns its body, failing on any status but 200.
+func get(client *http.Client, url string) ([]byte, error) {
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, data, err
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return data, err
 }
 
-// summarize computes percentiles from a sorted sample (milliseconds).
-func summarize(sorted []float64) percentiles {
-	if len(sorted) == 0 {
+// summarize sorts a latency sample (seconds) in place and computes its
+// percentiles in milliseconds.
+func summarize(sample []float64) percentiles {
+	if len(sample) == 0 {
 		return percentiles{}
 	}
+	sort.Float64s(sample)
 	q := func(p float64) float64 {
-		i := int(math.Ceil(p*float64(len(sorted)))) - 1
+		i := int(math.Ceil(p*float64(len(sample)))) - 1
 		if i < 0 {
 			i = 0
 		}
-		return sorted[i] * 1000
+		return sample[i] * 1000
 	}
 	var sum float64
-	for _, v := range sorted {
+	for _, v := range sample {
 		sum += v
 	}
 	return percentiles{
 		P50:  q(0.50),
 		P90:  q(0.90),
 		P99:  q(0.99),
-		Mean: sum / float64(len(sorted)) * 1000,
-		Max:  sorted[len(sorted)-1] * 1000,
+		Mean: sum / float64(len(sample)) * 1000,
+		Max:  sample[len(sample)-1] * 1000,
 	}
 }
 
@@ -536,20 +708,15 @@ const jobGridRows = 2 * 10 * 1000
 // the process — if any row is lost, the trailer is missing or unclean,
 // or the cancelled job remains resident.
 func runJobs(stdout, stderr io.Writer, addr string) error {
-	target := addr
-	if target == "" {
-		stopSrv, bound, err := startLocalDaemon()
-		if err != nil {
-			return err
-		}
-		defer stopSrv()
-		target = bound
-		fmt.Fprintf(stderr, "cohereload: booted in-process daemon on %s\n", target)
+	target, err := resolveTarget(stderr, addr, serve.Config{})
+	if err != nil {
+		return err
 	}
-	base := "http://" + target
+	defer target.stop()
+	base := target.url
 	client := newClient(0) // no timeout: the results stream is long-lived
 
-	rep := report{Tool: "cohereload", Target: target + " (jobs)"}
+	rep := report{Tool: "cohereload", Target: target.addr + " (jobs)"}
 
 	// Scenario 1: submit and stream every row.
 	id, err := submitJob(client, base)
@@ -568,7 +735,6 @@ func runJobs(stdout, stderr io.Writer, addr string) error {
 	if trailerState != "done" {
 		return fmt.Errorf("jobs_stream: trailer state %q, want done", trailerState)
 	}
-	sort.Float64s(gaps)
 	rep.Scenarios = append(rep.Scenarios, summary{
 		Label:    "jobs_stream",
 		Duration: elapsed.Seconds(),
@@ -604,7 +770,7 @@ func runJobs(stdout, stderr io.Writer, addr string) error {
 
 // submitJob posts the drill grid and returns the job ID.
 func submitJob(client *http.Client, base string) (string, error) {
-	code, data, err := post(context.Background(), client, base+"/v1/jobs/sweep", jobGridBody)
+	code, data, _, err := post(context.Background(), client, base+"/v1/jobs/sweep", jobGridBody)
 	if err != nil {
 		return "", err
 	}
@@ -712,60 +878,43 @@ func cancelJobMidStream(client *http.Client, base, id string) (int, error) {
 // short, so overload converts to 503s within the drill window.
 const chaosRequestTimeout = 300 * time.Millisecond
 
-// startChaosDaemon boots the drill target: a deliberately tiny daemon
-// (two solve slots, two queue seats) with the deterministic injector
-// adding latency and transient errors to every solve.
-func startChaosDaemon(seed int64) (func(), string, error) {
-	inj := fault.New(fault.Config{
-		Seed:     seed,
-		Latency:  20 * time.Millisecond,
-		LatencyP: 0.4,
-		ErrorP:   0.2,
-	})
-	srv := serve.NewServer(serve.Config{
-		MaxInFlight:    2,
-		MaxQueueDepth:  2,
-		RequestTimeout: chaosRequestTimeout,
-		Fault:          inj,
-		Logger:         slog.New(slog.NewJSONHandler(io.Discard, nil)),
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, "", err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	return func() { hs.Close() }, ln.Addr().String(), nil
-}
-
 // runChaos drives the overload drill: a patient fleet and an abandoning
 // fleet against the chaos daemon, then verdicts the run from the
 // daemon's own metrics. It returns an error — failing the process —
-// if the daemon ever answered 500 or never shed, so `make chaos-smoke`
+// if the daemon ever answered 500 or never shed, or a request failed in
+// transport other than by its client timeout, so `make chaos-smoke`
 // is a real gate, not a report generator. With addr set it drives an
 // existing daemon or gateway instead of booting its own; the verdicts
 // that assume the tiny self-booted daemon (nonzero sheds, the /metrics
-// scrape) are skipped then, the no-500s one is not.
-func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration, seed int64, procs int) error {
-	target := addr
-	selfBooted := addr == ""
-	if selfBooted {
-		stopSrv, bound, err := startChaosDaemon(seed)
-		if err != nil {
-			return err
-		}
-		defer stopSrv()
-		target = bound
-		fmt.Fprintf(stderr, "cohereload: chaos daemon on %s (2 slots, 2 queue seats, faults armed)\n", target)
-	} else {
-		fmt.Fprintf(stderr, "cohereload: chaos fleets targeting %s\n", target)
+// scrape) are skipped then, the client-facing ones are not.
+func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration, seed int64, scheme string, procs int) error {
+	// The self-booted target is deliberately tiny (two solve slots, two
+	// queue seats), with the deterministic injector adding latency and
+	// transient errors to every solve.
+	target, err := resolveTarget(stderr, addr, serve.Config{
+		MaxInFlight:    2,
+		MaxQueueDepth:  2,
+		RequestTimeout: chaosRequestTimeout,
+		Fault: fault.New(fault.Config{
+			Seed:     seed,
+			Latency:  20 * time.Millisecond,
+			LatencyP: 0.4,
+			ErrorP:   0.2,
+		}),
+	})
+	if err != nil {
+		return err
 	}
-	base := "http://" + target
+	defer target.stop()
+	selfBooted := addr == ""
+	fmt.Fprintf(stderr, "cohereload: chaos fleets targeting %s\n", target.addr)
 
-	rep := report{Tool: "cohereload", Target: target + " (chaos)"}
-	// Patient clients wait out the server's full budget and retry 503s
-	// after honoring Retry-After; abandoning clients hang up after a
-	// timeout far below the injected latency, exercising cancellation.
+	rep := report{Tool: "cohereload", Target: target.addr + " (chaos)"}
+	// Patient clients wait out the server's full budget and abandoning
+	// clients hang up after a timeout far below the injected latency,
+	// exercising cancellation; both retry 503s after honoring
+	// Retry-After. Every request is a distinct key, so every admitted
+	// one pays a real solve.
 	for _, sc := range []struct {
 		label         string
 		clientTimeout time.Duration
@@ -774,10 +923,18 @@ func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration
 		{"chaos_patient", 0, seed},
 		{"chaos_abandoning", 30 * time.Millisecond, seed + 1},
 	} {
-		s := chaosScenario(base, sc.label, conc, dur, sc.seed, procs, sc.clientTimeout)
+		var missSeq atomic.Uint64
+		f := fleet{
+			base: target.url, concurrency: conc, duration: dur, seed: sc.seed,
+			timeout: sc.clientTimeout, retry503: true,
+			body: func(*rand.Rand) (string, string) {
+				return "/v1/bus", pointBody(scheme, missShd(missSeq.Add(1)), procs)
+			},
+		}
+		s := drive(context.Background(), f).summary(sc.label, f, true)
 		rep.Scenarios = append(rep.Scenarios, s)
-		fmt.Fprintf(stderr, "cohereload: %s: %d requests, status %v, %d retries, %d client timeouts\n",
-			s.Label, s.Requests, s.StatusCounts, s.Retries, s.ClientTimeouts)
+		fmt.Fprintf(stderr, "cohereload: %s: %d requests, status %v, %d retries, %d client timeouts, %d transport errors\n",
+			s.Label, s.Requests, s.StatusCounts, s.Retries, s.ClientTimeouts, s.Errors)
 	}
 
 	var stats chaosStats
@@ -786,7 +943,7 @@ func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration
 		// /metrics page speaks swcc_gw_*) has no scrapeable overload
 		// block; the clients' own status tallies are the verdict then.
 		var err error
-		stats, err = scrapeChaosStats(base)
+		stats, err = scrapeChaosStats(target.url)
 		if err != nil {
 			return err
 		}
@@ -797,16 +954,21 @@ func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration
 		return err
 	}
 
-	client500s := 0
+	client500s, transportErrs := 0, 0
 	for _, s := range rep.Scenarios {
 		client500s += s.StatusCounts["500"]
+		transportErrs += s.Errors
 	}
 	if stats.ServerError500s > 0 || client500s > 0 {
 		return fmt.Errorf("chaos: daemon answered 500 under injected faults (server counted %d, clients saw %d) — overload must stay 503/504/499",
 			stats.ServerError500s, client500s)
 	}
+	if transportErrs > 0 {
+		return fmt.Errorf("chaos: %d requests failed in transport without reaching their client timeout — overload must answer 503/504 or time out cleanly",
+			transportErrs)
+	}
 	if !selfBooted {
-		fmt.Fprintf(stderr, "cohereload: chaos ok against %s: 0 client-visible 500s\n", target)
+		fmt.Fprintf(stderr, "cohereload: chaos ok against %s: 0 client-visible 500s, 0 transport errors\n", target.addr)
 		return nil
 	}
 	if stats.Sheds == 0 {
@@ -817,133 +979,16 @@ func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration
 	return nil
 }
 
-// chaosScenario runs one fleet for the window and tallies outcomes by
-// status code. clientTimeout 0 means patient: the client outlasts the
-// server's own budget.
-func chaosScenario(base, label string, conc int, dur time.Duration, seed int64, procs int, clientTimeout time.Duration) summary {
-	client := newClient(0)
-	var (
-		mu        sync.Mutex
-		latencies []float64
-		status    = map[string]int{}
-		requests  int
-		retries   int
-		timeouts  int
-		errs      int
-		missSeq   uint64
-		seqMu     sync.Mutex
-	)
-	nextMiss := func() uint64 {
-		seqMu.Lock()
-		defer seqMu.Unlock()
-		missSeq++
-		return missSeq
-	}
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(seed, worker)))
-			for time.Now().Before(deadline) {
-				// Distinct keys so every admitted request pays a real solve.
-				body := pointBody(missShd(nextMiss()), procs)
-				// Retry loop: a 503 is retried (bounded) after honoring the
-				// server's Retry-After, capped to the remaining window.
-				for attempt := 0; attempt < 3; attempt++ {
-					ctx := context.Background()
-					cancel := context.CancelFunc(func() {})
-					if clientTimeout > 0 {
-						ctx, cancel = context.WithTimeout(ctx, clientTimeout)
-					}
-					start := time.Now()
-					code, retryAfter, err := postStatus(ctx, client, base+"/v1/bus", body)
-					elapsed := time.Since(start).Seconds()
-					cancel()
-					mu.Lock()
-					requests++
-					switch {
-					case err != nil && ctx.Err() != nil:
-						timeouts++
-					case err != nil:
-						errs++
-					default:
-						status[strconv.Itoa(code)]++
-						if code == http.StatusOK {
-							latencies = append(latencies, elapsed)
-						}
-					}
-					if err == nil && code == http.StatusServiceUnavailable && attempt < 2 {
-						retries++
-						mu.Unlock()
-						backoff := time.Duration(retryAfter) * time.Second
-						if remaining := time.Until(deadline); backoff > remaining {
-							backoff = remaining
-						}
-						if backoff > 0 {
-							// Jitter so a shed burst does not retry in lockstep.
-							time.Sleep(backoff/2 + time.Duration(rng.Int63n(int64(backoff/2+1))))
-						}
-						continue
-					}
-					mu.Unlock()
-					break
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	sort.Float64s(latencies)
-	return summary{
-		Label:          label,
-		Concurrency:    conc,
-		Duration:       dur.Seconds(),
-		Requests:       requests,
-		Errors:         errs,
-		RPS:            float64(requests) / dur.Seconds(),
-		Latency:        summarize(latencies),
-		Mix:            map[string]int{"point": requests},
-		StatusCounts:   status,
-		Retries:        retries,
-		ClientTimeouts: timeouts,
-	}
-}
-
-// postStatus posts one request and returns the status code plus the
-// parsed Retry-After header (seconds, 0 when absent).
-func postStatus(ctx context.Context, client *http.Client, url, body string) (int, int, error) {
-	req, err := http.NewRequestWithContext(ctx, "POST", url, strings.NewReader(body))
-	if err != nil {
-		return 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	ra, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
-	return resp.StatusCode, ra, nil
-}
-
 // scrapeChaosStats reads the daemon's own overload accounting off
 // /metrics — the drill's verdict comes from the server, not from what
 // the clients happened to observe.
 func scrapeChaosStats(base string) (chaosStats, error) {
-	resp, err := http.Get(base + "/metrics")
+	data, err := get(newClient(10*time.Second), base+"/metrics")
 	if err != nil {
-		return chaosStats{}, err
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return chaosStats{}, err
+		return chaosStats{}, fmt.Errorf("chaos: scraping /metrics: %w", err)
 	}
 	text := string(data)
-	get := func(name string) int {
+	counter := func(name string) int {
 		m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`).FindStringSubmatch(text)
 		if m == nil {
 			return 0
@@ -952,10 +997,10 @@ func scrapeChaosStats(base string) (chaosStats, error) {
 		return n
 	}
 	stats := chaosStats{
-		Sheds:           get("swcc_http_sheds_total"),
-		Cancels:         get("swcc_http_cancels_total"),
-		InjectedErrors:  get(`swcc_fault_injections_total{kind="error"}`),
-		InjectedLatency: get(`swcc_fault_injections_total{kind="latency"}`),
+		Sheds:           counter("swcc_http_sheds_total"),
+		Cancels:         counter("swcc_http_cancels_total"),
+		InjectedErrors:  counter(`swcc_fault_injections_total{kind="error"}`),
+		InjectedLatency: counter(`swcc_fault_injections_total{kind="latency"}`),
 	}
 	for _, m := range regexp.MustCompile(`code="500"\} (\d+)`).FindAllStringSubmatch(text, -1) {
 		n, _ := strconv.Atoi(m[1])

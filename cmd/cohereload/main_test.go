@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -82,6 +86,40 @@ func TestBadFlags(t *testing.T) {
 		if err := run(args, io.Discard, io.Discard); err == nil {
 			t.Errorf("args %v accepted; want error", args)
 		}
+	}
+	// Every comparison with NaN is false, so a plain range check lets it
+	// through; it must be refused before any load, naming its flag.
+	if err := run([]string{"-hit-ratios", "NaN"}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-hit-ratios") {
+		t.Errorf("-hit-ratios NaN: got %v, want an error naming -hit-ratios", err)
+	}
+}
+
+// TestMixPick pins the request-kind draw: the cumulative walk over the
+// sorted kinds maps every draw to the kind that the sorted slice of
+// weight copies of each kind holds at that index, so schedules replay
+// unchanged without the slice; and a total weight past int is refused.
+func TestMixPick(t *testing.T) {
+	m, err := parseMix("point:4,curve:1,sweep:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var expanded []string
+	for i, kind := range m.kinds {
+		for j := 0; j < m.weights[i]; j++ {
+			expanded = append(expanded, kind)
+		}
+	}
+	sort.Strings(expanded)
+	if len(expanded) != m.total {
+		t.Fatalf("total %d, want %d", m.total, len(expanded))
+	}
+	for draw, want := range expanded {
+		if got := m.kinds[m.pick(draw)]; got != want {
+			t.Errorf("draw %d picks %s, want %s", draw, got, want)
+		}
+	}
+	if _, err := parseMix(fmt.Sprintf("point:%d,curve:1", math.MaxInt)); err == nil {
+		t.Error("a total weight past int was accepted")
 	}
 }
 
@@ -203,8 +241,9 @@ func TestHedgeGateFailsOnLoad(t *testing.T) {
 
 // TestGwRun is the in-process version of `make gw-smoke`: the gateway
 // drill must pass its own gates (affinity >= 1.5x round-robin's backend
-// hit ratio with p99 no worse, clean failover, zero-solve warm restart)
-// and emit all four gateway scenarios.
+// hit ratio with p99 no worse, a hedged tail cut inside the load band,
+// clean failover and reload, zero-solve warm restart) and emit all seven
+// gateway scenarios.
 func TestGwRun(t *testing.T) {
 	var stdout bytes.Buffer
 	err := run([]string{"-gw", "-c", "4", "-d", "400ms"}, &stdout, io.Discard)
@@ -219,7 +258,7 @@ func TestGwRun(t *testing.T) {
 	for _, s := range rep.Scenarios {
 		byLabel[s.Label] = s
 	}
-	for _, want := range []string{"gw_affinity", "gw_roundrobin", "gw_failover", "gw_warm_restart"} {
+	for _, want := range []string{"gw_affinity", "gw_roundrobin", "gw_unhedged", "gw_hedged", "gw_failover", "gw_reload", "gw_warm_restart"} {
 		if _, ok := byLabel[want]; !ok {
 			t.Fatalf("scenario %q missing from report: %+v", want, rep.Scenarios)
 		}
@@ -228,6 +267,9 @@ func TestGwRun(t *testing.T) {
 	if aff.BackendHitRatio < gwHitRatioGate*rr.BackendHitRatio {
 		t.Errorf("drill passed but recorded hit ratios violate the gate: affinity %.3f vs roundrobin %.3f",
 			aff.BackendHitRatio, rr.BackendHitRatio)
+	}
+	if h := byLabel["gw_hedged"]; h.BackendSendRatio <= 0 {
+		t.Errorf("hedged arm recorded no backend sends: ratio %v", h.BackendSendRatio)
 	}
 	if fo := byLabel["gw_failover"]; fo.StatusCounts["500"] != 0 || fo.StatusCounts["502"] != 0 {
 		t.Errorf("failover scenario recorded 5xx: %v", fo.StatusCounts)
@@ -270,8 +312,32 @@ func TestChaosRun(t *testing.T) {
 		if s.StatusCounts["500"] != 0 {
 			t.Errorf("%s: clients saw %d 500s", s.Label, s.StatusCounts["500"])
 		}
+		if s.Errors != 0 {
+			t.Errorf("%s: %d transport errors that were not client timeouts", s.Label, s.Errors)
+		}
 	}
 	if rep.Scenarios[1].ClientTimeouts == 0 {
 		t.Error("abandoning fleet never abandoned a request")
+	}
+}
+
+// TestJobsRun is the in-process version of `make jobs-smoke`: the drill
+// must pass its own gates (every row streamed with a clean trailer, the
+// cancelled job gone) and report both scenarios.
+func TestJobsRun(t *testing.T) {
+	var stdout bytes.Buffer
+	if err := run([]string{"-jobs"}, &stdout, io.Discard); err != nil {
+		t.Fatalf("jobs drill failed its gate: %v", err)
+	}
+	var rep report
+	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+		t.Fatalf("stdout is not the report JSON: %v\n%s", err, stdout.String())
+	}
+	if len(rep.Scenarios) != 2 || rep.Scenarios[0].Label != "jobs_stream" ||
+		rep.Scenarios[1].Label != "jobs_cancel" {
+		t.Fatalf("want the stream and cancel scenarios, got %+v", rep.Scenarios)
+	}
+	if rows := rep.Scenarios[0].Mix["rows"]; rows != jobGridRows {
+		t.Errorf("jobs_stream reported %d rows, want %d", rows, jobGridRows)
 	}
 }
