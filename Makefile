@@ -81,10 +81,11 @@ bench-diff:
 # Allocation pins, run WITHOUT the race detector (its instrumentation
 # perturbs testing.AllocsPerRun): the warm BusPoint path must stay at
 # zero allocations, the warm extend path within its budget, a
-# population-ascending curve run at O(log n) allocations, and decoding a
-# 64-point /v1/sweep body at its measured count.
+# population-ascending curve run at O(log n) allocations, decoding a
+# 64-point /v1/sweep body at its measured count, and a simulator run
+# within 10 bytes per trace record (no per-run copy of the trace).
 alloc-check:
-	$(GO) test -run 'Alloc' ./internal/core ./internal/sweep ./internal/serve
+	$(GO) test -run 'Alloc' ./internal/core ./internal/sweep ./internal/serve ./internal/sim
 
 # Fuzz smoke: every native Go fuzz target in the module (Fuzz* functions
 # in *_test.go files) for a fixed 10 s each. A failure leaves the

@@ -32,9 +32,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ncpu := fs.Int("ncpu", 0, "processors (overrides preset)")
 	instr := fs.Int("instr", 0, "instructions per processor (overrides preset)")
 	seed := fs.Uint64("seed", 0, "RNG seed (overrides preset)")
-	ls := fs.Float64("ls", -1, "data references per instruction")
-	shd := fs.Float64("shd", -1, "shared fraction of data references")
-	wr := fs.Float64("wr", -1, "write fraction of data references")
+	ls := fs.Float64("ls", 0, "data references per instruction (overrides preset)")
+	shd := fs.Float64("shd", 0, "shared fraction of data references (overrides preset)")
+	wr := fs.Float64("wr", 0, "write fraction of data references (overrides preset)")
 	noFlush := fs.Bool("noflush", false, "suppress flush records")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -47,24 +47,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if *ncpu > 0 {
-		cfg.NCPU = *ncpu
-	}
-	if *instr > 0 {
-		cfg.InstrPerCPU = *instr
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *ls >= 0 {
-		cfg.LS = *ls
-	}
-	if *shd >= 0 {
-		cfg.SharedFrac = *shd
-	}
-	if *wr >= 0 {
-		cfg.WriteFrac = *wr
-	}
+	// Override only what was given on the command line, so every given
+	// value, NaN or out of range included, reaches the generator's
+	// validation instead of being mistaken for "unset".
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "ncpu":
+			cfg.NCPU = *ncpu
+		case "instr":
+			cfg.InstrPerCPU = *instr
+		case "seed":
+			cfg.Seed = *seed
+		case "ls":
+			cfg.LS = *ls
+		case "shd":
+			cfg.SharedFrac = *shd
+		case "wr":
+			cfg.WriteFrac = *wr
+		}
+	})
 	if *noFlush {
 		cfg.EmitFlush = false
 	}

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"swcc/internal/trace"
+	"swcc/internal/tracegen"
 )
 
 func TestGenerateToStdoutBinary(t *testing.T) {
@@ -75,6 +77,17 @@ func TestBadArgs(t *testing.T) {
 	}
 	if err := run([]string{"-ls", "2"}, &out, &errB); err == nil {
 		t.Error("want error for ls out of range")
+	}
+	// A NaN must reach validation, not read as unset and keep the
+	// preset's value.
+	for _, name := range []string{"-ls", "-shd", "-wr"} {
+		err := run([]string{"-preset", "pops", "-instr", "100", name, "NaN"}, &out, &errB)
+		if !errors.Is(err, tracegen.ErrBadConfig) {
+			t.Errorf("%s NaN: want ErrBadConfig, got %v", name, err)
+		}
+	}
+	if err := run([]string{"-ncpu", "0"}, &out, &errB); !errors.Is(err, tracegen.ErrBadConfig) {
+		t.Errorf("-ncpu 0: want ErrBadConfig, got %v", err)
 	}
 	if err := run([]string{"-badflag"}, &out, &errB); err == nil {
 		t.Error("want error for unknown flag")

@@ -40,6 +40,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
+	// Written so NaN fails too: int(NaN*len) would reach the simulator
+	// as a huge negative record count.
+	if !(*warmup >= 0 && *warmup < 1) {
+		return fmt.Errorf("warmup fraction %g not in [0,1)", *warmup)
+	}
 	proto, err := sim.ProtocolByName(*protoName)
 	if err != nil {
 		return err
@@ -76,10 +81,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *warmup < 0 || *warmup >= 1 {
-		return fmt.Errorf("warmup fraction %g not in [0,1)", *warmup)
-	}
-
 	res, err := sim.Run(sim.Config{
 		NCPU:       tr.NCPU,
 		Cache:      sim.CacheConfig{Size: *cacheSize, BlockSize: *blockSize, Assoc: *assoc, Replacement: pol},

@@ -117,6 +117,9 @@ func TestBadInputs(t *testing.T) {
 	if err := run([]string{"-trace", path, "-warmup", "1.5"}, empty, &out); err == nil {
 		t.Error("want error for warmup out of range")
 	}
+	if err := run([]string{"-trace", path, "-warmup", "NaN"}, empty, &out); err == nil || !strings.Contains(err.Error(), "warmup fraction NaN") {
+		t.Errorf("-warmup NaN: want an error naming the fraction, got %v", err)
+	}
 	if err := run([]string{"-trace", path, "-cache", "100"}, empty, &out); err == nil {
 		t.Error("want error for bad cache size")
 	}

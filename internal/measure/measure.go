@@ -50,6 +50,9 @@ func Stability(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (map[s
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkWarmup(warmupFrac); err != nil {
+		return nil, err
+	}
 	if len(t.Refs) < 4 {
 		return nil, fmt.Errorf("measure: trace too short for split-half analysis")
 	}
@@ -81,6 +84,16 @@ func Stability(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (map[s
 	return out, nil
 }
 
+// checkWarmup rejects a warmup fraction outside [0,1). The test is
+// written so NaN fails it too: int(NaN*len) would otherwise reach the
+// simulator as a huge negative record count.
+func checkWarmup(frac float64) error {
+	if !(frac >= 0 && frac < 1) {
+		return fmt.Errorf("measure: warmup fraction %g not in [0,1)", frac)
+	}
+	return nil
+}
+
 // Extract measures all eleven parameters of the trace under the given
 // cache geometry. warmupFrac in [0,1) is the leading fraction of the
 // trace used only to warm the caches in the shadow simulations; 0.5 is a
@@ -90,8 +103,8 @@ func Extract(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (*Measur
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if warmupFrac < 0 || warmupFrac >= 1 {
-		return nil, fmt.Errorf("measure: warmup fraction %g not in [0,1)", warmupFrac)
+	if err := checkWarmup(warmupFrac); err != nil {
+		return nil, err
 	}
 	warmup := int(float64(len(t.Refs)) * warmupFrac)
 	m := &Measurement{}

@@ -241,6 +241,21 @@ func TestStabilityErrors(t *testing.T) {
 	}
 }
 
+// TestWarmupFractionNaN: NaN passes a range check written as
+// "f < 0 || f >= 1", and int(NaN*len) would reach the simulator as a
+// warmup of -9223372036854775808 records; the error must name the
+// fraction instead.
+func TestWarmupFractionNaN(t *testing.T) {
+	tr := &trace.Trace{NCPU: 1, Refs: make([]trace.Ref, 8)}
+	const want = "measure: warmup fraction NaN not in [0,1)"
+	if _, err := Extract(tr, cache64k, math.NaN()); err == nil || err.Error() != want {
+		t.Errorf("Extract: got %v, want %q", err, want)
+	}
+	if _, err := Stability(tr, cache64k, math.NaN()); err == nil || err.Error() != want {
+		t.Errorf("Stability: got %v, want %q", err, want)
+	}
+}
+
 func TestExtractModelAgreementSingleCPU(t *testing.T) {
 	// With one processor there is no contention and no sharing
 	// overhead in Base; the model fed with measured parameters must

@@ -22,23 +22,33 @@ func benchTrace(b *testing.B, instr int) *trace.Trace {
 }
 
 // BenchmarkSimHotLoop drives the engine's per-record path (protocol
-// dispatch, cost application, cache access) with each protocol; the
-// allocs/op figure guards the hot loop against regressing into
-// per-access allocation.
+// dispatch, cost application, cache access) with each protocol on the
+// bus, plus Base on the multistage network; refs/s is trace records
+// simulated per second, and the allocs/op figure guards the hot loop
+// against regressing into per-access allocation.
 func BenchmarkSimHotLoop(b *testing.B) {
 	tr := benchTrace(b, 20_000)
 	cache := CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
-	for _, proto := range []Protocol{ProtoBase, ProtoDragon, ProtoNoCache, ProtoSoftwareFlush} {
-		b.Run(proto.String(), func(b *testing.B) {
-			cfg := Config{NCPU: tr.NCPU, Cache: cache, Protocol: proto}
+	type hotCase struct {
+		name string
+		cfg  Config
+	}
+	var cases []hotCase
+	for p := range protoNames {
+		cfg := Config{NCPU: tr.NCPU, Cache: cache, Protocol: Protocol(p)}
+		cases = append(cases, hotCase{cfg.Protocol.String(), cfg})
+	}
+	cases = append(cases, hotCase{"Base-network", Config{NCPU: tr.NCPU, Cache: cache, Protocol: ProtoBase, Medium: MediumNetwork}})
+	for _, hc := range cases {
+		b.Run(hc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(len(tr.Refs)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg, tr); err != nil {
+				if _, err := Run(hc.cfg, tr); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.N)*float64(len(tr.Refs))/b.Elapsed().Seconds(), "refs/s")
 		})
 	}
 }

@@ -124,11 +124,13 @@ type line struct {
 // replacement. Addresses are pre-divided by BlockSize: all methods take
 // block numbers.
 type Cache struct {
-	cfg      CacheConfig
-	sets     [][]line
-	setShift uint // unused bits already removed: block num -> set index mask
-	setMask  uint64
-	clock    uint64
+	cfg CacheConfig
+	// lines holds the sets back to back: set s is
+	// lines[s*Assoc : (s+1)*Assoc].
+	lines      []line
+	setMask    uint64
+	blockShift uint
+	clock      uint64
 }
 
 // NewCache builds a cache per the configuration.
@@ -137,15 +139,11 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Size / cfg.BlockSize / cfg.Assoc
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
 	return &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		setMask: uint64(nsets - 1),
+		cfg:        cfg,
+		lines:      make([]line, nsets*cfg.Assoc),
+		setMask:    uint64(nsets - 1),
+		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockSize))),
 	}, nil
 }
 
@@ -155,11 +153,13 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // BlockOf converts a byte address to a block number under this cache's
 // block size.
 func (c *Cache) BlockOf(addr uint64) uint64 {
-	return addr >> uint(bits.TrailingZeros(uint(c.cfg.BlockSize)))
+	return addr >> c.blockShift
 }
 
+// set returns the lines of block's set.
 func (c *Cache) set(block uint64) []line {
-	return c.sets[block&c.setMask]
+	i := int(block&c.setMask) * c.cfg.Assoc
+	return c.lines[i : i+c.cfg.Assoc]
 }
 
 // find returns the line holding block, or nil.
@@ -278,11 +278,9 @@ func (c *Cache) MarkClean(block uint64) {
 // Occupancy returns the number of valid lines (for tests and stats).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.state != invalid {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.state != invalid {
+			n++
 		}
 	}
 	return n

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"swcc/internal/core"
 	"swcc/internal/trace"
@@ -325,16 +326,30 @@ func Run(cfg Config, t *trace.Trace) (*Result, error) {
 	if cfg.WarmupRefs < 0 || (cfg.WarmupRefs > 0 && cfg.WarmupRefs >= len(t.Refs)) {
 		return nil, fmt.Errorf("%w: warmup %d out of range for %d records", ErrBadConfig, cfg.WarmupRefs, len(t.Refs))
 	}
+	if len(t.Refs) > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d records exceed the simulator's limit of %d", ErrBadConfig, len(t.Refs), math.MaxInt32)
+	}
 
-	streams := t.PerCPU()
-	cursor := make([]int, len(streams))
-	processed := 0
+	// Walk t.Refs in place rather than copying it into per-processor
+	// streams: next[i] links record i to the next record of the same
+	// processor (-1 after its last), and cursor[c] is processor c's
+	// next record (-1 once it has none left). One backward pass builds
+	// both.
+	next := make([]int32, len(t.Refs))
+	cursor := make([]int32, t.NCPU)
+	for c := range cursor {
+		cursor[c] = -1
+	}
+	for i := len(t.Refs) - 1; i >= 0; i-- {
+		c := t.Refs[i].CPU
+		next[i] = cursor[c]
+		cursor[c] = int32(i)
+	}
 	var warmStats []CPUStats
 	var warmClocks []uint64
 	var warmBusy, warmWait, warmTrans uint64
 	var warmSnoop SnoopStats
-	remaining := len(t.Refs)
-	for remaining > 0 {
+	for processed := range len(t.Refs) {
 		if processed == cfg.WarmupRefs && cfg.WarmupRefs > 0 {
 			warmStats = append([]CPUStats(nil), e.stats...)
 			warmClocks = append([]uint64(nil), e.clocks...)
@@ -346,19 +361,17 @@ func Run(cfg Config, t *trace.Trace) (*Result, error) {
 		// not trace position, order cross-processor references (the
 		// paper notes this distorts ordering only slightly).
 		cpu := -1
-		for c := range streams {
-			if cursor[c] >= len(streams[c]) {
+		for c, i := range cursor {
+			if i < 0 {
 				continue
 			}
 			if cpu < 0 || e.clocks[c] < e.clocks[cpu] {
 				cpu = c
 			}
 		}
-		ref := streams[cpu][cursor[cpu]]
-		cursor[cpu]++
-		remaining--
-		processed++
-		e.step(int(ref.CPU), ref)
+		i := cursor[cpu]
+		cursor[cpu] = next[i]
+		e.step(cpu, t.Refs[i])
 	}
 
 	busy, wait, trans := e.ic.stats()
@@ -430,23 +443,22 @@ func (e *engine) applyOp(cpu int, op core.Op, addr uint64) {
 	e.clocks[cpu] = now + e.opCPU[op]
 }
 
-// othersHolding scans the other caches for the block, returning whether
-// any holds it, how many, and a processor holding it dirty (-1 if none).
-func (e *engine) othersHolding(cpu int, block uint64) (present bool, holders int, dirtyAt int) {
+// othersHolding scans the other caches for the block, returning how
+// many hold it and a processor holding it dirty (-1 if none).
+func (e *engine) othersHolding(cpu int, block uint64) (holders int, dirtyAt int) {
 	dirtyAt = -1
 	for c, cache := range e.caches {
 		if c == cpu {
 			continue
 		}
-		if cache.Present(block) {
-			present = true
+		if l := cache.find(block); l != nil {
 			holders++
-			if dirtyAt < 0 && cache.IsDirty(block) {
+			if dirtyAt < 0 && l.state == dirty {
 				dirtyAt = c
 			}
 		}
 	}
-	return present, holders, dirtyAt
+	return holders, dirtyAt
 }
 
 // step processes one trace record.
@@ -488,13 +500,21 @@ func (e *engine) access(cpu int, ref trace.Ref, write bool) {
 	cache := e.caches[cpu]
 	block := cache.BlockOf(ref.Addr)
 	isData := ref.Kind.IsData()
+	sharedData := isData && ref.Shared
 	snoopy := e.snoopy
 
+	// A hit needs the snoop scan only for a store (update or
+	// invalidate the holders) or for a shared data reference's snoop
+	// statistics; any other reference scans only once Touch has
+	// missed. Deferring is exact: Touch changes nothing on a miss and
+	// never reads or writes the other caches.
 	var present bool
 	var holders, dirtyAt int
-	if snoopy {
-		present, holders, dirtyAt = e.othersHolding(cpu, block)
-		if isData && ref.Shared {
+	scanned := snoopy && (write || sharedData)
+	if scanned {
+		holders, dirtyAt = e.othersHolding(cpu, block)
+		present = holders > 0
+		if sharedData {
 			e.snoop.SharedRefs++
 			if present {
 				e.snoop.PresentElsewhere++
@@ -521,12 +541,16 @@ func (e *engine) access(cpu int, ref trace.Ref, write bool) {
 	}
 
 	// Miss.
+	if snoopy && !scanned {
+		holders, dirtyAt = e.othersHolding(cpu, block)
+		present = holders > 0
+	}
 	if isData {
 		e.stats[cpu].DataMisses++
 	} else {
 		e.stats[cpu].InstrMisses++
 	}
-	if snoopy && isData && ref.Shared {
+	if snoopy && sharedData {
 		e.snoop.SharedMisses++
 		if dirtyAt >= 0 {
 			e.snoop.DirtyElsewhere++

@@ -44,14 +44,16 @@ func (k Kind) String() string {
 // IsData reports whether the record is a load or store.
 func (k Kind) IsData() bool { return k == Read || k == Write }
 
-// Ref is one memory reference by one processor.
+// Ref is one memory reference by one processor. Addr comes first so
+// the three one-byte fields pack behind it: a record is 16 bytes, not
+// the 24 that leading one-byte fields would pad it to.
 type Ref struct {
+	// Addr is the byte address.
+	Addr uint64
 	// CPU is the issuing processor, 0-based.
 	CPU uint8
 	// Kind classifies the reference.
 	Kind Kind
-	// Addr is the byte address.
-	Addr uint64
 	// Shared marks references the compiler/programmer designated as
 	// shared (drives the software schemes; ignored by hardware ones).
 	Shared bool

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"testing"
+	"unsafe"
 )
 
 func sample() *Trace {
@@ -133,4 +134,13 @@ func TestStatsEmptyTrace(t *testing.T) {
 func almost(a, b float64) bool {
 	d := a - b
 	return d < 1e-12 && d > -1e-12
+}
+
+// TestRefIs16Bytes pins the record layout: the simulator and every trace
+// consumer stream over []Ref, so a field order that pads it back to 24
+// bytes costs half again the memory traffic.
+func TestRefIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Ref{}); got != 16 {
+		t.Errorf("sizeof(Ref) = %d, want 16", got)
+	}
 }

@@ -128,21 +128,21 @@ func (c *Config) validate() error {
 		return fmt.Errorf("%w: ncpu %d", ErrBadConfig, c.NCPU)
 	case c.InstrPerCPU < 1:
 		return fmt.Errorf("%w: instrPerCPU %d", ErrBadConfig, c.InstrPerCPU)
-	case c.LS < 0 || c.LS > 1:
+	case !isFraction(c.LS):
 		return fmt.Errorf("%w: ls %g", ErrBadConfig, c.LS)
-	case c.SharedFrac < 0 || c.SharedFrac > 1:
+	case !isFraction(c.SharedFrac):
 		return fmt.Errorf("%w: sharedFrac %g", ErrBadConfig, c.SharedFrac)
-	case c.WriteFrac < 0 || c.WriteFrac > 1:
+	case !isFraction(c.WriteFrac):
 		return fmt.Errorf("%w: writeFrac %g", ErrBadConfig, c.WriteFrac)
-	case c.ColdProb < 0 || c.ColdProb > 1:
+	case !isFraction(c.ColdProb):
 		return fmt.Errorf("%w: coldProb %g", ErrBadConfig, c.ColdProb)
-	case c.JumpProb < 0 || c.JumpProb > 1:
+	case !isFraction(c.JumpProb):
 		return fmt.Errorf("%w: jumpProb %g", ErrBadConfig, c.JumpProb)
 	case c.HotBlocks < 1 || c.ColdBlocks < 1 || c.LoopBlocks < 1 || c.CodeBlocks < c.LoopBlocks:
 		return fmt.Errorf("%w: working-set sizes", ErrBadConfig)
 	case c.SharedRegions < 1 || c.BlocksPerRegion < 1 || c.EpisodeLen < 1:
 		return fmt.Errorf("%w: sharing shape", ErrBadConfig)
-	case c.ReadOnlyEpisodeFrac < 0 || c.ReadOnlyEpisodeFrac > 1:
+	case !isFraction(c.ReadOnlyEpisodeFrac):
 		return fmt.Errorf("%w: readOnlyEpisodeFrac %g", ErrBadConfig, c.ReadOnlyEpisodeFrac)
 	case c.PhaseLen < 0:
 		return fmt.Errorf("%w: phaseLen %d", ErrBadConfig, c.PhaseLen)
@@ -153,6 +153,9 @@ func (c *Config) validate() error {
 	}
 	return nil
 }
+
+// isFraction reports whether x lies in [0,1]; NaN does not.
+func isFraction(x float64) bool { return x >= 0 && x <= 1 }
 
 // Address-space layout: disjoint gigabyte-scale arenas keyed by CPU so
 // private regions never collide across processors, plus one shared arena.

@@ -296,6 +296,15 @@ func TestGenerateBadConfigs(t *testing.T) {
 		func(c *Config) { c.BlockSize = 2 },
 		func(c *Config) { c.PhaseLen = -1 },
 		func(c *Config) { c.PhaseLen = 100; c.SharedFrac = 0.7 },
+		// NaN fails every comparison, so a range check written as
+		// "x < 0 || x > 1" would let it through.
+		func(c *Config) { c.LS = math.NaN() },
+		func(c *Config) { c.SharedFrac = math.NaN() },
+		func(c *Config) { c.WriteFrac = math.NaN() },
+		func(c *Config) { c.ColdProb = math.NaN() },
+		func(c *Config) { c.JumpProb = math.NaN() },
+		func(c *Config) { c.ReadOnlyEpisodeFrac = math.NaN() },
+		func(c *Config) { c.LS = math.Inf(1) },
 	}
 	for i, mut := range mutations {
 		cfg := DefaultConfig()
