@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet perfbench-build race race-hammer bench bench-short bench-json bench-diff alloc-check fuzz-smoke check serve smoke schemes-smoke chaos-smoke jobs-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
+.PHONY: all build test vet perfbench-build race race-hammer bench bench-short bench-json bench-diff alloc-check fuzz-smoke check serve smoke schemes-smoke chaos-smoke gw-smoke loadgen docs-check artifacts examples golden cover clean
 
 all: build vet test
 
@@ -131,15 +131,6 @@ chaos-smoke:
 	$(GO) run ./cmd/cohereload -chaos -c 12 -d 1s > /dev/null
 	@echo "chaos-smoke: ok (no 500s, shedding observed)"
 
-# Async-job drill: cohereload's jobs mode submits a 20k-point grid job
-# against an in-process daemon, streams every NDJSON row, then cancels
-# a second job mid-stream and checks it is gone (see OPERATIONS.md's
-# job API section). Runs under the race detector: the job runner, the
-# spool's back-pressure, and the streaming handler all cross goroutines.
-jobs-smoke:
-	$(GO) run -race ./cmd/cohereload -jobs > /dev/null
-	@echo "jobs-smoke: ok (all rows streamed, cancel verified)"
-
 # Gateway drill: cohereload's gw mode boots two cache-capped in-process
 # backends behind the affinity gateway and exits nonzero unless (1)
 # affinity routing beats a fresh round-robin control by >= 1.5x on
@@ -156,9 +147,9 @@ gw-smoke:
 # The pre-merge gate: vet, the benchmark module's build, the
 # race-enabled test run, the repeated concurrency hammers, the
 # allocation pins (non-race), the fuzz smoke, the documentation and
-# scheme-registry gates, the overload + async-job + gateway drills, and
+# scheme-registry gates, the overload and gateway drills, and
 # the committed benchmark records (bench-diff only reads them).
-check: vet perfbench-build race race-hammer alloc-check fuzz-smoke docs-check schemes-smoke chaos-smoke jobs-smoke gw-smoke bench-diff
+check: vet perfbench-build race race-hammer alloc-check fuzz-smoke docs-check schemes-smoke chaos-smoke gw-smoke bench-diff
 
 # Run the model-serving daemon in the foreground.
 COHERED_ADDR ?= 127.0.0.1:8080

@@ -135,6 +135,7 @@ func TestErrors(t *testing.T) {
 	runErr(t, "sweep", "-steps", "1")
 	runErr(t, "sweep", "-param", "nope")
 	runErr(t, "run", "-csv", "fig7") // fig7 is chart-only: no tabular data for CSV
+	runErr(t, "run", "-scale", "NaN", "patel")
 }
 
 func TestHelp(t *testing.T) {

@@ -6,7 +6,7 @@
 //
 //	cohered [-addr :8080] [-timeout 10s] [-max-inflight N] [-max-queue N]
 //	        [-max-body BYTES] [-max-procs N] [-max-stages N]
-//	        [-max-batch N] [-max-jobs N] [-job-ttl D] [-cache-cap N]
+//	        [-max-batch N] [-cache-cap N]
 //	        [-snapshot-path FILE] [-pprof-addr ADDR] [-quiet]
 //	        [-fault-seed N] [-fault-err-p P] [-fault-latency D] [-fault-latency-p P]
 //
@@ -20,12 +20,7 @@
 //	POST   /v1/network           multistage-network point
 //	POST   /v1/advisor           scheme rankings for a workload
 //	POST   /v1/sensitivity       parameter sensitivity table
-//	POST   /v1/sweep             batch of bus-model points in one round trip
-//	POST   /v1/jobs/sweep        submit an async sweep job (grid or refine)
-//	GET    /v1/jobs              list resident jobs
-//	GET    /v1/jobs/{id}         one job's status
-//	GET    /v1/jobs/{id}/results stream results as NDJSON (resumable ?after=)
-//	DELETE /v1/jobs/{id}         cancel and remove a job
+//	POST   /v1/sweep             batch of bus-model points or curves in one round trip
 //
 // The -fault-* flags arm the deterministic chaos injector
 // (internal/fault): every model solve and every /v1/sweep grid point
@@ -102,8 +97,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 	maxProcs := fs.Int("max-procs", 4096, "largest servable bus machine")
 	maxStages := fs.Int("max-stages", 20, "largest servable network (2^stages processors)")
 	maxBatch := fs.Int("max-batch", 1024, "largest /v1/sweep batch in points")
-	maxJobs := fs.Int("max-jobs", 16, "resident async sweep jobs; submissions past it get 503")
-	jobTTL := fs.Duration("job-ttl", 10*time.Minute, "evict finished jobs nobody collected after this long")
 	cacheCap := fs.Int("cache-cap", 0, "cap curve cache entries, CLOCK-evicting past it (0 = unbounded)")
 	snapshotPath := fs.String("snapshot-path", "", "memo-cache snapshot file: restored on boot, written on shutdown after drain (empty = disabled)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
@@ -119,16 +112,19 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
+	// Negated so NaN fails them: every comparison with NaN is false, so
+	// plain range checks would pass it and leave the injector unarmed
+	// or inert.
+	for _, p := range []float64{*faultErrP, *faultLatencyP} {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("fault probabilities must be in [0,1]")
+		}
+	}
+	if !(*faultErrP+*faultLatencyP <= 1) {
+		return fmt.Errorf("fault probabilities sum past 1")
+	}
 	var inj *fault.Injector
 	if *faultErrP > 0 || *faultLatencyP > 0 {
-		for _, p := range []float64{*faultErrP, *faultLatencyP} {
-			if p < 0 || p > 1 {
-				return fmt.Errorf("fault probabilities must be in [0,1]")
-			}
-		}
-		if *faultErrP+*faultLatencyP > 1 {
-			return fmt.Errorf("fault probabilities sum past 1")
-		}
 		inj = fault.New(fault.Config{
 			Seed:     *faultSeed,
 			Latency:  *faultLatency,
@@ -151,14 +147,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 		MaxStages:      *maxStages,
 		MaxBatchPoints: *maxBatch,
 		MaxQueueDepth:  *maxQueue,
-		MaxJobs:        *maxJobs,
-		JobTTL:         *jobTTL,
-		// Jobs outlive their submitting request; deriving them from the
-		// signal context makes SIGTERM cancel background grids too.
-		BaseContext: ctx,
-		CacheCap:    *cacheCap,
-		Fault:       inj,
-		Logger:      logger,
+		CacheCap:       *cacheCap,
+		Fault:          inj,
+		Logger:         logger,
 	})
 	if inj != nil {
 		logger.Warn("chaos injector armed",
@@ -251,8 +242,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 	if err := hs.Shutdown(shCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	// The listener is closed; cancel the remaining async jobs and wait
-	// for their runners so no solve outlives the daemon's accounting.
 	srv.Close()
 	// Snapshot after drain: every in-flight solve has published its
 	// entries, so the image is the complete working set. The write is

@@ -219,6 +219,22 @@ func TestBadFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
 		t.Errorf("positional args accepted: %v", err)
 	}
+	// A NaN probability fails every comparison, so it must be rejected
+	// explicitly. The context is already cancelled: a daemon wrongly
+	// started by these flags shuts down at once and run returns nil.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-fault-err-p", "NaN"},
+		{"-fault-latency-p", "NaN"},
+		{"-fault-err-p", "NaN", "-fault-latency-p", "0.5"},
+		{"-fault-err-p", "0.5", "-fault-latency-p", "NaN"},
+	} {
+		args = append(args, "-addr", "127.0.0.1:0", "-quiet")
+		if err := run(done, args, io.Discard, nil); err == nil || !strings.Contains(err.Error(), "fault probabilities") {
+			t.Errorf("%v accepted: %v", args, err)
+		}
+	}
 }
 
 // TestOperationsDocCoversAllFlags keeps OPERATIONS.md's flags table

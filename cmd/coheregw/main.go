@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 	checkInterval := fs.Duration("check-interval", time.Second, "per-backend /readyz probe period")
 	checkTimeout := fs.Duration("check-timeout", 2*time.Second, "per-probe budget")
 	failThreshold := fs.Int("fail-threshold", 2, "consecutive probe failures before a backend is excluded")
-	timeout := fs.Duration("timeout", 15*time.Second, "per-request proxy budget, retries included (job result streams are exempt)")
+	timeout := fs.Duration("timeout", 15*time.Second, "per-request proxy budget, retries included")
 	maxBody := fs.Int64("max-body", 1<<20, "request body cap in bytes")
 	hedge := fs.Bool("hedge", false, "race a duplicate of a slow idempotent request against the next-ranked backend")
 	hedgeDelay := fs.Duration("hedge-delay", 0, "fixed hedge delay; 0 derives it from the observed latency p90")
@@ -149,8 +149,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 		Handler:           g.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       *timeout + 5*time.Second,
-		// Streams override this per write via ResponseController.
-		WriteTimeout: *timeout + 5*time.Second,
+		WriteTimeout:      *timeout + 5*time.Second,
 	}
 
 	hcCtx, hcCancel := context.WithCancel(ctx)

@@ -7,7 +7,7 @@
 //
 //	cohereload [-addr HOST:PORT] [-c 8] [-d 3s] [-hit-ratios 0.95,0.05]
 //	           [-mix point:4,curve:1,sweep:1] [-warm-pool 64] [-procs 16]
-//	           [-seed 1] [-chaos] [-jobs] [-gw]
+//	           [-seed 1] [-chaos] [-gw]
 //
 // With -addr empty (the default) cohereload boots an in-process daemon —
 // the same serve.Server behind cohered — on an ephemeral loopback port
@@ -35,14 +35,6 @@
 // faults the only acceptable failures are retryable 503s and clean
 // timeouts. `make chaos-smoke` runs exactly this.
 //
-// -jobs replaces the normal scenarios with an async-job drill against
-// the /v1/jobs API: it submits a multi-thousand-point grid job, streams
-// the NDJSON results end to end (reporting row throughput and
-// inter-batch latency as the "jobs_stream" scenario), then submits a
-// second job and cancels it mid-stream ("jobs_cancel"). The run fails
-// unless the stream delivers every point with a clean done trailer and
-// the cancelled job disappears. `make jobs-smoke` runs exactly this.
-//
 // -gw replaces the normal scenarios with the gateway drill: it boots
 // two in-process cohered backends with deliberately tight cache caps
 // behind an in-process coheregw, then (1) verifies affinity routing is
@@ -55,11 +47,11 @@
 // fails unless the restored cache serves a previously-warmed key with
 // zero new solves. `make gw-smoke` runs exactly this.
 //
-// Both -chaos and -jobs also accept -addr; pointing them at a coheregw
-// address drives the same drills through the gateway tier. With -addr
-// set, -chaos skips the gates that assume its own tiny self-booted
-// daemon (nonzero sheds, the /metrics scrape) and keeps the
-// client-facing ones: no 500s and no transport errors, ever.
+// -chaos also accepts -addr; pointing it at a coheregw address drives
+// the same drill through the gateway tier. With -addr set, -chaos skips
+// the gates that assume its own tiny self-booted daemon (nonzero sheds,
+// the /metrics scrape) and keeps the client-facing ones: no 500s and no
+// transport errors, ever.
 //
 // Every drill's load comes from one closed-loop driver, drive: a fleet
 // of workers, each posting its next request as soon as the last one
@@ -74,7 +66,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -221,7 +212,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	procs := fs.Int("procs", 16, "machine size per query")
 	seed := fs.Int64("seed", 1, "RNG seed for the request schedule")
 	chaos := fs.Bool("chaos", false, "overload drill: fault-injected in-process daemon, or -addr to drive an existing daemon/gateway (fails on any 500)")
-	jobsMode := fs.Bool("jobs", false, "async-job drill: submit, stream, and cancel /v1/jobs sweeps (fails on lost rows or a surviving cancelled job)")
 	gwMode := fs.Bool("gw", false, "gateway drill: affinity-vs-roundrobin bench, mid-load backend kill, and snapshot warm restart (fails unless affinity wins and failover is clean)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -236,20 +226,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if _, err := core.SchemeByName(*scheme); err != nil {
 		return err
 	}
-	modes := 0
-	for _, m := range []bool{*chaos, *jobsMode, *gwMode} {
-		if m {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return fmt.Errorf("-chaos, -jobs, and -gw are mutually exclusive drills")
+	if *chaos && *gwMode {
+		return fmt.Errorf("-chaos and -gw are mutually exclusive drills")
 	}
 	if *chaos {
 		return runChaos(stdout, stderr, *addr, *conc, *dur, *seed, *scheme, *procs)
-	}
-	if *jobsMode {
-		return runJobs(stdout, stderr, *addr)
 	}
 	if *gwMode {
 		if *addr != "" {
@@ -690,186 +671,6 @@ func summarize(sample []float64) percentiles {
 		Mean: sum / float64(len(sample)) * 1000,
 		Max:  sample[len(sample)-1] * 1000,
 	}
-}
-
-// --- jobs mode ---
-
-// jobGridBody is the drill's grid: 2 schemes x 10 axis values x 1000
-// machine sizes = 20000 result rows, big enough that the spool's
-// back-pressure and the streaming path do real work, small enough that
-// `make jobs-smoke` finishes in seconds.
-const jobGridBody = `{"label":"cohereload","schemes":["swflush","dragon"],` +
-	`"axis":"apl","from":4,"to":40,"steps":10,"procs_from":1,"procs_to":1000}`
-
-const jobGridRows = 2 * 10 * 1000
-
-// runJobs drives the async-job drill: stream one grid job end to end,
-// then cancel a second one mid-stream. It returns an error — failing
-// the process — if any row is lost, the trailer is missing or unclean,
-// or the cancelled job remains resident.
-func runJobs(stdout, stderr io.Writer, addr string) error {
-	target, err := resolveTarget(stderr, addr, serve.Config{})
-	if err != nil {
-		return err
-	}
-	defer target.stop()
-	base := target.url
-	client := newClient(0) // no timeout: the results stream is long-lived
-
-	rep := report{Tool: "cohereload", Target: target.addr + " (jobs)"}
-
-	// Scenario 1: submit and stream every row.
-	id, err := submitJob(client, base)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	rows, gaps, trailerState, err := streamJob(client, base, id)
-	if err != nil {
-		return fmt.Errorf("jobs_stream: %w", err)
-	}
-	elapsed := time.Since(start)
-	if rows != jobGridRows {
-		return fmt.Errorf("jobs_stream: streamed %d rows, want %d", rows, jobGridRows)
-	}
-	if trailerState != "done" {
-		return fmt.Errorf("jobs_stream: trailer state %q, want done", trailerState)
-	}
-	rep.Scenarios = append(rep.Scenarios, summary{
-		Label:    "jobs_stream",
-		Duration: elapsed.Seconds(),
-		Requests: rows,
-		RPS:      float64(rows) / elapsed.Seconds(),
-		Latency:  summarize(gaps), // inter-batch gaps, not per-request latency
-		Mix:      map[string]int{"rows": rows},
-	})
-	fmt.Fprintf(stderr, "cohereload: jobs_stream: %d rows in %.2fs (%.0f rows/s)\n",
-		rows, elapsed.Seconds(), float64(rows)/elapsed.Seconds())
-
-	// Scenario 2: cancel mid-stream; the job must vanish.
-	id, err = submitJob(client, base)
-	if err != nil {
-		return err
-	}
-	start = time.Now()
-	partial, err := cancelJobMidStream(client, base, id)
-	if err != nil {
-		return fmt.Errorf("jobs_cancel: %w", err)
-	}
-	elapsed = time.Since(start)
-	rep.Scenarios = append(rep.Scenarios, summary{
-		Label:    "jobs_cancel",
-		Duration: elapsed.Seconds(),
-		Requests: partial,
-		RPS:      float64(partial) / elapsed.Seconds(),
-		Mix:      map[string]int{"rows": partial},
-	})
-	fmt.Fprintf(stderr, "cohereload: jobs_cancel: cancelled after %d rows; job gone\n", partial)
-	return printReport(stdout, rep)
-}
-
-// submitJob posts the drill grid and returns the job ID.
-func submitJob(client *http.Client, base string) (string, error) {
-	code, data, _, err := post(context.Background(), client, base+"/v1/jobs/sweep", jobGridBody)
-	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("submit: status %d: %s", code, data)
-	}
-	var sub struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(data, &sub); err != nil || sub.ID == "" {
-		return "", fmt.Errorf("submit: bad response %s", data)
-	}
-	return sub.ID, nil
-}
-
-// streamJob reads one job's NDJSON results to the trailer, returning
-// the data-row count, the inter-batch gaps (seconds, one per {"seq"}
-// marker), and the trailer's state.
-func streamJob(client *http.Client, base, id string) (rows int, gaps []float64, state string, err error) {
-	resp, err := client.Get(base + "/v1/jobs/" + id + "/results")
-	if err != nil {
-		return 0, nil, "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		return 0, nil, "", fmt.Errorf("results: status %d: %s", resp.StatusCode, data)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	last := time.Now()
-	for sc.Scan() {
-		var probe struct {
-			Seq  *uint64 `json:"seq"`
-			Done *bool   `json:"done"`
-			St   string  `json:"state"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return rows, gaps, "", fmt.Errorf("bad stream line: %w", err)
-		}
-		switch {
-		case probe.Done != nil:
-			return rows, gaps, probe.St, sc.Err()
-		case probe.Seq != nil:
-			now := time.Now()
-			gaps = append(gaps, now.Sub(last).Seconds())
-			last = now
-		default:
-			rows++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return rows, gaps, "", err
-	}
-	return rows, gaps, "", fmt.Errorf("stream ended without a trailer")
-}
-
-// cancelJobMidStream reads a few batches of the job's results, deletes
-// the job, and verifies it is gone. Returns the rows read before the
-// cancel.
-func cancelJobMidStream(client *http.Client, base, id string) (int, error) {
-	resp, err := client.Get(base + "/v1/jobs/" + id + "/results")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	rows, markers := 0, 0
-	for sc.Scan() && markers < 2 {
-		if strings.Contains(sc.Text(), `"seq"`) {
-			markers++
-		} else if !strings.Contains(sc.Text(), `"done"`) {
-			rows++
-		}
-	}
-	req, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return rows, err
-	}
-	dresp, err := client.Do(req)
-	if err != nil {
-		return rows, err
-	}
-	io.Copy(io.Discard, dresp.Body)
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		return rows, fmt.Errorf("delete: status %d", dresp.StatusCode)
-	}
-	sresp, err := client.Get(base + "/v1/jobs/" + id)
-	if err != nil {
-		return rows, err
-	}
-	io.Copy(io.Discard, sresp.Body)
-	sresp.Body.Close()
-	if sresp.StatusCode != http.StatusNotFound {
-		return rows, fmt.Errorf("cancelled job still resident: status %d", sresp.StatusCode)
-	}
-	return rows, nil
 }
 
 // --- chaos mode ---

@@ -76,9 +76,8 @@ func TestBadFlags(t *testing.T) {
 		{"-mix", "bogus:1"},
 		{"-mix", "point:0,curve:0,sweep:0"},
 		{"-c", "0"},
-		{"-chaos", "-jobs"},
 		{"-chaos", "-gw"},
-		{"-jobs", "-gw"},
+		{"-jobs"}, // the async-job drill is gone
 		{"-gw", "-addr", "localhost:8080"},
 		{"-out", "BENCH.json"}, // the report goes to stdout only
 		{"positional"},
@@ -318,26 +317,5 @@ func TestChaosRun(t *testing.T) {
 	}
 	if rep.Scenarios[1].ClientTimeouts == 0 {
 		t.Error("abandoning fleet never abandoned a request")
-	}
-}
-
-// TestJobsRun is the in-process version of `make jobs-smoke`: the drill
-// must pass its own gates (every row streamed with a clean trailer, the
-// cancelled job gone) and report both scenarios.
-func TestJobsRun(t *testing.T) {
-	var stdout bytes.Buffer
-	if err := run([]string{"-jobs"}, &stdout, io.Discard); err != nil {
-		t.Fatalf("jobs drill failed its gate: %v", err)
-	}
-	var rep report
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatalf("stdout is not the report JSON: %v\n%s", err, stdout.String())
-	}
-	if len(rep.Scenarios) != 2 || rep.Scenarios[0].Label != "jobs_stream" ||
-		rep.Scenarios[1].Label != "jobs_cancel" {
-		t.Fatalf("want the stream and cancel scenarios, got %+v", rep.Scenarios)
-	}
-	if rows := rep.Scenarios[0].Mix["rows"]; rows != jobGridRows {
-		t.Errorf("jobs_stream reported %d rows, want %d", rows, jobGridRows)
 	}
 }

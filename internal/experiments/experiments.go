@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -38,7 +39,7 @@ var ErrUnknownExperiment = errors.New("experiments: unknown experiment")
 type Options struct {
 	// TraceScale scales the validation traces' instruction counts
 	// (1.0 = the presets' full length). Lower it for quick runs;
-	// 0 means 1.0.
+	// 0 means 1.0. NaN and ±Inf are errors.
 	TraceScale float64
 	// Preset selects the synthetic workload for validation figures
 	// ("pops", "thor", "pero"); empty means the figure's default.
@@ -50,6 +51,16 @@ type Options struct {
 	// 0 keeps the preset default. Use it to check that validation
 	// results are not an artifact of one particular trace.
 	Seed uint64
+}
+
+// validate rejects options that no experiment can honour. A NaN
+// TraceScale would pass traceScale's <= 0 test and shrink every trace
+// to its floor length without a word.
+func (o Options) validate() error {
+	if math.IsNaN(o.TraceScale) || math.IsInf(o.TraceScale, 0) {
+		return fmt.Errorf("experiments: TraceScale %v is not finite", o.TraceScale)
+	}
+	return nil
 }
 
 func (o Options) traceScale() float64 {
@@ -244,6 +255,9 @@ func RunCtx(ctx context.Context, id string, opt Options) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	return s.Run(withMemo(ctx), opt)
 }
 
@@ -257,6 +271,9 @@ func RunCtx(ctx context.Context, id string, opt Options) (*Dataset, error) {
 // share one simulation memo for the call, so each distinct trace
 // measurement and simulation runs once per call.
 func RunAllCtx(ctx context.Context, opt Options, parallelism int) ([]*Dataset, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}

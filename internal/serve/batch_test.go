@@ -9,6 +9,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"swcc/internal/core"
+	"swcc/internal/fault"
+	"swcc/internal/sweep"
 )
 
 // TestSweepGolden pins the batch contract: each results[i] of a
@@ -94,6 +99,72 @@ func TestSweepGroupedCurvesGolden(t *testing.T) {
 			t.Errorf("results[%d] diverged from /v1/bus:\n got: %s\nwant: %s",
 				i, resp.Results[i], want)
 		}
+	}
+}
+
+// TestSweepGridMatchesDirect sends a grid in the shape OPERATIONS.md's
+// "Large grids" recipe uses — one full curve per scheme and apl value
+// (2 schemes x 3 apl values x procs 1..8) — as one /v1/sweep batch.
+// Every curve must come back in request order, with processors
+// ascending, and equal to the direct library evaluation bit for bit.
+func TestSweepGridMatchesDirect(t *testing.T) {
+	schemes := []struct {
+		wire   string
+		scheme core.Scheme
+	}{
+		{"swflush", core.SoftwareFlush{}},
+		{"dragon", core.Dragon{}},
+	}
+	apls := []float64{10, 20, 30}
+	var pts []string
+	for _, s := range schemes {
+		for _, apl := range apls {
+			pts = append(pts, fmt.Sprintf(`{"scheme": %q, "params": {"apl": %g}, "procs": 8}`, s.wire, apl))
+		}
+	}
+	_, ts := newTestServer(t, Config{})
+	code, body := post(t, ts, "/v1/sweep", `{"points": [`+strings.Join(pts, ",")+`]}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, body)
+	}
+	var resp sweepResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Count != len(pts) || len(resp.Results) != len(pts) {
+		t.Fatalf("count=%d results=%d, want %d", resp.Count, len(resp.Results), len(pts))
+	}
+	total := 0
+	for si, s := range schemes {
+		for ai, apl := range apls {
+			r := resp.Results[si*len(apls)+ai]
+			if r.Scheme != s.scheme.Name() {
+				t.Fatalf("curve (%s, apl=%g) labelled %q", s.wire, apl, r.Scheme)
+			}
+			p, err := core.MiddleParams().With("apl", apl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.EvaluateBus(s.scheme, p, core.BusCosts(), 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Points) != len(want) {
+				t.Fatalf("curve (%s, apl=%g) has %d points, want %d", s.wire, apl, len(r.Points), len(want))
+			}
+			for i, pt := range r.Points {
+				if pt.Processors != i+1 {
+					t.Fatalf("curve (%s, apl=%g) point %d has n=%d", s.wire, apl, i, pt.Processors)
+				}
+				if pt != want[i] {
+					t.Fatalf("curve (%s, apl=%g) n=%d = %+v, direct %+v", s.wire, apl, i+1, pt, want[i])
+				}
+				total++
+			}
+		}
+	}
+	if total != 48 {
+		t.Fatalf("grid returned %d points, want 48", total)
 	}
 }
 
@@ -280,4 +351,49 @@ func BenchmarkServeBatch(b *testing.B) {
 		defer ts.Close()
 		run(b, ts, points, "/v1/bus")
 	})
+}
+
+// waitPoolBalance retries until the shared point pool's acquires equal
+// its releases (abandoned solves release on a drain goroutine, so
+// balance can trail the last response by a moment).
+func waitPoolBalance(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		acq, rel := sweep.PointPoolAccounting()
+		if acq == rel {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("point pool unbalanced: %d acquires, %d releases", acq, rel)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSweepPoolAccountingUnderFaults hammers /v1/sweep with error and
+// panic injection on every point and then proves the pooled point
+// buffers all came back: acquires == releases, whatever mix of 200, 500,
+// and 503 responses the injector produced.
+func TestSweepPoolAccountingUnderFaults(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Fault: fault.New(fault.Config{Seed: 42, ErrorP: 0.05, PanicP: 0.05}),
+	})
+	var pts []string
+	for i := 0; i < 12; i++ {
+		pts = append(pts, fmt.Sprintf(`{"scheme":"dragon","procs":%d}`, 4+i))
+	}
+	body := `{"points":[` + strings.Join(pts, ",") + `]}`
+	codes := map[int]int{}
+	for i := 0; i < 50; i++ {
+		code, _ := post(t, ts, "/v1/sweep", body)
+		codes[code]++
+	}
+	if codes[200] == 0 {
+		t.Errorf("no sweep succeeded under injection: %v", codes)
+	}
+	if codes[500]+codes[503] == 0 {
+		t.Errorf("no sweep failed under 25%%+25%% injection: %v", codes)
+	}
+	waitPoolBalance(t)
 }

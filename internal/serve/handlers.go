@@ -15,7 +15,6 @@ import (
 
 	"swcc/internal/core"
 	"swcc/internal/fault"
-	"swcc/internal/jobs"
 	"swcc/internal/jsonscan"
 	"swcc/internal/obs"
 	"swcc/internal/sensitivity"
@@ -127,8 +126,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, errBusy), errors.Is(err, fault.ErrInjected):
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	case errors.Is(err, jobs.ErrFull), errors.Is(err, jobs.ErrClosed):
-		code = http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled):
 		code = statusClientClosedRequest
 	case errors.Is(err, context.DeadlineExceeded):
@@ -615,5 +612,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w, s.ev, s.cfg.Fault, s.jobs)
+	s.met.write(w, s.ev, s.cfg.Fault)
 }

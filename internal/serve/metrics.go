@@ -5,12 +5,10 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"swcc/internal/fault"
-	"swcc/internal/jobs"
 	"swcc/internal/obs"
 	"swcc/internal/sweep"
 )
@@ -98,15 +96,10 @@ var knownPaths = map[string]bool{
 	"/healthz": true, "/readyz": true, "/metrics": true,
 	"/v1/bus": true, "/v1/network": true,
 	"/v1/advisor": true, "/v1/sensitivity": true,
-	"/v1/sweep": true, "/v1/jobs": true,
+	"/v1/sweep": true,
 }
 
 func metricPath(path string) string {
-	// Job URLs carry per-job IDs; collapse the whole subtree into one
-	// label value instead of minting a series per job.
-	if path == "/v1/jobs" || strings.HasPrefix(path, "/v1/jobs/") {
-		return "/v1/jobs"
-	}
 	if knownPaths[path] {
 		return path
 	}
@@ -167,10 +160,9 @@ func bracketed(labels string) string {
 // output is byte-stable: families render in a fixed order and every
 // labeled family's series are sorted, so two scrapes of an idle server
 // are byte-identical (the golden doc-drift and stability tests depend
-// on this). inj may be nil (no fault injection configured) and reg may
-// be nil (no job registry); their families still render, at zero, so
-// dashboards need no conditionals.
-func (m *metrics) write(w io.Writer, ev *sweep.Evaluator, inj *fault.Injector, reg *jobs.Registry) {
+// on this). inj may be nil (no fault injection configured); its family
+// still renders, at zero, so dashboards need no conditionals.
+func (m *metrics) write(w io.Writer, ev *sweep.Evaluator, inj *fault.Injector) {
 	st := ev.Stats()
 
 	counter := func(name, help string, v uint64) {
@@ -230,17 +222,6 @@ func (m *metrics) write(w io.Writer, ev *sweep.Evaluator, inj *fault.Injector, r
 	fmt.Fprintf(w, "swcc_fault_injections_total{kind=\"error\"} %d\n", errs)
 	fmt.Fprintf(w, "swcc_fault_injections_total{kind=\"latency\"} %d\n", lat)
 	fmt.Fprintf(w, "swcc_fault_injections_total{kind=\"panic\"} %d\n", panics)
-
-	var jobsActive int
-	var jobPointsOK, jobPointsErr uint64
-	if reg != nil {
-		jobsActive = reg.Active()
-		jobPointsOK, jobPointsErr = reg.PointTotals()
-	}
-	fmt.Fprintf(w, "# HELP swcc_jobs_active Async sweep jobs currently pending or running.\n# TYPE swcc_jobs_active gauge\nswcc_jobs_active %d\n", jobsActive)
-	fmt.Fprintf(w, "# HELP swcc_job_points_total Async sweep-job grid points by outcome, all jobs ever run.\n# TYPE swcc_job_points_total counter\n")
-	fmt.Fprintf(w, "swcc_job_points_total{state=\"error\"} %d\n", jobPointsErr)
-	fmt.Fprintf(w, "swcc_job_points_total{state=\"ok\"} %d\n", jobPointsOK)
 
 	fmt.Fprintf(w, "# HELP swcc_http_request_duration_seconds Request latency.\n# TYPE swcc_http_request_duration_seconds histogram\n")
 	writeHistogram(w, "swcc_http_request_duration_seconds", "", m.latency.Snapshot())

@@ -34,20 +34,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards to the underlying writer so streaming handlers (the
-// job-results NDJSON stream) can push batches through the recorder.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap exposes the underlying writer to http.ResponseController, so
-// streaming handlers can extend their write deadline through the
-// recorder (the daemon's WriteTimeout would otherwise cut long result
-// streams at a fixed point after the request started).
-func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
-
 // traceHeader is the request/response header carrying the trace ID.
 const traceHeader = "X-Request-ID"
 

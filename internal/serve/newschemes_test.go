@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"swcc/internal/core"
@@ -12,9 +13,9 @@ import (
 // TestNewSchemesReachableEverywhere drives each post-registry scheme —
 // Write-Invalidate, Hybrid-Update, and the priority-bus discipline —
 // through every public surface the acceptance criteria name: /v1/bus,
-// /v1/sweep, an async job, and the advisor. Each /v1/bus answer must be
-// bit-identical to the direct library call, so the serving path adds no
-// seam for extension schemes.
+// /v1/sweep (single points and a whole curve), and the advisor. Each
+// /v1/bus answer must be bit-identical to the direct library call, so
+// the serving path adds no seam for extension schemes.
 func TestNewSchemesReachableEverywhere(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -78,16 +79,39 @@ func TestNewSchemesReachableEverywhere(t *testing.T) {
 			}
 		})
 
-		t.Run(tc.wire+"/job", func(t *testing.T) {
-			sub := submitJob(t, ts, fmt.Sprintf(
-				`{"schemes": [%q], "axis": "shd", "from": 0.2, "to": 0.6, "steps": 3, "procs": 4}`, tc.wire))
-			st := waitState(t, ts, sub.ID, "done")
-			if st.PointsOK != 3 || st.PointsErr != 0 {
-				t.Fatalf("job points ok/err = %d/%d, want 3/0", st.PointsOK, st.PointsErr)
+		// A one-axis grid (shd 0.2..0.6 at n=4) sent as one batch: every
+		// cell must equal the direct library point bit for bit.
+		t.Run(tc.wire+"/grid", func(t *testing.T) {
+			shds := []float64{0.2, 0.4, 0.6}
+			var pts []string
+			for _, shd := range shds {
+				pts = append(pts, fmt.Sprintf(
+					`{"scheme": %q, "params": {"shd": %g}, "procs": 4, "point": true}`, tc.wire, shd))
 			}
-			stream := streamResults(t, ts, sub.ID, 0)
-			if len(stream.rows) != 3 {
-				t.Fatalf("streamed %d rows, want 3", len(stream.rows))
+			code, body := post(t, ts, "/v1/sweep", `{"points": [`+strings.Join(pts, ",")+`]}`)
+			if code != http.StatusOK {
+				t.Fatalf("status %d: %s", code, body)
+			}
+			var resp sweepResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Count != len(shds) {
+				t.Fatalf("count = %d, want %d", resp.Count, len(shds))
+			}
+			for i, shd := range shds {
+				p, err := core.MiddleParams().With("shd", shd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := core.EvaluateBus(tc.scheme, p, core.BusCosts(), 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := resp.Results[i]
+				if r.Scheme != tc.label || len(r.Points) != 1 || r.Points[0] != want[3] {
+					t.Fatalf("grid cell shd=%g = %+v, want %s %+v", shd, r, tc.label, want[3])
+				}
 			}
 		})
 	}

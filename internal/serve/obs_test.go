@@ -123,8 +123,8 @@ func TestMetricsByteStable(t *testing.T) {
 	post(t, ts, "/nowhere", `{}`)
 
 	var a, b bytes.Buffer
-	s.met.write(&a, s.ev, s.cfg.Fault, s.jobs)
-	s.met.write(&b, s.ev, s.cfg.Fault, s.jobs)
+	s.met.write(&a, s.ev, s.cfg.Fault)
+	s.met.write(&b, s.ev, s.cfg.Fault)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("identical scrapes differ:\n--- first\n%s\n--- second\n%s", a.String(), b.String())
 	}
@@ -203,7 +203,7 @@ func TestSingleflightWaitStageRecorded(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	s.met.write(&buf, s.ev, s.cfg.Fault, s.jobs)
+	s.met.write(&buf, s.ev, s.cfg.Fault)
 	text := buf.String()
 	m := regexp.MustCompile(
 		`swcc_stage_duration_seconds_count\{stage="singleflight_wait"\} (\d+)`).FindStringSubmatch(text)

@@ -44,7 +44,7 @@ func TestOperationsDocCoversAllMetrics(t *testing.T) {
 	// Touch an endpoint so per-path counter series exist too.
 	post(t, ts, "/v1/bus", `{"scheme": "dragon", "procs": 4}`)
 	var buf bytes.Buffer
-	s.met.write(&buf, s.ev, s.cfg.Fault, s.jobs)
+	s.met.write(&buf, s.ev, s.cfg.Fault)
 
 	emitted := map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^# TYPE (swcc_[a-z_]+) `).FindAllStringSubmatch(buf.String(), -1) {

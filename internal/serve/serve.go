@@ -13,7 +13,6 @@ import (
 
 	"swcc/internal/core"
 	"swcc/internal/fault"
-	"swcc/internal/jobs"
 	"swcc/internal/obs"
 	"swcc/internal/sweep"
 )
@@ -51,27 +50,10 @@ type Config struct {
 	// daemon fed adversarial parameter mixes. Default 0 (unbounded:
 	// cache growth tracks distinct work).
 	CacheCap int
-	// MaxJobs caps resident async sweep jobs (running or
-	// terminal-but-unread); submissions past it fail 503. Default 16.
-	MaxJobs int
-	// MaxJobPoints caps the grid size one job may request. Default 2^20.
-	MaxJobPoints int
-	// JobSpoolRows bounds each job's buffered-but-unstreamed result rows;
-	// producers block (bounded memory) once a job's reader falls this far
-	// behind. Default 4096.
-	JobSpoolRows int
-	// JobTTL evicts finished jobs whose results nobody collected or
-	// deleted. Default 10m.
-	JobTTL time.Duration
-	// BaseContext is the lifecycle context async jobs derive from —
-	// typically the daemon's signal context, so SIGTERM cancels jobs that
-	// outlive their submitting request. Default context.Background().
-	BaseContext context.Context
 	// Fault, when non-nil, injects deterministic faults (latency,
-	// errors, panics) into every model solve, every /v1/sweep grid
-	// point, and every job grid point, per the injector's seeded
-	// schedule — the chaos-testing hook. Default nil: no injection, one
-	// nil check per solve.
+	// errors, panics) into every model solve and every /v1/sweep grid
+	// point, per the injector's seeded schedule — the chaos-testing
+	// hook. Default nil: no injection, one nil check per solve.
 	Fault *fault.Injector
 	// Logger receives structured access and lifecycle logs. Default
 	// slog.Default().
@@ -100,18 +82,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueueDepth <= 0 {
 		c.MaxQueueDepth = 2 * c.MaxInFlight
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 16
-	}
-	if c.MaxJobPoints <= 0 {
-		c.MaxJobPoints = 1 << 20
-	}
-	if c.JobSpoolRows <= 0 {
-		c.JobSpoolRows = 4096
-	}
-	if c.JobTTL <= 0 {
-		c.JobTTL = 10 * time.Minute
-	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -130,12 +100,6 @@ type Server struct {
 	log   *slog.Logger
 	sem   chan struct{}
 	start time.Time
-
-	// jobs owns the async sweep jobs; jobSem bounds the solver
-	// parallelism all running jobs share, separately from the HTTP
-	// limiter so background grids never starve interactive requests.
-	jobs   *jobs.Registry
-	jobSem chan struct{}
 
 	// notReady holds the reason /readyz should answer 503, or nil when
 	// the server is ready. It gates readiness only — /healthz and the
@@ -156,31 +120,22 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		ev:     sweep.NewEvaluatorCap(cfg.CacheCap),
-		costs:  core.BusCosts(),
-		met:    newMetrics(),
-		log:    cfg.Logger,
-		sem:    make(chan struct{}, cfg.MaxInFlight),
-		jobSem: make(chan struct{}, runtime.GOMAXPROCS(0)),
-		start:  time.Now(),
+		cfg:   cfg,
+		ev:    sweep.NewEvaluatorCap(cfg.CacheCap),
+		costs: core.BusCosts(),
+		met:   newMetrics(),
+		log:   cfg.Logger,
+		sem:   make(chan struct{}, cfg.MaxInFlight),
+		start: time.Now(),
 	}
-	s.jobs = jobs.NewRegistry(jobs.Config{
-		MaxJobs:   cfg.MaxJobs,
-		SpoolRows: cfg.JobSpoolRows,
-		TTL:       cfg.JobTTL,
-		Base:      cfg.BaseContext,
-	})
 	s.ev.SetObserver(evalObserver{met: s.met, log: s.log})
 	return s
 }
 
-// Close cancels every async job and waits for their runners to return.
-// The HTTP handlers stay functional except job submission; call it after
-// the listener has shut down.
-func (s *Server) Close() {
-	s.jobs.Close()
-}
+// Close is the post-shutdown hook: call it after the listener has shut
+// down. The server holds nothing to release today; every request's work
+// ends with its request.
+func (s *Server) Close() {}
 
 // evalObserver adapts the server's metrics registry and logger to the
 // evaluator's sweep.Observer interface: stage wall times land in the
@@ -230,11 +185,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/advisor", s.apiHandler(s.handleAdvisor))
 	mux.HandleFunc("POST /v1/sensitivity", s.apiHandler(s.handleSensitivity))
 	mux.HandleFunc("POST /v1/sweep", s.apiHandler(s.handleSweep))
-	mux.HandleFunc("POST /v1/jobs/sweep", s.apiHandler(s.handleJobSubmit))
-	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/results", s.handleJobResults)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobDelete)
 	return s.instrument(mux)
 }
 
