@@ -10,7 +10,7 @@
 //	         [-policy affinity|roundrobin] [-check-interval 1s]
 //	         [-check-timeout 2s] [-fail-threshold 2] [-timeout 15s]
 //	         [-max-body BYTES] [-grace 5s] [-quiet]
-//	         [-hedge] [-hedge-delay 0] [-response-cache N]
+//	         [-hedge-delay 0] [-response-cache N]
 //	coheregw -backends-file backends.conf ...
 //
 // Endpoints:
@@ -93,8 +93,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 	failThreshold := fs.Int("fail-threshold", 2, "consecutive probe failures before a backend is excluded")
 	timeout := fs.Duration("timeout", 15*time.Second, "per-request proxy budget, retries included")
 	maxBody := fs.Int64("max-body", 1<<20, "request body cap in bytes")
-	hedge := fs.Bool("hedge", false, "race a duplicate of a slow idempotent request against the next-ranked backend")
-	hedgeDelay := fs.Duration("hedge-delay", 0, "fixed hedge delay; 0 derives it from the observed latency p90")
+	hedgeDelay := fs.Duration("hedge-delay", 0, "race a duplicate of an idempotent request still in flight after this delay against the next-ranked backend; 0 disables")
 	respCache := fs.Int("response-cache", 0, "gateway response cache capacity in entries; 0 disables")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown grace period for in-flight requests")
 	quiet := fs.Bool("quiet", false, "suppress info-level logs")
@@ -132,7 +131,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 		FailThreshold:    *failThreshold,
 		RequestTimeout:   *timeout,
 		MaxBodyBytes:     *maxBody,
-		Hedge:            *hedge,
 		HedgeDelay:       *hedgeDelay,
 		ResponseCacheCap: *respCache,
 		Logger:           logger,

@@ -412,12 +412,13 @@ func scrapeGwTier(client *http.Client, base string) (gwTierView, error) {
 // gwHedgeArm runs one arm of the hedging comparison: two tail-injected
 // backends, both pre-warmed on the whole pool directly (so the window
 // measures the injected tail, not solve time), then a timed all-warm
-// window through the gateway with hedging on or off. Both arms run the
-// same seed, so the injectors draw the same tail schedule and the only
-// difference is whether the gateway races a second backend past it.
+// window through the gateway with the given hedge delay (0: hedging
+// off). Both arms run the same seed, so the injectors draw the same
+// tail schedule and the only difference is whether the gateway races a
+// second backend past it.
 // BackendSendRatio comes from the gateway's own send counters over the
 // window — the backend-load amplification the hedge band gates.
-func gwHedgeArm(label string, hedged bool, conc int, dur time.Duration, seed int64) (summary, error) {
+func gwHedgeArm(label string, hedgeDelay time.Duration, conc int, dur time.Duration, seed int64) (summary, error) {
 	var backends []*backend
 	for i := 0; i < 2; i++ {
 		b, err := startBackend(serve.Config{Fault: fault.New(fault.Config{
@@ -433,8 +434,7 @@ func gwHedgeArm(label string, hedged bool, conc int, dur time.Duration, seed int
 	}
 	_, base, stopGw, err := startGwTier(gw.Config{
 		Policy:     gw.PolicyAffinity,
-		Hedge:      hedged,
-		HedgeDelay: gwHedgeDelay,
+		HedgeDelay: hedgeDelay,
 	}, backends)
 	if err != nil {
 		return summary{}, err
@@ -571,11 +571,11 @@ func runGw(stdout, stderr io.Writer, conc int, dur time.Duration, seed int64) er
 	// The hedging comparison runs both arms on the same seed: same tail
 	// schedule, same key draws, hedging the only variable. The drill
 	// gates the whole claim — a cut tail for bounded extra backend load.
-	unhedged, err := gwHedgeArm("gw_unhedged", false, conc, dur, seed+3)
+	unhedged, err := gwHedgeArm("gw_unhedged", 0, conc, dur, seed+3)
 	if err != nil {
 		return err
 	}
-	hedged, err := gwHedgeArm("gw_hedged", true, conc, dur, seed+3)
+	hedged, err := gwHedgeArm("gw_hedged", gwHedgeDelay, conc, dur, seed+3)
 	if err != nil {
 		return err
 	}

@@ -78,6 +78,7 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -782,16 +783,19 @@ func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration
 
 // scrapeChaosStats reads the daemon's own overload accounting off
 // /metrics — the drill's verdict comes from the server, not from what
-// the clients happened to observe.
+// the clients happened to observe. It fails closed: a page missing any
+// series the verdict reads is an error, never a zero.
 func scrapeChaosStats(base string) (chaosStats, error) {
 	data, err := get(newClient(10*time.Second), base+"/metrics")
 	if err != nil {
 		return chaosStats{}, fmt.Errorf("chaos: scraping /metrics: %w", err)
 	}
 	text := string(data)
+	var missing []string
 	counter := func(name string) int {
 		m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`).FindStringSubmatch(text)
 		if m == nil {
+			missing = append(missing, name)
 			return 0
 		}
 		n, _ := strconv.Atoi(m[1])
@@ -803,9 +807,20 @@ func scrapeChaosStats(base string) (chaosStats, error) {
 		InjectedErrors:  counter(`swcc_fault_injections_total{kind="error"}`),
 		InjectedLatency: counter(`swcc_fault_injections_total{kind="latency"}`),
 	}
-	for _, m := range regexp.MustCompile(`code="500"\} (\d+)`).FindAllStringSubmatch(text, -1) {
-		n, _ := strconv.Atoi(m[1])
-		stats.ServerError500s += n
+	// A 500 is any request series with code="500" among its labels, in
+	// whatever order they render.
+	reqs := regexp.MustCompile(`(?m)^swcc_http_requests_total\{([^}]*)\} (\d+)$`).FindAllStringSubmatch(text, -1)
+	if len(reqs) == 0 {
+		missing = append(missing, "swcc_http_requests_total")
+	}
+	for _, m := range reqs {
+		if slices.Contains(strings.Split(m[1], ","), `code="500"`) {
+			n, _ := strconv.Atoi(m[2])
+			stats.ServerError500s += n
+		}
+	}
+	if len(missing) > 0 {
+		return chaosStats{}, fmt.Errorf("chaos: %s/metrics lacks %s; the verdict cannot be read", base, strings.Join(missing, ", "))
 	}
 	return stats, nil
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -317,5 +319,48 @@ func TestChaosRun(t *testing.T) {
 	}
 	if rep.Scenarios[1].ClientTimeouts == 0 {
 		t.Error("abandoning fleet never abandoned a request")
+	}
+}
+
+// TestChaosScrapeFailsClosed pins that the chaos verdict never reads an
+// absent series as zero: a page missing any series the gates read is an
+// error, and a 500 counts whatever the label order.
+func TestChaosScrapeFailsClosed(t *testing.T) {
+	full := []string{
+		`swcc_http_requests_total{code="500",path="/v1/bus"} 3`,
+		`swcc_http_requests_total{path="/v1/bus",code="200"} 9`,
+		`swcc_http_sheds_total 4`,
+		`swcc_http_cancels_total 2`,
+		`swcc_fault_injections_total{kind="error"} 5`,
+		`swcc_fault_injections_total{kind="latency"} 6`,
+	}
+	serveLines := func(lines []string) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			fmt.Fprintln(w, strings.Join(lines, "\n"))
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+
+	stats, err := scrapeChaosStats(serveLines(full))
+	if err != nil {
+		t.Fatalf("complete page: %v", err)
+	}
+	want := chaosStats{Sheds: 4, Cancels: 2, InjectedErrors: 5, InjectedLatency: 6, ServerError500s: 3}
+	if stats != want {
+		t.Errorf("stats = %+v, want %+v", stats, want)
+	}
+
+	for _, drop := range []string{"swcc_http_requests_total", "swcc_http_sheds_total",
+		"swcc_http_cancels_total", `kind="error"`, `kind="latency"`} {
+		var page []string
+		for _, l := range full {
+			if !strings.Contains(l, drop) {
+				page = append(page, l)
+			}
+		}
+		if _, err := scrapeChaosStats(serveLines(page)); err == nil {
+			t.Errorf("page without %s passed the scrape", drop)
+		}
 	}
 }

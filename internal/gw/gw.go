@@ -16,8 +16,8 @@
 // as the control arm for benchmarks.
 //
 // Front-tier hardening on top of routing: hedged requests (an
-// idempotent request that outlives the observed-latency hedge delay is
-// raced against the next-ranked backend, first response wins), weighted
+// idempotent request that outlives a fixed hedge delay is raced against
+// the next-ranked backend, first response wins), weighted
 // rendezvous for heterogeneous fleets, live backend-set reload without
 // a restart, and a bounded response cache for idempotent hot keys.
 package gw
@@ -78,20 +78,11 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps a request body read at the gateway. Default 1 MiB.
 	MaxBodyBytes int64
-	// Hedge enables hedged requests: when an idempotent request has
-	// been in flight longer than the hedge delay, the gateway races a
-	// duplicate against the next-ranked backend and streams whichever
-	// response arrives first, cancelling the loser. Default off.
-	Hedge bool
-	// HedgeDelay fixes the hedge delay. Zero (the default) derives it
-	// from the gateway's own proxied-latency histogram: twice the
-	// observed p90, floored at HedgeMinDelay — past p90 at most ~10% of
-	// requests are still in flight, and doubling it keeps the duplicate
-	// send rate to the true stragglers.
+	// HedgeDelay, when positive, enables hedged requests: once an
+	// idempotent request has been in flight this long, the gateway races
+	// a duplicate against the next-ranked backend and streams whichever
+	// response arrives first, cancelling the loser. Default 0: off.
 	HedgeDelay time.Duration
-	// HedgeMinDelay floors the derived hedge delay so a microsecond-warm
-	// cache cannot make the gateway hedge every request. Default 1ms.
-	HedgeMinDelay time.Duration
 	// ResponseCacheCap bounds the gateway's response cache for
 	// idempotent hot keys (entries, LRU-evicted). Entries are keyed by
 	// the canonical cache key plus the answering backend's model
@@ -123,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = time.Millisecond
 	}
 	if c.Transport == nil {
 		c.Transport = &http.Transport{
@@ -195,19 +183,6 @@ func classIdx(code int) int {
 	}
 }
 
-// latencyBounds is the proxied-latency histogram's bucket layout
-// (seconds): wide enough to straddle sub-millisecond warm hits and
-// multi-second cold solves, because the hedge delay derives from it.
-var latencyBounds = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
-
-// hedgeMinSamples is how many proxied latencies the histogram must hold
-// before a derived hedge delay is trusted; until then hedging stays off
-// (a fixed Config.HedgeDelay is live immediately).
-const hedgeMinSamples = 64
-
 // Gateway routes requests across the backend fleet. Construct with New;
 // run health checks with Run; serve Handler.
 type Gateway struct {
@@ -225,8 +200,7 @@ type Gateway struct {
 	runCtx   context.Context
 	wg       sync.WaitGroup
 
-	latency *obs.Histogram // proxied request latency, hedge-delay source
-	cache   *respCache     // response cache; nil when disabled
+	cache *respCache // response cache; nil when disabled
 
 	rr           atomic.Uint64 // round-robin cursor
 	retries      atomic.Int64  // attempts beyond the first, after a transport failure
@@ -250,11 +224,10 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gw: unknown policy %q (want %s or %s)", cfg.Policy, PolicyAffinity, PolicyRoundRobin)
 	}
 	g := &Gateway{
-		cfg:     cfg,
-		client:  &http.Client{Transport: cfg.Transport},
-		log:     cfg.Logger,
-		start:   time.Now(),
-		latency: obs.NewHistogram(latencyBounds),
+		cfg:    cfg,
+		client: &http.Client{Transport: cfg.Transport},
+		log:    cfg.Logger,
+		start:  time.Now(),
 	}
 	if cfg.ResponseCacheCap > 0 {
 		g.cache = newRespCache(cfg.ResponseCacheCap)
@@ -551,15 +524,15 @@ func callerCancelled(ctx context.Context, err error) bool {
 // caller must run once the response body is consumed. A backend
 // transport failure marks that backend down and moves to the next
 // candidate; caller-context cancellation stops the walk without blaming
-// anyone. When hedging is enabled and a delay is available, the first
-// candidate races the second. The respill counter ticks when affinity
-// routing could not use the key's true owner.
+// anyone. When hedging is enabled, the first candidate races the
+// second. The respill counter ticks when affinity routing could not use
+// the key's true owner.
 func (g *Gateway) attempt(ctx context.Context, ranked []*backend, key uint64, method, uri string, body []byte, trace string) (*http.Response, *backend, func(), error) {
 	if g.cfg.Policy == PolicyAffinity && len(ranked) > 0 && ranked[0] != g.owner(key) {
 		g.respills.Add(1)
 	}
-	if delay, ok := g.hedgeDelay(); ok && len(ranked) >= 2 {
-		return g.attemptHedged(ctx, ranked, delay, method, uri, body, trace)
+	if g.cfg.HedgeDelay > 0 && len(ranked) >= 2 {
+		return g.attemptHedged(ctx, ranked, g.cfg.HedgeDelay, method, uri, body, trace)
 	}
 	resp, b, err := g.attemptSeq(ctx, ranked, method, uri, body, trace, false)
 	return resp, b, nopRelease, err
@@ -716,29 +689,8 @@ type laneResult struct {
 	ctx  context.Context
 }
 
-// hedgeDelay returns the current hedge delay and whether hedging is
-// active: a fixed Config.HedgeDelay is always live, a derived one needs
-// hedgeMinSamples observed latencies first.
-func (g *Gateway) hedgeDelay() (time.Duration, bool) {
-	if !g.cfg.Hedge {
-		return 0, false
-	}
-	if g.cfg.HedgeDelay > 0 {
-		return g.cfg.HedgeDelay, true
-	}
-	snap := g.latency.Snapshot()
-	if snap.Count < hedgeMinSamples {
-		return 0, false
-	}
-	d := time.Duration(2 * snap.Quantile(0.9) * float64(time.Second))
-	if d < g.cfg.HedgeMinDelay {
-		d = g.cfg.HedgeMinDelay
-	}
-	return d, true
-}
-
 // send issues one proxied attempt against one backend, forwarding the
-// request ID and observing the attempt's latency on success.
+// request ID.
 func (g *Gateway) send(ctx context.Context, b *backend, method, uri string, body []byte, trace string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, b.url+uri, bytes.NewReader(body))
 	if err != nil {
@@ -749,12 +701,7 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, uri string, body
 		req.Header.Set(traceHeader, trace)
 	}
 	b.sends.Add(1)
-	start := time.Now()
-	resp, err := g.client.Do(req)
-	if err == nil {
-		g.latency.Observe(time.Since(start).Seconds())
-	}
-	return resp, err
+	return g.client.Do(req)
 }
 
 // copyResponse relays one backend response to the client, echoing the

@@ -345,6 +345,35 @@ func TestSweepFanOutErrorRemap(t *testing.T) {
 	}
 }
 
+// TestSweepFanOutShareOverCap pins that a backend share larger than the
+// read cap is a counted 502 naming the cap, not a silently truncated
+// body that fails to decode.
+func TestSweepFanOutShareOverCap(t *testing.T) {
+	defer func(old int64) { maxSweepShare = old }(maxSweepShare)
+	maxSweepShare = 4096
+
+	_, b1 := newBackend(t)
+	_, b2 := newBackend(t)
+	g, ts := newGateway(t, PolicyAffinity, b1.URL, b2.URL)
+
+	var points []string
+	for i := 0; i < 40; i++ {
+		points = append(points, fmt.Sprintf(`{"scheme": "dragon", "params": {"shd": %g}, "procs": 16}`, 0.01+float64(i)*0.02))
+	}
+	body := `{"points": [` + strings.Join(points, ",") + `]}`
+
+	code, data, _ := postGW(t, ts, "/v1/sweep", body)
+	if code != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502: %.300s", code, data)
+	}
+	if !strings.Contains(string(data), "4096-byte cap") {
+		t.Errorf("502 does not name the cap: %s", data)
+	}
+	if g.badGateway.Load() == 0 {
+		t.Error("over-cap share not counted in swcc_gw_bad_gateway_total")
+	}
+}
+
 // TestGatewayReadyz pins gateway readiness: ready with a healthy fleet,
 // not ready when every backend is gone.
 func TestGatewayReadyz(t *testing.T) {

@@ -193,7 +193,6 @@ func TestHedgedRequestCutsTail(t *testing.T) {
 
 	g, err := New(Config{
 		Backends:   []string{b1.URL, b2.URL},
-		Hedge:      true,
 		HedgeDelay: 30 * time.Millisecond,
 		Logger:     slog.New(slog.NewJSONHandler(io.Discard, nil)),
 	})
@@ -229,33 +228,6 @@ func TestHedgedRequestCutsTail(t *testing.T) {
 		if !b.healthy.Load() {
 			t.Fatalf("hedge-loser cancellation excluded %s", b.url)
 		}
-	}
-}
-
-// TestHedgeDerivedDelayNeedsSamples pins that a derived hedge delay
-// stays inactive until the latency histogram has enough observations,
-// then activates at twice the observed p90 (floored).
-func TestHedgeDerivedDelayNeedsSamples(t *testing.T) {
-	g, err := New(Config{
-		Backends: []string{"http://127.0.0.1:1"},
-		Hedge:    true,
-		Logger:   slog.New(slog.NewJSONHandler(io.Discard, nil)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := g.hedgeDelay(); ok {
-		t.Fatal("derived hedge delay active with an empty histogram")
-	}
-	for i := 0; i < hedgeMinSamples; i++ {
-		g.latency.Observe(0.010) // 10ms => p90 bucket bound 10ms
-	}
-	d, ok := g.hedgeDelay()
-	if !ok {
-		t.Fatal("derived hedge delay still inactive after enough samples")
-	}
-	if d != 20*time.Millisecond {
-		t.Fatalf("derived delay %v, want 2*p90 = 20ms", d)
 	}
 }
 
@@ -295,9 +267,10 @@ func TestWeightedRendezvous(t *testing.T) {
 	if share < 0.60 || share > 0.73 { // expect 4/6 ≈ 0.667
 		t.Fatalf("weight-4 backend won %.1f%% of keys, want ≈66.7%%: %v", share*100, wins)
 	}
-	w := heavy.Weights()
-	if w[urls[0]] != 4 || w[urls[1]] != 1 || w[urls[2]] != 1 {
-		t.Fatalf("effective weights %v", w)
+	for i, b := range heavy.snapshot() {
+		if want := []float64{4, 1, 1}[i]; b.effWeight() != want {
+			t.Fatalf("%s: effective weight %v, want %v", b.url, b.effWeight(), want)
+		}
 	}
 }
 

@@ -90,17 +90,6 @@ func (g *Gateway) Reload(specs []string) (ReloadResult, error) {
 	return res, nil
 }
 
-// Weights returns each current backend's effective rendezvous weight by
-// URL — the operator-facing view (/healthz, tests) of what the HRW
-// score actually uses.
-func (g *Gateway) Weights() map[string]float64 {
-	out := map[string]float64{}
-	for _, b := range g.snapshot() {
-		out[b.url] = b.effWeight()
-	}
-	return out
-}
-
 // pinnedWeight returns the configured (spec-pinned) weight, or 0 when
 // the spec pins none.
 func (b *backend) pinnedWeight() float64 {

@@ -30,6 +30,12 @@ type sweepResult struct {
 	Results []json.RawMessage `json:"results"`
 }
 
+// maxSweepShare caps the bytes read from one backend's response to its
+// share of a fanned-out batch: 64 MiB, about 390,000 curve points. A
+// share past it is answered 502 naming the cap, never cut short. A
+// variable only so tests can lower it.
+var maxSweepShare int64 = 64 << 20
+
 // subFailure is one failed sub-batch, carried to error remapping.
 type subFailure struct {
 	status  int
@@ -108,27 +114,32 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 			sub := subBatch(body, points, grp.indexes)
 			// Rank by the group's key: the owner leads, and a transport
 			// failure retries the group on the next-ranked survivor.
+			badGateway := func(msg string) {
+				g.badGateway.Add(1)
+				grp.status, grp.body = http.StatusBadGateway, []byte(fmt.Sprintf("{\"error\":%q}", msg))
+			}
 			resp, _, release, err := g.attempt(ctx, g.rank(groupKeys[gi]), groupKeys[gi], http.MethodPost, r.URL.RequestURI(), sub, trace)
 			if err != nil {
-				g.badGateway.Add(1)
-				grp.status, grp.body = http.StatusBadGateway, []byte(fmt.Sprintf("{\"error\":%q}", "gw: no backend answered: "+err.Error()))
+				badGateway("gw: no backend answered: " + err.Error())
 				return
 			}
 			defer release()
 			defer resp.Body.Close()
-			rb, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			if err != nil {
-				grp.status, grp.body = http.StatusBadGateway, []byte(fmt.Sprintf("{\"error\":%q}", "gw: reading backend response: "+err.Error()))
+			rb, err := io.ReadAll(io.LimitReader(resp.Body, maxSweepShare+1))
+			switch {
+			case err != nil:
+				badGateway("gw: reading backend response: " + err.Error())
 				return
-			}
-			if resp.StatusCode != http.StatusOK {
+			case int64(len(rb)) > maxSweepShare:
+				badGateway(fmt.Sprintf("gw: backend response for a %d-point share exceeds the %d-byte cap", len(grp.indexes), maxSweepShare))
+				return
+			case resp.StatusCode != http.StatusOK:
 				grp.status, grp.body = resp.StatusCode, rb
 				return
 			}
 			var sr sweepResult
 			if err := json.Unmarshal(rb, &sr); err != nil || len(sr.Results) != len(grp.indexes) {
-				grp.status, grp.body = http.StatusBadGateway, []byte(fmt.Sprintf("{\"error\":%q}",
-					fmt.Sprintf("gw: backend returned %d results for %d points", len(sr.Results), len(grp.indexes))))
+				badGateway(fmt.Sprintf("gw: backend returned %d results for %d points", len(sr.Results), len(grp.indexes)))
 				return
 			}
 			for j, idx := range grp.indexes {

@@ -1,9 +1,11 @@
 // Package obs is the observability substrate shared by the serving
-// layer and the evaluator: monotonic-clock spans, lock-free fixed-bucket
-// latency histograms, and request trace-ID propagation over
-// context.Context. It has no dependencies beyond the standard library
-// and deliberately knows nothing about HTTP, Prometheus text rendering,
-// or the model — callers own naming, labeling, and exposition.
+// tiers and the evaluator: monotonic-clock spans, lock-free fixed-bucket
+// latency histograms, request trace-ID propagation over
+// context.Context, and the one Prometheus text writer. It has no
+// dependencies beyond the standard library and knows nothing about HTTP
+// or the model. Callers own their counters and declare their families
+// (Family: name, type, help) once, as a table; Page renders a /metrics
+// page from that table and nothing else.
 //
 // Invariants the rest of the repository relies on:
 //
@@ -20,6 +22,9 @@
 //     either way.
 //   - Spans use the monotonic clock embedded in time.Time, so measured
 //     durations are immune to wall-clock steps (NTP, suspend).
+//   - A Page emits only its table's families, in table order, so a
+//     tier's table is its whole page and OPERATIONS.md is checked
+//     against the tables, not against scrapes.
 //   - Trace IDs are opaque strings carried by context.Context only —
 //     no globals — so propagation works across API layers and worker
 //     goroutines exactly as far as the context is threaded.

@@ -34,8 +34,8 @@
 //     lock, so metrics cannot become the serialization point the sharded
 //     evaluator exists to remove.
 //   - /metrics output is byte-stable: identical scrapes of an idle
-//     server render identical bytes, because every series family is
-//     emitted in a fixed order and labeled series are sorted.
+//     server render identical bytes, because every family is rendered
+//     by obs.Page in MetricFamilies order and labeled series are sorted.
 //
 // Every response is bit-identical to the equivalent library call: the
 // handlers route through the same sweep.Evaluator code paths the CLIs

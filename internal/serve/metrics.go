@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -35,18 +34,12 @@ var stageNames = []string{
 	stageValidate, sweep.StageCacheLookup, sweep.StageDedupWait, sweep.StageSolve,
 }
 
-// metrics is the server's hand-rolled metric registry: request counters
-// by (path, code), an in-flight gauge, and latency histograms
-// (aggregate, per endpoint, per pipeline stage). It renders Prometheus
-// text format directly — no dependencies, byte-stable output ordering.
-//
-// Everything on the hot path is lock-free: the gauge and per-(path,
-// code) counters are atomics, and the histograms are obs.Histogram
-// (one atomic add per observation). Rendering takes no lock either — a
-// scrape is a point-in-time snapshot that may be approximately
-// consistent under concurrent traffic (see internal/obs), which is the
-// deliberate trade for never serializing request completions on a
-// registry mutex (DESIGN.md §9).
+// metrics holds the server's own series: request counters by (path,
+// code), in-flight gauges, and latency histograms (aggregate, per
+// endpoint, per pipeline stage). Recording and rendering take no lock:
+// the counters are atomics and obs.Histogram adds atomically, so a
+// scrape is a point-in-time snapshot, approximately consistent under
+// traffic (DESIGN.md §9).
 type metrics struct {
 	requests sync.Map // [2]string{path, code} -> *atomic.Uint64
 	inFlight atomic.Int64
@@ -62,9 +55,16 @@ type metrics struct {
 	cancels       atomic.Uint64
 
 	latency *obs.Histogram            // all requests, any path
-	byPath  map[string]*obs.Histogram // per known endpoint (+ "other"); read-only after construction
+	byPath  map[string]*obs.Histogram // per metricPaths value; read-only after construction
 	byStage map[string]*obs.Histogram // per pipeline stage; read-only after construction
-	paths   []string                  // sorted byPath keys, the render order
+}
+
+// metricPaths is every value of the path label, sorted (the render
+// order). It caps label cardinality: anything unrouted counts as
+// "other" instead of minting a series per probed URL.
+var metricPaths = []string{
+	"/healthz", "/metrics", "/readyz", "/v1/advisor", "/v1/bus",
+	"/v1/network", "/v1/sensitivity", "/v1/sweep", "other",
 }
 
 func newMetrics() *metrics {
@@ -73,37 +73,13 @@ func newMetrics() *metrics {
 		byPath:  map[string]*obs.Histogram{},
 		byStage: map[string]*obs.Histogram{},
 	}
-	for p := range knownPaths {
+	for _, p := range metricPaths {
 		m.byPath[p] = obs.NewHistogram(latencyBuckets)
 	}
-	m.byPath[pathOther] = obs.NewHistogram(latencyBuckets)
-	for p := range m.byPath {
-		m.paths = append(m.paths, p)
-	}
-	sort.Strings(m.paths)
 	for _, st := range stageNames {
 		m.byStage[st] = obs.NewHistogram(latencyBuckets)
 	}
 	return m
-}
-
-// pathOther is the label value capping endpoint cardinality: anything
-// unrouted counts here instead of minting a series per probed URL.
-const pathOther = "other"
-
-// knownPaths caps label cardinality: anything unrouted counts as "other".
-var knownPaths = map[string]bool{
-	"/healthz": true, "/readyz": true, "/metrics": true,
-	"/v1/bus": true, "/v1/network": true,
-	"/v1/advisor": true, "/v1/sensitivity": true,
-	"/v1/sweep": true,
-}
-
-func metricPath(path string) string {
-	if knownPaths[path] {
-		return path
-	}
-	return pathOther
 }
 
 func (m *metrics) requestStarted() {
@@ -112,7 +88,10 @@ func (m *metrics) requestStarted() {
 
 func (m *metrics) requestDone(path string, code int, seconds float64) {
 	m.inFlight.Add(-1)
-	p := metricPath(path)
+	p := path
+	if m.byPath[p] == nil {
+		p = "other"
+	}
 	key := [2]string{p, strconv.Itoa(code)}
 	c, ok := m.requests.Load(key)
 	if !ok {
@@ -132,109 +111,84 @@ func (m *metrics) observeStage(stage string, seconds float64) {
 	}
 }
 
-// writeHistogram renders one histogram family member in Prometheus text
-// form. labels is either empty or a `key="value",` prefix placed before
-// the le label.
-func writeHistogram(w io.Writer, name, labels string, s obs.Snapshot) {
-	for i, ub := range s.Bounds {
-		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n",
-			name, labels, strconv.FormatFloat(ub, 'g', -1, 64), s.Cumulative[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, s.Count)
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, bracketed(labels), s.Sum)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, bracketed(labels), s.Count)
+// MetricFamilies declares the daemon's /metrics page: every family, in
+// render order. obs.Page emits nothing else, and the drift check in
+// internal/obs holds OPERATIONS.md to this table.
+var MetricFamilies = []obs.Family{
+	{Name: "swcc_mva_solves_total", Type: obs.TypeCounter, Help: "SingleServerMVA recursions (cache misses)."},
+	{Name: "swcc_mva_cache_hits_total", Type: obs.TypeCounter, Help: "MVA curve queries served from the memo."},
+	{Name: "swcc_curve_extends_total", Type: obs.TypeCounter, Help: "MVA solves resumed from a cached shorter curve."},
+	{Name: "swcc_curve_full_solves_total", Type: obs.TypeCounter, Help: "MVA solves started cold from population 1."},
+	{Name: "swcc_cache_entries", Type: obs.TypeGauge, Help: "Current entries per evaluator cache."},
+	{Name: "swcc_singleflight_dedups_total", Type: obs.TypeCounter, Help: "Concurrent misses served by another goroutine's in-flight solve."},
+	{Name: "swcc_cache_evictions_total", Type: obs.TypeCounter, Help: "Entries dropped by the bounded-capacity CLOCK policy."},
+	{Name: "swcc_cache_shards", Type: obs.TypeGauge, Help: "Lock-striped shards per evaluator cache."},
+	{Name: "swcc_cache_shard_entries", Type: obs.TypeGauge, Help: "Current entries per cache shard."},
+	{Name: "swcc_http_requests_total", Type: obs.TypeCounter, Help: "Completed requests by path and status code."},
+	{Name: "swcc_http_in_flight", Type: obs.TypeGauge, Help: "Requests currently being served."},
+	{Name: "swcc_solve_in_flight", Type: obs.TypeGauge, Help: "Model solves currently holding a concurrency-limiter slot."},
+	{Name: "swcc_solve_queue_depth", Type: obs.TypeGauge, Help: "Admitted requests currently waiting for a concurrency-limiter slot."},
+	{Name: "swcc_http_sheds_total", Type: obs.TypeCounter, Help: "Requests rejected 503 by admission control before body decode (queue full)."},
+	{Name: "swcc_http_cancels_total", Type: obs.TypeCounter, Help: "Requests abandoned by their client while queued or mid-solve."},
+	{Name: "swcc_fault_injections_total", Type: obs.TypeCounter, Help: "Faults fired by the configured injector (always 0 without -fault-* flags)."},
+	{Name: "swcc_http_request_duration_seconds", Type: obs.TypeHistogram, Help: "Request latency."},
+	{Name: "swcc_http_endpoint_duration_seconds", Type: obs.TypeHistogram, Help: "Request latency by endpoint."},
+	{Name: "swcc_stage_duration_seconds", Type: obs.TypeHistogram, Help: "Wall time per request pipeline stage (validate, cache_lookup, singleflight_wait, solve)."},
 }
 
-// bracketed wraps a non-empty `key="value",` label prefix into the
-// `{key="value"}` form used on _sum/_count series.
-func bracketed(labels string) string {
-	if labels == "" {
-		return ""
-	}
-	return "{" + labels[:len(labels)-1] + "}"
-}
-
-// write renders the registry plus the evaluator's cache counters, the
-// singleflight/eviction series, the per-shard size gauges, and the
-// overload/fault series in Prometheus text exposition format. The
-// output is byte-stable: families render in a fixed order and every
-// labeled family's series are sorted, so two scrapes of an idle server
-// are byte-identical (the golden doc-drift and stability tests depend
-// on this). inj may be nil (no fault injection configured); its family
-// still renders, at zero, so dashboards need no conditionals.
+// write renders MetricFamilies from the evaluator's counters and the
+// server's own. Labeled series are sorted, so two scrapes of an idle
+// server are byte-identical. inj may be nil (no fault injection); its
+// family still renders, at zero, so dashboards need no conditionals.
 func (m *metrics) write(w io.Writer, ev *sweep.Evaluator, inj *fault.Injector) {
 	st := ev.Stats()
+	p := obs.NewPage(w, MetricFamilies)
 
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("swcc_mva_solves_total", "SingleServerMVA recursions (cache misses).", st.MVASolves)
-	counter("swcc_mva_cache_hits_total", "MVA curve queries served from the memo.", st.MVAHits)
-	counter("swcc_curve_extends_total", "MVA solves resumed from a cached shorter curve.", st.CurveExtends)
-	counter("swcc_curve_full_solves_total", "MVA solves started cold from population 1.", st.CurveFullSolves)
-
-	fmt.Fprintf(w, "# HELP swcc_cache_entries Current entries per evaluator cache.\n# TYPE swcc_cache_entries gauge\n")
-	fmt.Fprintf(w, "swcc_cache_entries{cache=\"mva\"} %d\n", st.CurveEntries)
-
-	fmt.Fprintf(w, "# HELP swcc_singleflight_dedups_total Concurrent misses served by another goroutine's in-flight solve.\n# TYPE swcc_singleflight_dedups_total counter\n")
-	fmt.Fprintf(w, "swcc_singleflight_dedups_total{cache=\"mva\"} %d\n", st.MVADedups)
-
-	fmt.Fprintf(w, "# HELP swcc_cache_evictions_total Entries dropped by the bounded-capacity CLOCK policy.\n# TYPE swcc_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "swcc_cache_evictions_total{cache=\"mva\"} %d\n", st.CurveEvictions)
-
-	fmt.Fprintf(w, "# HELP swcc_cache_shards Lock-striped shards per evaluator cache.\n# TYPE swcc_cache_shards gauge\nswcc_cache_shards %d\n", st.Shards)
-	fmt.Fprintf(w, "# HELP swcc_cache_shard_entries Current entries per cache shard.\n# TYPE swcc_cache_shard_entries gauge\n")
+	p.Family("swcc_mva_solves_total").Uint(st.MVASolves)
+	p.Family("swcc_mva_cache_hits_total").Uint(st.MVAHits)
+	p.Family("swcc_curve_extends_total").Uint(st.CurveExtends)
+	p.Family("swcc_curve_full_solves_total").Uint(st.CurveFullSolves)
+	p.Family("swcc_cache_entries").Int(int64(st.CurveEntries), "cache", "mva")
+	p.Family("swcc_singleflight_dedups_total").Uint(st.MVADedups, "cache", "mva")
+	p.Family("swcc_cache_evictions_total").Uint(st.CurveEvictions, "cache", "mva")
+	p.Family("swcc_cache_shards").Int(int64(st.Shards))
+	p.Family("swcc_cache_shard_entries")
 	for i, n := range ev.ShardSizes() {
-		fmt.Fprintf(w, "swcc_cache_shard_entries{cache=\"mva\",shard=\"%d\"} %d\n", i, n)
+		p.Int(int64(n), "cache", "mva", "shard", strconv.Itoa(i))
 	}
 
-	fmt.Fprintf(w, "# HELP swcc_http_requests_total Completed requests by path and status code.\n# TYPE swcc_http_requests_total counter\n")
-	type reqCount struct {
-		key [2]string
-		n   uint64
-	}
-	var reqs []reqCount
-	m.requests.Range(func(k, v any) bool {
-		reqs = append(reqs, reqCount{k.([2]string), v.(*atomic.Uint64).Load()})
+	var keys [][2]string
+	m.requests.Range(func(k, _ any) bool {
+		keys = append(keys, k.([2]string))
 		return true
 	})
-	// sync.Map iteration order is nondeterministic; sorting here is what
-	// keeps scrapes byte-stable.
-	sort.Slice(reqs, func(i, j int) bool {
-		if reqs[i].key[0] != reqs[j].key[0] {
-			return reqs[i].key[0] < reqs[j].key[0]
-		}
-		return reqs[i].key[1] < reqs[j].key[1]
-	})
-	for _, r := range reqs {
-		fmt.Fprintf(w, "swcc_http_requests_total{path=%q,code=%q} %d\n", r.key[0], r.key[1], r.n)
+	// sync.Map iteration order is nondeterministic; sorting by (path,
+	// code) here is what keeps scrapes byte-stable.
+	slices.SortFunc(keys, func(a, b [2]string) int { return slices.Compare(a[:], b[:]) })
+	p.Family("swcc_http_requests_total")
+	for _, k := range keys {
+		c, _ := m.requests.Load(k)
+		p.Uint(c.(*atomic.Uint64).Load(), "path", k[0], "code", k[1])
 	}
-
-	fmt.Fprintf(w, "# HELP swcc_http_in_flight Requests currently being served.\n# TYPE swcc_http_in_flight gauge\nswcc_http_in_flight %d\n", m.inFlight.Load())
-
-	fmt.Fprintf(w, "# HELP swcc_solve_in_flight Model solves currently holding a concurrency-limiter slot.\n# TYPE swcc_solve_in_flight gauge\nswcc_solve_in_flight %d\n", m.solveInFlight.Load())
-	fmt.Fprintf(w, "# HELP swcc_solve_queue_depth Admitted requests currently waiting for a concurrency-limiter slot.\n# TYPE swcc_solve_queue_depth gauge\nswcc_solve_queue_depth %d\n", m.queueDepth.Load())
-	fmt.Fprintf(w, "# HELP swcc_http_sheds_total Requests rejected 503 by admission control before body decode (queue full).\n# TYPE swcc_http_sheds_total counter\nswcc_http_sheds_total %d\n", m.sheds.Load())
-	fmt.Fprintf(w, "# HELP swcc_http_cancels_total Requests abandoned by their client while queued or mid-solve.\n# TYPE swcc_http_cancels_total counter\nswcc_http_cancels_total %d\n", m.cancels.Load())
+	p.Family("swcc_http_in_flight").Int(m.inFlight.Load())
+	p.Family("swcc_solve_in_flight").Int(m.solveInFlight.Load())
+	p.Family("swcc_solve_queue_depth").Int(m.queueDepth.Load())
+	p.Family("swcc_http_sheds_total").Uint(m.sheds.Load())
+	p.Family("swcc_http_cancels_total").Uint(m.cancels.Load())
 
 	lat, errs, panics := inj.Counts()
-	fmt.Fprintf(w, "# HELP swcc_fault_injections_total Faults fired by the configured injector (always 0 without -fault-* flags).\n# TYPE swcc_fault_injections_total counter\n")
-	fmt.Fprintf(w, "swcc_fault_injections_total{kind=\"error\"} %d\n", errs)
-	fmt.Fprintf(w, "swcc_fault_injections_total{kind=\"latency\"} %d\n", lat)
-	fmt.Fprintf(w, "swcc_fault_injections_total{kind=\"panic\"} %d\n", panics)
+	p.Family("swcc_fault_injections_total")
+	p.Uint(errs, "kind", "error")
+	p.Uint(lat, "kind", "latency")
+	p.Uint(panics, "kind", "panic")
 
-	fmt.Fprintf(w, "# HELP swcc_http_request_duration_seconds Request latency.\n# TYPE swcc_http_request_duration_seconds histogram\n")
-	writeHistogram(w, "swcc_http_request_duration_seconds", "", m.latency.Snapshot())
-
-	fmt.Fprintf(w, "# HELP swcc_http_endpoint_duration_seconds Request latency by endpoint.\n# TYPE swcc_http_endpoint_duration_seconds histogram\n")
-	for _, p := range m.paths {
-		writeHistogram(w, "swcc_http_endpoint_duration_seconds",
-			fmt.Sprintf("path=%q,", p), m.byPath[p].Snapshot())
+	p.Family("swcc_http_request_duration_seconds").Histogram(m.latency.Snapshot())
+	p.Family("swcc_http_endpoint_duration_seconds")
+	for _, path := range metricPaths {
+		p.Histogram(m.byPath[path].Snapshot(), "path", path)
 	}
-
-	fmt.Fprintf(w, "# HELP swcc_stage_duration_seconds Wall time per request pipeline stage (validate, cache_lookup, singleflight_wait, solve).\n# TYPE swcc_stage_duration_seconds histogram\n")
-	for _, st := range stageNames {
-		writeHistogram(w, "swcc_stage_duration_seconds",
-			fmt.Sprintf("stage=%q,", st), m.byStage[st].Snapshot())
+	p.Family("swcc_stage_duration_seconds")
+	for _, stage := range stageNames {
+		p.Histogram(m.byStage[stage].Snapshot(), "stage", stage)
 	}
 }

@@ -98,10 +98,7 @@ func (p *SlicePool[T]) Release(s *[]T) {
 	p.classes[c].Put(s)
 }
 
-var (
-	busPointPool SlicePool[core.BusPoint]
-	resultPool   SlicePool[Result]
-)
+var busPointPool SlicePool[core.BusPoint]
 
 // AcquirePoints returns a pooled []core.BusPoint of length n. Pass the
 // returned pointer to ReleasePoints when the slice is no longer
@@ -111,14 +108,6 @@ func AcquirePoints(n int) *[]core.BusPoint { return busPointPool.Acquire(n) }
 
 // ReleasePoints returns a buffer obtained from AcquirePoints to the pool.
 func ReleasePoints(s *[]core.BusPoint) { busPointPool.Release(s) }
-
-// AcquireResults returns a pooled []Result of length n; release with
-// ReleaseResults under the same rules as AcquirePoints.
-func AcquireResults(n int) *[]Result { return resultPool.Acquire(n) }
-
-// ReleaseResults returns a buffer obtained from AcquireResults to the
-// pool.
-func ReleaseResults(s *[]Result) { resultPool.Release(s) }
 
 // PointPoolAccounting exposes the shared bus-point pool's acquire and
 // release counts. The pool's buffers are strictly request-scoped, so at

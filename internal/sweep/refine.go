@@ -49,10 +49,6 @@ type RefineSpec struct {
 	// are reported as boundaries rather than split further. <= 0 means
 	// (To-From)/1024. AxisProcs always stops at adjacent integers.
 	MinStep float64
-	// OnWave, when non-nil, receives each wave's newly evaluated points
-	// (ascending by X) as soon as the wave completes — the streaming hook
-	// the job runner uses. Returning an error aborts the search.
-	OnWave func(ctx context.Context, pts []RefinePoint) error
 }
 
 // RefinePoint is one evaluated axis value: the per-scheme powers (in
@@ -153,11 +149,6 @@ func (e *Engine) Refine(ctx context.Context, spec RefineSpec) (*RefineResult, er
 		res.Solves += len(wave) * len(spec.Schemes)
 		res.Points = append(res.Points, pts...)
 		sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].X < res.Points[j].X })
-		if spec.OnWave != nil {
-			if err := spec.OnWave(ctx, pts); err != nil {
-				return nil, err
-			}
-		}
 		// Subdivide every interval whose endpoint winners differ and that
 		// is still wider than the resolution floor. Midpoints bisect
 		// exactly, so repeated halving terminates and revisits no X.

@@ -187,50 +187,6 @@ func TestRefineProcsAxis(t *testing.T) {
 	}
 }
 
-// TestRefineOnWave checks the streaming hook: every evaluated point is
-// delivered exactly once, the first wave is the coarse grid, and an
-// OnWave error aborts the search.
-func TestRefineOnWave(t *testing.T) {
-	base, err := core.MiddleParams().With("apl", 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := RefineSpec{
-		Schemes: []core.Scheme{core.SoftwareFlush{}, core.Dragon{}},
-		Base:    base, Axis: AxisProcs, From: 1, To: 64, Coarse: 5,
-	}
-	var waves [][]RefinePoint
-	spec.OnWave = func(ctx context.Context, pts []RefinePoint) error {
-		cp := make([]RefinePoint, len(pts))
-		copy(cp, pts)
-		waves = append(waves, cp)
-		return nil
-	}
-	res, err := New(0).Refine(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(waves) != res.Waves {
-		t.Errorf("OnWave fired %d times, Waves = %d", len(waves), res.Waves)
-	}
-	if len(waves[0]) != 5 {
-		t.Errorf("first wave delivered %d points, want the 5-point coarse grid", len(waves[0]))
-	}
-	total := 0
-	for _, w := range waves {
-		total += len(w)
-	}
-	if total != len(res.Points) {
-		t.Errorf("waves delivered %d points total, result has %d", total, len(res.Points))
-	}
-
-	boom := errors.New("sink full")
-	spec.OnWave = func(context.Context, []RefinePoint) error { return boom }
-	if _, err := New(0).Refine(context.Background(), spec); !errors.Is(err, boom) {
-		t.Errorf("OnWave error not propagated: %v", err)
-	}
-}
-
 // TestRefineValidation covers the spec errors.
 func TestRefineValidation(t *testing.T) {
 	eng := New(0)
