@@ -33,13 +33,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Quick perf signal: the sweep engine (sequential vs parallel vs cached,
-# with the speedup metric), the simulator hot loop, the two network
+# with the speedup metric), the simulator hot loop and 1/4/8-processor
+# machines run off one 8-processor trace, the two network
 # simulators at the patel/packetsim configurations (cycles/s), decoding
 # a 64-point cold-sweep-shaped /v1/sweep body, and deriving one
 # request's gateway keys.
 bench-short:
 	$(GO) test -run=NONE -bench='BenchmarkSweep|BenchmarkEvaluator' -benchmem ./internal/sweep
-	$(GO) test -run=NONE -bench='BenchmarkSimHotLoop|BenchmarkTraceRestrict' -benchmem ./internal/sim
+	$(GO) test -run=NONE -bench='BenchmarkSimHotLoop|BenchmarkSimRestricted' -benchmem ./internal/sim
 	$(GO) test -run=NONE -bench='BenchmarkRun' -benchmem ./internal/netsim
 	$(GO) test -run=NONE -bench='BenchmarkDecodeSweep' -benchmem ./internal/serve
 	$(GO) test -run=NONE -bench='BenchmarkPointKey' -benchmem ./internal/gw
@@ -82,10 +83,12 @@ bench-diff:
 # perturbs testing.AllocsPerRun): the warm BusPoint path must stay at
 # zero allocations, the warm extend path within its budget, a
 # population-ascending curve run at O(log n) allocations, decoding a
-# 64-point /v1/sweep body at its measured count, and a simulator run
-# within 10 bytes per trace record (no per-run copy of the trace).
+# 64-point /v1/sweep body at its measured count, a simulator run
+# within 10 bytes per trace record (no per-run copy of the trace), a
+# smaller machine than its trace within 4 bytes per full-trace record
+# beyond its caches, and trace generation within 1.1x the trace's bytes.
 alloc-check:
-	$(GO) test -run 'Alloc' ./internal/core ./internal/sweep ./internal/serve ./internal/sim
+	$(GO) test -run 'Alloc' ./internal/core ./internal/sweep ./internal/serve ./internal/sim ./internal/tracegen
 
 # Fuzz smoke: every native Go fuzz target in the module (Fuzz* functions
 # in *_test.go files) for a fixed 10 s each. A failure leaves the

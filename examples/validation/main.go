@@ -52,11 +52,12 @@ func main() {
 			log.Fatal(err)
 		}
 		for n := 1; n <= tr.NCPU; n++ {
-			sub := tr.Restrict(n)
+			// An n-processor machine runs the trace's first n
+			// processors in place, warmed on half of their records.
 			res, err := swcc.Simulate(swcc.SimConfig{
 				NCPU: n, Cache: cache, Protocol: pair.proto,
-				WarmupRefs: len(sub.Refs) / 2,
-			}, sub)
+				WarmupRefs: tr.RestrictedLen(n) / 2,
+			}, tr)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -121,9 +121,10 @@ func TestMemoScope(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelledRunsNoSimulation: the trace-driven experiments
-// honour a context that is already cancelled. RunCtx reports the
-// cancellation and the call's memo measures and simulates nothing.
+// TestRunCtxCancelledRunsNoSimulation: the trace-driven and network
+// simulation experiments honour a context that is already cancelled.
+// RunCtx reports the cancellation and the call's memo measures and
+// simulates nothing.
 func TestRunCtxCancelledRunsNoSimulation(t *testing.T) {
 	var mu sync.Mutex
 	var computed []any
@@ -136,7 +137,7 @@ func TestRunCtxCancelledRunsNoSimulation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, id := range []string{"fig10sim", "fig1", "scenarios"} {
+	for _, id := range []string{"fig10sim", "fig1", "scenarios", "patel", "packetsim"} {
 		computed = nil
 		if _, err := RunCtx(ctx, id, Options{TraceScale: 0.05}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: RunCtx on a cancelled context returned %v, want context.Canceled", id, err)

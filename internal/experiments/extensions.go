@@ -36,14 +36,22 @@ func runPacketValidation(ctx context.Context, opt Options) (*Dataset, error) {
 	modelSeries := plot.Series{Name: "model latency"}
 	tab := &report.Table{Header: []string{"think", "sim latency", "model latency", "sim thinking frac"}}
 	bn := queueing.BufferedNetwork{Stages: stages}
-	for _, think := range []float64{400, 200, 100, 60, 40, 25} {
-		sim, err := netsim.RunBuffered(netsim.BufferedConfig{
-			Stages: stages, Think: think, Packets: 4,
+	// The six simulations are independent, each with its own RNG: run
+	// them on all cores, each into its own slot.
+	thinks := []float64{400, 200, 100, 60, 40, 25}
+	sims := make([]*netsim.BufferedResult, len(thinks))
+	if err := sweep.EachCtx(ctx, 0, len(thinks), func(i int) error {
+		var err error
+		sims[i], err = netsim.RunBuffered(netsim.BufferedConfig{
+			Stages: stages, Think: thinks[i], Packets: 4,
 			Cycles: cycles, WarmupCycles: cycles / 10, Seed: 0xBEEF,
 		})
-		if err != nil {
-			return nil, err
-		}
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for i, think := range thinks {
+		sim := sims[i]
 		model, err := bn.SolveBuffered(think+4, 1/think, 4)
 		if err != nil {
 			return nil, err
@@ -80,14 +88,22 @@ func runPatelValidation(ctx context.Context, opt Options) (*Dataset, error) {
 	modelSeries := plot.Series{Name: "Patel model"}
 	tab := &report.Table{Header: []string{"think", "rate", "sim U", "±95% CI", "model U", "sim acceptance"}}
 	pn := queueing.NewPatelNetwork(stages)
-	for _, think := range []float64{500, 250, 120, 60, 30, 15} {
-		sim, err := netsim.Run(netsim.Config{
-			Stages: stages, Think: think, Hold: 16,
+	// The six simulations are independent, each with its own RNG: run
+	// them on all cores, each into its own slot.
+	thinks := []float64{500, 250, 120, 60, 30, 15}
+	sims := make([]*netsim.Result, len(thinks))
+	if err := sweep.EachCtx(ctx, 0, len(thinks), func(i int) error {
+		var err error
+		sims[i], err = netsim.Run(netsim.Config{
+			Stages: stages, Think: thinks[i], Hold: 16,
 			Cycles: cycles, WarmupCycles: cycles / 10, Seed: 0xA5,
 		})
-		if err != nil {
-			return nil, err
-		}
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for i, think := range thinks {
+		sim := sims[i]
 		model, err := pn.SolvePatel(1/think, 16)
 		if err != nil {
 			return nil, err

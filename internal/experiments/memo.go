@@ -39,9 +39,10 @@ type extractKey struct {
 	cache sim.CacheConfig
 }
 
-// simKey names a sim.Run of the trace generated from gen, restricted to
-// its first cfg.NCPU processors and warmed on the first warmupFrac of
-// the restricted trace (cfg.WarmupRefs is zero in the key).
+// simKey names a sim.Run of the trace generated from gen on a
+// cfg.NCPU-processor machine, warmed on the first warmupFrac of the
+// records of its cfg.NCPU processors (cfg.WarmupRefs is zero in the
+// key).
 type simKey struct {
 	gen tracegen.Config
 	cfg sim.Config
@@ -122,17 +123,17 @@ func (m *runMemo) extract(src traceSource, cache sim.CacheConfig) (*measure.Meas
 	})
 }
 
-// simulate is sim.Run of src's trace restricted to cfg.NCPU processors,
-// warmed on the first warmupFrac of the restricted trace.
+// simulate is sim.Run of src's trace on a cfg.NCPU-processor machine,
+// which runs the trace's first cfg.NCPU processors in place, warmed on
+// the first warmupFrac of their records.
 func (m *runMemo) simulate(src traceSource, cfg sim.Config) (*sim.Result, error) {
 	return lookup(&m.mu, m.runs, simKey{src.gen, cfg}, func() (*sim.Result, error) {
 		t, err := src.generate()
 		if err != nil {
 			return nil, err
 		}
-		sub := t.Restrict(cfg.NCPU)
 		run := cfg
-		run.WarmupRefs = int(float64(len(sub.Refs)) * warmupFrac)
-		return sim.Run(run, sub)
+		run.WarmupRefs = int(float64(t.RestrictedLen(cfg.NCPU)) * warmupFrac)
+		return sim.Run(run, t)
 	})
 }

@@ -10,6 +10,8 @@ package sim
 import (
 	"runtime"
 	"testing"
+
+	"swcc/internal/trace"
 )
 
 // TestRunAllocBudget pins Run's memory per trace record: the engine walks
@@ -36,4 +38,44 @@ func TestRunAllocBudget(t *testing.T) {
 			t.Errorf("%v: Run allocates %.2f bytes per record, budget %d", cfg.Protocol, perRef, budget)
 		}
 	}
+}
+
+// TestRestrictedRunAllocBudget pins the in-place walk of a machine
+// smaller than the trace: a 1..7-processor run of the 8-processor pero8
+// trace allocates its caches plus one 4-byte link per full-trace record,
+// and nothing per simulated record. A copy of the restricted records
+// (16 bytes each, 2 bytes per full-trace record even at one processor)
+// fails it.
+func TestRestrictedRunAllocBudget(t *testing.T) {
+	// pageSlack absorbs the rounding of the link array's allocation up
+	// to whole pages.
+	const budget, pageSlack = 4, 8 << 10
+	tr := genTrace(t, "pero8", 20_000)
+	empty := &trace.Trace{NCPU: tr.NCPU}
+	cache := CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
+	for n := 1; n < tr.NCPU; n++ {
+		cfg := Config{NCPU: n, Cache: cache, Protocol: ProtoDragon}
+		// Run on a trace with no records allocates the caches and the
+		// engine, and nothing per record.
+		fixed := runAlloc(t, cfg, empty)
+		extra := runAlloc(t, cfg, tr) - fixed
+		t.Logf("%d cpus: %d bytes beyond the caches over %d records", n, extra, len(tr.Refs))
+		if extra > budget*uint64(len(tr.Refs))+pageSlack {
+			t.Errorf("%d cpus: Run allocates %.2f bytes per full-trace record beyond the caches, budget %d",
+				n, float64(extra)/float64(len(tr.Refs)), budget)
+		}
+	}
+}
+
+// runAlloc returns the bytes one Run allocates.
+func runAlloc(t *testing.T, cfg Config, tr *trace.Trace) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg, tr); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"swcc/internal/trace"
@@ -9,7 +10,12 @@ import (
 
 func benchTrace(b *testing.B, instr int) *trace.Trace {
 	b.Helper()
-	cfg, err := tracegen.Preset("pops")
+	return benchTraceOf(b, "pops", instr)
+}
+
+func benchTraceOf(b *testing.B, preset string, instr int) *trace.Trace {
+	b.Helper()
+	cfg, err := tracegen.Preset(preset)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,16 +59,26 @@ func BenchmarkSimHotLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceRestrict covers the counting-pass preallocation in
-// trace.Restrict, which the parallel validation experiments call once
-// per (scheme, machine size) job.
-func BenchmarkTraceRestrict(b *testing.B) {
-	tr := benchTrace(b, 20_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sub := tr.Restrict(2); len(sub.Refs) == 0 {
-			b.Fatal("empty restriction")
-		}
+// BenchmarkSimRestricted runs 1-, 4- and 8-processor machines straight
+// off the 8-processor pero8 trace, as the validation experiments sweep
+// machine sizes. refs/s counts simulated records (those of the
+// machine's processors) per second; the linking pass still reads every
+// record of the full trace.
+func BenchmarkSimRestricted(b *testing.B) {
+	tr := benchTraceOf(b, "pero8", 10_000)
+	cache := CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
+	for _, n := range []int{1, 4, 8} {
+		cfg := Config{NCPU: n, Cache: cache, Protocol: ProtoDragon}
+		simulated := tr.RestrictedLen(n)
+		b.Run(fmt.Sprintf("ncpu=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(simulated)/b.Elapsed().Seconds(), "refs/s")
+		})
 	}
 }

@@ -68,8 +68,11 @@ func ProtocolByName(name string) (Protocol, error) {
 
 // Config describes one simulation run.
 type Config struct {
-	// NCPU is the number of processors; it must be at least the
-	// trace's NCPU.
+	// NCPU is the number of processors; 0 means the trace's NCPU. A
+	// smaller machine than the trace runs processors 0..NCPU-1 and
+	// skips the other processors' records (the validation experiments
+	// sweep machine sizes over one trace this way); a larger one leaves
+	// the extra processors idle.
 	NCPU int
 	// Cache sizes each per-processor cache.
 	Cache CacheConfig
@@ -80,12 +83,13 @@ type Config struct {
 	// Write-Invalidate) need a broadcast medium and are rejected on
 	// the network, exactly as in the analytical model.
 	Medium Medium
-	// WarmupRefs, when positive, excludes the first WarmupRefs trace
-	// records from all reported statistics: they warm the caches but
-	// neither their cycles nor their misses count. This compensates
-	// for traces too short to fill large caches (the paper observed
-	// the same artifact: "the traces were not long enough to fill up
-	// the large caches").
+	// WarmupRefs, when positive, excludes the first WarmupRefs
+	// simulated trace records (those of processors 0..NCPU-1) from
+	// all reported statistics: they warm the caches but neither their
+	// cycles nor their misses count. This compensates for traces too
+	// short to fill large caches (the paper observed the same
+	// artifact: "the traces were not long enough to fill up the large
+	// caches").
 	WarmupRefs int
 }
 
@@ -278,15 +282,25 @@ func (e *engine) prepare() {
 }
 
 // Run simulates the trace under the configuration and returns the result.
+// A machine smaller than the trace (0 < cfg.NCPU < t.NCPU) runs
+// processors 0..cfg.NCPU-1 and skips every other processor's records,
+// exactly as if it ran t.Restrict(cfg.NCPU), without the copy.
 func Run(cfg Config, t *trace.Trace) (*Result, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
+	if t.NCPU < 1 || t.NCPU > trace.MaxNCPU {
+		return nil, t.Validate()
 	}
 	if cfg.NCPU == 0 {
 		cfg.NCPU = t.NCPU
 	}
-	if cfg.NCPU < t.NCPU {
-		return nil, fmt.Errorf("%w: config ncpu %d < trace ncpu %d", ErrBadConfig, cfg.NCPU, t.NCPU)
+	if cfg.NCPU < 0 {
+		return nil, fmt.Errorf("%w: config ncpu %d", ErrBadConfig, cfg.NCPU)
+	}
+	if len(t.Refs) > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d records exceed the simulator's limit of %d", ErrBadConfig, len(t.Refs), math.MaxInt32)
+	}
+	next, cursor, simulated, err := link(t, min(cfg.NCPU, t.NCPU))
+	if err != nil {
+		return nil, err
 	}
 	if !cfg.Protocol.valid() {
 		return nil, fmt.Errorf("%w: unknown protocol %d", ErrBadConfig, int(cfg.Protocol))
@@ -323,33 +337,15 @@ func Run(cfg Config, t *trace.Trace) (*Result, error) {
 	}
 	e.prepare()
 
-	if cfg.WarmupRefs < 0 || (cfg.WarmupRefs > 0 && cfg.WarmupRefs >= len(t.Refs)) {
-		return nil, fmt.Errorf("%w: warmup %d out of range for %d records", ErrBadConfig, cfg.WarmupRefs, len(t.Refs))
-	}
-	if len(t.Refs) > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: %d records exceed the simulator's limit of %d", ErrBadConfig, len(t.Refs), math.MaxInt32)
+	if cfg.WarmupRefs < 0 || (cfg.WarmupRefs > 0 && cfg.WarmupRefs >= simulated) {
+		return nil, fmt.Errorf("%w: warmup %d out of range for %d records", ErrBadConfig, cfg.WarmupRefs, simulated)
 	}
 
-	// Walk t.Refs in place rather than copying it into per-processor
-	// streams: next[i] links record i to the next record of the same
-	// processor (-1 after its last), and cursor[c] is processor c's
-	// next record (-1 once it has none left). One backward pass builds
-	// both.
-	next := make([]int32, len(t.Refs))
-	cursor := make([]int32, t.NCPU)
-	for c := range cursor {
-		cursor[c] = -1
-	}
-	for i := len(t.Refs) - 1; i >= 0; i-- {
-		c := t.Refs[i].CPU
-		next[i] = cursor[c]
-		cursor[c] = int32(i)
-	}
 	var warmStats []CPUStats
 	var warmClocks []uint64
 	var warmBusy, warmWait, warmTrans uint64
 	var warmSnoop SnoopStats
-	for processed := range len(t.Refs) {
+	for processed := range simulated {
 		if processed == cfg.WarmupRefs && cfg.WarmupRefs > 0 {
 			warmStats = append([]CPUStats(nil), e.stats...)
 			warmClocks = append([]uint64(nil), e.clocks...)
@@ -395,6 +391,34 @@ func Run(cfg Config, t *trace.Trace) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// link validates t and threads its records of processors 0..n-1 for
+// an in-place walk, in one backward pass. next[i] links record i to the
+// next record of the same processor (-1 after its last), cursor[c] is
+// processor c's first record (-1 if it has none), and simulated counts
+// the linked records. Records of processors n and above stay unlinked,
+// but a malformed one still fails the whole trace, with the error
+// t.Validate reports.
+func link(t *trace.Trace, n int) (next, cursor []int32, simulated int, err error) {
+	next = make([]int32, len(t.Refs))
+	cursor = make([]int32, n)
+	for c := range cursor {
+		cursor[c] = -1
+	}
+	for i := len(t.Refs) - 1; i >= 0; i-- {
+		r := t.Refs[i]
+		c := int(r.CPU)
+		if c >= t.NCPU || !r.Kind.Valid() {
+			return nil, nil, 0, t.Validate()
+		}
+		if c < n {
+			next[i] = cursor[c]
+			cursor[c] = int32(i)
+			simulated++
+		}
+	}
+	return next, cursor, simulated, nil
 }
 
 // subtractStats returns a-b field-wise (Cycles handled by the caller).

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"swcc/internal/core"
@@ -295,8 +296,24 @@ func TestDragonVsInvalidateOnPingPong(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	tr := &trace.Trace{NCPU: 2, Refs: []trace.Ref{{CPU: 1, Kind: trace.Read}}}
-	if _, err := Run(Config{NCPU: 1, Cache: testCache, Protocol: ProtoBase}, tr); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("ncpu too small: %v", err)
+	// A machine smaller than the trace runs its first processors: here
+	// processor 0, which has no records.
+	small := Config{NCPU: 1, Cache: testCache, Protocol: ProtoBase}
+	got, err := Run(small, tr)
+	if err != nil {
+		t.Fatalf("ncpu smaller than the trace: %v", err)
+	}
+	if want, _ := Run(small, tr.Restrict(1)); !reflect.DeepEqual(got, want) {
+		t.Errorf("ncpu smaller than the trace: %+v, want the restricted run's %+v", got, want)
+	}
+	if _, err := Run(Config{NCPU: -1, Cache: testCache, Protocol: ProtoBase}, tr); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("negative ncpu: %v", err)
+	}
+	// WarmupRefs counts simulated records only: tr has one record, but
+	// none of processor 0's.
+	small.WarmupRefs = 1
+	if _, err := Run(small, tr); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("warmup past the simulated records: %v", err)
 	}
 	if _, err := Run(Config{NCPU: 2, Cache: CacheConfig{Size: 100, BlockSize: 16, Assoc: 1}, Protocol: ProtoBase}, tr); err == nil {
 		t.Error("want error for bad cache config")
@@ -307,6 +324,22 @@ func TestRunErrors(t *testing.T) {
 	bad := &trace.Trace{NCPU: 1, Refs: []trace.Ref{{CPU: 5, Kind: trace.Read}}}
 	if _, err := Run(Config{NCPU: 1, Cache: testCache, Protocol: ProtoBase}, bad); err == nil {
 		t.Error("want error for invalid trace")
+	}
+	// A malformed record fails the run with t.Validate's error even
+	// when it belongs to a processor the run does not simulate, and
+	// the first malformed record is the one named.
+	for _, bad := range []*trace.Trace{
+		{NCPU: 2, Refs: []trace.Ref{{CPU: 0, Kind: trace.Read}, {CPU: 2, Kind: trace.Read}, {CPU: 3, Kind: trace.Read}}},
+		{NCPU: 2, Refs: []trace.Ref{{CPU: 1, Kind: trace.Kind(9)}, {CPU: 0, Kind: trace.Kind(4)}}},
+		{NCPU: 0},
+	} {
+		want := bad.Validate()
+		for _, ncpu := range []int{0, 1, 2} {
+			_, err := Run(Config{NCPU: ncpu, Cache: testCache, Protocol: ProtoBase}, bad)
+			if !errors.Is(err, trace.ErrBadTrace) || err.Error() != want.Error() {
+				t.Errorf("ncpu %d on a malformed trace: %v, want %v", ncpu, err, want)
+			}
+		}
 	}
 }
 

@@ -44,6 +44,9 @@ func (k Kind) String() string {
 // IsData reports whether the record is a load or store.
 func (k Kind) IsData() bool { return k == Read || k == Write }
 
+// Valid reports whether k is one of the four record kinds.
+func (k Kind) Valid() bool { return k < numKinds }
+
 // Ref is one memory reference by one processor. Addr comes first so
 // the three one-byte fields pack behind it: a record is 16 bytes, not
 // the 24 that leading one-byte fields would pad it to.
@@ -67,20 +70,24 @@ type Trace struct {
 	Refs []Ref
 }
 
+// MaxNCPU is the most processors a trace can name: a record's CPU is
+// one byte.
+const MaxNCPU = 256
+
 // ErrBadTrace reports a malformed trace or record.
 var ErrBadTrace = errors.New("trace: malformed trace")
 
 // Validate checks that every record's CPU lies below NCPU and kinds are
 // known.
 func (t *Trace) Validate() error {
-	if t.NCPU < 1 || t.NCPU > 256 {
+	if t.NCPU < 1 || t.NCPU > MaxNCPU {
 		return fmt.Errorf("%w: ncpu %d", ErrBadTrace, t.NCPU)
 	}
 	for i, r := range t.Refs {
 		if int(r.CPU) >= t.NCPU {
 			return fmt.Errorf("%w: ref %d cpu %d >= ncpu %d", ErrBadTrace, i, r.CPU, t.NCPU)
 		}
-		if r.Kind >= numKinds {
+		if !r.Kind.Valid() {
 			return fmt.Errorf("%w: ref %d kind %d", ErrBadTrace, i, r.Kind)
 		}
 	}
@@ -120,19 +127,25 @@ func (t *Trace) Restrict(ncpu int) *Trace {
 	if ncpu >= t.NCPU {
 		return t
 	}
-	n := 0
-	for _, r := range t.Refs {
-		if int(r.CPU) < ncpu {
-			n++
-		}
-	}
-	out := &Trace{NCPU: ncpu, Refs: make([]Ref, 0, n)}
+	out := &Trace{NCPU: ncpu, Refs: make([]Ref, 0, t.RestrictedLen(ncpu))}
 	for _, r := range t.Refs {
 		if int(r.CPU) < ncpu {
 			out.Refs = append(out.Refs, r)
 		}
 	}
 	return out
+}
+
+// RestrictedLen returns the number of records of the first ncpu
+// processors: len(t.Restrict(ncpu).Refs) without the copy.
+func (t *Trace) RestrictedLen(ncpu int) int {
+	n := 0
+	for _, r := range t.Refs {
+		if int(r.CPU) < ncpu {
+			n++
+		}
+	}
+	return n
 }
 
 // Interleave merges per-processor streams round-robin, one reference per

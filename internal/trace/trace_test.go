@@ -81,6 +81,21 @@ func TestPerCPUAndInterleave(t *testing.T) {
 	}
 }
 
+func TestRestrict(t *testing.T) {
+	tr := sample()
+	for ncpu, want := range []int{0, 4, 6, 6} {
+		sub := tr.Restrict(ncpu)
+		if got := tr.RestrictedLen(ncpu); got != want || sub.Len() != want {
+			t.Errorf("ncpu %d: RestrictedLen %d, Restrict kept %d records, want %d", ncpu, got, sub.Len(), want)
+		}
+		for _, r := range sub.Refs {
+			if int(r.CPU) >= ncpu {
+				t.Errorf("ncpu %d: kept a record of cpu %d", ncpu, r.CPU)
+			}
+		}
+	}
+}
+
 func TestComputeStats(t *testing.T) {
 	s, err := ComputeStats(sample(), 16)
 	if err != nil {

@@ -167,8 +167,15 @@ const (
 	perCPUStride = uint64(1) << 32
 )
 
+// cpuState is one processor's generator: its own deterministic RNG and
+// workload state, plus the records of its current instruction not yet
+// emitted into the interleaved trace.
 type cpuState struct {
+	cfg *Config
 	rng *rand.Rand
+	cpu uint8
+
+	codeBase, hotBase, coldBase uint64 // this processor's private arenas
 
 	pc        uint64 // current instruction address
 	loopStart uint64 // current loop region base
@@ -177,103 +184,155 @@ type cpuState struct {
 	episodeRem  int  // shared references left in this episode
 	episodeRead bool // current episode is read-only
 	sharePhase  bool // currently in a communication phase
+
+	instrs  int         // instructions generated so far
+	closed  bool        // the final open episode has been closed
+	pending []trace.Ref // current instruction's records, pending[head:] not yet emitted
+	head    int
 }
 
-// Generate synthesizes the trace described by cfg. Per-CPU streams are
-// generated with independent deterministic RNGs and interleaved
-// round-robin, mirroring multiprocessor tracer output.
+// Generate synthesizes the trace described by cfg. Each processor's
+// stream comes from its own deterministic RNG, and the streams are
+// interleaved round-robin, one record per processor per turn, mirroring
+// multiprocessor tracer output: the trace trace.Interleave makes of the
+// separate streams. The generators are stepped in turn and append
+// straight into one buffer sized from the expected record count, so the
+// trace is written once.
 func Generate(cfg Config) (*trace.Trace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	streams := make([][]trace.Ref, cfg.NCPU)
-	for cpu := 0; cpu < cfg.NCPU; cpu++ {
-		streams[cpu] = generateCPU(cfg, cpu)
+	cpus := make([]cpuState, cfg.NCPU)
+	for c := range cpus {
+		cpus[c].init(&cfg, c)
 	}
-	t := trace.Interleave(streams)
-	t.NCPU = cfg.NCPU
+	t := &trace.Trace{NCPU: cfg.NCPU, Refs: make([]trace.Ref, 0, expectedRefs(&cfg))}
+	for live := true; live; {
+		live = false
+		for c := range cpus {
+			if r, ok := cpus[c].next(); ok {
+				t.Refs = append(t.Refs, r)
+				live = true
+			}
+		}
+	}
 	return t, nil
 }
 
-func generateCPU(cfg Config, cpu int) []trace.Ref {
-	st := &cpuState{
-		rng:    rand.New(rand.NewPCG(cfg.Seed, uint64(cpu)+1)),
-		region: -1,
+// expectedRefs sizes Generate's buffer from the expected records per
+// instruction: one ifetch and LS data references, plus, with EmitFlush,
+// BlocksPerRegion flushes per EpisodeLen shared references. A 1% margin
+// and each processor's final episode flush keep a trace from outgrowing
+// it.
+func expectedRefs(cfg *Config) int {
+	perInstr := 1 + cfg.LS
+	if cfg.EmitFlush {
+		perInstr += cfg.LS * cfg.SharedFrac * float64(cfg.BlocksPerRegion) / float64(cfg.EpisodeLen)
 	}
-	bs := uint64(cfg.BlockSize)
-	codeBase := codeArena + uint64(cpu)*perCPUStride
-	hotBase := hotArena + uint64(cpu)*perCPUStride
-	coldBase := coldArena + uint64(cpu)*perCPUStride
-	st.loopStart = codeBase
+	n := perInstr * float64(cfg.NCPU) * float64(cfg.InstrPerCPU)
+	return int(n*1.01) + cfg.NCPU*(cfg.BlocksPerRegion+16)
+}
+
+func (st *cpuState) init(cfg *Config, cpu int) {
+	*st = cpuState{
+		cfg:      cfg,
+		rng:      rand.New(rand.NewPCG(cfg.Seed, uint64(cpu)+1)),
+		cpu:      uint8(cpu),
+		codeBase: codeArena + uint64(cpu)*perCPUStride,
+		hotBase:  hotArena + uint64(cpu)*perCPUStride,
+		coldBase: coldArena + uint64(cpu)*perCPUStride,
+		region:   -1,
+		// An instruction emits at most an ifetch, one episode's
+		// flushes and one shared reference.
+		pending: make([]trace.Ref, 0, cfg.BlocksPerRegion+2),
+	}
+	st.loopStart = st.codeBase
 	st.pc = st.loopStart
+}
 
-	// Rough capacity guess: 1 ifetch + ls data refs per instruction,
-	// plus flush records.
-	capEst := cfg.InstrPerCPU + int(float64(cfg.InstrPerCPU)*cfg.LS) + 16
-	refs := make([]trace.Ref, 0, capEst)
-	c8 := uint8(cpu)
-
-	for i := 0; i < cfg.InstrPerCPU; i++ {
-		// Instruction fetch: sequential walk of the loop region with
-		// occasional jumps to fresh code.
-		refs = append(refs, trace.Ref{CPU: c8, Kind: trace.IFetch, Addr: st.pc})
-		st.pc += 4
-		loopBytes := uint64(cfg.LoopBlocks) * bs
-		if st.pc >= st.loopStart+loopBytes {
-			st.pc = st.loopStart
-		}
-		if st.rng.Float64() < cfg.JumpProb {
-			maxStart := cfg.CodeBlocks - cfg.LoopBlocks
-			st.loopStart = codeBase + uint64(st.rng.IntN(maxStart+1))*bs
-			st.pc = st.loopStart
-		}
-
-		if cfg.PhaseLen > 0 && st.rng.Float64() < 1/float64(cfg.PhaseLen) {
-			st.sharePhase = !st.sharePhase
-		}
-
-		if st.rng.Float64() >= cfg.LS {
-			continue
-		}
-		// Data reference.
-		sharedFrac := cfg.SharedFrac
-		if cfg.PhaseLen > 0 {
-			if st.sharePhase {
-				sharedFrac *= 1.8
-			} else {
-				sharedFrac *= 0.2
+// next returns the processor's next record, or false once its stream
+// is exhausted.
+func (st *cpuState) next() (trace.Ref, bool) {
+	for st.head == len(st.pending) {
+		st.pending, st.head = st.pending[:0], 0
+		switch {
+		case st.instrs < st.cfg.InstrPerCPU:
+			st.instrs++
+			st.pending = st.instruction(st.pending)
+		case !st.closed:
+			// Close any open episode so flush accounting balances.
+			st.closed = true
+			if st.region >= 0 && st.cfg.EmitFlush {
+				st.pending = st.flushRegion(st.pending)
 			}
+		default:
+			return trace.Ref{}, false
 		}
-		if st.rng.Float64() < sharedFrac {
-			refs = st.sharedRef(cfg, c8, refs)
-			continue
-		}
-		// Private reference.
-		var addr uint64
-		if st.rng.Float64() < cfg.ColdProb {
-			addr = coldBase + uint64(st.rng.IntN(cfg.ColdBlocks))*bs
+	}
+	r := st.pending[st.head]
+	st.head++
+	return r, true
+}
+
+// instruction appends one instruction's records to refs: its fetch and
+// any data reference, with the flushes of an episode it ends.
+func (st *cpuState) instruction(refs []trace.Ref) []trace.Ref {
+	cfg := st.cfg
+	bs := uint64(cfg.BlockSize)
+	// Instruction fetch: sequential walk of the loop region with
+	// occasional jumps to fresh code.
+	refs = append(refs, trace.Ref{CPU: st.cpu, Kind: trace.IFetch, Addr: st.pc})
+	st.pc += 4
+	loopBytes := uint64(cfg.LoopBlocks) * bs
+	if st.pc >= st.loopStart+loopBytes {
+		st.pc = st.loopStart
+	}
+	if st.rng.Float64() < cfg.JumpProb {
+		maxStart := cfg.CodeBlocks - cfg.LoopBlocks
+		st.loopStart = st.codeBase + uint64(st.rng.IntN(maxStart+1))*bs
+		st.pc = st.loopStart
+	}
+
+	if cfg.PhaseLen > 0 && st.rng.Float64() < 1/float64(cfg.PhaseLen) {
+		st.sharePhase = !st.sharePhase
+	}
+
+	if st.rng.Float64() >= cfg.LS {
+		return refs
+	}
+	// Data reference.
+	sharedFrac := cfg.SharedFrac
+	if cfg.PhaseLen > 0 {
+		if st.sharePhase {
+			sharedFrac *= 1.8
 		} else {
-			addr = hotBase + uint64(st.rng.IntN(cfg.HotBlocks))*bs
+			sharedFrac *= 0.2
 		}
-		addr += uint64(st.rng.IntN(cfg.BlockSize/4)) * 4
-		kind := trace.Read
-		if st.rng.Float64() < cfg.WriteFrac {
-			kind = trace.Write
-		}
-		refs = append(refs, trace.Ref{CPU: c8, Kind: kind, Addr: addr})
 	}
-	// Close any open episode so flush accounting balances.
-	if st.region >= 0 && cfg.EmitFlush {
-		refs = st.flushRegion(cfg, c8, refs)
+	if st.rng.Float64() < sharedFrac {
+		return st.sharedRef(refs)
 	}
-	return refs
+	// Private reference.
+	var addr uint64
+	if st.rng.Float64() < cfg.ColdProb {
+		addr = st.coldBase + uint64(st.rng.IntN(cfg.ColdBlocks))*bs
+	} else {
+		addr = st.hotBase + uint64(st.rng.IntN(cfg.HotBlocks))*bs
+	}
+	addr += uint64(st.rng.IntN(cfg.BlockSize/4)) * 4
+	kind := trace.Read
+	if st.rng.Float64() < cfg.WriteFrac {
+		kind = trace.Write
+	}
+	return append(refs, trace.Ref{CPU: st.cpu, Kind: kind, Addr: addr})
 }
 
 // sharedRef emits one shared data reference, managing episode lifecycle.
-func (st *cpuState) sharedRef(cfg Config, cpu uint8, refs []trace.Ref) []trace.Ref {
+func (st *cpuState) sharedRef(refs []trace.Ref) []trace.Ref {
+	cfg := st.cfg
 	if st.region < 0 || st.episodeRem == 0 {
 		if st.region >= 0 && cfg.EmitFlush {
-			refs = st.flushRegion(cfg, cpu, refs)
+			refs = st.flushRegion(refs)
 		}
 		st.region = st.rng.IntN(cfg.SharedRegions)
 		st.episodeRem = cfg.EpisodeLen
@@ -288,16 +347,16 @@ func (st *cpuState) sharedRef(cfg Config, cpu uint8, refs []trace.Ref) []trace.R
 		kind = trace.Write
 	}
 	st.episodeRem--
-	return append(refs, trace.Ref{CPU: cpu, Kind: kind, Addr: addr, Shared: true})
+	return append(refs, trace.Ref{CPU: st.cpu, Kind: kind, Addr: addr, Shared: true})
 }
 
 // flushRegion emits one flush record per block of the current region.
-func (st *cpuState) flushRegion(cfg Config, cpu uint8, refs []trace.Ref) []trace.Ref {
-	bs := uint64(cfg.BlockSize)
-	regionBase := sharedArena + uint64(st.region)*uint64(cfg.BlocksPerRegion)*bs
-	for b := 0; b < cfg.BlocksPerRegion; b++ {
+func (st *cpuState) flushRegion(refs []trace.Ref) []trace.Ref {
+	bs := uint64(st.cfg.BlockSize)
+	regionBase := sharedArena + uint64(st.region)*uint64(st.cfg.BlocksPerRegion)*bs
+	for b := 0; b < st.cfg.BlocksPerRegion; b++ {
 		refs = append(refs, trace.Ref{
-			CPU: cpu, Kind: trace.Flush,
+			CPU: st.cpu, Kind: trace.Flush,
 			Addr: regionBase + uint64(b)*bs, Shared: true,
 		})
 	}

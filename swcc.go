@@ -248,7 +248,10 @@ type TraceConfig = tracegen.Config
 // CacheConfig sizes a per-processor simulated cache.
 type CacheConfig = sim.CacheConfig
 
-// SimConfig describes one simulation run.
+// SimConfig describes one simulation run. Its NCPU may be smaller than
+// the trace's: the run then simulates the trace's first NCPU processors
+// in place, as if on Trace.Restrict(NCPU), and WarmupRefs counts only
+// their records.
 type SimConfig = sim.Config
 
 // SimResult is a simulation outcome.
