@@ -6,15 +6,14 @@
 //
 //	cohered [-addr :8080] [-timeout 10s] [-max-inflight N] [-max-queue N]
 //	        [-max-body BYTES] [-max-procs N] [-max-stages N]
-//	        [-max-batch N] [-cache-cap N]
-//	        [-snapshot-path FILE] [-pprof-addr ADDR] [-quiet]
+//	        [-max-batch N] [-cache-cap N] [-pprof-addr ADDR] [-quiet]
 //	        [-fault-seed N] [-fault-err-p P] [-fault-latency D] [-fault-latency-p P]
 //
 // Endpoints (see internal/serve; OPERATIONS.md is the full operator
 // reference):
 //
 //	GET    /healthz              liveness + cache snapshot
-//	GET    /readyz               readiness + cache warmth (503 while booting, draining, or shedding)
+//	GET    /readyz               readiness + cache warmth (503 while draining or shedding)
 //	GET    /metrics              Prometheus text format
 //	POST   /v1/bus               bus-model curve or single point
 //	POST   /v1/network           multistage-network point
@@ -56,7 +55,6 @@ import (
 
 	"swcc/internal/fault"
 	"swcc/internal/serve"
-	"swcc/internal/sweep"
 )
 
 func main() {
@@ -98,7 +96,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 	maxStages := fs.Int("max-stages", 20, "largest servable network (2^stages processors)")
 	maxBatch := fs.Int("max-batch", 1024, "largest /v1/sweep batch in points")
 	cacheCap := fs.Int("cache-cap", 0, "cap curve cache entries, CLOCK-evicting past it (0 = unbounded)")
-	snapshotPath := fs.String("snapshot-path", "", "memo-cache snapshot file: restored on boot, written on shutdown after drain (empty = disabled)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown grace period for in-flight requests")
 	quiet := fs.Bool("quiet", false, "suppress per-request access logs")
@@ -186,13 +183,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 		go func() { errc <- pprofSrv.Serve(pprofLn) }()
 	}
 
-	// A daemon with a snapshot to restore is not ready until the restore
-	// below finishes. Mark it before the listener serves, so no /readyz
-	// can answer 200 ahead of the restore.
-	if *snapshotPath != "" {
-		srv.SetNotReady("restoring snapshot")
-	}
-
 	logger.Warn("cohered listening", "addr", ln.Addr().String())
 	if onReady != nil {
 		var pa net.Addr
@@ -203,25 +193,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 	}
 
 	go func() { errc <- hs.Serve(ln) }()
-
-	// Warm-start: restore the memo caches from the previous run's
-	// snapshot with the listener already open but /readyz answering 503,
-	// so a gateway drains around the restore window instead of cold-
-	// missing into it. A missing file is a normal cold boot; a stale or
-	// corrupt one is logged and served cold — the restore fails closed,
-	// never with suspect entries.
-	if *snapshotPath != "" {
-		counts, err := srv.Evaluator().LoadSnapshotFile(*snapshotPath)
-		if err != nil {
-			logger.Warn("snapshot not restored; starting cold",
-				"path", *snapshotPath, "err", err)
-		} else if counts != (sweep.SnapshotCounts{}) {
-			logger.Warn("snapshot restored",
-				"path", *snapshotPath,
-				"curve_entries", counts.CurveEntries)
-		}
-		srv.SetReady()
-	}
 
 	select {
 	case err := <-errc:
@@ -243,20 +214,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(api,
 		return fmt.Errorf("shutdown: %w", err)
 	}
 	srv.Close()
-	// Snapshot after drain: every in-flight solve has published its
-	// entries, so the image is the complete working set. The write is
-	// atomic (temp file + rename) — a crash here leaves the previous
-	// snapshot intact, not a truncated one.
-	if *snapshotPath != "" {
-		counts, err := srv.Evaluator().WriteSnapshotFile(*snapshotPath)
-		if err != nil {
-			logger.Error("writing snapshot", "path", *snapshotPath, "err", err)
-		} else {
-			logger.Warn("snapshot written",
-				"path", *snapshotPath,
-				"curve_entries", counts.CurveEntries)
-		}
-	}
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

@@ -6,8 +6,7 @@ package main
 // gateway exists for — that routing by canonical cache key keeps the
 // fleet's memo caches hot where round-robin churns them — and verifies
 // the failure-path promises: a killed backend never surfaces as a
-// client 500, a snapshot-restarted backend serves its old working set
-// without re-solving, hedged requests cut an injected latency tail
+// client 500, hedged requests cut an injected latency tail
 // without amplifying backend load past the hedge band, and a live
 // backend-set reload adds and drains backends mid-load with zero
 // client-visible 5xx. `make gw-smoke` runs this and fails the build
@@ -23,8 +22,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -301,82 +298,6 @@ func gwFailover(conc int, dur time.Duration, seed int64) (summary, error) {
 	return s, nil
 }
 
-// gwWarmRestart rehearses the snapshot lifecycle end to end on a real
-// replica: warm it over HTTP, stop it, snapshot, boot a successor from
-// the file, and require the successor to serve the old working set with
-// zero new solves — the cold-start ramp the snapshot exists to skip.
-func gwWarmRestart() (summary, error) {
-	const keys = 16
-	dir, err := os.MkdirTemp("", "cohereload-gw-*")
-	if err != nil {
-		return summary{}, err
-	}
-	defer os.RemoveAll(dir)
-	snapPath := filepath.Join(dir, "memo.snap")
-
-	first, err := startBackend(serve.Config{})
-	if err != nil {
-		return summary{}, err
-	}
-	stopped := false
-	defer func() {
-		if !stopped {
-			first.stop()
-		}
-	}()
-	client := newClient(30 * time.Second)
-	for i := 0; i < keys; i++ {
-		code, _, _, err := post(context.Background(), client, first.url+"/v1/bus", pointBody(defaultScheme, warmShd(i, keys), gwProcs))
-		if err != nil || code != http.StatusOK {
-			return summary{}, fmt.Errorf("gw_warm_restart: warming: status %d err %v", code, err)
-		}
-	}
-	first.stop()
-	stopped = true
-	counts, err := first.srv.Evaluator().WriteSnapshotFile(snapPath)
-	if err != nil {
-		return summary{}, fmt.Errorf("gw_warm_restart: writing snapshot: %w", err)
-	}
-	if counts.CurveEntries == 0 {
-		return summary{}, fmt.Errorf("gw_warm_restart: snapshot captured nothing: %+v", counts)
-	}
-
-	second, err := startBackend(serve.Config{})
-	if err != nil {
-		return summary{}, err
-	}
-	defer second.stop()
-	restored, err := second.srv.Evaluator().LoadSnapshotFile(snapPath)
-	if err != nil {
-		return summary{}, fmt.Errorf("gw_warm_restart: restoring snapshot: %w", err)
-	}
-	if restored != counts {
-		return summary{}, fmt.Errorf("gw_warm_restart: restored %+v of snapshot %+v", restored, counts)
-	}
-	for i := 0; i < keys; i++ {
-		code, _, _, err := post(context.Background(), client, second.url+"/v1/bus", pointBody(defaultScheme, warmShd(i, keys), gwProcs))
-		if err != nil || code != http.StatusOK {
-			return summary{}, fmt.Errorf("gw_warm_restart: replaying: status %d err %v", code, err)
-		}
-	}
-	st, err := scrapeStats(client, second.url)
-	if err != nil {
-		return summary{}, err
-	}
-	if st.MVASolves != 0 {
-		return summary{}, fmt.Errorf("gw_warm_restart: successor re-solved %d MVA curves — the snapshot did not skip the ramp",
-			st.MVASolves)
-	}
-	if st.MVAHits == 0 {
-		return summary{}, fmt.Errorf("gw_warm_restart: successor recorded no cache hits: %+v", st)
-	}
-	return summary{
-		Label:    "gw_warm_restart",
-		Requests: keys,
-		Mix:      map[string]int{"restored_curve": restored.CurveEntries},
-	}, nil
-}
-
 // gwTierView is the slice of the gateway's own /healthz the drills
 // scrape: reload count plus per-backend send counters.
 type gwTierView struct {
@@ -611,13 +532,6 @@ func runGw(stdout, stderr io.Writer, conc int, dur time.Duration, seed int64) er
 	fmt.Fprintf(stderr, "cohereload: gw_reload: %d requests, status %v, backend added then removed mid-load\n",
 		reload.Requests, reload.StatusCounts)
 
-	restart, err := gwWarmRestart()
-	if err != nil {
-		return err
-	}
-	rep.Scenarios = append(rep.Scenarios, restart)
-	fmt.Fprintf(stderr, "cohereload: gw_warm_restart: %d curve entries restored, zero re-solves\n",
-		restart.Mix["restored_curve"])
 	return printReport(stdout, rep)
 }
 

@@ -42,10 +42,11 @@
 // benches the affinity policy against a fresh round-robin control arm
 // over an over-capacity warm pool — reporting each arm's aggregate
 // backend cache-hit ratio and failing unless affinity wins by at least
-// 1.5x with p99 no worse, (3) kills a backend mid-load and fails on any
-// client-visible 500 or 502, and (4) snapshot-restarts a backend and
-// fails unless the restored cache serves a previously-warmed key with
-// zero new solves. `make gw-smoke` runs exactly this.
+// 1.5x with p99 no worse, (3) cuts an injected latency tail by hedging
+// within a bounded backend load, (4) kills a backend mid-load and fails
+// on any client-visible 500 or 502, and (5) reloads the backend set
+// mid-load and fails on any client-visible 5xx. `make gw-smoke` runs
+// exactly this.
 //
 // -chaos also accepts -addr; pointing it at a coheregw address drives
 // the same drill through the gateway tier. With -addr set, -chaos skips
@@ -213,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	procs := fs.Int("procs", 16, "machine size per query")
 	seed := fs.Int64("seed", 1, "RNG seed for the request schedule")
 	chaos := fs.Bool("chaos", false, "overload drill: fault-injected in-process daemon, or -addr to drive an existing daemon/gateway (fails on any 500)")
-	gwMode := fs.Bool("gw", false, "gateway drill: affinity-vs-roundrobin bench, mid-load backend kill, and snapshot warm restart (fails unless affinity wins and failover is clean)")
+	gwMode := fs.Bool("gw", false, "gateway drill: affinity-vs-roundrobin bench, hedging, mid-load backend kill, and live reload (fails unless affinity wins and failover is clean)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

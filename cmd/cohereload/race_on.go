@@ -6,5 +6,5 @@ package main
 // instrumentation distorts latency tails enough to invert the gateway
 // drill's affinity-vs-round-robin p99 comparison; timing gates relax to
 // informational under it while the structural gates (hit ratio, error
-// counts, warm-restart solve counts) stay hard.
+// counts) stay hard.
 const raceEnabled = true

@@ -5,10 +5,11 @@ import "math"
 // Key is a bus query's cache identity: the scheme's SchemeKey and the
 // workload canonicalized to the parameters that scheme reads. Two
 // queries with equal keys have the same demand under every cost table,
-// so every layer that caches or routes by query — the evaluator's demand
-// cache and batch grouping, the snapshot fingerprint, and the gateway's
-// routing key — builds its identity with KeyOf and hashes it with
-// Key.Hash. Key is comparable, so it serves directly as a map key.
+// so every layer that groups or routes by query — the evaluator's batch
+// grouping, the daemon's model fingerprint, and the gateway's routing
+// and response-cache keys — builds its identity with KeyOf and hashes
+// it with Key.Hash. Key is comparable, so it serves directly as a map
+// key.
 type Key struct {
 	// Scheme is SchemeKey of the query's scheme.
 	Scheme string
@@ -35,9 +36,9 @@ func (k Key) Hash(h uint64) uint64 {
 
 // KeyFields returns pointers to p's eleven workload fields in key
 // order, which is Params' declaration order: the order Key.Hash hashes
-// them and the evaluator's snapshot format stores them. It differs from
-// Fields' Table 7 order, which lists mdshd before apl; routing keys and
-// snapshot files written by earlier builds pin the key order.
+// them. It differs from Fields' Table 7 order, which lists mdshd before
+// apl; the gateway's routing-key golden, routing_keys.txt, pins the key
+// order.
 func (p *Params) KeyFields() [11]*float64 {
 	return [...]*float64{
 		&p.LS, &p.MsDat, &p.MsIns, &p.MD, &p.Shd, &p.WR,

@@ -163,28 +163,6 @@ func SchemeNames() []string { return registry.Names() }
 // default registry.
 func DefaultCandidates() []Scheme { return registry.Candidates() }
 
-// RegisteredLabel reports whether a scheme label — a Scheme.Name(),
-// String() or SchemeKey value such as "Hybrid(lock=0.3)" or
-// "Software-Flush+Prio" —
-// refers to a scheme registered in the default registry. Snapshot
-// restore uses it to fail closed on snapshots written by binaries with
-// schemes this one does not know.
-func RegisteredLabel(label string) bool {
-	base := label
-	if i := strings.IndexByte(base, '('); i >= 0 {
-		// Strip a knob suffix like "(lock=0.3)", keeping any trailing
-		// discipline marker: "Hybrid(lock=0.3)+Prio" -> "Hybrid+Prio".
-		rest := base[i:]
-		if j := strings.IndexByte(rest, ')'); j >= 0 {
-			base = base[:i] + rest[j+1:]
-		} else {
-			base = base[:i]
-		}
-	}
-	_, ok := registry.Lookup(base)
-	return ok
-}
-
 // init registers the built-in schemes. Grouped in one place (rather than
 // per-file init functions) so registration order — which fixes
 // PaperSchemes, candidate order, and docs listings — does not depend on

@@ -117,9 +117,9 @@ func cacheLabel(s Scheme) string {
 
 // TestCanonicalFingerprintsPairwiseDistinct: every registered scheme
 // must produce a distinct, stable cache fingerprint — the (label,
-// canonical params) pair the memo cache, snapshots, and gateway
-// affinity all key on. A collision would silently serve one scheme's
-// results for another.
+// canonical params) pair batch grouping and the gateway's routing and
+// response-cache keys are built from. A collision would silently serve
+// one scheme's results for another.
 func TestCanonicalFingerprintsPairwiseDistinct(t *testing.T) {
 	p := MiddleParams()
 	seen := map[string]string{} // fingerprint -> scheme name
@@ -141,31 +141,6 @@ func TestCanonicalFingerprintsPairwiseDistinct(t *testing.T) {
 	} {
 		if cacheLabel(tc.a) == cacheLabel(tc.b) {
 			t.Errorf("distinct configurations share label %q", cacheLabel(tc.a))
-		}
-	}
-}
-
-// TestRegisteredLabel covers the snapshot fail-close predicate: labels
-// of every registered scheme (knobbed spellings included) pass; labels
-// from unknown schemes fail.
-func TestRegisteredLabel(t *testing.T) {
-	for _, info := range RegisteredSchemes() {
-		if !RegisteredLabel(cacheLabel(info.Scheme)) {
-			t.Errorf("label %q of registered scheme not recognized", cacheLabel(info.Scheme))
-		}
-	}
-	for _, label := range []string{
-		"Hybrid(lock=0.85)",
-		"Hybrid-Update(update=0.10)",
-		"Software-Flush+Prio",
-	} {
-		if !RegisteredLabel(label) {
-			t.Errorf("knobbed label %q not recognized", label)
-		}
-	}
-	for _, label := range []string{"Firefly", "MOESI(x=1)", ""} {
-		if RegisteredLabel(label) {
-			t.Errorf("unknown label %q recognized", label)
 		}
 	}
 }

@@ -12,9 +12,8 @@ import (
 // answers those without touching the fleet at all. Entries are keyed by
 // the request's canonical cache key (path, scheme identity, canonical
 // params, procs, point shape) PLUS the answering backend's model
-// fingerprint, so a response computed by one model build can never be
-// served on behalf of another — the same snapshot-compatibility
-// contract the backends apply to their own persisted caches. The whole
+// fingerprint (advertised on its /readyz), so a response computed by
+// one model build can never be served on behalf of another. The whole
 // cache is dropped on a backend-set reload: the fleet behind the cached
 // bytes changed, so the cheap, always-correct move is to refill.
 

@@ -103,8 +103,8 @@ type Server struct {
 
 	// notReady holds the reason /readyz should answer 503, or nil when
 	// the server is ready. It gates readiness only — /healthz and the
-	// API endpoints keep serving — so a front tier can drain traffic
-	// away from a booting or wound-down backend without killing it.
+	// API endpoints keep serving — so a front tier can route traffic
+	// away from a draining backend without killing it.
 	notReady atomic.Pointer[string]
 
 	// beforeSolve, when non-nil, runs inside the solve goroutine before
@@ -165,9 +165,9 @@ func (o evalObserver) CacheEvent(ctx context.Context, cache, event string) {
 func (s *Server) Evaluator() *sweep.Evaluator { return s.ev }
 
 // SetNotReady makes /readyz answer 503 with the given reason until
-// SetReady. The daemon calls it around boot-time work (snapshot
-// restore) and drain, so a gateway health-checking /readyz routes
-// around a backend that is up but should not take traffic yet.
+// SetReady. The daemon calls it when it starts to drain, so a gateway
+// health-checking /readyz routes around a backend that is up but should
+// take no new traffic.
 func (s *Server) SetNotReady(reason string) { s.notReady.Store(&reason) }
 
 // SetReady clears a SetNotReady, making /readyz answer 200 again
@@ -239,9 +239,14 @@ func (s *Server) solve(ctx context.Context, fn func() (any, error)) (any, error)
 	}
 	ch := make(chan res, 1)
 	go func() {
+		var r res
+		// The slot is given back before the result is sent, so a
+		// /metrics scrape ordered after the response never still
+		// counts this solve in flight.
 		defer func() {
 			s.met.solveInFlight.Add(-1)
 			<-s.sem
+			ch <- r
 		}()
 		// The solve runs outside the handler goroutine, so the
 		// instrument middleware's recover cannot catch a panic here;
@@ -249,18 +254,17 @@ func (s *Server) solve(ctx context.Context, fn func() (any, error)) (any, error)
 		defer func() {
 			if p := recover(); p != nil {
 				s.log.Error("panic in model solve", "panic", p, "stack", string(debug.Stack()))
-				ch <- res{nil, fmt.Errorf("serve: internal error: %v", p)}
+				r = res{nil, fmt.Errorf("serve: internal error: %v", p)}
 			}
 		}()
 		if s.beforeSolve != nil {
 			s.beforeSolve()
 		}
 		if err := s.cfg.Fault.Point(ctx); err != nil {
-			ch <- res{nil, err}
+			r.err = err
 			return
 		}
-		v, err := fn()
-		ch <- res{v, err}
+		r.v, r.err = fn()
 	}()
 	select {
 	case r := <-ch:

@@ -97,28 +97,6 @@ func (t *Trace) Validate() error {
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.Refs) }
 
-// PerCPU splits the trace into per-processor streams, preserving order.
-// A counting pass sizes each stream exactly, so the split allocates one
-// slice per processor instead of growing them by repeated doubling.
-func (t *Trace) PerCPU() [][]Ref {
-	counts := make([]int, t.NCPU)
-	for _, r := range t.Refs {
-		if int(r.CPU) < t.NCPU {
-			counts[r.CPU]++
-		}
-	}
-	out := make([][]Ref, t.NCPU)
-	for c, n := range counts {
-		out[c] = make([]Ref, 0, n)
-	}
-	for _, r := range t.Refs {
-		if int(r.CPU) < t.NCPU {
-			out[r.CPU] = append(out[r.CPU], r)
-		}
-	}
-	return out
-}
-
 // Restrict returns a new trace containing only the references of the
 // first ncpu processors, preserving order. It models running the same
 // per-processor workloads on a smaller machine, which is how the

@@ -50,33 +50,33 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestPerCPUAndInterleave checks Interleave on hand-built streams of
+// unequal length, one of them empty: one reference per live processor
+// per turn in processor order, an exhausted stream dropping out of later
+// turns, and each processor's own order preserved.
 func TestPerCPUAndInterleave(t *testing.T) {
-	tr := sample()
-	streams := tr.PerCPU()
-	if len(streams) != 2 {
-		t.Fatalf("got %d streams", len(streams))
-	}
-	if len(streams[0]) != 4 || len(streams[1]) != 2 {
-		t.Fatalf("stream lengths %d/%d, want 4/2", len(streams[0]), len(streams[1]))
+	ref := func(cpu uint8, addr uint64) Ref { return Ref{CPU: cpu, Kind: Read, Addr: addr} }
+	streams := [][]Ref{
+		{ref(0, 0x10), ref(0, 0x11), ref(0, 0x12)},
+		{ref(1, 0x20)},
+		nil,
+		{ref(3, 0x30), ref(3, 0x31)},
 	}
 	merged := Interleave(streams)
-	if merged.Len() != tr.Len() {
-		t.Fatalf("merged %d records, want %d", merged.Len(), tr.Len())
+	if merged.NCPU != len(streams) {
+		t.Errorf("NCPU %d, want %d", merged.NCPU, len(streams))
 	}
-	// Round-robin: first records alternate 0,1,0,1 then 0,0.
-	wantCPUs := []uint8{0, 1, 0, 1, 0, 0}
-	for i, r := range merged.Refs {
-		if r.CPU != wantCPUs[i] {
-			t.Errorf("pos %d: cpu %d, want %d", i, r.CPU, wantCPUs[i])
-		}
+	want := []Ref{
+		ref(0, 0x10), ref(1, 0x20), ref(3, 0x30),
+		ref(0, 0x11), ref(3, 0x31),
+		ref(0, 0x12),
 	}
-	// Per-CPU order preserved.
-	back := merged.PerCPU()
-	for c := range streams {
-		for i := range streams[c] {
-			if back[c][i] != streams[c][i] {
-				t.Errorf("cpu %d pos %d: order not preserved", c, i)
-			}
+	if len(merged.Refs) != len(want) {
+		t.Fatalf("merged %d records, want %d", len(merged.Refs), len(want))
+	}
+	for i := range want {
+		if merged.Refs[i] != want[i] {
+			t.Errorf("pos %d: %+v, want %+v", i, merged.Refs[i], want[i])
 		}
 	}
 }
