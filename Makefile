@@ -33,14 +33,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Quick perf signal: the sweep engine (sequential vs parallel vs cached,
-# with the speedup metric), the simulator hot loop and 1/4/8-processor
-# machines run off one 8-processor trace, the two network
+# with the speedup metric), the simulator hot loop, 1/4/8-processor
+# machines run off one prepared 8-processor trace and the preparing
+# (validating, linking) pass itself, the two network
 # simulators at the patel/packetsim configurations (cycles/s), decoding
 # a 64-point cold-sweep-shaped /v1/sweep body, and deriving one
 # request's gateway keys.
 bench-short:
 	$(GO) test -run=NONE -bench='BenchmarkSweep|BenchmarkEvaluator' -benchmem ./internal/sweep
-	$(GO) test -run=NONE -bench='BenchmarkSimHotLoop|BenchmarkSimRestricted' -benchmem ./internal/sim
+	$(GO) test -run=NONE -bench='BenchmarkSimHotLoop|BenchmarkSimRestricted|BenchmarkSimPrepare' -benchmem ./internal/sim
 	$(GO) test -run=NONE -bench='BenchmarkRun' -benchmem ./internal/netsim
 	$(GO) test -run=NONE -bench='BenchmarkDecodeSweep' -benchmem ./internal/serve
 	$(GO) test -run=NONE -bench='BenchmarkPointKey' -benchmem ./internal/gw

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"swcc/internal/sim"
+	"swcc/internal/trace"
 	"swcc/internal/tracegen"
 )
 
@@ -144,6 +145,39 @@ func TestRunCtxCancelledRunsNoSimulation(t *testing.T) {
 		}
 		if len(computed) != 0 {
 			t.Errorf("%s: ran %d measurements or simulations after cancellation", id, len(computed))
+		}
+	}
+}
+
+// TestEachTracePreparedOnce: a call regenerating the whole registry
+// validates and links each trace it generates exactly once, however
+// many simulations and measurements of it the experiments run.
+func TestEachTracePreparedOnce(t *testing.T) {
+	var mu sync.Mutex
+	prepared := map[*trace.Trace]int{}
+	gens := map[int]bool{}
+	testHookPrepared = func(gen tracegen.Config, tr *trace.Trace) {
+		mu.Lock()
+		prepared[tr]++
+		gens[gen.NCPU] = true
+		mu.Unlock()
+	}
+	defer func() { testHookPrepared = nil }()
+
+	if _, err := RunAllCtx(context.Background(), Options{TraceScale: 0.05}, 0); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d traces prepared", len(prepared))
+	for tr, c := range prepared {
+		if c != 1 {
+			t.Errorf("%d-processor trace of %d records prepared %d times", tr.NCPU, len(tr.Refs), c)
+		}
+	}
+	// fig1/fig2 (4 CPUs), fig3 (8) and fig10sim (16) all simulate from
+	// prepared traces.
+	for _, n := range []int{4, 8, 16} {
+		if !gens[n] {
+			t.Errorf("no %d-processor trace prepared", n)
 		}
 	}
 }

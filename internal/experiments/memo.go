@@ -100,26 +100,42 @@ func lookup[K comparable, T any](mu *sync.Mutex, entries map[K]*memoEntry[T], k 
 	return e.val, e.err
 }
 
-// traceSource is a generator configuration and its trace, generated on
-// first use, so an experiment whose results are all shared never
-// generates it.
+// traceSource is a generator configuration and its trace, generated
+// and prepared (validated and linked, sim.Prepare) on first use, so an
+// experiment whose results are all shared never generates it. Every
+// simulation and measurement of the trace runs from the one prepared
+// copy, and the link lives exactly as long as the trace: with the
+// source, not with the call's memo.
 type traceSource struct {
-	gen      tracegen.Config
-	generate func() (*trace.Trace, error)
+	gen     tracegen.Config
+	prepare func() (*sim.Prepared, error)
 }
 
+// testHookPrepared, when set by a test, is called with every trace a
+// source prepares.
+var testHookPrepared func(gen tracegen.Config, t *trace.Trace)
+
 func newTraceSource(gen tracegen.Config) traceSource {
-	return traceSource{gen, sync.OnceValues(func() (*trace.Trace, error) { return tracegen.Generate(gen) })}
+	return traceSource{gen, sync.OnceValues(func() (*sim.Prepared, error) {
+		t, err := tracegen.Generate(gen)
+		if err != nil {
+			return nil, err
+		}
+		if testHookPrepared != nil {
+			testHookPrepared(gen, t)
+		}
+		return sim.Prepare(t)
+	})}
 }
 
 // extract is measure.Extract of src's trace under the given cache.
 func (m *runMemo) extract(src traceSource, cache sim.CacheConfig) (*measure.Measurement, error) {
 	return lookup(&m.mu, m.extracts, extractKey{src.gen, cache}, func() (*measure.Measurement, error) {
-		t, err := src.generate()
+		p, err := src.prepare()
 		if err != nil {
 			return nil, err
 		}
-		return measure.Extract(t, cache, warmupFrac)
+		return measure.ExtractPrepared(p, p.Trace().NCPU, cache, warmupFrac)
 	})
 }
 
@@ -128,12 +144,12 @@ func (m *runMemo) extract(src traceSource, cache sim.CacheConfig) (*measure.Meas
 // the first warmupFrac of their records.
 func (m *runMemo) simulate(src traceSource, cfg sim.Config) (*sim.Result, error) {
 	return lookup(&m.mu, m.runs, simKey{src.gen, cfg}, func() (*sim.Result, error) {
-		t, err := src.generate()
+		p, err := src.prepare()
 		if err != nil {
 			return nil, err
 		}
 		run := cfg
-		run.WarmupRefs = int(float64(t.RestrictedLen(cfg.NCPU)) * warmupFrac)
-		return sim.Run(run, t)
+		run.WarmupRefs = int(float64(p.Records(cfg.NCPU)) * warmupFrac)
+		return p.Run(run)
 	})
 }

@@ -12,6 +12,7 @@ package measure
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"swcc/internal/core"
 	"swcc/internal/sim"
@@ -98,21 +99,37 @@ func checkWarmup(frac float64) error {
 // cache geometry. warmupFrac in [0,1) is the leading fraction of the
 // trace used only to warm the caches in the shadow simulations; 0.5 is a
 // sensible default for synthetic traces, compensating for compulsory
-// misses that a longer real trace would amortize.
+// misses that a longer real trace would amortize. It is ExtractPrepared
+// of the whole machine.
 func Extract(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (*Measurement, error) {
-	if err := t.Validate(); err != nil {
+	p, err := sim.Prepare(t)
+	if err != nil {
 		return nil, err
+	}
+	return ExtractPrepared(p, t.NCPU, cache, warmupFrac)
+}
+
+// ExtractPrepared measures the parameters of an n-processor machine
+// running the prepared trace's first n processors, in place: the result
+// equals Extract(t.Restrict(n), cache, warmupFrac) without the copy.
+// The stream analysis reads those processors' records in trace order,
+// the warmup is warmupFrac of them, and the Base and Dragon shadows run
+// at n from p, which any number of concurrent calls may share.
+func ExtractPrepared(p *sim.Prepared, n int, cache sim.CacheConfig, warmupFrac float64) (*Measurement, error) {
+	t := p.Trace()
+	if n < 1 || n > t.NCPU {
+		return nil, fmt.Errorf("measure: machine size %d not in 1..%d", n, t.NCPU)
 	}
 	if err := checkWarmup(warmupFrac); err != nil {
 		return nil, err
 	}
-	warmup := int(float64(len(t.Refs)) * warmupFrac)
+	warmup := int(float64(p.Records(n)) * warmupFrac)
 	m := &Measurement{}
-	if err := m.streamAnalysis(t); err != nil {
+	if err := m.streamAnalysis(t, n, cache.BlockSize); err != nil {
 		return nil, err
 	}
 
-	base, err := sim.Run(sim.Config{NCPU: t.NCPU, Cache: cache, Protocol: sim.ProtoBase, WarmupRefs: warmup}, t)
+	base, err := p.Run(sim.Config{NCPU: n, Cache: cache, Protocol: sim.ProtoBase, WarmupRefs: warmup})
 	if err != nil {
 		return nil, fmt.Errorf("measure: base shadow simulation: %w", err)
 	}
@@ -128,7 +145,7 @@ func Extract(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (*Measur
 		m.Params.MD = float64(tot.DirtyReplacements) / float64(misses)
 	}
 
-	dragon, err := sim.Run(sim.Config{NCPU: t.NCPU, Cache: cache, Protocol: sim.ProtoDragon, WarmupRefs: warmup}, t)
+	dragon, err := p.Run(sim.Config{NCPU: n, Cache: cache, Protocol: sim.ProtoDragon, WarmupRefs: warmup})
 	if err != nil {
 		return nil, fmt.Errorf("measure: dragon shadow simulation: %w", err)
 	}
@@ -143,11 +160,13 @@ func Extract(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (*Measur
 	return m, nil
 }
 
-// streamAnalysis fills ls, shd, wr, apl, mdshd from the raw stream.
-func (m *Measurement) streamAnalysis(t *trace.Trace) error {
+// streamAnalysis fills ls, shd, wr, apl, mdshd from the records of
+// processors 0..n-1, keying shared-block runs on blockSize-byte blocks.
+func (m *Measurement) streamAnalysis(t *trace.Trace, n, blockSize int) error {
 	var instr, data, sharedData, sharedWrites, flushes int
 	for _, r := range t.Refs {
 		switch {
+		case int(r.CPU) >= n:
 		case r.Kind == trace.IFetch:
 			instr++
 		case r.Kind == trace.Flush:
@@ -172,11 +191,14 @@ func (m *Measurement) streamAnalysis(t *trace.Trace) error {
 	if sharedData > 0 {
 		m.Params.WR = float64(sharedWrites) / float64(sharedData)
 	}
+	// A block size that is not a power of two fails the shadow
+	// simulations' cache check; any shift serves until then.
+	blockShift := uint(bits.TrailingZeros(uint(blockSize)))
 	m.FlushDelimited = flushes > 0
 	if m.FlushDelimited {
-		m.aplFromFlushes(t)
+		m.aplFromFlushes(t, n, blockShift)
 	} else {
-		m.aplFromHandoffs(t)
+		m.aplFromHandoffs(t, n, blockShift)
 	}
 	if m.Params.APL < 1 {
 		m.Params.APL = 1
@@ -198,15 +220,16 @@ type cpuBlock struct {
 // trace's explicit flush records: apl is the mean references per
 // flushed-block run, mdshd the fraction of flushes whose block was
 // written during the run.
-func (m *Measurement) aplFromFlushes(t *trace.Trace) {
-	const blockShift = 4 // 16-byte blocks for run bookkeeping
+func (m *Measurement) aplFromFlushes(t *trace.Trace, n int, blockShift uint) {
 	runs := map[cpuBlock]*runState{}
-	var totalRuns, totalRefs, dirtyRuns, flushedRuns int
+	var totalRuns, totalRefs, dirtyRuns int
 	for _, r := range t.Refs {
+		if int(r.CPU) >= n {
+			continue
+		}
 		key := cpuBlock{r.CPU, r.Addr >> blockShift}
 		switch {
 		case r.Kind == trace.Flush:
-			flushedRuns++
 			if st, ok := runs[key]; ok {
 				totalRuns++
 				totalRefs += st.count
@@ -238,8 +261,7 @@ func (m *Measurement) aplFromFlushes(t *trace.Trace) {
 // aplFromHandoffs reproduces the paper's estimate for traces without
 // flush records: count references to a shared block by one processor
 // (at least one a write) between references by another processor.
-func (m *Measurement) aplFromHandoffs(t *trace.Trace) {
-	const blockShift = 4
+func (m *Measurement) aplFromHandoffs(t *trace.Trace, n int, blockShift uint) {
 	type blockState struct {
 		owner uint8
 		run   runState
@@ -256,7 +278,7 @@ func (m *Measurement) aplFromHandoffs(t *trace.Trace) {
 		st.run = runState{}
 	}
 	for _, r := range t.Refs {
-		if !r.Kind.IsData() || !r.Shared {
+		if int(r.CPU) >= n || !r.Kind.IsData() || !r.Shared {
 			continue
 		}
 		blk := r.Addr >> blockShift

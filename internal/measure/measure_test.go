@@ -2,7 +2,9 @@ package measure
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"swcc/internal/sim"
@@ -133,7 +135,7 @@ func TestAPLFromFlushesExact(t *testing.T) {
 	}
 	tr := &trace.Trace{NCPU: 1, Refs: refs}
 	var m Measurement
-	if err := m.streamAnalysis(tr); err != nil {
+	if err := m.streamAnalysis(tr, tr.NCPU, 16); err != nil {
 		t.Fatal(err)
 	}
 	if !m.FlushDelimited {
@@ -165,7 +167,7 @@ func TestAPLFromHandoffsExact(t *testing.T) {
 	}
 	tr := &trace.Trace{NCPU: 2, Refs: refs}
 	var m Measurement
-	if err := m.streamAnalysis(tr); err != nil {
+	if err := m.streamAnalysis(tr, tr.NCPU, 16); err != nil {
 		t.Fatal(err)
 	}
 	if m.FlushDelimited {
@@ -181,6 +183,91 @@ func TestAPLFromHandoffsExact(t *testing.T) {
 	}
 }
 
+// TestAPLKeysOnCacheBlock: shared-block runs are the cache's blocks.
+// With 64-byte blocks a flush of block 0x100 ends the run over all four
+// of its 16-byte quarters, and a processor touching 0x120 takes block
+// 0x100 over from another; with 8-byte blocks 0x100 and 0x108 are two
+// blocks, each flushed or handed off on its own.
+func TestAPLKeysOnCacheBlock(t *testing.T) {
+	ins := func(cpu uint8) trace.Ref { return trace.Ref{CPU: cpu, Kind: trace.IFetch, Addr: 0x9990} }
+	sh := func(cpu uint8, kind trace.Kind, addr uint64) trace.Ref {
+		return trace.Ref{CPU: cpu, Kind: kind, Addr: addr, Shared: true}
+	}
+	for _, c := range []struct {
+		name      string
+		blockSize int
+		refs      []trace.Ref
+		runs      int
+		apl       float64
+		mdshd     float64
+	}{
+		{"flushes/64B", 64, []trace.Ref{
+			sh(0, trace.Read, 0x100), sh(0, trace.Read, 0x110), sh(0, trace.Write, 0x120), sh(0, trace.Read, 0x130),
+			sh(0, trace.Flush, 0x100),
+		}, 1, 4, 1},
+		{"flushes/8B", 8, []trace.Ref{
+			sh(0, trace.Write, 0x100), sh(0, trace.Read, 0x108), sh(0, trace.Read, 0x108),
+			sh(0, trace.Flush, 0x100), sh(0, trace.Flush, 0x108),
+		}, 2, 1.5, 0.5},
+		{"handoffs/64B", 64, []trace.Ref{
+			sh(0, trace.Write, 0x100), sh(0, trace.Read, 0x110),
+			sh(1, trace.Write, 0x120), sh(1, trace.Read, 0x130), sh(1, trace.Read, 0x100),
+		}, 2, 2.5, 1},
+		{"handoffs/8B", 8, []trace.Ref{
+			sh(0, trace.Write, 0x100), sh(0, trace.Read, 0x100),
+			sh(1, trace.Write, 0x108), sh(0, trace.Read, 0x100),
+		}, 2, 2, 1},
+	} {
+		// Instruction fetches keep ls within [0,1].
+		var refs []trace.Ref
+		for range 8 {
+			refs = append(refs, ins(0), ins(1))
+		}
+		tr := &trace.Trace{NCPU: 2, Refs: append(refs, c.refs...)}
+		m, err := Extract(tr, sim.CacheConfig{Size: 1024, BlockSize: c.blockSize, Assoc: 2}, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if m.Runs != c.runs || m.Params.APL != c.apl || m.Params.MdShd != c.mdshd {
+			t.Errorf("%s: runs %d apl %g mdshd %g, want %d, %g, %g",
+				c.name, m.Runs, m.Params.APL, m.Params.MdShd, c.runs, c.apl, c.mdshd)
+		}
+	}
+}
+
+// TestExtractPreparedMatchesRestrict: measuring the first n processors
+// of a prepared trace in place equals measuring the copied restriction,
+// for every preset and machine size.
+func TestExtractPreparedMatchesRestrict(t *testing.T) {
+	for _, preset := range tracegen.PresetNames() {
+		cfg, err := tracegen.Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.InstrPerCPU = 3000
+		tr, err := tracegen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := sim.Prepare(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 1; n <= tr.NCPU; n++ {
+			got, gotErr := ExtractPrepared(p, n, cache64k, 0.5)
+			want, wantErr := Extract(tr.Restrict(n), cache64k, 0.5)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s n=%d: in place (%v) differs from the restricted trace's measurement (%v)", preset, n, gotErr, wantErr)
+			}
+		}
+		for _, n := range []int{0, tr.NCPU + 1} {
+			if _, err := ExtractPrepared(p, n, cache64k, 0.5); err == nil {
+				t.Errorf("%s: machine size %d accepted", preset, n)
+			}
+		}
+	}
+}
+
 func TestAPLClampedToOne(t *testing.T) {
 	// A single shared write then a flush gives apl = 1; degenerate
 	// traces below 1 clamp.
@@ -190,7 +277,7 @@ func TestAPLClampedToOne(t *testing.T) {
 	}
 	tr := &trace.Trace{NCPU: 1, Refs: refs}
 	var m Measurement
-	if err := m.streamAnalysis(tr); err != nil {
+	if err := m.streamAnalysis(tr, tr.NCPU, 16); err != nil {
 		t.Fatal(err)
 	}
 	if m.Params.APL < 1 {

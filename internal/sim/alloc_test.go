@@ -67,13 +67,72 @@ func TestRestrictedRunAllocBudget(t *testing.T) {
 	}
 }
 
+// TestPreparedRunAllocBudget pins a run from a Prepared: it allocates
+// the machine (caches, interconnect, O(NCPU) state) and nothing per
+// record, whatever the protocol, medium or machine size. Each run of
+// the 8-processor pero8 trace, warmed on half its records, allocates
+// within slack of the same machine's run of an empty trace. The slack
+// covers the warmup snapshot's per-processor copies (about 1 KB at 8
+// processors); the least of three runs filters the runtime's occasional
+// background allocation (up to ~6 KB in a single run). One byte per
+// simulated record (at least 27,000 here) fails it.
+func TestPreparedRunAllocBudget(t *testing.T) {
+	const slack = 4 << 10
+	tr := genTrace(t, "pero8", 20_000)
+	p, err := Prepare(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := Prepare(&trace.Trace{NCPU: tr.NCPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
+	for proto := range protoNames {
+		for _, medium := range []Medium{MediumBus, MediumNetwork} {
+			if medium == MediumNetwork && (Protocol(proto) == ProtoDragon || Protocol(proto) == ProtoWriteInvalidate) {
+				continue
+			}
+			for _, n := range []int{1, tr.NCPU / 2, tr.NCPU} {
+				cfg := Config{NCPU: n, Cache: cache, Protocol: Protocol(proto), Medium: medium}
+				fixed := minAllocOf(t, func() error { _, err := empty.Run(cfg); return err })
+				cfg.WarmupRefs = p.Records(n) / 2
+				got := minAllocOf(t, func() error { _, err := p.Run(cfg); return err })
+				extra := int64(got) - int64(fixed)
+				t.Logf("%v/%v %d cpus: %d bytes beyond the empty trace's run over %d records", cfg.Protocol, medium, n, extra, p.Records(n))
+				if extra > slack {
+					t.Errorf("%v/%v %d cpus: a prepared run allocates %d bytes beyond the machine, budget %d",
+						cfg.Protocol, medium, n, extra, slack)
+				}
+			}
+		}
+	}
+}
+
 // runAlloc returns the bytes one Run allocates.
 func runAlloc(t *testing.T, cfg Config, tr *trace.Trace) uint64 {
+	t.Helper()
+	return allocOf(t, func() error { _, err := Run(cfg, tr); return err })
+}
+
+// minAllocOf returns the least bytes run allocates over three calls,
+// which filters out the runtime's occasional background allocation.
+func minAllocOf(t *testing.T, run func() error) uint64 {
+	t.Helper()
+	least := allocOf(t, run)
+	for range 2 {
+		least = min(least, allocOf(t, run))
+	}
+	return least
+}
+
+// allocOf returns the bytes run allocates.
+func allocOf(t *testing.T, run func() error) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := Run(cfg, tr); err != nil {
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -284,23 +284,89 @@ func (e *engine) prepare() {
 // Run simulates the trace under the configuration and returns the result.
 // A machine smaller than the trace (0 < cfg.NCPU < t.NCPU) runs
 // processors 0..cfg.NCPU-1 and skips every other processor's records,
-// exactly as if it ran t.Restrict(cfg.NCPU), without the copy.
+// exactly as if it ran t.Restrict(cfg.NCPU), without the copy. It is
+// Prepare followed by one Run; a caller simulating one trace several
+// times prepares it once instead.
 func Run(cfg Config, t *trace.Trace) (*Result, error) {
+	p, err := Prepare(t)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(cfg)
+}
+
+// Prepared is a validated trace threaded for in-place walks: each
+// record links to the next record of the same processor, and each
+// processor's first record and record count are known. It is read-only
+// once built, so any number of runs, concurrent ones included, share
+// it; the trace must not change while they do.
+type Prepared struct {
+	t *trace.Trace
+	// next[i] is the next record of record i's processor, -1 after
+	// its last.
+	next []int32
+	// first[c] is processor c's first record, -1 if it has none.
+	first []int32
+	// upto[n] counts the records of processors 0..n-1.
+	upto []int
+}
+
+// Prepare validates t and links its records in one backward pass. A
+// malformed record fails it with the error t.Validate reports; a trace
+// longer than math.MaxInt32 records is ErrBadConfig.
+func Prepare(t *trace.Trace) (*Prepared, error) {
 	if t.NCPU < 1 || t.NCPU > trace.MaxNCPU {
 		return nil, t.Validate()
 	}
+	if len(t.Refs) > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d records exceed the simulator's limit of %d", ErrBadConfig, len(t.Refs), math.MaxInt32)
+	}
+	p := &Prepared{
+		t:     t,
+		next:  make([]int32, len(t.Refs)),
+		first: make([]int32, t.NCPU),
+		upto:  make([]int, t.NCPU+1),
+	}
+	for c := range p.first {
+		p.first[c] = -1
+	}
+	for i := len(t.Refs) - 1; i >= 0; i-- {
+		r := t.Refs[i]
+		c := int(r.CPU)
+		if c >= t.NCPU || !r.Kind.Valid() {
+			return nil, t.Validate()
+		}
+		p.next[i] = p.first[c]
+		p.first[c] = int32(i)
+		p.upto[c+1]++
+	}
+	for c := range t.NCPU {
+		p.upto[c+1] += p.upto[c]
+	}
+	return p, nil
+}
+
+// Trace returns the prepared trace.
+func (p *Prepared) Trace() *trace.Trace { return p.t }
+
+// Records returns the number of records of processors 0..n-1, the
+// records an n-processor run simulates: len(t.Restrict(n).Refs)
+// without the copy.
+func (p *Prepared) Records(n int) int {
+	return p.upto[max(0, min(n, p.t.NCPU))]
+}
+
+// Run simulates the prepared trace under the configuration, as the
+// package-level Run does, without validating or linking the trace
+// again: it allocates the machine (caches, interconnect, per-processor
+// state) and nothing per record.
+func (p *Prepared) Run(cfg Config) (*Result, error) {
+	t := p.t
 	if cfg.NCPU == 0 {
 		cfg.NCPU = t.NCPU
 	}
 	if cfg.NCPU < 0 {
 		return nil, fmt.Errorf("%w: config ncpu %d", ErrBadConfig, cfg.NCPU)
-	}
-	if len(t.Refs) > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: %d records exceed the simulator's limit of %d", ErrBadConfig, len(t.Refs), math.MaxInt32)
-	}
-	next, cursor, simulated, err := link(t, min(cfg.NCPU, t.NCPU))
-	if err != nil {
-		return nil, err
 	}
 	if !cfg.Protocol.valid() {
 		return nil, fmt.Errorf("%w: unknown protocol %d", ErrBadConfig, int(cfg.Protocol))
@@ -337,10 +403,15 @@ func Run(cfg Config, t *trace.Trace) (*Result, error) {
 	}
 	e.prepare()
 
+	simulated := p.Records(cfg.NCPU)
 	if cfg.WarmupRefs < 0 || (cfg.WarmupRefs > 0 && cfg.WarmupRefs >= simulated) {
 		return nil, fmt.Errorf("%w: warmup %d out of range for %d records", ErrBadConfig, cfg.WarmupRefs, simulated)
 	}
 
+	// One cursor per simulated processor walks t.Refs in place along
+	// the shared links; processors beyond the trace's stay idle.
+	cursor := append([]int32(nil), p.first[:min(cfg.NCPU, t.NCPU)]...)
+	next := p.next
 	var warmStats []CPUStats
 	var warmClocks []uint64
 	var warmBusy, warmWait, warmTrans uint64
@@ -391,34 +462,6 @@ func Run(cfg Config, t *trace.Trace) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// link validates t and threads its records of processors 0..n-1 for
-// an in-place walk, in one backward pass. next[i] links record i to the
-// next record of the same processor (-1 after its last), cursor[c] is
-// processor c's first record (-1 if it has none), and simulated counts
-// the linked records. Records of processors n and above stay unlinked,
-// but a malformed one still fails the whole trace, with the error
-// t.Validate reports.
-func link(t *trace.Trace, n int) (next, cursor []int32, simulated int, err error) {
-	next = make([]int32, len(t.Refs))
-	cursor = make([]int32, n)
-	for c := range cursor {
-		cursor[c] = -1
-	}
-	for i := len(t.Refs) - 1; i >= 0; i-- {
-		r := t.Refs[i]
-		c := int(r.CPU)
-		if c >= t.NCPU || !r.Kind.Valid() {
-			return nil, nil, 0, t.Validate()
-		}
-		if c < n {
-			next[i] = cursor[c]
-			cursor[c] = int32(i)
-			simulated++
-		}
-	}
-	return next, cursor, simulated, nil
 }
 
 // subtractStats returns a-b field-wise (Cycles handled by the caller).
