@@ -11,8 +11,11 @@
 //	cohere sweep -scheme NAME -param NAME -from F -to F [-steps N] [-procs N]
 //
 // `cohere all -parallel N` caps how many experiments run concurrently;
-// the default 0 uses every core. Output is identical at any setting —
-// parallelism only changes wall-clock time.
+// the default 0 uses every core. At most one of them reads traces: the
+// trace-driven experiments take turns, each spreading its simulations
+// over every core, so one generated trace is in memory at a time.
+// Output is identical at any setting — parallelism only changes
+// wall-clock time.
 package main
 
 import (
@@ -151,7 +154,7 @@ func cmdRun(ctx context.Context, cmd string, args []string, out io.Writer) error
 func cmdAll(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("all", flag.ContinueOnError)
 	scale, preset, procs, mode := experimentFlags(fs)
-	parallel := fs.Int("parallel", 0, "experiments to run concurrently (0 = all cores)")
+	parallel := fs.Int("parallel", 0, "experiments to run concurrently, at most one of them trace-driven (0 = all cores)")
 	outDir := fs.String("out", "", "write <id>.txt/.csv/.json per experiment into this directory")
 	if err := fs.Parse(args); err != nil {
 		return err

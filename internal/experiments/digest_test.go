@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"swcc/internal/sim"
 	"swcc/internal/trace"
 	"swcc/internal/tracegen"
 )
@@ -87,13 +86,13 @@ func TestMemoScope(t *testing.T) {
 
 	opt := Options{TraceScale: 0.05}
 	// fig1, fig2, blocksize, table7 and scenarios all measure this
-	// trace under this cache.
+	// trace at this block size.
 	pops, err := tracegen.Preset("pops")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pops.InstrPerCPU = int(float64(pops.InstrPerCPU) * opt.TraceScale)
-	shared := extractKey{pops, sim.CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}}
+	shared := streamKey{pops, 16}
 
 	for call := 1; call <= 2; call++ {
 		if _, err := RunAllCtx(context.Background(), opt, 0); err != nil {
@@ -124,8 +123,8 @@ func TestMemoScope(t *testing.T) {
 
 // TestRunCtxCancelledRunsNoSimulation: the trace-driven and network
 // simulation experiments honour a context that is already cancelled.
-// RunCtx reports the cancellation and the call's memo measures and
-// simulates nothing.
+// RunCtx and RunAllCtx report the cancellation and the call's memo
+// measures and simulates nothing.
 func TestRunCtxCancelledRunsNoSimulation(t *testing.T) {
 	var mu sync.Mutex
 	var computed []any
@@ -147,19 +146,26 @@ func TestRunCtxCancelledRunsNoSimulation(t *testing.T) {
 			t.Errorf("%s: ran %d measurements or simulations after cancellation", id, len(computed))
 		}
 	}
+	// Neither of RunAllCtx's lanes starts an experiment.
+	computed = nil
+	if _, err := RunAllCtx(ctx, Options{TraceScale: 0.05}, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunAllCtx on a cancelled context returned %v, want context.Canceled", err)
+	}
+	if len(computed) != 0 {
+		t.Errorf("RunAllCtx: ran %d measurements or simulations after cancellation", len(computed))
+	}
 }
 
 // TestEachTracePreparedOnce: a call regenerating the whole registry
-// validates and links each trace it generates exactly once, however
-// many simulations and measurements of it the experiments run.
+// generates, validates and links each distinct trace configuration
+// exactly once, however many experiments read it and however many
+// simulations and measurements of it they run.
 func TestEachTracePreparedOnce(t *testing.T) {
 	var mu sync.Mutex
-	prepared := map[*trace.Trace]int{}
-	gens := map[int]bool{}
+	prepared := map[tracegen.Config]int{}
 	testHookPrepared = func(gen tracegen.Config, tr *trace.Trace) {
 		mu.Lock()
-		prepared[tr]++
-		gens[gen.NCPU] = true
+		prepared[gen]++
 		mu.Unlock()
 	}
 	defer func() { testHookPrepared = nil }()
@@ -167,17 +173,101 @@ func TestEachTracePreparedOnce(t *testing.T) {
 	if _, err := RunAllCtx(context.Background(), Options{TraceScale: 0.05}, 0); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d traces prepared", len(prepared))
-	for tr, c := range prepared {
+	gens := map[int]bool{}
+	for gen, c := range prepared {
+		gens[gen.NCPU] = true
 		if c != 1 {
-			t.Errorf("%d-processor trace of %d records prepared %d times", tr.NCPU, len(tr.Refs), c)
+			t.Errorf("%s (%d CPUs, %d-byte blocks) prepared %d times", gen.Name, gen.NCPU, gen.BlockSize, c)
 		}
 	}
-	// fig1/fig2 (4 CPUs), fig3 (8) and fig10sim (16) all simulate from
-	// prepared traces.
+	// blocksize's five block sizes of pops (its 16-byte one shared
+	// with fig1, fig2, scenarios and table7), scenarios' timeshare,
+	// message and pero (pero shared with table7), table7's thor,
+	// fig3's pero8 and fig10sim's 16-processor trace.
+	if len(prepared) != 11 {
+		t.Errorf("%d distinct trace configurations prepared, want 11", len(prepared))
+	}
 	for _, n := range []int{4, 8, 16} {
 		if !gens[n] {
 			t.Errorf("no %d-processor trace prepared", n)
+		}
+	}
+}
+
+// TestRunAllHoldsOneTrace: a call regenerating the whole registry never
+// holds two prepared traces at once. Every trace is released before
+// the next is prepared, and none outlives the call.
+func TestRunAllHoldsOneTrace(t *testing.T) {
+	var mu sync.Mutex
+	live := map[*trace.Trace]tracegen.Config{}
+	prepares := 0
+	testHookPrepared = func(gen tracegen.Config, tr *trace.Trace) {
+		mu.Lock()
+		defer mu.Unlock()
+		prepares++
+		for _, other := range live {
+			t.Errorf("%s (%d CPUs, %d-byte blocks) prepared while %s (%d CPUs, %d-byte blocks) is live",
+				gen.Name, gen.NCPU, gen.BlockSize, other.Name, other.NCPU, other.BlockSize)
+		}
+		live[tr] = gen
+	}
+	testHookReleased = func(gen tracegen.Config, tr *trace.Trace) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, ok := live[tr]; !ok {
+			t.Errorf("%s released but not live", gen.Name)
+		}
+		delete(live, tr)
+	}
+	defer func() { testHookPrepared, testHookReleased = nil, nil }()
+
+	// More slots than experiments that read traces, so nothing but
+	// the lane keeps them apart.
+	if _, err := RunAllCtx(context.Background(), Options{TraceScale: 0.05}, 2*len(traceLane)); err != nil {
+		t.Fatal(err)
+	}
+	if prepares == 0 {
+		t.Fatal("no trace prepared")
+	}
+	for _, gen := range live {
+		t.Errorf("%s (%d CPUs) still live after the call", gen.Name, gen.NCPU)
+	}
+}
+
+// TestTraceLaneDeclaresTraceReaders: traceLane is the only declaration
+// of which experiments read traces, so it must name each of them, once,
+// and nothing else. Run alone, every experiment on it prepares a trace
+// and no other experiment does.
+func TestTraceLaneDeclaresTraceReaders(t *testing.T) {
+	var mu sync.Mutex
+	prepares := 0
+	testHookPrepared = func(tracegen.Config, *trace.Trace) {
+		mu.Lock()
+		prepares++
+		mu.Unlock()
+	}
+	defer func() { testHookPrepared = nil }()
+
+	onLane := map[string]bool{}
+	for _, id := range traceLane {
+		if onLane[id] {
+			t.Errorf("%s is on traceLane twice", id)
+		}
+		onLane[id] = true
+		if _, err := ByID(id); err != nil {
+			t.Errorf("traceLane: %v", err)
+		}
+	}
+	for _, spec := range All() {
+		prepares = 0
+		if _, err := RunCtx(context.Background(), spec.ID, Options{TraceScale: 0.05}); err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
+		switch {
+		case onLane[spec.ID] && prepares == 0:
+			t.Errorf("%s is on traceLane but prepared no trace", spec.ID)
+		case !onLane[spec.ID] && prepares > 0:
+			t.Errorf("%s prepared %d traces but is not on traceLane", spec.ID, prepares)
 		}
 	}
 }

@@ -4,7 +4,10 @@
 // series, a text table, or both — which the CLI and benchmarks render.
 //
 // The registry is the per-experiment index of DESIGN.md in executable
-// form: `RunCtx(ctx, "fig4", opts)` recomputes paper Figure 4.
+// form: `RunCtx(ctx, "fig4", opts)` recomputes paper Figure 4, and
+// RunAllCtx recomputes every artifact, the trace-driven experiments
+// taking turns (traceLane) so that one call holds one generated trace
+// at a time.
 package experiments
 
 import (
@@ -15,6 +18,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -258,18 +262,36 @@ func RunCtx(ctx context.Context, id string, opt Options) (*Dataset, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	return s.Run(withMemo(ctx), opt)
+	ctx, memo := withMemo(ctx)
+	defer memo.close()
+	return s.Run(ctx, opt)
 }
 
-// RunAllCtx executes every registered experiment with up to
-// `parallelism` running concurrently (1 = sequential; 0 defaults to all
-// cores) and returns the datasets in registry order. The first failure
-// is reported with its experiment ID; other experiments still run to
-// completion. Cancellation is cooperative: once ctx is done, no further
-// experiment starts (skipped ones fail with ctx's error) and running
-// ones wind down at their next cancellation point. The experiments
-// share one simulation memo for the call, so each distinct trace
-// measurement and simulation runs once per call.
+// traceLane lists the experiments that read traces, in the order
+// RunAllCtx runs them: one after another, each spreading the work on
+// its current trace over every core, so one call holds one generated
+// trace at a time. It is the only declaration of which experiments
+// read traces. blocksize ends on the default pops trace, which fig1
+// and fig2 read next, so that trace is generated once. scenarios and
+// table7, whose one measurement at a time keeps little more than one
+// core busy, run while the trace-free experiments still do; the fully
+// parallel grids of fig3 and fig10sim come last, when the lane has
+// every core to itself.
+var traceLane = []string{"blocksize", "fig1", "fig2", "scenarios", "table7", "fig3", "fig10sim"}
+
+// RunAllCtx executes every registered experiment and returns the
+// datasets in registry order. At most `parallelism` experiments run at
+// once (1 = sequential; 0 defaults to all cores), and at most one of
+// them reads traces: the traceLane experiments take turns in its
+// order, while the trace-free ones run alongside them within the
+// budget. The first failure is reported with its experiment ID; other
+// experiments still run to completion. Cancellation is cooperative:
+// once ctx is done, no further experiment starts (skipped ones fail
+// with ctx's error) and running ones wind down at their next
+// cancellation point. The experiments share one simulation memo for
+// the call, so each distinct trace measurement and simulation runs
+// once per call, and consecutive readers of one trace configuration
+// share one prepared trace.
 func RunAllCtx(ctx context.Context, opt Options, parallelism int) ([]*Dataset, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -277,27 +299,55 @@ func RunAllCtx(ctx context.Context, opt Options, parallelism int) ([]*Dataset, e
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	ctx = withMemo(ctx)
+	ctx, memo := withMemo(ctx)
+	defer memo.close()
 	specs := All()
 	results := make([]*Dataset, len(specs))
 	errs := make([]error, len(specs))
 	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
+	// run executes specs[i] unless ctx is already done.
+	run := func(i int) {
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+			return
+		}
+		results[i], errs[i] = specs[i].Run(ctx, opt)
+	}
+	pos := make(map[string]int, len(specs))
 	for i, spec := range specs {
+		pos[spec.ID] = i
+	}
+	// The lane takes its slot first and keeps it until its last
+	// experiment is done: a slot it gave back between experiments
+	// would go to a trace-free experiment already waiting for one, and
+	// the lane, the call's longest path, would stall behind it.
+	sem <- struct{}{}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { <-sem }()
+		for _, id := range traceLane {
+			if i, ok := pos[id]; ok {
+				run(i)
+			}
+		}
+	}()
+	for i, spec := range specs {
+		if slices.Contains(traceLane, spec.ID) {
+			continue
+		}
 		// Acquire the slot before spawning so at most `parallelism`
-		// goroutines ever exist, instead of eagerly launching one per
-		// experiment and letting them all block on the semaphore.
+		// goroutines ever run experiments, instead of eagerly
+		// launching one per experiment and letting them all block on
+		// the semaphore.
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(i int, spec Spec) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			results[i], errs[i] = spec.Run(ctx, opt)
-		}(i, spec)
+			run(i)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {

@@ -321,6 +321,17 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 			t.Errorf("position %d: dataset %s, spec %s (ordering lost)", i, ds.ID, specs[i].ID)
 		}
 	}
+	// One slot runs the trace lane, then everything else, one at a
+	// time; every dataset must match the parallel call's.
+	one, err := RunAllCtx(context.Background(), opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range par {
+		if datasetDigest(t, one[i]) != datasetDigest(t, par[i]) {
+			t.Errorf("%s differs between parallelism 1 and 8", specs[i].ID)
+		}
+	}
 	// Spot-check determinism against a direct sequential run.
 	seq, err := RunCtx(context.Background(), "fig1", opts)
 	if err != nil {

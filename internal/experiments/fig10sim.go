@@ -31,7 +31,8 @@ func runFig10Sim(ctx context.Context, opt Options) (*Dataset, error) {
 	if cfg.InstrPerCPU < 2000 {
 		cfg.InstrPerCPU = 2000
 	}
-	memo, src := memoFrom(ctx), newTraceSource(cfg)
+	memo := memoFrom(ctx)
+	src := memo.source(cfg)
 	cache := sim.CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
 
 	ds := &Dataset{

@@ -7,7 +7,6 @@ import (
 	"swcc/internal/core"
 	"swcc/internal/report"
 	"swcc/internal/sim"
-	"swcc/internal/sweep"
 	"swcc/internal/tracegen"
 )
 
@@ -37,30 +36,28 @@ func runScenarios(ctx context.Context, opt Options) (*Dataset, error) {
 		ID:    "scenarios",
 		Title: fmt.Sprintf("Recommended coherence scheme per workload scenario (%d-processor bus)", nproc),
 	}
-	// Scenarios are independent trace->measure->rank pipelines; run them
-	// in parallel into per-scenario row slots (output order is fixed by
-	// the slice, not the scheduler). Ranking goes through the shared
-	// cache-backed evaluator.
-	scenarios := []string{"timeshare", "message", "pops", "pero"}
-	rows := make([][]string, len(scenarios))
+	// Scenarios are independent trace->measure->rank pipelines. They
+	// run one after another, so one trace is live at a time; each
+	// measurement runs its stream pass and shadows concurrently
+	// (runMemo.extract). Ranking goes through the shared cache-backed
+	// evaluator.
 	memo := memoFrom(ctx)
-	if err := sweep.EachCtx(ctx, 0, len(scenarios), func(i int) error {
-		scenario := scenarios[i]
+	for _, scenario := range []string{"timeshare", "message", "pops", "pero"} {
 		cfg, err := tracegen.Preset(scenario)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cfg.InstrPerCPU = int(float64(cfg.InstrPerCPU) * opt.traceScale())
 		if cfg.InstrPerCPU < 2000 {
 			cfg.InstrPerCPU = 2000
 		}
-		m, err := memo.extract(newTraceSource(cfg), cache)
+		m, err := memo.extract(ctx, memo.source(cfg), cache)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ranked, err := core.RankBusWith(busEval, candidates, m.Params, core.BusCosts(), nproc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		best := ranked[0]
 		var noCachePower float64
@@ -69,19 +66,13 @@ func runScenarios(ctx context.Context, opt Options) (*Dataset, error) {
 				noCachePower = r.Power
 			}
 		}
-		rows[i] = []string{scenario,
+		tab.AddRow(scenario,
 			fmt.Sprintf("%.3f", m.Params.Shd),
 			fmt.Sprintf("%.1f", m.Params.APL),
 			best.Scheme.Name(),
 			fmt.Sprintf("%.2f", best.Power),
 			fmt.Sprintf("%.2f", noCachePower),
-			fmt.Sprintf("%.0f%%", 100*noCachePower/best.Power)}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		tab.AddRow(r...)
+			fmt.Sprintf("%.0f%%", 100*noCachePower/best.Power))
 	}
 	ds.Table = tab
 	ds.Notes = append(ds.Notes,

@@ -97,7 +97,7 @@ func runTable7(ctx context.Context, opt Options) (*Dataset, error) {
 			return nil, err
 		}
 		cfg.InstrPerCPU = int(float64(cfg.InstrPerCPU) * opt.traceScale())
-		m, err := memo.extract(newTraceSource(cfg), sim.CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2})
+		m, err := memo.extract(ctx, memo.source(cfg), sim.CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2})
 		if err != nil {
 			return nil, err
 		}

@@ -46,59 +46,98 @@ type protoScheme struct {
 	scheme core.Scheme
 }
 
-// validate runs model-vs-simulation for the given schemes and cache size
-// across machine sizes 1..NCPU on src's trace. It returns (simulated,
-// modeled) power series per scheme plus the parameter measurement used
-// by the model. A done ctx stops it before the next simulation starts.
-func validate(ctx context.Context, memo *runMemo, src traceSource, cache sim.CacheConfig, pairs []protoScheme) ([]plot.Series, *measure.Measurement, error) {
+// validationBlock is the validation figures' cache block size in bytes.
+const validationBlock = 16
+
+// validationCache is the validation figures' cache geometry at the
+// given size.
+func validationCache(size int) sim.CacheConfig {
+	return sim.CacheConfig{Size: size, BlockSize: validationBlock, Assoc: 2}
+}
+
+// validation is one cache size's model-vs-simulation comparison: a
+// (simulated, modeled) power series per scheme over machine sizes
+// 1..NCPU, and the parameter measurement the model was fed.
+type validation struct {
+	series []plot.Series
+	m      *measure.Measurement
+}
+
+// validate runs model-vs-simulation for the given schemes at each cache
+// size across machine sizes 1..NCPU on src's trace. A done ctx stops it
+// before the next simulation starts.
+func validate(ctx context.Context, memo *runMemo, src *traceSource, sizes []int, pairs []protoScheme) ([]validation, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	m, err := memo.extract(src, cache)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The measurement's shadow simulations are the full-machine Base
-	// and Dragon runs.
-	shadows := map[sim.Protocol]*sim.Result{sim.ProtoBase: m.Base, sim.ProtoDragon: m.Dragon}
-	// The simulations dominate the cost and are independent across both
-	// the scheme and the machine size: flatten (pair, n) into one job
-	// grid and run it on all cores, writing each power into its own
-	// slot. The analytic side goes through the shared cache.
+	// The simulations dominate the cost and are independent across
+	// cache size, scheme and machine size: one grid on all cores runs
+	// every measurement's shadows, every (size, pair, n) simulation and
+	// the stream pass into the memo. Largest machines go first so the
+	// longest runs start early; the stream pass, one light pass over
+	// the records, goes last beside the smallest. Reading the results
+	// back below is then all memo hits.
 	nsizes := src.gen.NCPU
-	simPowers := make([]float64, len(pairs)*nsizes)
-	if err := sweep.EachCtx(ctx, 0, len(simPowers), func(i int) error {
-		pr := pairs[i/nsizes]
-		n := i%nsizes + 1
-		res := shadows[pr.proto]
-		if res == nil || n < nsizes {
-			var err error
-			if res, err = memo.simulate(src, sim.Config{NCPU: n, Cache: cache, Protocol: pr.proto}); err != nil {
-				return err
+	var runs []sim.Config
+	seen := map[sim.Config]bool{}
+	add := func(cfg sim.Config) {
+		if !seen[cfg] {
+			seen[cfg] = true
+			runs = append(runs, cfg)
+		}
+	}
+	for n := nsizes; n >= 1; n-- {
+		for _, size := range sizes {
+			cache := validationCache(size)
+			if n == nsizes {
+				for _, cfg := range shadowConfigs(src, cache) {
+					add(cfg)
+				}
+			}
+			for _, pr := range pairs {
+				add(sim.Config{NCPU: n, Cache: cache, Protocol: pr.proto})
 			}
 		}
-		simPowers[i] = res.Power()
-		return nil
+	}
+	if err := sweep.EachCtx(ctx, 0, len(runs)+1, func(i int) error {
+		if i == len(runs) {
+			_, err := memo.stream(src, validationBlock)
+			return err
+		}
+		_, err := memo.simulate(src, runs[i])
+		return err
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var out []plot.Series
-	for pi, pr := range pairs {
-		simSeries := plot.Series{Name: pr.scheme.Name() + " sim"}
-		modelSeries := plot.Series{Name: pr.scheme.Name() + " model"}
-		modelPts, err := busEval.EvaluateBusCtx(ctx, pr.scheme, m.Params, core.BusCosts(), nsizes, nil)
+	out := make([]validation, len(sizes))
+	for si, size := range sizes {
+		cache := validationCache(size)
+		m, err := memo.extract(ctx, src, cache)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		for n := 1; n <= nsizes; n++ {
-			simSeries.X = append(simSeries.X, float64(n))
-			simSeries.Y = append(simSeries.Y, simPowers[pi*nsizes+n-1])
-			modelSeries.X = append(modelSeries.X, float64(n))
-			modelSeries.Y = append(modelSeries.Y, modelPts[n-1].Power)
+		out[si].m = m
+		for _, pr := range pairs {
+			simSeries := plot.Series{Name: pr.scheme.Name() + " sim"}
+			modelSeries := plot.Series{Name: pr.scheme.Name() + " model"}
+			modelPts, err := busEval.EvaluateBusCtx(ctx, pr.scheme, m.Params, core.BusCosts(), nsizes, nil)
+			if err != nil {
+				return nil, err
+			}
+			for n := 1; n <= nsizes; n++ {
+				res, err := memo.simulate(src, sim.Config{NCPU: n, Cache: cache, Protocol: pr.proto})
+				if err != nil {
+					return nil, err
+				}
+				simSeries.X = append(simSeries.X, float64(n))
+				simSeries.Y = append(simSeries.Y, res.Power())
+				modelSeries.X = append(modelSeries.X, float64(n))
+				modelSeries.Y = append(modelSeries.Y, modelPts[n-1].Power)
+			}
+			out[si].series = append(out[si].series, simSeries, modelSeries)
 		}
-		out = append(out, simSeries, modelSeries)
 	}
-	return out, m, nil
+	return out, nil
 }
 
 func seriesTable(series []plot.Series) *report.Table {
@@ -124,14 +163,15 @@ func runFig1(ctx context.Context, opt Options) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache := sim.CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
-	series, m, err := validate(ctx, memoFrom(ctx), newTraceSource(gen), cache, []protoScheme{
+	memo := memoFrom(ctx)
+	v, err := validate(ctx, memo, memo.source(gen), []int{64 * 1024}, []protoScheme{
 		{sim.ProtoBase, core.Base{}},
 		{sim.ProtoDragon, core.Dragon{}},
 	})
 	if err != nil {
 		return nil, err
 	}
+	series, m := v[0].series, v[0].m
 	ds := &Dataset{
 		ID:     "fig1",
 		Title:  fmt.Sprintf("Model vs simulation, Base & Dragon, 64KB caches, %q trace", preset),
@@ -148,54 +188,38 @@ func runFig1(ctx context.Context, opt Options) (*Dataset, error) {
 }
 
 func runFig2(ctx context.Context, opt Options) (*Dataset, error) {
-	gen, preset, err := validationConfig(opt, "pops")
-	if err != nil {
-		return nil, err
-	}
-	memo, src := memoFrom(ctx), newTraceSource(gen)
-	ds := &Dataset{
-		ID:     "fig2",
-		Title:  fmt.Sprintf("Dragon model vs simulation across cache sizes, %q trace", preset),
-		XLabel: "processors",
-		YLabel: "processing power",
-	}
-	for _, size := range []int{16 * 1024, 64 * 1024, 256 * 1024} {
-		cache := sim.CacheConfig{Size: size, BlockSize: 16, Assoc: 2}
-		series, _, err := validate(ctx, memo, src, cache, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
-		if err != nil {
-			return nil, err
-		}
-		for i := range series {
-			series[i].Name = fmt.Sprintf("%dK %s", size/1024, series[i].Name[len("Dragon "):])
-		}
-		ds.Series = append(ds.Series, series...)
-	}
-	ds.Table = seriesTable(ds.Series)
-	return ds, nil
+	return cacheSizeFigure(ctx, opt, "fig2", "pops", "Dragon model vs simulation across cache sizes, %q trace")
 }
 
 func runFig3(ctx context.Context, opt Options) (*Dataset, error) {
-	gen, preset, err := validationConfig(opt, "pero8")
+	return cacheSizeFigure(ctx, opt, "fig3", "pero8", "Dragon model vs simulation, 8-processor %q trace")
+}
+
+// cacheSizeFigure is Figures 2 and 3: Dragon model vs simulation at
+// 16, 64 and 256 KB caches on the trace of opt.Preset (def if empty),
+// all three sizes in one grid. title formats the preset's name.
+func cacheSizeFigure(ctx context.Context, opt Options, id, def, title string) (*Dataset, error) {
+	gen, preset, err := validationConfig(opt, def)
 	if err != nil {
 		return nil, err
 	}
-	memo, src := memoFrom(ctx), newTraceSource(gen)
+	memo := memoFrom(ctx)
+	sizes := []int{16 * 1024, 64 * 1024, 256 * 1024}
+	v, err := validate(ctx, memo, memo.source(gen), sizes, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
+	if err != nil {
+		return nil, err
+	}
 	ds := &Dataset{
-		ID:     "fig3",
-		Title:  fmt.Sprintf("Dragon model vs simulation, 8-processor %q trace", preset),
+		ID:     id,
+		Title:  fmt.Sprintf(title, preset),
 		XLabel: "processors",
 		YLabel: "processing power",
 	}
-	for _, size := range []int{16 * 1024, 64 * 1024, 256 * 1024} {
-		cache := sim.CacheConfig{Size: size, BlockSize: 16, Assoc: 2}
-		series, _, err := validate(ctx, memo, src, cache, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
-		if err != nil {
-			return nil, err
+	for si, size := range sizes {
+		for _, s := range v[si].series {
+			s.Name = fmt.Sprintf("%dK %s", size/1024, s.Name[len("Dragon "):])
+			ds.Series = append(ds.Series, s)
 		}
-		for i := range series {
-			series[i].Name = fmt.Sprintf("%dK %s", size/1024, series[i].Name[len("Dragon "):])
-		}
-		ds.Series = append(ds.Series, series...)
 	}
 	ds.Table = seriesTable(ds.Series)
 	return ds, nil

@@ -46,10 +46,17 @@ type Measurement struct {
 // relative difference between the halves. Parameters that disagree badly
 // between halves (short trace, phase behavior) should be treated as
 // ranges, not point values — the paper makes the same caveat about its
-// own short traces.
+// own short traces. Preparing the halves validates every record once; a
+// malformed one fails with the error its half's Validate reports.
 func Stability(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (map[string]float64, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
+	mid := len(t.Refs) / 2
+	first, err := sim.Prepare(&trace.Trace{NCPU: t.NCPU, Refs: t.Refs[:mid]})
+	if err != nil {
+		return nil, fmt.Errorf("measure: first half: %w", err)
+	}
+	second, err := sim.Prepare(&trace.Trace{NCPU: t.NCPU, Refs: t.Refs[mid:]})
+	if err != nil {
+		return nil, fmt.Errorf("measure: second half: %w", err)
 	}
 	if err := checkWarmup(warmupFrac); err != nil {
 		return nil, err
@@ -57,14 +64,11 @@ func Stability(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (map[s
 	if len(t.Refs) < 4 {
 		return nil, fmt.Errorf("measure: trace too short for split-half analysis")
 	}
-	mid := len(t.Refs) / 2
-	first := &trace.Trace{NCPU: t.NCPU, Refs: t.Refs[:mid]}
-	second := &trace.Trace{NCPU: t.NCPU, Refs: t.Refs[mid:]}
-	a, err := Extract(first, cache, warmupFrac)
+	a, err := ExtractPrepared(first, t.NCPU, cache, warmupFrac)
 	if err != nil {
 		return nil, fmt.Errorf("measure: first half: %w", err)
 	}
-	b, err := Extract(second, cache, warmupFrac)
+	b, err := ExtractPrepared(second, t.NCPU, cache, warmupFrac)
 	if err != nil {
 		return nil, fmt.Errorf("measure: second half: %w", err)
 	}
@@ -112,52 +116,74 @@ func Extract(t *trace.Trace, cache sim.CacheConfig, warmupFrac float64) (*Measur
 // ExtractPrepared measures the parameters of an n-processor machine
 // running the prepared trace's first n processors, in place: the result
 // equals Extract(t.Restrict(n), cache, warmupFrac) without the copy.
-// The stream analysis reads those processors' records in trace order,
-// the warmup is warmupFrac of them, and the Base and Dragon shadows run
-// at n from p, which any number of concurrent calls may share.
+// It is Stream, then the Base and Dragon shadows run at n from p with
+// a warmup of warmupFrac of those processors' records, then
+// WithShadows. Any number of concurrent calls may share p; a caller
+// that already holds the shadow results calls Stream and WithShadows
+// itself.
 func ExtractPrepared(p *sim.Prepared, n int, cache sim.CacheConfig, warmupFrac float64) (*Measurement, error) {
-	t := p.Trace()
-	if n < 1 || n > t.NCPU {
-		return nil, fmt.Errorf("measure: machine size %d not in 1..%d", n, t.NCPU)
-	}
 	if err := checkWarmup(warmupFrac); err != nil {
 		return nil, err
 	}
-	warmup := int(float64(p.Records(n)) * warmupFrac)
-	m := &Measurement{}
-	if err := m.streamAnalysis(t, n, cache.BlockSize); err != nil {
+	m, err := Stream(p.Trace(), n, cache.BlockSize)
+	if err != nil {
 		return nil, err
 	}
-
+	warmup := int(float64(p.Records(n)) * warmupFrac)
 	base, err := p.Run(sim.Config{NCPU: n, Cache: cache, Protocol: sim.ProtoBase, WarmupRefs: warmup})
 	if err != nil {
 		return nil, fmt.Errorf("measure: base shadow simulation: %w", err)
 	}
-	m.Base = base
-	tot := base.Totals()
-	if tot.DataRefs() > 0 {
-		m.Params.MsDat = float64(tot.DataMisses) / float64(tot.DataRefs())
-	}
-	if tot.Instructions > 0 {
-		m.Params.MsIns = float64(tot.InstrMisses) / float64(tot.Instructions)
-	}
-	if misses := tot.DataMisses + tot.InstrMisses; misses > 0 {
-		m.Params.MD = float64(tot.DirtyReplacements) / float64(misses)
-	}
-
 	dragon, err := p.Run(sim.Config{NCPU: n, Cache: cache, Protocol: sim.ProtoDragon, WarmupRefs: warmup})
 	if err != nil {
 		return nil, fmt.Errorf("measure: dragon shadow simulation: %w", err)
 	}
-	m.Dragon = dragon
-	m.Params.OClean = dragon.Snoop.OClean()
-	m.Params.OPres = dragon.Snoop.OPres()
-	m.Params.NShd = dragon.Snoop.NShd()
+	return m.WithShadows(base, dragon)
+}
 
-	if err := m.Params.Validate(); err != nil {
-		return nil, fmt.Errorf("measure: extracted parameters invalid: %w", err)
+// Stream measures ls, shd, wr, apl and mdshd of an n-processor machine
+// running t's first n processors, in one pass over their records,
+// keying shared-block runs on blockSize-byte blocks. It is the part of
+// a measurement that needs no simulation; WithShadows completes it.
+func Stream(t *trace.Trace, n, blockSize int) (*Measurement, error) {
+	if n < 1 || n > t.NCPU {
+		return nil, fmt.Errorf("measure: machine size %d not in 1..%d", n, t.NCPU)
+	}
+	m := &Measurement{}
+	if err := m.streamAnalysis(t, n, blockSize); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// WithShadows returns the stream measurement m completed by its
+// machine's Base and Dragon shadow simulations (same processors, cache
+// and warmup): msdat, mains and md come from base, oclean, opres and
+// nshd from dragon. It is pure: m and the results are left unchanged,
+// and the returned measurement references the results.
+func (m *Measurement) WithShadows(base, dragon *sim.Result) (*Measurement, error) {
+	if base.Config.Protocol != sim.ProtoBase || dragon.Config.Protocol != sim.ProtoDragon {
+		return nil, fmt.Errorf("measure: shadows are %v and %v, want Base and Dragon", base.Config.Protocol, dragon.Config.Protocol)
+	}
+	out := *m
+	out.Base, out.Dragon = base, dragon
+	tot := base.Totals()
+	if tot.DataRefs() > 0 {
+		out.Params.MsDat = float64(tot.DataMisses) / float64(tot.DataRefs())
+	}
+	if tot.Instructions > 0 {
+		out.Params.MsIns = float64(tot.InstrMisses) / float64(tot.Instructions)
+	}
+	if misses := tot.DataMisses + tot.InstrMisses; misses > 0 {
+		out.Params.MD = float64(tot.DirtyReplacements) / float64(misses)
+	}
+	out.Params.OClean = dragon.Snoop.OClean()
+	out.Params.OPres = dragon.Snoop.OPres()
+	out.Params.NShd = dragon.Snoop.NShd()
+	if err := out.Params.Validate(); err != nil {
+		return nil, fmt.Errorf("measure: extracted parameters invalid: %w", err)
+	}
+	return &out, nil
 }
 
 // streamAnalysis fills ls, shd, wr, apl, mdshd from the records of

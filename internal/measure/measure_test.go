@@ -328,6 +328,57 @@ func TestStabilityErrors(t *testing.T) {
 	}
 }
 
+// TestStabilityBadRecordIsErrBadTrace: Stability validates each record
+// once, through its half's Prepare, and a malformed record in either
+// half fails the call with an error wrapping trace.ErrBadTrace.
+func TestStabilityBadRecordIsErrBadTrace(t *testing.T) {
+	for _, at := range []int{1, 6} {
+		bad := &trace.Trace{NCPU: 1, Refs: make([]trace.Ref, 8)}
+		bad.Refs[at].Kind = 99
+		if _, err := Stability(bad, cache64k, 0.25); !errors.Is(err, trace.ErrBadTrace) {
+			t.Errorf("bad record %d: err = %v, want trace.ErrBadTrace", at, err)
+		}
+	}
+	if _, err := Stability(&trace.Trace{NCPU: 0}, cache64k, 0.25); !errors.Is(err, trace.ErrBadTrace) {
+		t.Errorf("ncpu 0: err = %v, want trace.ErrBadTrace", err)
+	}
+}
+
+// TestWithShadowsNeedsBaseAndDragon: the derivation reads miss rates
+// from the Base shadow and snoop statistics from the Dragon one, so
+// swapped or foreign results are an error, not silently wrong
+// parameters; the stream measurement it completes stays unchanged.
+func TestWithShadowsNeedsBaseAndDragon(t *testing.T) {
+	tr := &trace.Trace{NCPU: 1, Refs: make([]trace.Ref, 8)}
+	p, err := sim.Prepare(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := Stream(tr, 1, cache64k.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := *stream
+	run := func(proto sim.Protocol) *sim.Result {
+		res, err := p.Run(sim.Config{Cache: cache64k, Protocol: proto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base, dragon := run(sim.ProtoBase), run(sim.ProtoDragon)
+	if _, err := stream.WithShadows(dragon, base); err == nil {
+		t.Error("swapped shadows accepted")
+	}
+	m, err := stream.WithShadows(base, dragon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Base != base || m.Dragon != dragon || !reflect.DeepEqual(*stream, before) {
+		t.Error("WithShadows must reference the given results and leave the stream measurement unchanged")
+	}
+}
+
 // TestWarmupFractionNaN: NaN passes a range check written as
 // "f < 0 || f >= 1", and int(NaN*len) would reach the simulator as a
 // warmup of -9223372036854775808 records; the error must name the

@@ -114,15 +114,21 @@ const (
 	dirty
 )
 
+// line is one cache line, 16 bytes: lastUse and the cache clock are
+// 32-bit because the clock advances at most once per Touch hit or
+// Insert, so at most once per simulated record, and Prepare rejects
+// traces over math.MaxInt32 records.
 type line struct {
 	tag     uint64
+	lastUse uint32
 	state   lineState
-	lastUse uint64
 }
 
 // Cache is one processor's set-associative write-back cache with true LRU
 // replacement. Addresses are pre-divided by BlockSize: all methods take
-// block numbers.
+// block numbers. Its replacement clock is 32-bit: more than
+// math.MaxUint32 Touch hits and Inserts on one Cache wrap it and upset
+// the replacement order, a bound no simulation can reach.
 type Cache struct {
 	cfg CacheConfig
 	// lines holds the sets back to back: set s is
@@ -130,7 +136,7 @@ type Cache struct {
 	lines      []line
 	setMask    uint64
 	blockShift uint
-	clock      uint64
+	clock      uint32
 }
 
 // NewCache builds a cache per the configuration.
@@ -229,7 +235,7 @@ func (c *Cache) Insert(block uint64, write bool) Victim {
 		case Random:
 			// xorshift on the insertion clock: deterministic,
 			// cheap, well-spread.
-			r := c.clock
+			r := uint64(c.clock)
 			r ^= r << 13
 			r ^= r >> 7
 			r ^= r << 17

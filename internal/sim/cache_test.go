@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustCache(t *testing.T, cfg CacheConfig) *Cache {
@@ -14,6 +15,16 @@ func mustCache(t *testing.T, cfg CacheConfig) *Cache {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestCacheLineIs16Bytes pins the line layout: every concurrent run
+// allocates a machine's worth of lines, so a field order or a 64-bit
+// clock that pads a line back to 24 bytes costs half again the cache
+// memory.
+func TestCacheLineIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 16 {
+		t.Errorf("sizeof(line) = %d, want 16", got)
+	}
 }
 
 func TestCacheConfigValidate(t *testing.T) {

@@ -134,57 +134,55 @@ func TestRestrictedRunMatchesRestrict(t *testing.T) {
 // for error. The runs share the Prepared read-only, so `go test -race`
 // checks that sharing.
 func TestPreparedRunMatchesRun(t *testing.T) {
-	type job struct {
-		p   *Prepared
-		sub *trace.Trace
-		cfg Config
-	}
-	var jobs []job
 	for _, preset := range []string{"pops", "thor", "pero", "pero8"} {
 		full := genTrace(t, preset, 3000)
-		p, err := Prepare(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{1, 2, full.NCPU, full.NCPU + 2} {
-			sub := full.Restrict(n)
-			for proto := range protoNames {
-				for _, medium := range []Medium{MediumBus, MediumNetwork} {
-					for _, warm := range []float64{0, 0.5} {
-						for _, policy := range []Policy{LRU, FIFO, Random} {
-							for _, assoc := range []int{1, 2, 4} {
-								jobs = append(jobs, job{p, sub, Config{
-									NCPU:       n,
-									Cache:      CacheConfig{Size: 4096, BlockSize: 16, Assoc: assoc, Replacement: policy},
-									Protocol:   Protocol(proto),
-									Medium:     medium,
-									WarmupRefs: int(warm * float64(p.Records(n))),
-								}})
+		t.Run(preset, func(t *testing.T) {
+			t.Parallel()
+			p, err := Prepare(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type job struct {
+				sub *trace.Trace
+				cfg Config
+			}
+			work := make(chan job)
+			var wg sync.WaitGroup
+			for range max(4, runtime.GOMAXPROCS(0)) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := range work {
+						got, gotErr := p.Run(j.cfg)
+						want, wantErr := Run(j.cfg, j.sub)
+						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+							t.Errorf("%+v: prepared run (%v) differs from Run of the restricted trace (%v)", j.cfg, gotErr, wantErr)
+						}
+					}
+				}()
+			}
+			for _, n := range []int{1, 2, full.NCPU, full.NCPU + 2} {
+				sub := full.Restrict(n)
+				for proto := range protoNames {
+					for _, medium := range []Medium{MediumBus, MediumNetwork} {
+						for _, warm := range []float64{0, 0.5} {
+							for _, policy := range []Policy{LRU, FIFO, Random} {
+								for _, assoc := range []int{1, 2, 4} {
+									work <- job{sub, Config{
+										NCPU:       n,
+										Cache:      CacheConfig{Size: 4096, BlockSize: 16, Assoc: assoc, Replacement: policy},
+										Protocol:   Protocol(proto),
+										Medium:     medium,
+										WarmupRefs: int(warm * float64(p.Records(n))),
+									}}
+								}
 							}
 						}
 					}
 				}
 			}
-		}
+			close(work)
+			wg.Wait()
+		})
 	}
-	work := make(chan job)
-	var wg sync.WaitGroup
-	for range max(4, runtime.GOMAXPROCS(0)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range work {
-				got, gotErr := j.p.Run(j.cfg)
-				want, wantErr := Run(j.cfg, j.sub)
-				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-					t.Errorf("%+v: prepared run (%v) differs from Run of the restricted trace (%v)", j.cfg, gotErr, wantErr)
-				}
-			}
-		}()
-	}
-	for _, j := range jobs {
-		work <- j
-	}
-	close(work)
-	wg.Wait()
 }
