@@ -38,7 +38,7 @@ bench:
 # (validating, linking) pass itself, the two network
 # simulators at the patel/packetsim configurations (cycles/s), decoding
 # a 64-point cold-sweep-shaped /v1/sweep body, and deriving one
-# request's gateway keys.
+# request's gateway routing key.
 bench-short:
 	$(GO) test -run=NONE -bench='BenchmarkSweep|BenchmarkEvaluator' -benchmem ./internal/sweep
 	$(GO) test -run=NONE -bench='BenchmarkSimHotLoop|BenchmarkSimRestricted|BenchmarkSimPrepare' -benchmem ./internal/sim

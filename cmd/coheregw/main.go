@@ -10,7 +10,7 @@
 //	         [-policy affinity|roundrobin] [-check-interval 1s]
 //	         [-check-timeout 2s] [-fail-threshold 2] [-timeout 15s]
 //	         [-max-body BYTES] [-grace 5s] [-quiet]
-//	         [-hedge-delay 0] [-response-cache N]
+//	         [-hedge-delay 0]
 //	coheregw -backends-file backends.conf ...
 //
 // Endpoints:
@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 	timeout := fs.Duration("timeout", 15*time.Second, "per-request proxy budget, retries included")
 	maxBody := fs.Int64("max-body", 1<<20, "request body cap in bytes")
 	hedgeDelay := fs.Duration("hedge-delay", 0, "race a duplicate of an idempotent request still in flight after this delay against the next-ranked backend; 0 disables")
-	respCache := fs.Int("response-cache", 0, "gateway response cache capacity in entries; 0 disables")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown grace period for in-flight requests")
 	quiet := fs.Bool("quiet", false, "suppress info-level logs")
 	if err := fs.Parse(args); err != nil {
@@ -124,16 +123,15 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 	logger := slog.New(slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: level}))
 
 	g, err := gw.New(gw.Config{
-		Backends:         specs,
-		Policy:           *policy,
-		CheckInterval:    *checkInterval,
-		CheckTimeout:     *checkTimeout,
-		FailThreshold:    *failThreshold,
-		RequestTimeout:   *timeout,
-		MaxBodyBytes:     *maxBody,
-		HedgeDelay:       *hedgeDelay,
-		ResponseCacheCap: *respCache,
-		Logger:           logger,
+		Backends:       specs,
+		Policy:         *policy,
+		CheckInterval:  *checkInterval,
+		CheckTimeout:   *checkTimeout,
+		FailThreshold:  *failThreshold,
+		RequestTimeout: *timeout,
+		MaxBodyBytes:   *maxBody,
+		HedgeDelay:     *hedgeDelay,
+		Logger:         logger,
 	})
 	if err != nil {
 		return err

@@ -6,9 +6,8 @@ import "math"
 // workload canonicalized to the parameters that scheme reads. Two
 // queries with equal keys have the same demand under every cost table,
 // so every layer that groups or routes by query — the evaluator's batch
-// grouping, the daemon's model fingerprint, and the gateway's routing
-// and response-cache keys — builds its identity with KeyOf and hashes
-// it with Key.Hash. Key is comparable, so it serves directly as a map
+// grouping and the gateway's routing key — builds its identity with
+// KeyOf and hashes it with Key.Hash. Key is comparable, so it serves directly as a map
 // key.
 type Key struct {
 	// Scheme is SchemeKey of the query's scheme.

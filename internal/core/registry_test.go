@@ -117,8 +117,8 @@ func cacheLabel(s Scheme) string {
 
 // TestCanonicalFingerprintsPairwiseDistinct: every registered scheme
 // must produce a distinct, stable cache fingerprint — the (label,
-// canonical params) pair batch grouping and the gateway's routing and
-// response-cache keys are built from. A collision would silently serve
+// canonical params) pair batch grouping and the gateway's routing key
+// are built from. A collision would silently serve
 // one scheme's results for another.
 func TestCanonicalFingerprintsPairwiseDistinct(t *testing.T) {
 	p := MiddleParams()

@@ -198,8 +198,7 @@ func DemandBreakdown(s Scheme, p Params, costs *CostTable) ([]OpContribution, De
 // schemes carry their exact knob value in strconv's shortest round-trip
 // form, so 0.301 and 0.304 key apart where their two-decimal String
 // labels collide; other configured schemes key by String, the rest by
-// Name. Batch grouping, the daemon's model fingerprint and the
-// gateway's routing and response-cache keys all use it.
+// Name. Batch grouping and the gateway's routing key both use it.
 func SchemeKey(s Scheme) string {
 	switch v := s.(type) {
 	case interface{ cacheKey() string }:

@@ -18,8 +18,9 @@
 // Front-tier hardening on top of routing: hedged requests (an
 // idempotent request that outlives a fixed hedge delay is raced against
 // the next-ranked backend, first response wins), weighted
-// rendezvous for heterogeneous fleets, live backend-set reload without
-// a restart, and a bounded response cache for idempotent hot keys.
+// rendezvous for heterogeneous fleets, and live backend-set reload
+// without a restart. The gateway keeps no answers of its own: every
+// request is forwarded, and the backend's curve cache is the only memo.
 package gw
 
 import (
@@ -83,12 +84,6 @@ type Config struct {
 	// a duplicate against the next-ranked backend and streams whichever
 	// response arrives first, cancelling the loser. Default 0: off.
 	HedgeDelay time.Duration
-	// ResponseCacheCap bounds the gateway's response cache for
-	// idempotent hot keys (entries, LRU-evicted). Entries are keyed by
-	// the canonical cache key plus the answering backend's model
-	// fingerprint and dropped wholesale on a backend-set reload.
-	// Default 0: no response cache.
-	ResponseCacheCap int
 	// Transport overrides the backend HTTP transport (tests). Default:
 	// one shared keep-alive pool sized for the backend fleet.
 	Transport http.RoundTripper
@@ -144,8 +139,7 @@ type backend struct {
 	healthy atomic.Bool
 	fails   atomic.Int32 // consecutive probe failures
 	warmth  atomic.Pointer[serve.ReadyzCache]
-	modelFP atomic.Pointer[string] // model fingerprint from the last /readyz probe
-	stop    context.CancelFunc     // cancels this backend's probe loop (guarded by Gateway.mu)
+	stop    context.CancelFunc // cancels this backend's probe loop (guarded by Gateway.mu)
 
 	routes    atomic.Int64    // requests answered from here
 	sends     atomic.Int64    // proxied attempts issued here, hedges and retries included
@@ -200,8 +194,6 @@ type Gateway struct {
 	runCtx   context.Context
 	wg       sync.WaitGroup
 
-	cache *respCache // response cache; nil when disabled
-
 	rr           atomic.Uint64 // round-robin cursor
 	retries      atomic.Int64  // attempts beyond the first, after a transport failure
 	respills     atomic.Int64  // requests routed off their owner because it was excluded
@@ -228,9 +220,6 @@ func New(cfg Config) (*Gateway, error) {
 		client: &http.Client{Transport: cfg.Transport},
 		log:    cfg.Logger,
 		start:  time.Now(),
-	}
-	if cfg.ResponseCacheCap > 0 {
-		g.cache = newRespCache(cfg.ResponseCacheCap)
 	}
 	set, err := parseBackends(cfg.Backends)
 	if err != nil {
@@ -420,23 +409,12 @@ func (g *Gateway) Handler() http.Handler {
 // smoke drill leans on.
 const backendHeader = "X-Coheregw-Backend"
 
-// cacheHeader marks a response served from the gateway's response cache.
-const cacheHeader = "X-Coheregw-Cache"
-
 // traceHeader carries the request ID end to end: the gateway adopts a
 // valid inbound one (or mints its own), forwards it to the backend, and
 // echoes the backend's copy to the client — the same accept-or-generate
 // contract cohered applies, so one ID correlates gateway access logs
 // with backend cache events.
 const traceHeader = "X-Request-ID"
-
-// proxyOpts shapes how one request is forwarded: the response may be
-// served from / stored into the gateway response cache under cacheKey
-// when cacheable is set.
-type proxyOpts struct {
-	cacheKey  uint64
-	cacheable bool
-}
 
 // handleAPI proxies one single-point API request: read the body,
 // derive its routing key, forward along the ranked candidates.
@@ -446,12 +424,7 @@ func (g *Gateway) handleAPI(w http.ResponseWriter, r *http.Request) {
 		g.writeErr(w, http.StatusBadRequest, fmt.Sprintf("gw: reading body: %v", err))
 		return
 	}
-	route, cacheKey, cacheable := g.keys(r.URL.Path, body)
-	var opts proxyOpts
-	if g.cache != nil {
-		opts.cacheKey, opts.cacheable = cacheKey, cacheable
-	}
-	g.forward(w, r, body, route, opts)
+	g.forward(w, r, body, g.routeKey(r.URL.Path, body))
 }
 
 // forward tries the ranked candidates until one yields an HTTP
@@ -464,14 +437,11 @@ func (g *Gateway) handleAPI(w http.ResponseWriter, r *http.Request) {
 // cancellation (client gone, gateway budget) is never blamed on the
 // backend. Only when every candidate fails does the client see a
 // gateway-minted 502.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, key uint64, opts proxyOpts) {
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, key uint64) {
 	start := time.Now()
 	trace := r.Header.Get(traceHeader)
 	if !obs.ValidTraceID(trace) {
 		trace = obs.NewTraceID()
-	}
-	if opts.cacheable && g.serveFromCache(w, r, opts.cacheKey, key, trace, start) {
-		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
@@ -495,7 +465,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 		return
 	}
 	defer release()
-	g.copyResponse(w, resp, b, trace, opts)
+	g.copyResponse(w, resp, b, trace)
 	g.logRequest(r, resp.StatusCode, b.url, trace, start)
 }
 
@@ -705,9 +675,8 @@ func (g *Gateway) send(ctx context.Context, b *backend, method, uri string, body
 }
 
 // copyResponse relays one backend response to the client, echoing the
-// request ID, in a single copy. Cacheable 200s are stored in the
-// response cache on the way through.
-func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, b *backend, trace string, opts proxyOpts) {
+// request ID, in a single copy.
+func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, b *backend, trace string) {
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
@@ -719,52 +688,10 @@ func (g *Gateway) copyResponse(w http.ResponseWriter, resp *http.Response, b *ba
 	}
 	w.Header().Set(traceHeader, trace)
 	w.Header().Set(backendHeader, b.url)
-	if opts.cacheable && g.cache != nil && resp.StatusCode == http.StatusOK {
-		if fp := b.modelFP.Load(); fp != nil && *fp != "" {
-			data, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes*64))
-			if err != nil {
-				g.log.Debug("reading cacheable response", "backend", b.url, "err", err)
-				w.WriteHeader(http.StatusBadGateway)
-				return
-			}
-			g.cache.store(opts.cacheKey, *fp, resp.Header.Get("Content-Type"), b.url, data)
-			w.WriteHeader(resp.StatusCode)
-			w.Write(data) //nolint:errcheck
-			return
-		}
-	}
 	w.WriteHeader(resp.StatusCode)
 	if _, err := io.Copy(w, resp.Body); err != nil {
 		g.log.Debug("copying backend response", "backend", b.url, "err", err)
 	}
-}
-
-// serveFromCache answers a cacheable request from the response cache,
-// reporting whether it did. The lookup is keyed by the canonical cache
-// key plus the model fingerprint of the backend the routing key would
-// send the request to — a cached response from a different model build
-// can never hit.
-func (g *Gateway) serveFromCache(w http.ResponseWriter, r *http.Request, key, routeKey uint64, trace string, start time.Time) bool {
-	ranked := g.rank(routeKey)
-	if len(ranked) == 0 {
-		return false
-	}
-	fp := ranked[0].modelFP.Load()
-	if fp == nil || *fp == "" {
-		return false
-	}
-	e, ok := g.cache.lookup(key, *fp)
-	if !ok {
-		return false
-	}
-	w.Header().Set("Content-Type", e.contentType)
-	w.Header().Set(traceHeader, trace)
-	w.Header().Set(backendHeader, e.backend)
-	w.Header().Set(cacheHeader, "hit")
-	w.WriteHeader(http.StatusOK)
-	w.Write(e.body) //nolint:errcheck
-	g.logRequest(r, http.StatusOK, e.backend+" (cache)", trace, start)
-	return true
 }
 
 // markDown excludes a backend after a transport-level failure without

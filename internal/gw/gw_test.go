@@ -1,6 +1,7 @@
 package gw
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,8 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	"swcc/internal/obs"
 	"swcc/internal/serve"
 )
 
@@ -374,6 +377,92 @@ func TestSweepFanOutShareOverCap(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a bytes.Buffer safe for a logger and a test to share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSweepFanOutLogsRequest pins that a /v1/sweep fanned out over two
+// backends writes the same one access-log line a forwarded request
+// does, naming both answering backends, on success and on a remapped
+// point error.
+func TestSweepFanOutLogsRequest(t *testing.T) {
+	_, b1 := newBackend(t)
+	_, b2 := newBackend(t)
+	var logs lockedBuffer
+	g, err := New(Config{
+		Backends: []string{b1.URL, b2.URL},
+		Logger:   slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.CheckNow(context.Background())
+	ts := httptest.NewServer(g.Handler())
+	t.Cleanup(ts.Close)
+
+	var points []string
+	for i := 0; i < 16; i++ {
+		points = append(points, fmt.Sprintf(`{"scheme": "dragon", "params": {"shd": %g}, "procs": %d, "point": true}`, 0.1+float64(i)*0.05, 4+i))
+	}
+	bad := append(points, `{"scheme": "nosuchscheme", "procs": 8}`)
+	for _, tc := range []struct {
+		body string
+		code int
+	}{
+		{`{"points": [` + strings.Join(points, ",") + `]}`, http.StatusOK},
+		{`{"points": [` + strings.Join(bad, ",") + `]}`, http.StatusBadRequest},
+	} {
+		before := len(logs.String())
+		if code, data, _ := postGW(t, ts, "/v1/sweep", tc.body); code != tc.code {
+			t.Fatalf("fan-out status %d, want %d: %s", code, tc.code, data)
+		}
+		var lines []map[string]any
+		for _, line := range strings.Split(strings.TrimSpace(logs.String()[before:]), "\n") {
+			if line == "" {
+				continue
+			}
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("log line %q: %v", line, err)
+			}
+			if rec["msg"] == "gw request" {
+				lines = append(lines, rec)
+			}
+		}
+		if len(lines) != 1 {
+			t.Fatalf("status %d: %d gw request lines, want 1: %v", tc.code, len(lines), lines)
+		}
+		rec := lines[0]
+		if rec["method"] != "POST" || rec["path"] != "/v1/sweep" || rec["status"] != float64(tc.code) {
+			t.Errorf("status %d: access line %v", tc.code, rec)
+		}
+		if trace, _ := rec["trace"].(string); !obs.ValidTraceID(trace) {
+			t.Errorf("status %d: access line carries no trace: %v", tc.code, rec)
+		}
+		if _, ok := rec["duration_ms"].(float64); !ok {
+			t.Errorf("status %d: access line carries no duration_ms: %v", tc.code, rec)
+		}
+		backends, _ := rec["backend"].(string)
+		if !strings.Contains(backends, b1.URL) || !strings.Contains(backends, b2.URL) {
+			t.Errorf("status %d: access line names backends %q, want %s and %s", tc.code, backends, b1.URL, b2.URL)
+		}
+	}
+}
+
 // TestGatewayReadyz pins gateway readiness: ready with a healthy fleet,
 // not ready when every backend is gone.
 func TestGatewayReadyz(t *testing.T) {
@@ -421,9 +510,7 @@ func TestGatewayMetricsPage(t *testing.T) {
 		"swcc_gw_routes_total", "swcc_gw_backend_responses_total",
 		"swcc_gw_retries_total", "swcc_gw_respills_total",
 		"swcc_gw_hedges_total", "swcc_gw_hedge_wins_total",
-		"swcc_gw_reloads_total", "swcc_gw_response_cache_entries",
-		"swcc_gw_response_cache_hits_total", "swcc_gw_response_cache_misses_total",
-		"swcc_gw_response_cache_invalidations_total",
+		"swcc_gw_reloads_total",
 		"swcc_gw_key_fallbacks_total", "swcc_gw_bad_gateway_total",
 		"swcc_gw_backend_cache_entries", "swcc_gw_backend_hit_ratio",
 	} {

@@ -23,22 +23,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// keys derives a request's routing key and, for the pure single-point
-// endpoints, its response-cache key. Bus and network bodies decode
-// through the backend's own decoder (serve.DecodeBus, DecodeNetwork) and
-// key on (scheme identity, canonical params). Bodies the decoder rejects
-// — which the backend will reject too — and endpoints with no single
-// scheme (advisor, sensitivity) fall back to hashing the raw bytes,
-// which affects only affinity quality (identical bodies still
-// co-locate), never correctness.
-//
-// Unlike the routing key, the response key must separate everything
-// that changes the response BYTES, so it folds in the path, the
-// processor count as sent (bus routing keys deliberately share one key
-// across populations of a curve), and the point/full response shape.
-// Only a canonically keyed body is cacheable: a canonical key proves two
-// requests are the same question.
-func (g *Gateway) keys(path string, body []byte) (route, resp uint64, cacheable bool) {
+// routeKey derives a single-point request's routing key. Bus and
+// network bodies decode through the backend's own decoder
+// (serve.DecodeBus, DecodeNetwork) and key by queryKey. Endpoints with
+// no single scheme (advisor, sensitivity) hash the raw bytes, which
+// affects only affinity quality (identical bodies still co-locate),
+// never correctness.
+func (g *Gateway) routeKey(path string, body []byte) uint64 {
 	var q serve.Query
 	var err error
 	switch path {
@@ -47,19 +38,22 @@ func (g *Gateway) keys(path string, body []byte) (route, resp uint64, cacheable 
 	case "/v1/network":
 		q, err = serve.DecodeNetwork(body)
 	default:
-		return rawKey(body), 0, false
+		return rawKey(body)
 	}
+	return g.queryKey(q, err, body)
+}
+
+// queryKey is the one definition of a routing key for a decoded query,
+// shared by the single-point endpoints and each /v1/sweep point: the
+// hash of (scheme identity, canonical params). A query the decoder
+// rejected — which the backend will reject too — keys by its raw bytes
+// and counts as a key fallback.
+func (g *Gateway) queryKey(q serve.Query, err error, raw []byte) uint64 {
 	if err != nil {
 		g.keyFallbacks.Add(1)
-		return rawKey(body), 0, false
+		return rawKey(raw)
 	}
-	route = core.KeyOf(q.Scheme, q.Params).Hash(core.FNVOffset)
-	h := core.HashBytes(route, path)
-	h = core.HashFloat(h, float64(q.Procs))
-	if q.Point {
-		h = core.HashBytes(h, "point")
-	}
-	return route, h, true
+	return core.KeyOf(q.Scheme, q.Params).Hash(core.FNVOffset)
 }
 
 // rawKey is the fallback routing key: FNV-1a over the body bytes.

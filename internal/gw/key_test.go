@@ -42,9 +42,10 @@ func canonicalBody(path string, q serve.Query, collapse bool) string {
 	return b.String()
 }
 
-// FuzzPointKey: key derivation never panics on any body, and bodies
-// that resolve to the same canonical query get the same routing and
-// response-cache keys.
+// FuzzPointKey: key derivation never panics on any body, a body the
+// decoder rejects keys by its raw bytes and counts one key fallback,
+// and bodies that resolve to the same canonical query get the same
+// routing key.
 func FuzzPointKey(f *testing.F) {
 	for _, r := range routingGoldenRequests() {
 		f.Add(r.path == "/v1/network", []byte(r.body))
@@ -57,22 +58,21 @@ func FuzzPointKey(f *testing.F) {
 			path, decode = "/v1/network", serve.DecodeNetwork
 		}
 		g := &Gateway{}
-		route, resp, cacheable := g.keys(path, body)
+		route := g.routeKey(path, body)
 		q, err := decode(body)
 		if err != nil {
-			if cacheable || route != rawKey(body) {
-				t.Fatalf("rejected body %q keyed canonically", body)
+			if route != rawKey(body) || g.keyFallbacks.Load() != 1 {
+				t.Fatalf("rejected body %q keyed %x with %d fallbacks, want raw key %x and 1", body, route, g.keyFallbacks.Load(), rawKey(body))
 			}
 			return
 		}
-		if !cacheable {
-			t.Fatalf("accepted body %q not cacheable", body)
+		if n := g.keyFallbacks.Load(); n != 0 {
+			t.Fatalf("accepted body %q counted %d key fallbacks", body, n)
 		}
 		for _, collapse := range []bool{false, true} {
 			alt := canonicalBody(path, q, collapse)
-			r2, c2, ok := g.keys(path, []byte(alt))
-			if !ok || r2 != route || c2 != resp {
-				t.Fatalf("%q and %q ask the same question but key %x/%x vs %x/%x", body, alt, route, resp, r2, c2)
+			if r2 := g.routeKey(path, []byte(alt)); r2 != route || g.keyFallbacks.Load() != 0 {
+				t.Fatalf("%q and %q ask the same question but key %x vs %x", body, alt, route, r2)
 			}
 		}
 	})
@@ -100,8 +100,7 @@ func TestRoutingKeyMatchesEvaluatorEntry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.body, err)
 		}
-		route, _, _ := g.keys(r.path, []byte(r.body))
-		bodies = append(bodies, keyed{r.body, q, route})
+		bodies = append(bodies, keyed{r.body, q, g.routeKey(r.path, []byte(r.body))})
 	}
 	ctx, costs := context.Background(), core.BusCosts()
 	for i, a := range bodies {
@@ -122,15 +121,16 @@ func TestRoutingKeyMatchesEvaluatorEntry(t *testing.T) {
 	}
 }
 
-// BenchmarkPointKey measures deriving both keys of one single-point
-// /v1/bus body shaped like the benchmark's traffic.
+// BenchmarkPointKey measures deriving the routing key of one
+// single-point /v1/bus body shaped like the benchmark's traffic.
 func BenchmarkPointKey(b *testing.B) {
 	body := []byte(`{"scheme": "hybrid", "lockfrac": 0.6180339887498949, "params": {"ls": 0.30000000000000004, "msdat": 0.014, "shd": 0.25, "wr": 0.25, "apl": 13}, "procs": 258, "point": true}`)
 	g := &Gateway{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := g.keys("/v1/bus", body); !ok {
-			b.Fatal("body not keyed canonically")
-		}
+		g.routeKey("/v1/bus", body)
+	}
+	if g.keyFallbacks.Load() != 0 {
+		b.Fatal("body not keyed canonically")
 	}
 }

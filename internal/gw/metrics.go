@@ -24,10 +24,6 @@ var MetricFamilies = []obs.Family{
 	{Name: "swcc_gw_key_fallbacks_total", Type: obs.TypeCounter, Help: "Requests keyed by raw body bytes because canonical parsing failed."},
 	{Name: "swcc_gw_bad_gateway_total", Type: obs.TypeCounter, Help: "Gateway-minted 502s: every candidate backend failed."},
 	{Name: "swcc_gw_reloads_total", Type: obs.TypeCounter, Help: "Backend-set reloads applied without a restart."},
-	{Name: "swcc_gw_response_cache_entries", Type: obs.TypeGauge, Help: "Responses currently held in the gateway response cache."},
-	{Name: "swcc_gw_response_cache_hits_total", Type: obs.TypeCounter, Help: "Cacheable requests answered from the gateway response cache."},
-	{Name: "swcc_gw_response_cache_misses_total", Type: obs.TypeCounter, Help: "Cacheable requests the response cache could not answer."},
-	{Name: "swcc_gw_response_cache_invalidations_total", Type: obs.TypeCounter, Help: "Wholesale response-cache drops after a backend-set change."},
 	{Name: "swcc_gw_backend_cache_entries", Type: obs.TypeGauge, Help: "Curve-cache entries per backend, from its last /readyz probe."},
 	{Name: "swcc_gw_backend_hit_ratio", Type: obs.TypeGauge, Help: "Lifetime cache hit ratio per backend, from its last /readyz probe."},
 }
@@ -83,16 +79,6 @@ func (g *Gateway) writeMetrics(w io.Writer) {
 	p.Family("swcc_gw_key_fallbacks_total").Int(g.keyFallbacks.Load())
 	p.Family("swcc_gw_bad_gateway_total").Int(g.badGateway.Load())
 	p.Family("swcc_gw_reloads_total").Int(g.reloads.Load())
-
-	var entries int
-	var hits, misses, invalidations int64
-	if g.cache != nil {
-		entries, hits, misses, invalidations = g.cache.stats()
-	}
-	p.Family("swcc_gw_response_cache_entries").Int(int64(entries))
-	p.Family("swcc_gw_response_cache_hits_total").Int(hits)
-	p.Family("swcc_gw_response_cache_misses_total").Int(misses)
-	p.Family("swcc_gw_response_cache_invalidations_total").Int(invalidations)
 
 	p.Family("swcc_gw_backend_cache_entries")
 	for _, b := range backends {

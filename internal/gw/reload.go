@@ -35,9 +35,8 @@ func (r ReloadResult) Changed() bool {
 // and new sets keep their identity and state; added backends join
 // healthy and get a probe loop (when Run is active) whose first round
 // corrects that within CheckInterval; removed backends stop being
-// ranked but finish their in-flight requests. A membership change also
-// drops the response cache — its entries were computed by a fleet that
-// no longer exists. On a spec error the current set is left untouched.
+// ranked but finish their in-flight requests. On a spec error the
+// current set is left untouched.
 func (g *Gateway) Reload(specs []string) (ReloadResult, error) {
 	parsed, err := parseBackends(specs)
 	if err != nil {
@@ -79,9 +78,6 @@ func (g *Gateway) Reload(specs []string) (ReloadResult, error) {
 	g.reloads.Add(1)
 	g.mu.Unlock()
 
-	if g.cache != nil && len(res.Added)+len(res.Removed) > 0 {
-		g.cache.invalidate()
-	}
 	if res.Changed() {
 		g.log.Info("backend set reloaded",
 			"backends", len(next), "added", res.Added, "removed", res.Removed,

@@ -79,24 +79,18 @@ func routingGoldenRequests() []struct{ path, body string } {
 
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// renderRoutingKeys renders the golden table: routing key, response
-// cache key ("-" when the body is not response-cacheable), path, body.
+// renderRoutingKeys renders the golden table: routing key, path, body.
 func renderRoutingKeys() []byte {
 	g := &Gateway{}
 	var buf bytes.Buffer
 	for _, r := range routingGoldenRequests() {
-		route, resp, cacheable := g.keys(r.path, []byte(r.body))
-		rk := "-"
-		if cacheable {
-			rk = fmt.Sprintf("%016x", resp)
-		}
-		fmt.Fprintf(&buf, "%016x %s %s %s\n", route, rk, r.path, r.body)
+		fmt.Fprintf(&buf, "%016x %s %s\n", g.routeKey(r.path, []byte(r.body)), r.path, r.body)
 	}
 	return buf.Bytes()
 }
 
-// TestRoutingKeysPinned pins the routing and response-cache keys of
-// accepted bodies byte for byte.
+// TestRoutingKeysPinned pins the routing keys of accepted bodies byte
+// for byte.
 func TestRoutingKeysPinned(t *testing.T) {
 	// Every pinned body must be one the backend accepts: keys of
 	// rejected bodies carry no affinity promise.

@@ -8,9 +8,10 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
+	"time"
 
-	"swcc/internal/core"
 	"swcc/internal/obs"
 	"swcc/internal/serve"
 )
@@ -36,11 +37,13 @@ type sweepResult struct {
 // variable only so tests can lower it.
 var maxSweepShare int64 = 64 << 20
 
-// subFailure is one failed sub-batch, carried to error remapping.
-type subFailure struct {
+// subGroup is one owner's sub-batch of a fanned-out batch. A failed
+// sub-batch carries its status and body to error remapping.
+type subGroup struct {
 	status  int
 	body    []byte
-	indexes []int // original caller indexes, sub-batch order
+	indexes []int  // original caller indexes, sub-batch order
+	backend string // URL of the backend that answered; "" if none did
 }
 
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -59,24 +62,19 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	points, spans, err := serve.DecodeSweep(body)
 	if err != nil || !spans || len(points) == 0 ||
 		g.cfg.Policy == PolicyRoundRobin || len(g.healthySet()) == 1 {
-		g.forward(w, r, body, rawKey(body), proxyOpts{})
+		g.forward(w, r, body, rawKey(body))
 		return
 	}
 
 	keys := make([]uint64, len(points))
 	for i, pt := range points {
-		if pt.Err == nil {
-			keys[i] = core.KeyOf(pt.Query.Scheme, pt.Query.Params).Hash(core.FNVOffset)
-		} else {
-			g.keyFallbacks.Add(1)
-			keys[i] = rawKey(body[pt.Start:pt.End])
-		}
+		keys[i] = g.queryKey(pt.Query, pt.Err, body[pt.Start:pt.End])
 	}
 	// Partition by owner over the current healthy set. Group order
 	// follows first appearance, so reassembly and error precedence are
 	// deterministic for a given batch and fleet state.
 	groupOf := map[*backend]int{}
-	var groups []*subFailure // indexes filled here; status/body after send
+	var groups []*subGroup // indexes filled here; the rest after send
 	var groupKeys []uint64
 	for i, key := range keys {
 		b := g.rank(key)[0]
@@ -84,18 +82,19 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			gi = len(groups)
 			groupOf[b] = gi
-			groups = append(groups, &subFailure{})
+			groups = append(groups, &subGroup{})
 			groupKeys = append(groupKeys, key)
 		}
 		groups[gi].indexes = append(groups[gi].indexes, i)
 	}
 	if len(groups) == 1 {
-		g.forward(w, r, body, keys[0], proxyOpts{})
+		g.forward(w, r, body, keys[0])
 		return
 	}
 
 	// One request ID spans the whole fan-out: every sub-batch carries it
 	// to its backend, so the backends' logs for one client batch join up.
+	start := time.Now()
 	trace := r.Header.Get(traceHeader)
 	if !obs.ValidTraceID(trace) {
 		trace = obs.NewTraceID()
@@ -118,13 +117,14 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 				g.badGateway.Add(1)
 				grp.status, grp.body = http.StatusBadGateway, []byte(fmt.Sprintf("{\"error\":%q}", msg))
 			}
-			resp, _, release, err := g.attempt(ctx, g.rank(groupKeys[gi]), groupKeys[gi], http.MethodPost, r.URL.RequestURI(), sub, trace)
+			resp, ab, release, err := g.attempt(ctx, g.rank(groupKeys[gi]), groupKeys[gi], http.MethodPost, r.URL.RequestURI(), sub, trace)
 			if err != nil {
 				badGateway("gw: no backend answered: " + err.Error())
 				return
 			}
 			defer release()
 			defer resp.Body.Close()
+			grp.backend = ab.url
 			rb, err := io.ReadAll(io.LimitReader(resp.Body, maxSweepShare+1))
 			switch {
 			case err != nil:
@@ -152,16 +152,24 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Failure precedence mirrors a single backend's: the error naming
 	// the lowest original point index wins, its sub-batch-local index
 	// rewritten so the client is told which of ITS points failed.
-	var failed *subFailure
+	var failed *subGroup
+	var answered []string
 	for _, grp := range groups {
 		if grp.status != 0 && (failed == nil || grp.indexes[0] < failed.indexes[0]) {
 			failed = grp
 		}
+		if grp.backend != "" {
+			answered = append(answered, grp.backend)
+		}
 	}
+	// One access-log line for the whole fan-out, as a forwarded request
+	// gets, naming every backend that answered a share.
+	backends := strings.Join(answered, ",")
 	if failed != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(failed.status)
 		w.Write(remapPointErr(failed.body, failed.indexes))
+		g.logRequest(r, failed.status, backends, trace, start)
 		return
 	}
 
@@ -171,6 +179,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Results []json.RawMessage `json:"results"`
 	}{Count: len(results), Results: results}
 	json.NewEncoder(w).Encode(out)
+	g.logRequest(r, http.StatusOK, backends, trace, start)
 }
 
 // subBatch builds the /v1/sweep body for the points at the given

@@ -9,9 +9,9 @@ import (
 
 // The model-query decoder: /v1/bus, /v1/network and /v1/sweep bodies go
 // straight from bytes to resolved queries, with no reflection and no
-// intermediate request structs. The gateway derives its routing and
-// response-cache keys through the same functions, so both tiers agree on
-// what a body asks by construction.
+// intermediate request structs. The gateway derives its routing key
+// through the same functions, so both tiers agree on what a body asks
+// by construction.
 //
 // The decoder accepts exactly the bodies encoding/json's strict decoding
 // (unknown fields disallowed) into the former request structs accepted,

@@ -17,7 +17,6 @@ import (
 	"swcc/internal/fault"
 	"swcc/internal/jsonscan"
 	"swcc/internal/obs"
-	"swcc/internal/queueing"
 	"swcc/internal/sensitivity"
 	"swcc/internal/sweep"
 )
@@ -579,10 +578,6 @@ type ReadyzResponse struct {
 	Reason string `json:"reason,omitempty"`
 	// Cache reports the evaluator's warmth.
 	Cache ReadyzCache `json:"cache"`
-	// ModelFingerprint identifies the analytic model build this backend
-	// runs (see modelFingerprint). A gateway response cache keys on it
-	// so bytes computed by one build are never served for another.
-	ModelFingerprint string `json:"model_fingerprint,omitempty"`
 }
 
 // handleReadyz implements GET /readyz: 503 while the daemon is
@@ -592,8 +587,7 @@ type ReadyzResponse struct {
 // lifetime: ready is "send me traffic", healthy is "don't restart me".
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	st := s.ev.Stats()
-	resp := ReadyzResponse{Ready: true, Cache: ReadyzCache{CurveEntries: st.CurveEntries},
-		ModelFingerprint: modelFingerprint()}
+	resp := ReadyzResponse{Ready: true, Cache: ReadyzCache{CurveEntries: st.CurveEntries}}
 	if lookups := st.MVAHits + st.MVASolves; lookups > 0 {
 		resp.Cache.HitRatio = float64(st.MVAHits) / float64(lookups)
 	}
@@ -608,49 +602,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.writeJSON(w, code, resp)
 }
-
-// modelFingerprint returns a string that changes whenever the model
-// code would change a cached answer or a cache key, so a gateway
-// response cache keyed on it never serves bytes one build computed on
-// behalf of another. It is behavioral, not declared: the fingerprint
-// hashes the exact float bits of probe solves through every layer a
-// response depends on — each registered scheme's demand at the Table 7
-// middle workload under the bus cost table, each scheme's canonicalized
-// cache key (so a ParamsUsed declaration change invalidates too), and
-// one plain and one priority MVA curve. A refactor that preserves all
-// outputs bit-for-bit keeps the fingerprint, exactly as it keeps cached
-// entries valid. The probe solves are pure functions of the build, so
-// one computation serves the process.
-var modelFingerprint = sync.OnceValue(func() string {
-	h := core.FNVOffset
-	p := core.MiddleParams()
-	costs := core.BusCosts()
-	for _, info := range core.RegisteredSchemes() {
-		s := info.Scheme
-		h = core.KeyOf(s, p).Hash(h)
-		d, err := core.ComputeDemand(s, p, costs)
-		if err != nil {
-			h = core.HashBytes(h, err.Error())
-			continue
-		}
-		h = core.HashFloat(h, d.CPU)
-		h = core.HashFloat(h, d.Interconnect)
-		h = core.HashFloat(h, d.Priority)
-	}
-	hashCurve := func(curve []queueing.SingleServerResult, err error) {
-		if err != nil {
-			return
-		}
-		for _, r := range curve {
-			for _, f := range [...]float64{r.Residence, r.Wait, r.Throughput, r.QueueLength, r.Utilization} {
-				h = core.HashFloat(h, f)
-			}
-		}
-	}
-	hashCurve(queueing.SingleServerMVA(3.75, 1.25, 8))
-	hashCurve(queueing.PrioritySingleServerMVA(3.75, 0.25, 1.0, 8, nil))
-	return fmt.Sprintf("%016x", h)
-})
 
 // --- /metrics ---
 

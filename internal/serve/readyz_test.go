@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -98,22 +97,5 @@ func TestReadyzCacheWarmth(t *testing.T) {
 	}
 	if rz.Cache.HitRatio <= 0 || rz.Cache.HitRatio > 1 {
 		t.Fatalf("hit ratio %v out of range after repeated identical requests", rz.Cache.HitRatio)
-	}
-}
-
-// TestModelFingerprintStable pins that the fingerprint is deterministic
-// within a process, has its fixed 16-hex-digit form, and is what
-// /readyz advertises to the gateway's response cache.
-func TestModelFingerprintStable(t *testing.T) {
-	a, b := modelFingerprint(), modelFingerprint()
-	if a != b {
-		t.Fatalf("fingerprint unstable: %q vs %q", a, b)
-	}
-	if len(a) != 16 || strings.Trim(a, "0123456789abcdef") != "" {
-		t.Fatalf("fingerprint %q is not 16 lowercase hex digits", a)
-	}
-	_, ts := newTestServer(t, Config{})
-	if _, rz := getReadyz(t, ts); rz.ModelFingerprint != a {
-		t.Fatalf("/readyz advertises %q, want %q", rz.ModelFingerprint, a)
 	}
 }

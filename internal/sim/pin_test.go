@@ -90,49 +90,14 @@ func TestResultPin(t *testing.T) {
 	}
 }
 
-// TestRestrictedRunMatchesRestrict: a machine smaller than the trace
-// simulates the trace's first NCPU processors in place, and every
-// Result (or error) equals the run of the copied restriction, over
-// TestResultPin's matrix.
-func TestRestrictedRunMatchesRestrict(t *testing.T) {
-	for _, preset := range []string{"pops", "thor", "pero", "pero8"} {
-		full := genTrace(t, preset, 3000)
-		t.Run(preset, func(t *testing.T) {
-			t.Parallel()
-			for _, n := range []int{1, 2, full.NCPU} {
-				sub := full.Restrict(n)
-				for p := range protoNames {
-					for _, medium := range []Medium{MediumBus, MediumNetwork} {
-						for _, warm := range []float64{0, 0.5} {
-							for _, policy := range []Policy{LRU, FIFO, Random} {
-								for _, assoc := range []int{1, 2, 4} {
-									cfg := Config{
-										NCPU:       n,
-										Cache:      CacheConfig{Size: 4096, BlockSize: 16, Assoc: assoc, Replacement: policy},
-										Protocol:   Protocol(p),
-										Medium:     medium,
-										WarmupRefs: int(warm * float64(len(sub.Refs))),
-									}
-									got, gotErr := Run(cfg, full)
-									want, wantErr := Run(cfg, sub)
-									if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-										t.Fatalf("%+v: in place (%v) differs from the restricted trace's run (%v)", cfg, gotErr, wantErr)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestPreparedRunMatchesRun: every configuration of TestResultPin's
 // matrix, run concurrently from one Prepared per preset, equals the
 // one-shot Run of the copied restriction, Result for Result and error
-// for error. The runs share the Prepared read-only, so `go test -race`
-// checks that sharing.
+// for error. A machine smaller than the trace simulates the trace's
+// first NCPU processors in place, and since Run is Prepare followed by
+// one Prepared.Run, this also pins Run of the full trace against Run of
+// its restriction. The runs share the Prepared read-only, so
+// `go test -race` checks that sharing.
 func TestPreparedRunMatchesRun(t *testing.T) {
 	for _, preset := range []string{"pops", "thor", "pero", "pero8"} {
 		full := genTrace(t, preset, 3000)
