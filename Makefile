@@ -105,12 +105,13 @@ fuzz-smoke:
 
 # Focused race hammers: the shared-evaluator and shared-server stress
 # tests, repeated, under the race detector — the concurrency gate on the
-# sharded cache, the singleflight paths, the batch endpoint fan-out, and
-# a whole-registry regeneration's two lanes sharing one simulation memo.
+# sharded cache, the singleflight paths, the batch endpoint fan-out, a
+# whole-registry regeneration's two lanes sharing one simulation memo,
+# and concurrent simulations sharing one sim.Prepared per trace.
 race-hammer:
 	$(GO) test -race -count=2 \
-		-run 'TestEvaluatorConcurrentHammer|TestSingleflightColdKeyRace|TestConcurrentRequestsBitIdentical|TestRunAllHoldsOneTrace|TestRunAllParallelMatchesSequential' \
-		./internal/sweep ./internal/serve ./internal/experiments
+		-run 'TestEvaluatorConcurrentHammer|TestSingleflightColdKeyRace|TestConcurrentRequestsBitIdentical|TestRunAllHoldsOneTrace|TestRunAllParallelMatchesSequential|TestRunDependsOnlyOnPerProcessorOrder' \
+		./internal/sweep ./internal/serve ./internal/experiments ./internal/sim
 
 # Documentation gate: every exported identifier in the serving stack
 # must carry a doc comment (OPERATIONS.md's and SCHEMES.md's drift

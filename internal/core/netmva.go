@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"swcc/internal/queueing"
@@ -19,6 +20,11 @@ import (
 // uncontended limit and share the saturation bandwidth N*Forward(1); in
 // between, the MVA variant queues blocked requests instead of retrying
 // them, so it is mildly more optimistic.
+//
+// The solution's unnormalized probabilities overflow float64 on large
+// networks (at MiddleParams, from 10 stages under No-Cache, 11 under
+// Software-Flush and 12 under Base); such a network is ErrUnsupported,
+// not a NaN.
 func EvaluateNetworkMVA(s Scheme, p Params, stages int) (NetworkPoint, error) {
 	if stages < 1 {
 		return NetworkPoint{}, fmt.Errorf("core: stages %d < 1", stages)
@@ -64,15 +70,17 @@ func EvaluateNetworkMVA(s Scheme, p Params, stages int) (NetworkPoint, error) {
 		return float64(nproc) * pn.Forward(m)
 	}
 	res, err := queueing.LoadDependentMVA(think, rate, nproc)
+	if errors.Is(err, queueing.ErrOverflow) {
+		return NetworkPoint{}, fmt.Errorf("%w: the MVA network model overflows at %d stages: %w", ErrUnsupported, stages, err)
+	}
 	if err != nil {
 		return NetworkPoint{}, err
 	}
-	last := res[nproc-1]
-	// last.Throughput is unit requests per cycle machine-wide; each
+	// res.Throughput is unit requests per cycle machine-wide; each
 	// instruction consumes b unit requests, so the machine executes
 	// X/b instructions per cycle = its processing power.
-	pt.Power = last.Throughput / d.Interconnect
+	pt.Power = res.Throughput / d.Interconnect
 	pt.Utilization = pt.Power / float64(nproc)
-	pt.PatelU = 1 - last.QueueLength/float64(nproc)
+	pt.PatelU = 1 - res.QueueLength/float64(nproc)
 	return pt, nil
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"time"
+
+	"swcc/internal/queueing"
 )
 
 func TestNetworkMVAUncontendedLimit(t *testing.T) {
@@ -85,5 +89,23 @@ func TestNetworkMVAErrors(t *testing.T) {
 	bad.Shd = 2
 	if _, err := EvaluateNetworkMVA(Base{}, bad, 4); err == nil {
 		t.Error("want error for invalid params")
+	}
+}
+
+// TestNetworkMVAOverflowUnsupported checks that a network too large for
+// the load-dependent solution's float64 arithmetic is ErrUnsupported
+// naming the overflow, not a NaN power, and that the solver stops at the
+// overflow instead of solving every population: the largest servable
+// network, 2^20 processors, answers at once.
+func TestNetworkMVAOverflowUnsupported(t *testing.T) {
+	for _, s := range []Scheme{Base{}, NoCache{}, SoftwareFlush{}} {
+		start := time.Now()
+		pt, err := EvaluateNetworkMVA(s, MiddleParams(), 20)
+		if !errors.Is(err, ErrUnsupported) || !errors.Is(err, queueing.ErrOverflow) {
+			t.Errorf("%s at 20 stages: %+v, %v; want ErrUnsupported for the overflow", s.Name(), pt, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%s at 20 stages took %v, want under 2s", s.Name(), d)
+		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 
 // ErrUnsupported reports a scheme evaluated on hardware that cannot
 // implement it (e.g. Dragon on a multistage network, which has no
-// broadcast medium for snooping).
+// broadcast medium for snooping), or a model asked for a machine beyond
+// its numeric range (the MVA network model's float64 overflow).
 var ErrUnsupported = errors.New("core: scheme unsupported on this interconnect")
 
 // OpFreq pairs an operation with its frequency per (non-flush) instruction.

@@ -110,7 +110,7 @@ func lookup[K comparable, T any](mu *sync.Mutex, entries map[K]*memoEntry[T], k 
 }
 
 // traceSource is a generator configuration and its trace, generated
-// and prepared (validated and linked, sim.Prepare) on first use, so an
+// and prepared (validated and threaded, sim.Prepare) on first use, so an
 // experiment whose results are all shared never generates it. Every
 // simulation and measurement of the trace runs from the one prepared
 // copy until the memo that handed the source out releases it.

@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -20,60 +21,72 @@ type LoadDependentResult struct {
 	Idle float64
 }
 
+// ErrOverflow reports a population too large for the load-dependent
+// solution's float64 arithmetic.
+var ErrOverflow = errors.New("queueing: float64 overflow")
+
 // LoadDependentMVA solves a closed system of `customers` customers that
 // think for mean `think` cycles and then queue at a server whose
 // completion rate with k customers present is rate(k) (completions per
 // cycle, k >= 1). The solution is the exact birth-death stationary
-// distribution: lambda(k) = (n-k)/think, mu(k) = rate(k).
+// distribution: lambda(k) = (n-k)/think, mu(k) = rate(k). It calls
+// rate once per k = 1..customers.
+//
+// The stationary probabilities are formed unnormalized, p[0] = 1, so a
+// large population whose server is the bottleneck overflows float64;
+// that is ErrOverflow, reported as soon as a p[k] or their sum does.
 //
 // This is the contention model the paper's footnote 2 sketches for
 // multistage networks: "the multistage network is represented as a
 // load-dependent service center characterised by its service rate at
 // various loads."
-func LoadDependentMVA(think float64, rate func(k int) float64, customers int) ([]LoadDependentResult, error) {
+func LoadDependentMVA(think float64, rate func(k int) float64, customers int) (LoadDependentResult, error) {
 	if customers < 1 {
-		return nil, fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
+		return LoadDependentResult{}, fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
 	}
 	if think <= 0 {
-		return nil, fmt.Errorf("%w: think %g must be positive (instant re-request makes the chain degenerate)", ErrInvalidInput, think)
+		return LoadDependentResult{}, fmt.Errorf("%w: think %g must be positive (instant re-request makes the chain degenerate)", ErrInvalidInput, think)
 	}
 	if rate == nil {
-		return nil, fmt.Errorf("%w: nil rate function", ErrInvalidInput)
+		return LoadDependentResult{}, fmt.Errorf("%w: nil rate function", ErrInvalidInput)
 	}
-	results := make([]LoadDependentResult, customers)
-	for n := 1; n <= customers; n++ {
-		// Unnormalized stationary probabilities p[k], k customers at
-		// the server.
-		p := make([]float64, n+1)
-		p[0] = 1
-		for k := 1; k <= n; k++ {
-			mu := rate(k)
-			if mu <= 0 || math.IsNaN(mu) || math.IsInf(mu, 0) {
-				return nil, fmt.Errorf("%w: rate(%d) = %g", ErrInvalidInput, k, mu)
-			}
-			lambda := float64(n-k+1) / think
-			p[k] = p[k-1] * lambda / mu
+	n := customers
+	// Unnormalized stationary probabilities p[k], k customers at the
+	// server, and the rates mu[k] they were formed with. Both grow as
+	// they go, so an overflow early in a large population allocates
+	// little.
+	p := []float64{1}
+	mu := []float64{0}
+	sum := 1.0
+	for k := 1; k <= n; k++ {
+		m := rate(k)
+		if m <= 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+			return LoadDependentResult{}, fmt.Errorf("%w: rate(%d) = %g", ErrInvalidInput, k, m)
 		}
-		sum := 0.0
-		for _, v := range p {
-			sum += v
+		lambda := float64(n-k+1) / think
+		pk := p[k-1] * lambda / m
+		sum += pk
+		if math.IsInf(sum, 0) {
+			return LoadDependentResult{}, fmt.Errorf("%w: %d customers: the unnormalized probabilities pass %g at %d at the server",
+				ErrOverflow, n, math.MaxFloat64, k)
 		}
-		var x, q float64
-		for k := 1; k <= n; k++ {
-			prob := p[k] / sum
-			x += prob * rate(k)
-			q += prob * float64(k)
-		}
-		res := LoadDependentResult{
-			Customers:   n,
-			Throughput:  x,
-			QueueLength: q,
-			Idle:        p[0] / sum,
-		}
-		if x > 0 {
-			res.Residence = q / x
-		}
-		results[n-1] = res
+		p = append(p, pk)
+		mu = append(mu, m)
 	}
-	return results, nil
+	var x, q float64
+	for k := 1; k <= n; k++ {
+		prob := p[k] / sum
+		x += prob * mu[k]
+		q += prob * float64(k)
+	}
+	res := LoadDependentResult{
+		Customers:   n,
+		Throughput:  x,
+		QueueLength: q,
+		Idle:        p[0] / sum,
+	}
+	if x > 0 {
+		res.Residence = q / x
+	}
+	return res, nil
 }

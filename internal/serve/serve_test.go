@@ -245,6 +245,22 @@ func TestUnsupportedScheme(t *testing.T) {
 	}
 }
 
+// TestNetworkMVAOverflowIs422 checks that the MVA network model on a
+// network too large for its float64 arithmetic answers a prompt 422
+// naming the overflow: not a 500 from encoding a NaN, and not a solve
+// slot held while every smaller population is solved.
+func TestNetworkMVAOverflowIs422(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	start := time.Now()
+	code, body := post(t, ts, "/v1/network", `{"scheme": "base", "stages": 20, "model": "mva"}`)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "overflow") {
+		t.Errorf("mva at 20 stages: status %d, body %s; want a 422 naming the overflow", code, body)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("mva at 20 stages took %v, want under 2s", d)
+	}
+}
+
 // TestMethodAndRouteErrors checks the router rejects wrong methods and
 // unknown paths.
 func TestMethodAndRouteErrors(t *testing.T) {

@@ -15,12 +15,12 @@ import (
 )
 
 // TestRunAllocBudget pins Run's memory per trace record: the engine walks
-// the trace in place through a 4-byte next-record link per record, so
-// with the per-processor caches it stays under 10 bytes a record. A copy
-// of the trace into per-processor streams (16 bytes a record more) fails
-// it.
+// the trace in place through a 1-byte skip to the next record per
+// record, so with the per-processor caches it stays under 5 bytes a
+// record. A 4-byte next-record link per record, or a copy of the trace
+// into per-processor streams (16 bytes a record more), fails it.
 func TestRunAllocBudget(t *testing.T) {
-	const budget = 10
+	const budget = 5
 	tr := genTrace(t, "pops", 20_000)
 	cache := CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}
 	for p := range protoNames {
@@ -42,14 +42,14 @@ func TestRunAllocBudget(t *testing.T) {
 
 // TestRestrictedRunAllocBudget pins the in-place walk of a machine
 // smaller than the trace: a 1..7-processor run of the 8-processor pero8
-// trace allocates its caches plus one 4-byte link per full-trace record,
-// and nothing per simulated record. A copy of the restricted records
-// (16 bytes each, 2 bytes per full-trace record even at one processor)
-// fails it.
+// trace allocates its caches plus one 1-byte skip per full-trace record,
+// and nothing per simulated record. A 4-byte link per full-trace record,
+// or a copy of the restricted records (16 bytes each, 2 bytes per
+// full-trace record even at one processor), fails it.
 func TestRestrictedRunAllocBudget(t *testing.T) {
-	// pageSlack absorbs the rounding of the link array's allocation up
+	// pageSlack absorbs the rounding of the skip array's allocation up
 	// to whole pages.
-	const budget, pageSlack = 4, 8 << 10
+	const budget, pageSlack = 1, 8 << 10
 	tr := genTrace(t, "pero8", 20_000)
 	empty := &trace.Trace{NCPU: tr.NCPU}
 	cache := CacheConfig{Size: 64 * 1024, BlockSize: 16, Assoc: 2}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"swcc/internal/trace"
@@ -61,7 +62,7 @@ func BenchmarkSimHotLoop(b *testing.B) {
 
 // BenchmarkSimRestricted runs 1-, 4- and 8-processor machines from one
 // Prepared 8-processor pero8 trace, as the validation experiments sweep
-// machine sizes. The trace is validated and linked once, outside the
+// machine sizes. The trace is validated and threaded once, outside the
 // timer, so refs/s counts simulated records (those of the machine's
 // processors) per second and nothing else.
 func BenchmarkSimRestricted(b *testing.B) {
@@ -85,17 +86,24 @@ func BenchmarkSimRestricted(b *testing.B) {
 	}
 }
 
-// BenchmarkSimPrepare is the validating, linking pass every simulated
+// BenchmarkSimPrepare is the validating, threading pass every simulated
 // trace goes through once; records/s is trace records prepared per
-// second.
+// second, and B/record is the walk state a Prepared holds per record
+// (allocated bytes over records).
 func BenchmarkSimPrepare(b *testing.B) {
 	tr := benchTraceOf(b, "pero8", 10_000)
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Prepare(tr); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.N)*float64(len(tr.Refs))/b.Elapsed().Seconds(), "records/s")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	records := float64(b.N) * float64(len(tr.Refs))
+	b.ReportMetric(records/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/records, "B/record")
 }

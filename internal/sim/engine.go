@@ -296,24 +296,33 @@ func Run(cfg Config, t *trace.Trace) (*Result, error) {
 }
 
 // Prepared is a validated trace threaded for in-place walks: each
-// record links to the next record of the same processor, and each
-// processor's first record and record count are known. It is read-only
-// once built, so any number of runs, concurrent ones included, share
-// it; the trace must not change while they do.
+// record carries a one-byte skip to the next record of the same
+// processor, and each processor's first record and record count are
+// known. It is read-only once built, so any number of runs, concurrent
+// ones included, share it; the trace must not change while they do.
 type Prepared struct {
 	t *trace.Trace
-	// next[i] is the next record of record i's processor, -1 after
-	// its last.
-	next []int32
+	// skip[i] is the distance from record i to the next record of its
+	// processor when that record is at most maxSkip records ahead, and
+	// 0 when it is farther or there is none: a run then scans forward
+	// from i+maxSkip+1. A generated trace lays its processors out
+	// round-robin, so every next record but each processor's last is
+	// at most NCPU records ahead: within a skip byte's reach below 256
+	// processors, and the scan's first record at 256.
+	skip []uint8
 	// first[c] is processor c's first record, -1 if it has none.
 	first []int32
 	// upto[n] counts the records of processors 0..n-1.
 	upto []int
 }
 
-// Prepare validates t and links its records in one backward pass. A
+// maxSkip is the farthest next record a skip byte holds.
+const maxSkip = math.MaxUint8
+
+// Prepare validates t and threads its records in one backward pass. A
 // malformed record fails it with the error t.Validate reports; a trace
-// longer than math.MaxInt32 records is ErrBadConfig.
+// longer than math.MaxInt32 records is ErrBadConfig, because cursors
+// and the caches' 32-bit replacement clock count records in 32 bits.
 func Prepare(t *trace.Trace) (*Prepared, error) {
 	if t.NCPU < 1 || t.NCPU > trace.MaxNCPU {
 		return nil, t.Validate()
@@ -323,20 +332,23 @@ func Prepare(t *trace.Trace) (*Prepared, error) {
 	}
 	p := &Prepared{
 		t:     t,
-		next:  make([]int32, len(t.Refs)),
+		skip:  make([]uint8, len(t.Refs)),
 		first: make([]int32, t.NCPU),
 		upto:  make([]int, t.NCPU+1),
 	}
 	for c := range p.first {
 		p.first[c] = -1
 	}
+	// Walking backward, first[c] is processor c's next record after i.
 	for i := len(t.Refs) - 1; i >= 0; i-- {
 		r := t.Refs[i]
 		c := int(r.CPU)
 		if c >= t.NCPU || !r.Kind.Valid() {
 			return nil, t.Validate()
 		}
-		p.next[i] = p.first[c]
+		if next := p.first[c]; next >= 0 && int(next)-i <= maxSkip {
+			p.skip[i] = uint8(int(next) - i)
+		}
 		p.first[c] = int32(i)
 		p.upto[c+1]++
 	}
@@ -357,7 +369,7 @@ func (p *Prepared) Records(n int) int {
 }
 
 // Run simulates the prepared trace under the configuration, as the
-// package-level Run does, without validating or linking the trace
+// package-level Run does, without validating or threading the trace
 // again: it allocates the machine (caches, interconnect, per-processor
 // state) and nothing per record.
 func (p *Prepared) Run(cfg Config) (*Result, error) {
@@ -407,11 +419,22 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 	if cfg.WarmupRefs < 0 || (cfg.WarmupRefs > 0 && cfg.WarmupRefs >= simulated) {
 		return nil, fmt.Errorf("%w: warmup %d out of range for %d records", ErrBadConfig, cfg.WarmupRefs, simulated)
 	}
+	if err := e.checkClockBound(simulated, min(cfg.NCPU, t.NCPU)); err != nil {
+		return nil, err
+	}
 
 	// One cursor per simulated processor walks t.Refs in place along
-	// the shared links; processors beyond the trace's stay idle.
+	// the shared skips; processors beyond the trace's stay idle.
+	refs, skip := t.Refs, p.skip
 	cursor := append([]int32(nil), p.first[:min(cfg.NCPU, t.NCPU)]...)
-	next := p.next
+	// done[c] is all ones once processor c has no records left, which
+	// takes its scheduling key out of the running.
+	done := make([]uint64, len(cursor))
+	for c, i := range cursor {
+		if i < 0 {
+			done[c] = math.MaxUint64
+		}
+	}
 	var warmStats []CPUStats
 	var warmClocks []uint64
 	var warmBusy, warmWait, warmTrans uint64
@@ -424,21 +447,28 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 			warmSnoop = e.snoop
 		}
 		// Advance the processor with the smallest clock that still
-		// has work: an event-driven interleaving that lets timing,
-		// not trace position, order cross-processor references (the
-		// paper notes this distorts ordering only slightly).
-		cpu := -1
-		for c, i := range cursor {
-			if i < 0 {
-				continue
-			}
-			if cpu < 0 || e.clocks[c] < e.clocks[cpu] {
-				cpu = c
-			}
+		// has work, the lowest-numbered on ties: an event-driven
+		// interleaving that lets timing, not trace position, order
+		// cross-processor references (the paper notes this distorts
+		// ordering only slightly). The key clock<<8 | c orders by
+		// clock, then processor, and fits: c < trace.MaxNCPU = 256,
+		// and checkClockBound keeps clocks below 2^56.
+		cpu := schedule(e.clocks[:len(done)], done)
+		i := int(cursor[cpu])
+		e.step(cpu, refs[i])
+		if d := skip[i]; d != 0 {
+			cursor[cpu] = int32(i + int(d))
+			continue
 		}
-		i := cursor[cpu]
-		cursor[cpu] = next[i]
-		e.step(cpu, t.Refs[i])
+		next := i + maxSkip + 1
+		for next < len(refs) && int(refs[next].CPU) != cpu {
+			next++
+		}
+		if next < len(refs) {
+			cursor[cpu] = int32(next)
+		} else {
+			done[cpu] = math.MaxUint64
+		}
 	}
 
 	busy, wait, trans := e.ic.stats()
@@ -462,6 +492,49 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// schedule returns the processor whose key clocks[c]<<8 | c | done[c]
+// is least: the lowest clock, the lowest-numbered processor on ties,
+// among those whose done[c] is 0. On its own the min compiles to a
+// conditional move; inlined into Run, whose loop keeps more state live
+// than there are registers, it compiles to a branch, which cost 5-10%
+// more simulation CPU than the call on a 2-vCPU x86-64 host.
+//
+//go:noinline
+func schedule(clocks, done []uint64) int {
+	done = done[:len(clocks)]
+	key := uint64(math.MaxUint64)
+	for c, clock := range clocks {
+		key = min(key, clock<<8|uint64(c)|done[c])
+	}
+	return int(key & 0xff)
+}
+
+// checkClockBound rejects a run of records records on active
+// processors whose clocks could reach 2^56, the most the scheduler's
+// clock<<8 | processor key holds. Every clock, and every time the
+// interconnect is next free, is at most the cycles charged so far: a
+// grant is the requester's clock or an earlier grant plus its hold,
+// each within that sum by induction, and an operation or a stolen cycle
+// adds to the sum what it adds to a clock. A record charges at most two
+// operations (an instruction and its miss, or a miss and a broadcast)
+// and steals cycles from at most the other active processors, so the
+// record count times that per-record charge bounds every clock. The
+// bound is taken in float64, and checked against 2^55 so that its
+// rounding cannot matter; math.MaxInt32 records on 256 processors with
+// 16-byte blocks bound clocks below 2^40.
+func (e *engine) checkClockBound(records, active int) error {
+	var op float64
+	for i := range e.opCPU {
+		op = max(op, float64(e.opCPU[i])+float64(e.opIC[i]))
+	}
+	perRecord := 2*op + float64(active-1)*float64(e.stealCycles)
+	if float64(records)*perRecord >= 1<<55 {
+		return fmt.Errorf("%w: %d records at up to %.0f cycles each could overflow the simulator's 56-bit clock",
+			ErrBadConfig, records, perRecord)
+	}
+	return nil
 }
 
 // subtractStats returns a-b field-wise (Cycles handled by the caller).

@@ -343,6 +343,30 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunClockBound checks the guard that keeps clocks below 2^56, the
+// most the scheduler's clock<<8 | processor key holds: it passes a
+// full-size trace on the largest machine at the paper's block size, and
+// rejects a run whose blocks cost enough cycles to reach the limit.
+func TestRunClockBound(t *testing.T) {
+	for _, medium := range []Medium{MediumBus, MediumNetwork} {
+		e := &engine{cfg: Config{NCPU: trace.MaxNCPU, Cache: testCache, Medium: medium}}
+		if medium == MediumBus {
+			e.costs = core.BusCostsForBlock(testCache.BlockSize / 4)
+		} else {
+			e.costs = core.NetworkCostsForBlock(newMultistage(trace.MaxNCPU, testCache.BlockSize).stages, testCache.BlockSize/4)
+		}
+		e.prepare()
+		if err := e.checkClockBound(math.MaxInt32, trace.MaxNCPU); err != nil {
+			t.Errorf("%v: %v", medium, err)
+		}
+	}
+	tr := &trace.Trace{NCPU: 1, Refs: make([]trace.Ref, 64)}
+	huge := CacheConfig{Size: 1 << 50, BlockSize: 1 << 50, Assoc: 1}
+	if _, err := Run(Config{Cache: huge, Protocol: ProtoBase}, tr); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("64 records of 2^48-word blocks: %v, want ErrBadConfig", err)
+	}
+}
+
 func TestRunDefaultsNCPUFromTrace(t *testing.T) {
 	tr := &trace.Trace{NCPU: 3, Refs: []trace.Ref{{CPU: 2, Kind: trace.Read, Addr: 0x10}}}
 	res, err := Run(Config{Cache: testCache, Protocol: ProtoBase}, tr)
