@@ -85,8 +85,8 @@ bench-diff:
 # zero allocations, the warm extend path within its budget, a
 # population-ascending curve run at O(log n) allocations, decoding a
 # 64-point /v1/sweep body at its measured count, a simulator run
-# within 10 bytes per trace record (no per-run copy of the trace), a
-# smaller machine than its trace within 4 bytes per full-trace record
+# within 5 bytes per trace record (no per-run copy of the trace), a
+# smaller machine than its trace within 1 byte per full-trace record
 # beyond its caches, and trace generation within 1.1x the trace's bytes.
 alloc-check:
 	$(GO) test -run 'Alloc' ./internal/core ./internal/sweep ./internal/serve ./internal/sim ./internal/tracegen

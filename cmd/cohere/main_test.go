@@ -136,6 +136,7 @@ func TestErrors(t *testing.T) {
 	runErr(t, "sweep", "-param", "nope")
 	runErr(t, "run", "-csv", "fig7") // fig7 is chart-only: no tabular data for CSV
 	runErr(t, "run", "-scale", "NaN", "patel")
+	runErr(t, "run", "-preset", "nope", "fig1")
 }
 
 func TestHelp(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"swcc/internal/report"
 	"swcc/internal/sim"
@@ -28,7 +29,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tracesim", flag.ContinueOnError)
 	traceFile := fs.String("trace", "", "trace file (binary or text; default stdin, binary)")
-	protoName := fs.String("protocol", "dragon", "protocol: base, dragon, nocache, swflush, wi")
+	protoName := fs.String("protocol", "dragon", "protocol: "+strings.Join(protocolNames(), ", ")+", or any registered alias")
 	cacheSize := fs.Int("cache", 64*1024, "per-processor cache size in bytes")
 	blockSize := fs.Int("block", 16, "cache block size in bytes")
 	assoc := fs.Int("assoc", 2, "cache associativity")
@@ -129,4 +130,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			res.Snoop.OPres(), res.Snoop.OClean(), res.Snoop.NShd())
 	}
 	return nil
+}
+
+// protocolNames lists the simulatable schemes' names in Protocol order.
+func protocolNames() []string {
+	var names []string
+	for p := sim.Protocol(0); p.Scheme() != nil; p++ {
+		names = append(names, p.String())
+	}
+	return names
 }

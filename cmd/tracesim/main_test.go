@@ -104,8 +104,8 @@ func TestNetworkMediumAndPolicy(t *testing.T) {
 func TestBadInputs(t *testing.T) {
 	empty := strings.NewReader("")
 	var out bytes.Buffer
-	if err := run([]string{"-protocol", "mesi"}, empty, &out); err == nil {
-		t.Error("want error for unknown protocol")
+	if err := run([]string{"-protocol", "firefly"}, empty, &out); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
+		t.Errorf("unknown protocol: %v, want an unknown-protocol error", err)
 	}
 	if err := run([]string{"-trace", "/does/not/exist"}, empty, &out); err == nil {
 		t.Error("want error for missing file")

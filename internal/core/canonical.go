@@ -1,53 +1,34 @@
 package core
 
-// ParamsUser is optionally implemented by schemes to declare which
-// workload parameters (by Table 2 name) affect their Frequencies. The
-// declaration lets memoization layers canonicalize a Params before using
-// it as a cache key: two workloads that differ only in parameters a
-// scheme ignores then share one cache entry. A wrong declaration would
-// produce wrong cache hits, so TestParamsUsedComplete exercises every
-// declared scheme against every undeclared field.
-type ParamsUser interface {
-	// ParamsUsed returns the Table 2 names of the parameters that
-	// influence Frequencies.
-	ParamsUsed() []string
-}
-
 // fieldMask is a bitmask over the Table 7 parameter list in fieldSpecs
 // order: bit i set means fieldSpecs[i] influences a scheme's demand. It
-// exists so canonicalization — which sits on every cache lookup — runs
-// as straight field copies instead of name lookups and accessor
-// closures, keeping the hot path allocation-free.
+// is each scheme's one declaration of the workload parameters its
+// Frequencies read. Memoization layers canonicalize a Params by it
+// before using it as a cache key, so two workloads that differ only in
+// parameters a scheme ignores share one cache entry; a wrong mask would
+// produce wrong cache hits, which TestParamsUsedDeclarationsSound
+// (internal/sweep) probes for. Canonicalization sits on every cache
+// lookup, so it runs as straight field copies under the mask instead of
+// name lookups and accessor closures, keeping the hot path
+// allocation-free.
 type fieldMask uint16
 
-// fieldMasker is implemented by the built-in schemes to expose their
-// ParamsUsed declaration as a precomputed fieldMask. CanonicalParams
-// prefers it over re-deriving the mask from the name list on every call.
+// fieldMasker is implemented by every scheme that declares its
+// parameters.
 type fieldMasker interface {
 	fieldMask() fieldMask
 }
 
-// maskOf derives a fieldMask from a ParamsUsed name list. The second
-// return is false when a name is unknown (a wrong declaration), in which
-// case callers must fail safe and not collapse anything.
-func maskOf(names []string) (fieldMask, bool) {
+// mustMask returns the mask of the named Table 2 parameters. The masks
+// are built once at init, so an unknown name panics there.
+func mustMask(names ...string) fieldMask {
 	var m fieldMask
 	for _, name := range names {
 		i, ok := fieldIndex[name]
 		if !ok {
-			return 0, false
+			panic("core: parameter mask names unknown parameter " + name)
 		}
 		m |= 1 << i
-	}
-	return m, true
-}
-
-// mustMask is maskOf for the package's own declarations, which are
-// validated against fieldSpecs at init.
-func mustMask(names []string) fieldMask {
-	m, ok := maskOf(names)
-	if !ok {
-		panic("core: ParamsUsed declaration names an unknown parameter")
 	}
 	return m
 }
@@ -96,103 +77,57 @@ func (p Params) canonical(m fieldMask) Params {
 }
 
 // CanonicalParams maps p to a canonical representative of its equivalence
-// class under s: parameters the scheme declares unused are reset to a
-// fixed baseline, parameters it uses are copied through. Schemes that do
-// not implement ParamsUser canonicalize to p itself (every field
-// significant). The result is only suitable as a cache key — evaluate
-// demands with the original p, which carries the full validation state.
-//
-// The built-in schemes take an allocation-free path through their
-// precomputed fieldMask; other ParamsUser implementations pay a map
-// lookup per declared name but still allocate nothing.
+// class under s: parameters outside the scheme's fieldMask are reset to
+// a fixed baseline, parameters in it are copied through. Schemes without
+// a fieldMask canonicalize to p itself (every field significant). The
+// result is only suitable as a cache key — evaluate demands with the
+// original p, which carries the full validation state. It allocates
+// nothing.
 func CanonicalParams(s Scheme, p Params) Params {
 	if fm, ok := s.(fieldMasker); ok {
 		return p.canonical(fm.fieldMask())
 	}
-	u, ok := s.(ParamsUser)
-	if !ok {
-		return p
-	}
-	m, ok := maskOf(u.ParamsUsed())
-	if !ok {
-		return p // unknown declaration: fail safe, no collapsing
-	}
-	return p.canonical(m)
+	return p
 }
 
-// The ParamsUsed declarations are shared package-level slices (callers
-// must treat them as read-only): ParamsUsed is consulted on cache-key
-// canonicalization paths, so returning a fresh literal per call would
-// put an allocation on every lookup. Each scheme's fieldMask is derived
-// from the same list at init, so the two can never drift.
 var (
-	baseUsed         = []string{"ls", "msdat", "mains", "md"}
-	noCacheUsed      = []string{"ls", "msdat", "mains", "md", "shd", "wr"}
-	swFlushUsed      = []string{"ls", "msdat", "mains", "md", "shd", "apl", "mdshd"}
-	dragonUsed       = []string{"ls", "msdat", "mains", "md", "shd", "wr", "oclean", "opres", "nshd"}
-	dirUsed          = []string{"ls", "msdat", "mains", "md", "shd", "wr", "opres"}
-	hybridUsed       = []string{"ls", "msdat", "mains", "md", "shd", "wr", "apl", "mdshd"}
-	winvUsed         = []string{"ls", "msdat", "mains", "md", "shd", "wr", "oclean", "opres"}
-	hybridUpdateUsed = dragonUsed
-	allUsed          = []string{"ls", "msdat", "mains", "md", "shd", "wr", "mdshd", "apl", "oclean", "opres", "nshd"}
-
-	baseMask         = mustMask(baseUsed)
-	noCacheMask      = mustMask(noCacheUsed)
-	swFlushMask      = mustMask(swFlushUsed)
-	dragonMask       = mustMask(dragonUsed)
-	dirMask          = mustMask(dirUsed)
-	hybridMask       = mustMask(hybridUsed)
-	winvMask         = mustMask(winvUsed)
-	hybridUpdateMask = mustMask(hybridUpdateUsed)
-	allMask          = mustMask(allUsed)
+	baseMask         = mustMask("ls", "msdat", "mains", "md")
+	noCacheMask      = mustMask("ls", "msdat", "mains", "md", "shd", "wr")
+	swFlushMask      = mustMask("ls", "msdat", "mains", "md", "shd", "apl", "mdshd")
+	dragonMask       = mustMask("ls", "msdat", "mains", "md", "shd", "wr", "oclean", "opres", "nshd")
+	dirMask          = mustMask("ls", "msdat", "mains", "md", "shd", "wr", "opres")
+	hybridMask       = mustMask("ls", "msdat", "mains", "md", "shd", "wr", "apl", "mdshd")
+	winvMask         = mustMask("ls", "msdat", "mains", "md", "shd", "wr", "oclean", "opres")
+	hybridUpdateMask = dragonMask
+	allMask          = fieldMask(1)<<len(fieldSpecs) - 1
 )
 
-// ParamsUsed implements ParamsUser: Base misses depend only on the
-// reference mix and miss rates (Table 3).
-func (Base) ParamsUsed() []string { return baseUsed }
-
+// Base misses depend only on the reference mix and miss rates (Table 3).
 func (Base) fieldMask() fieldMask { return baseMask }
 
-// ParamsUsed implements ParamsUser (Table 4: shared references bypass the
-// cache, split by wr).
-func (NoCache) ParamsUsed() []string { return noCacheUsed }
-
+// No-Cache's shared references bypass the cache, split by wr (Table 4).
 func (NoCache) fieldMask() fieldMask { return noCacheMask }
 
-// ParamsUsed implements ParamsUser (Table 5: flush rate ls*shd/apl, dirty
-// flushes with probability mdshd; wr does not appear).
-func (SoftwareFlush) ParamsUsed() []string { return swFlushUsed }
-
+// Software-Flush's flush rate is ls*shd/apl, and a flush is dirty with
+// probability mdshd; wr does not appear (Table 5).
 func (SoftwareFlush) fieldMask() fieldMask { return swFlushMask }
 
-// ParamsUsed implements ParamsUser (Table 6: Dragon reacts to the sharing
-// parameters but ignores apl and mdshd, which are flush artifacts).
-func (Dragon) ParamsUsed() []string { return dragonUsed }
-
+// Dragon reacts to the sharing parameters but ignores apl and mdshd,
+// which are flush artifacts (Table 6).
 func (Dragon) fieldMask() fieldMask { return dragonMask }
 
-// ParamsUsed implements ParamsUser (extension scheme: invalidation
-// traffic scales with shd*wr*opres).
-func (Directory) ParamsUsed() []string { return dirUsed }
-
+// Directory's invalidation traffic scales with shd*wr*opres (extension
+// scheme).
 func (Directory) fieldMask() fieldMask { return dirMask }
 
-// ParamsUsed implements ParamsUser: the hybrid combines the No-Cache and
-// Software-Flush parameter sets.
-func (Hybrid) ParamsUsed() []string { return hybridUsed }
-
+// Hybrid combines the No-Cache and Software-Flush parameter sets.
 func (Hybrid) fieldMask() fieldMask { return hybridMask }
 
-// ParamsUsed implements ParamsUser: Write-Invalidate reacts to the
-// Dragon sharing parameters except nshd (invalidations steal no cycles —
-// they convert into misses instead).
-func (WriteInvalidate) ParamsUsed() []string { return winvUsed }
-
+// Write-Invalidate reacts to Dragon's sharing parameters except nshd:
+// invalidations steal no cycles, they turn into misses instead.
 func (WriteInvalidate) fieldMask() fieldMask { return winvMask }
 
-// ParamsUsed implements ParamsUser: the update share broadcasts like
-// Dragon (including cycle steals via nshd), the invalidate share misses
-// like Write-Invalidate, so the union is exactly Dragon's set.
-func (HybridUpdate) ParamsUsed() []string { return hybridUpdateUsed }
-
+// Hybrid-Update's update share broadcasts like Dragon (cycle steals via
+// nshd included) and its invalidate share misses like Write-Invalidate,
+// so the union is exactly Dragon's set.
 func (HybridUpdate) fieldMask() fieldMask { return hybridUpdateMask }

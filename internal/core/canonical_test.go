@@ -36,41 +36,14 @@ func TestFieldMaskMatchesFieldOrder(t *testing.T) {
 	}
 }
 
-// maskedSchemes lists every scheme that precomputes a fieldMask: all
-// registered schemes (so a new registration is covered automatically)
-// plus non-default knob settings.
+// maskedSchemes lists every registered scheme (so a new registration is
+// covered automatically) plus non-default knob settings.
 func maskedSchemes() []Scheme {
 	schemes := []Scheme{Hybrid{LockFrac: 0.5}, HybridUpdate{UpdateFrac: 0.25}}
 	for _, info := range RegisteredSchemes() {
 		schemes = append(schemes, info.Scheme)
 	}
 	return schemes
-}
-
-// TestFieldMaskersMatchParamsUsed checks every built-in scheme's
-// precomputed fieldMask agrees with its ParamsUsed declaration, so the
-// fast path and the declarative path can never canonicalize differently.
-func TestFieldMaskersMatchParamsUsed(t *testing.T) {
-	for _, s := range maskedSchemes() {
-		fm, ok := s.(fieldMasker)
-		if !ok {
-			t.Errorf("%s does not implement fieldMasker", s.Name())
-			continue
-		}
-		u, ok := s.(ParamsUser)
-		if !ok {
-			t.Errorf("%s does not implement ParamsUser", s.Name())
-			continue
-		}
-		want, ok := maskOf(u.ParamsUsed())
-		if !ok {
-			t.Errorf("%s: ParamsUsed names an unknown parameter", s.Name())
-			continue
-		}
-		if got := fm.fieldMask(); got != want {
-			t.Errorf("%s: fieldMask %011b != mask of ParamsUsed %011b", s.Name(), got, want)
-		}
-	}
 }
 
 // TestCanonicalParamsAllocationFree pins the zero-allocation contract of

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"swcc/internal/queueing"
@@ -21,10 +20,10 @@ import (
 // between, the MVA variant queues blocked requests instead of retrying
 // them, so it is mildly more optimistic.
 //
-// The solution's unnormalized probabilities overflow float64 on large
-// networks (at MiddleParams, from 10 stages under No-Cache, 11 under
-// Software-Flush and 12 under Base); such a network is ErrUnsupported,
-// not a NaN.
+// Every network size solves: the load-dependent solution rescales its
+// unnormalized probabilities instead of overflowing float64. The solve
+// is linear in the processor count, so 20 stages (2^20 processors)
+// hold two 2^20-entry slices, about 16 MB, for about a second.
 func EvaluateNetworkMVA(s Scheme, p Params, stages int) (NetworkPoint, error) {
 	if stages < 1 {
 		return NetworkPoint{}, fmt.Errorf("core: stages %d < 1", stages)
@@ -70,9 +69,6 @@ func EvaluateNetworkMVA(s Scheme, p Params, stages int) (NetworkPoint, error) {
 		return float64(nproc) * pn.Forward(m)
 	}
 	res, err := queueing.LoadDependentMVA(think, rate, nproc)
-	if errors.Is(err, queueing.ErrOverflow) {
-		return NetworkPoint{}, fmt.Errorf("%w: the MVA network model overflows at %d stages: %w", ErrUnsupported, stages, err)
-	}
 	if err != nil {
 		return NetworkPoint{}, err
 	}

@@ -63,26 +63,11 @@ func (PriorityBus) HighPriority(op Op) bool {
 	return false
 }
 
-// ParamsUsed implements ParamsUser by delegating to the inner scheme;
-// an inner scheme without a declaration keeps every parameter
-// significant (no collapsing — fail safe).
-func (b PriorityBus) ParamsUsed() []string {
-	if u, ok := b.inner().(ParamsUser); ok {
-		return u.ParamsUsed()
-	}
-	return allUsed
-}
-
-// fieldMask delegates to the inner scheme's precomputed mask, falling
-// back to the full mask (nothing collapsed) for undeclared inners.
+// fieldMask delegates to the inner scheme's mask; an inner scheme
+// without one keeps every parameter significant.
 func (b PriorityBus) fieldMask() fieldMask {
 	if fm, ok := b.inner().(fieldMasker); ok {
 		return fm.fieldMask()
-	}
-	if u, ok := b.inner().(ParamsUser); ok {
-		if m, ok := maskOf(u.ParamsUsed()); ok {
-			return m
-		}
 	}
 	return allMask
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,33 +26,36 @@ func TestSchemeNamesPinned(t *testing.T) {
 	}
 }
 
-// TestRegistryDuplicateRegistrationPanics: duplicate names and aliases
-// must fail loudly at registration, never overwrite.
+// TestRegistryDuplicateRegistrationPanics: a scheme table listing a
+// name or alias twice, or a nil or unnamed scheme, must fail loudly when
+// indexed, never shadow an entry.
 func TestRegistryDuplicateRegistrationPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: want panic", name)
-			}
+	for _, tc := range []struct {
+		name  string
+		infos []Info
+	}{
+		{"duplicate canonical name", []Info{{Scheme: Base{}, Aliases: []string{"base"}}, {Scheme: Base{}}}},
+		{"alias colliding with a canonical name", []Info{{Scheme: Base{}}, {Scheme: Dragon{}, Aliases: []string{"Base"}}}},
+		{"duplicate alias", []Info{{Scheme: Base{}, Aliases: []string{"base"}}, {Scheme: Dragon{}, Aliases: []string{"base"}}}},
+		{"alias repeated within one entry", []Info{{Scheme: Base{}, Aliases: []string{"base", "base"}}}},
+		{"nil scheme", []Info{{}}},
+		{"unnamed scheme", []Info{{Scheme: unnamed{}}}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: want panic", tc.name)
+				}
+			}()
+			index(tc.infos)
 		}()
-		fn()
 	}
-	r := NewRegistry()
-	r.Register(Info{Scheme: Base{}, Aliases: []string{"base"}})
-	mustPanic("duplicate canonical name", func() {
-		r.Register(Info{Scheme: Base{}})
-	})
-	mustPanic("alias colliding with a canonical name", func() {
-		r.Register(Info{Scheme: Dragon{}, Aliases: []string{"Base"}})
-	})
-	mustPanic("duplicate alias", func() {
-		r.Register(Info{Scheme: Dragon{}, Aliases: []string{"base"}})
-	})
-	mustPanic("nil scheme", func() {
-		r.Register(Info{})
-	})
 }
+
+// unnamed is a scheme whose Name is empty.
+type unnamed struct{ Base }
+
+func (unnamed) Name() string { return "" }
 
 // TestRegistryLookupAliases: every registered alias resolves to the
 // same entry as its canonical name, and lookups are case-sensitive
@@ -105,31 +107,20 @@ func TestSchemeByNameErrorListsValidNames(t *testing.T) {
 	}
 }
 
-// cacheLabel mirrors the cache-identity rule used by the sweep
-// evaluator, serve handlers, and gateway keys: String when the scheme
-// carries configuration, Name otherwise.
-func cacheLabel(s Scheme) string {
-	if str, ok := s.(fmt.Stringer); ok {
-		return str.String()
-	}
-	return s.Name()
-}
-
 // TestCanonicalFingerprintsPairwiseDistinct: every registered scheme
-// must produce a distinct, stable cache fingerprint — the (label,
-// canonical params) pair batch grouping and the gateway's routing key
-// are built from. A collision would silently serve
-// one scheme's results for another.
+// must produce a distinct cache identity, KeyOf, from which batch
+// grouping and the gateway's routing key are built. A collision would
+// silently serve one scheme's results for another.
 func TestCanonicalFingerprintsPairwiseDistinct(t *testing.T) {
 	p := MiddleParams()
-	seen := map[string]string{} // fingerprint -> scheme name
+	seen := map[Key]string{} // identity -> scheme name
 	for _, info := range RegisteredSchemes() {
 		s := info.Scheme
-		fp := fmt.Sprintf("%s|%+v", cacheLabel(s), CanonicalParams(s, p))
-		if prev, ok := seen[fp]; ok {
-			t.Errorf("%s and %s share cache fingerprint %q", prev, s.Name(), fp)
+		k := KeyOf(s, p)
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%s and %s share cache identity %+v", prev, s.Name(), k)
 		}
-		seen[fp] = s.Name()
+		seen[k] = s.Name()
 	}
 	// Knobbed variants must also be distinct from their defaults.
 	for _, tc := range []struct {
@@ -139,8 +130,8 @@ func TestCanonicalFingerprintsPairwiseDistinct(t *testing.T) {
 		{HybridUpdate{UpdateFrac: 0.5}, HybridUpdate{UpdateFrac: 0.7}},
 		{PriorityBus{Inner: SoftwareFlush{}}, SoftwareFlush{}},
 	} {
-		if cacheLabel(tc.a) == cacheLabel(tc.b) {
-			t.Errorf("distinct configurations share label %q", cacheLabel(tc.a))
+		if ka, kb := KeyOf(tc.a, p), KeyOf(tc.b, p); ka == kb {
+			t.Errorf("distinct configurations share cache identity %+v", ka)
 		}
 	}
 }

@@ -8,8 +8,7 @@ import (
 
 // ErrUnsupported reports a scheme evaluated on hardware that cannot
 // implement it (e.g. Dragon on a multistage network, which has no
-// broadcast medium for snooping), or a model asked for a machine beyond
-// its numeric range (the MVA network model's float64 overflow).
+// broadcast medium for snooping).
 var ErrUnsupported = errors.New("core: scheme unsupported on this interconnect")
 
 // OpFreq pairs an operation with its frequency per (non-flush) instruction.
@@ -208,64 +207,4 @@ func SchemeKey(s Scheme) string {
 		return v.String()
 	}
 	return s.Name()
-}
-
-// SchemeID enumerates the built-in schemes.
-type SchemeID int
-
-// The four schemes the paper evaluates, plus the directory extension.
-const (
-	SchemeBase SchemeID = iota
-	SchemeNoCache
-	SchemeSoftwareFlush
-	SchemeDragon
-	SchemeDirectory
-)
-
-// String returns the scheme's name.
-func (id SchemeID) String() string {
-	s, err := NewScheme(id)
-	if err != nil {
-		return fmt.Sprintf("SchemeID(%d)", int(id))
-	}
-	return s.Name()
-}
-
-// NewScheme constructs a built-in scheme by ID.
-func NewScheme(id SchemeID) (Scheme, error) {
-	switch id {
-	case SchemeBase:
-		return Base{}, nil
-	case SchemeNoCache:
-		return NoCache{}, nil
-	case SchemeSoftwareFlush:
-		return SoftwareFlush{}, nil
-	case SchemeDragon:
-		return Dragon{}, nil
-	case SchemeDirectory:
-		return Directory{}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown scheme id %d", int(id))
-	}
-}
-
-// PaperSchemes returns the four schemes of the paper in presentation
-// order: Base, Dragon, Software-Flush, No-Cache. It reads the default
-// registry's Paper-marked entries, whose registration order matches.
-func PaperSchemes() []Scheme {
-	var out []Scheme
-	for _, info := range registry.All() {
-		if info.Paper {
-			out = append(out, info.Scheme)
-		}
-	}
-	return out
-}
-
-// SchemeByName resolves a case-sensitive scheme name or alias ("base",
-// "swflush", "dragon", "winv", ...) against the default registry,
-// returning the scheme's default instance. Unknown names get an error
-// listing the registered canonical names.
-func SchemeByName(name string) (Scheme, error) {
-	return registry.ByName(name)
 }

@@ -253,26 +253,6 @@ func TestSoftwareSchemesSupportedOnNetwork(t *testing.T) {
 	}
 }
 
-func TestNewSchemeAndNames(t *testing.T) {
-	ids := []SchemeID{SchemeBase, SchemeNoCache, SchemeSoftwareFlush, SchemeDragon, SchemeDirectory}
-	wantNames := []string{"Base", "No-Cache", "Software-Flush", "Dragon", "Directory"}
-	for i, id := range ids {
-		s, err := NewScheme(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Name() != wantNames[i] {
-			t.Errorf("id %d: name %q, want %q", id, s.Name(), wantNames[i])
-		}
-		if id.String() != wantNames[i] {
-			t.Errorf("id %d: String %q, want %q", id, id.String(), wantNames[i])
-		}
-	}
-	if _, err := NewScheme(SchemeID(42)); err == nil {
-		t.Error("want error for unknown id")
-	}
-}
-
 func TestSchemeByName(t *testing.T) {
 	for _, name := range []string{
 		"base", "nocache", "swflush", "dragon", "directory", "No-Cache", "Software-Flush",

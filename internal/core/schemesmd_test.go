@@ -59,8 +59,9 @@ func backticked(cell string) []string {
 // SCHEMES.md synchronized with the registry, in both directions: every
 // registered scheme must have a table row whose name, aliases, and knob
 // match its registration exactly, and every row must correspond to a
-// live registration. Register a protocol (or retire one, or change an
-// alias or knob) and this test forces the matching doc edit.
+// live registration. Add a protocol to the registry table (or retire
+// one, or change an alias or knob) and this test forces the matching
+// doc edit.
 func TestSchemesDocCoversRegistry(t *testing.T) {
 	rows := schemesTableRows(t)
 

@@ -40,12 +40,6 @@ func validationConfig(opt Options, def string) (tracegen.Config, string, error) 
 	return cfg, preset, nil
 }
 
-// protoScheme pairs a simulator protocol with its analytic scheme.
-type protoScheme struct {
-	proto  sim.Protocol
-	scheme core.Scheme
-}
-
 // validationBlock is the validation figures' cache block size in bytes.
 const validationBlock = 16
 
@@ -63,16 +57,17 @@ type validation struct {
 	m      *measure.Measurement
 }
 
-// validate runs model-vs-simulation for the given schemes at each cache
-// size across machine sizes 1..NCPU on src's trace. A done ctx stops it
-// before the next simulation starts.
-func validate(ctx context.Context, memo *runMemo, src *traceSource, sizes []int, pairs []protoScheme) ([]validation, error) {
+// validate runs model-vs-simulation for the given protocols, each
+// against its analytic scheme, at each cache size across machine sizes
+// 1..NCPU on src's trace. A done ctx stops it before the next
+// simulation starts.
+func validate(ctx context.Context, memo *runMemo, src *traceSource, sizes []int, protos []sim.Protocol) ([]validation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	// The simulations dominate the cost and are independent across
 	// cache size, scheme and machine size: one grid on all cores runs
-	// every measurement's shadows, every (size, pair, n) simulation and
+	// every measurement's shadows, every (size, protocol, n) simulation and
 	// the stream pass into the memo. Largest machines go first so the
 	// longest runs start early; the stream pass, one light pass over
 	// the records, goes last beside the smallest. Reading the results
@@ -94,8 +89,8 @@ func validate(ctx context.Context, memo *runMemo, src *traceSource, sizes []int,
 					add(cfg)
 				}
 			}
-			for _, pr := range pairs {
-				add(sim.Config{NCPU: n, Cache: cache, Protocol: pr.proto})
+			for _, proto := range protos {
+				add(sim.Config{NCPU: n, Cache: cache, Protocol: proto})
 			}
 		}
 	}
@@ -117,15 +112,16 @@ func validate(ctx context.Context, memo *runMemo, src *traceSource, sizes []int,
 			return nil, err
 		}
 		out[si].m = m
-		for _, pr := range pairs {
-			simSeries := plot.Series{Name: pr.scheme.Name() + " sim"}
-			modelSeries := plot.Series{Name: pr.scheme.Name() + " model"}
-			modelPts, err := busEval.EvaluateBusCtx(ctx, pr.scheme, m.Params, core.BusCosts(), nsizes, nil)
+		for _, proto := range protos {
+			scheme := proto.Scheme()
+			simSeries := plot.Series{Name: scheme.Name() + " sim"}
+			modelSeries := plot.Series{Name: scheme.Name() + " model"}
+			modelPts, err := busEval.EvaluateBusCtx(ctx, scheme, m.Params, core.BusCosts(), nsizes, nil)
 			if err != nil {
 				return nil, err
 			}
 			for n := 1; n <= nsizes; n++ {
-				res, err := memo.simulate(src, sim.Config{NCPU: n, Cache: cache, Protocol: pr.proto})
+				res, err := memo.simulate(src, sim.Config{NCPU: n, Cache: cache, Protocol: proto})
 				if err != nil {
 					return nil, err
 				}
@@ -164,10 +160,7 @@ func runFig1(ctx context.Context, opt Options) (*Dataset, error) {
 		return nil, err
 	}
 	memo := memoFrom(ctx)
-	v, err := validate(ctx, memo, memo.source(gen), []int{64 * 1024}, []protoScheme{
-		{sim.ProtoBase, core.Base{}},
-		{sim.ProtoDragon, core.Dragon{}},
-	})
+	v, err := validate(ctx, memo, memo.source(gen), []int{64 * 1024}, []sim.Protocol{sim.ProtoBase, sim.ProtoDragon})
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +198,7 @@ func cacheSizeFigure(ctx context.Context, opt Options, id, def, title string) (*
 	}
 	memo := memoFrom(ctx)
 	sizes := []int{16 * 1024, 64 * 1024, 256 * 1024}
-	v, err := validate(ctx, memo, memo.source(gen), sizes, []protoScheme{{sim.ProtoDragon, core.Dragon{}}})
+	v, err := validate(ctx, memo, memo.source(gen), sizes, []sim.Protocol{sim.ProtoDragon})
 	if err != nil {
 		return nil, err
 	}

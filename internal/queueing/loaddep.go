@@ -1,7 +1,6 @@
 package queueing
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -21,9 +20,14 @@ type LoadDependentResult struct {
 	Idle float64
 }
 
-// ErrOverflow reports a population too large for the load-dependent
-// solution's float64 arithmetic.
-var ErrOverflow = errors.New("queueing: float64 overflow")
+// rescaleAt bounds the unnormalized probabilities: when their sum would
+// pass it, every live one is multiplied by rescaleBy. Both are powers of
+// two, so a rescale is exact (short of the subnormal range) and keeps
+// every ratio.
+const (
+	rescaleAt = 0x1p1000
+	rescaleBy = 0x1p-1000
+)
 
 // LoadDependentMVA solves a closed system of `customers` customers that
 // think for mean `think` cycles and then queue at a server whose
@@ -32,49 +36,73 @@ var ErrOverflow = errors.New("queueing: float64 overflow")
 // distribution: lambda(k) = (n-k)/think, mu(k) = rate(k). It calls
 // rate once per k = 1..customers.
 //
-// The stationary probabilities are formed unnormalized, p[0] = 1, so a
-// large population whose server is the bottleneck overflows float64;
-// that is ErrOverflow, reported as soon as a p[k] or their sum does.
+// The stationary probabilities are formed unnormalized, p[0] = 1. A
+// large population whose server is the bottleneck grows them past
+// float64's range, so whenever their sum would pass 2^1000 they are all
+// scaled by 2^-1000. The leading ones then underflow to 0 and stay 0;
+// a low-water index skips them, so each rescale touches only the live
+// ones. Only a single step whose ratio lambda/mu itself passes ~2^1000,
+// far beyond any rate the network model produces, is out of range: that
+// is ErrInvalidInput.
 //
 // This is the contention model the paper's footnote 2 sketches for
 // multistage networks: "the multistage network is represented as a
 // load-dependent service center characterised by its service rate at
 // various loads."
 func LoadDependentMVA(think float64, rate func(k int) float64, customers int) (LoadDependentResult, error) {
+	res, _, err := loadDependentMVA(think, rate, customers)
+	return res, err
+}
+
+// loadDependentMVA is LoadDependentMVA that also reports how many
+// probabilities its rescales multiplied in all.
+func loadDependentMVA(think float64, rate func(k int) float64, customers int) (LoadDependentResult, int, error) {
 	if customers < 1 {
-		return LoadDependentResult{}, fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
+		return LoadDependentResult{}, 0, fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
 	}
 	if think <= 0 {
-		return LoadDependentResult{}, fmt.Errorf("%w: think %g must be positive (instant re-request makes the chain degenerate)", ErrInvalidInput, think)
+		return LoadDependentResult{}, 0, fmt.Errorf("%w: think %g must be positive (instant re-request makes the chain degenerate)", ErrInvalidInput, think)
 	}
 	if rate == nil {
-		return LoadDependentResult{}, fmt.Errorf("%w: nil rate function", ErrInvalidInput)
+		return LoadDependentResult{}, 0, fmt.Errorf("%w: nil rate function", ErrInvalidInput)
 	}
 	n := customers
 	// Unnormalized stationary probabilities p[k], k customers at the
-	// server, and the rates mu[k] they were formed with. Both grow as
-	// they go, so an overflow early in a large population allocates
-	// little.
-	p := []float64{1}
-	mu := []float64{0}
+	// server, and the rates mu[k] they were formed with. p[:lo] have
+	// underflowed to 0.
+	p := make([]float64, 1, n+1)
+	mu := make([]float64, 1, n+1)
+	p[0] = 1
 	sum := 1.0
+	lo, touched := 0, 0
 	for k := 1; k <= n; k++ {
 		m := rate(k)
 		if m <= 0 || math.IsNaN(m) || math.IsInf(m, 0) {
-			return LoadDependentResult{}, fmt.Errorf("%w: rate(%d) = %g", ErrInvalidInput, k, m)
+			return LoadDependentResult{}, touched, fmt.Errorf("%w: rate(%d) = %g", ErrInvalidInput, k, m)
 		}
 		lambda := float64(n-k+1) / think
 		pk := p[k-1] * lambda / m
-		sum += pk
-		if math.IsInf(sum, 0) {
-			return LoadDependentResult{}, fmt.Errorf("%w: %d customers: the unnormalized probabilities pass %g at %d at the server",
-				ErrOverflow, n, math.MaxFloat64, k)
+		if !(sum+pk <= rescaleAt) {
+			for i := lo; i < k; i++ {
+				p[i] *= rescaleBy
+			}
+			touched += k - lo
+			for lo < k-1 && p[lo] == 0 {
+				lo++
+			}
+			sum *= rescaleBy
+			pk = p[k-1] * lambda / m
+			if !(sum+pk <= rescaleAt) {
+				return LoadDependentResult{}, touched, fmt.Errorf("%w: rate(%d) = %g: one step at arrival rate %g passes float64's range",
+					ErrInvalidInput, k, m, lambda)
+			}
 		}
+		sum += pk
 		p = append(p, pk)
 		mu = append(mu, m)
 	}
 	var x, q float64
-	for k := 1; k <= n; k++ {
+	for k := max(lo, 1); k <= n; k++ {
 		prob := p[k] / sum
 		x += prob * mu[k]
 		q += prob * float64(k)
@@ -88,5 +116,5 @@ func LoadDependentMVA(think float64, rate func(k int) float64, customers int) (L
 	if x > 0 {
 		res.Residence = q / x
 	}
-	return res, nil
+	return res, touched, nil
 }

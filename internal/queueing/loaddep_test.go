@@ -2,6 +2,7 @@ package queueing
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -123,19 +124,77 @@ func TestLoadDependentCallsRateOncePerCustomer(t *testing.T) {
 	}
 }
 
-// TestLoadDependentOverflow checks that a population whose unnormalized
-// probabilities pass float64's range is ErrOverflow, found as soon as
-// they do, rather than a NaN throughput.
-func TestLoadDependentOverflow(t *testing.T) {
+// TestLoadDependentRescales checks a population whose unnormalized
+// probabilities pass float64's range many times over: the saturated
+// server with 2^20 customers, where p[k] = n!/(n-k)!. The solve stays
+// finite and exact (saturated throughput is the rate, and the server is
+// never empty), calls rate once per customer, and its rescales touch
+// each live probability a bounded number of times, not the whole prefix
+// each time.
+func TestLoadDependentRescales(t *testing.T) {
 	const n = 1 << 20
 	calls := 0
 	rate := func(int) float64 { calls++; return 1 }
-	_, err := LoadDependentMVA(1, rate, n)
-	if !errors.Is(err, ErrOverflow) {
-		t.Fatalf("%d customers at a saturated server: %v, want ErrOverflow", n, err)
+	res, touched, err := loadDependentMVA(1, rate, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// p[k] = n!/(n-k)!, so float64 overflows within a few hundred k.
-	if calls > 1000 {
-		t.Errorf("overflow found after %d rate calls, want it within the first 1000", calls)
+	if calls != n {
+		t.Errorf("rate called %d times for %d customers, want %d", calls, n, n)
+	}
+	if res.Throughput != 1 || res.Idle != 0 || !almostEqual(res.QueueLength, n-1, 1e-9) {
+		t.Errorf("saturated server: %+v, want throughput 1, idle 0, queue %d", res, n-1)
+	}
+	// log2(n!) is about 19.5M bits, so about 19.5k rescales. Touching
+	// the whole prefix each time would be about 10^10 multiplies.
+	if touched > 4*n {
+		t.Errorf("rescales touched %d probabilities for %d customers, want at most %d", touched, n, 4*n)
+	}
+	t.Logf("%d customers: rescales touched %d probabilities", n, touched)
+}
+
+// TestLoadDependentRescaleExact checks that a rescale keeps every ratio:
+// a population that rescales solves to the same distribution as the
+// same chain solved in one pass, within rounding.
+func TestLoadDependentRescaleExact(t *testing.T) {
+	// think 1e-3 grows p by ~10^3 a step for 400 customers: about
+	// 3,900 bits, three or four rescales.
+	const n = 400
+	rate := func(k int) float64 { return 1 + float64(k)/n }
+	res, touched, err := loadDependentMVA(1e-3, rate, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if touched == 0 {
+		t.Fatal("no rescale happened; pick a steeper chain")
+	}
+	// Reference: the same chain in log space.
+	logp := make([]float64, n+1)
+	top := 0.0
+	for k := 1; k <= n; k++ {
+		logp[k] = logp[k-1] + math.Log(float64(n-k+1)/1e-3/rate(k))
+		top = math.Max(top, logp[k])
+	}
+	var sum, x, q float64
+	for k := 0; k <= n; k++ {
+		w := math.Exp(logp[k] - top)
+		sum += w
+		if k > 0 {
+			x += w * rate(k)
+			q += w * float64(k)
+		}
+	}
+	if !almostEqual(res.Throughput, x/sum, 1e-9) || !almostEqual(res.QueueLength, q/sum, 1e-9) {
+		t.Errorf("rescaled solve %+v, log-space reference throughput %g queue %g", res, x/sum, q/sum)
+	}
+}
+
+// TestLoadDependentStepOutOfRange checks the one case rescaling cannot
+// reach, a single step whose ratio lambda/mu passes float64's range: it
+// is an input error, not a NaN or infinite throughput.
+func TestLoadDependentStepOutOfRange(t *testing.T) {
+	_, err := LoadDependentMVA(1e-300, func(int) float64 { return 1e-300 }, 4)
+	if !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("step ratio past float64's range: %v, want ErrInvalidInput", err)
 	}
 }

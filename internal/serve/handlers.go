@@ -432,10 +432,6 @@ type advisorResponse struct {
 	Rankings []rankingJSON `json:"rankings"`
 }
 
-// defaultCandidates mirrors cohere advise and core.Recommend: the
-// registry's Advise-marked schemes.
-func defaultCandidates() []core.Scheme { return core.DefaultCandidates() }
-
 func (s *Server) handleAdvisor(ctx context.Context, body []byte) (any, error) {
 	var req advisorRequest
 	if err := decodeStrict(body, &req); err != nil {
@@ -445,7 +441,7 @@ func (s *Server) handleAdvisor(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	candidates := defaultCandidates()
+	candidates := core.DefaultCandidates()
 	if len(req.Schemes) > 0 {
 		candidates = candidates[:0]
 		for _, name := range req.Schemes {

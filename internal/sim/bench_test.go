@@ -41,7 +41,7 @@ func BenchmarkSimHotLoop(b *testing.B) {
 		cfg  Config
 	}
 	var cases []hotCase
-	for p := range protoNames {
+	for p := range protoSchemes {
 		cfg := Config{NCPU: tr.NCPU, Cache: cache, Protocol: Protocol(p)}
 		cases = append(cases, hotCase{cfg.Protocol.String(), cfg})
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"swcc/internal/core"
 	"swcc/internal/trace"
@@ -22,30 +23,39 @@ const (
 	ProtoWriteInvalidate
 )
 
-// protoNames is each protocol's scheme name in the core registry,
-// indexed by Protocol: the one table behind String and ProtocolByName.
+// protoSchemes is each protocol's registered scheme, indexed by
+// Protocol: the one table behind String, Scheme and ProtocolByName.
 // Registered schemes absent here (Directory, Hybrid, the priority-bus
 // discipline, ...) are analytic-model-only: asking the simulator for
 // them is ErrBadConfig, not a silent fallback.
-var protoNames = [...]string{
-	ProtoBase:            "Base",
-	ProtoDragon:          "Dragon",
-	ProtoNoCache:         "No-Cache",
-	ProtoSoftwareFlush:   "Software-Flush",
-	ProtoWriteInvalidate: "Write-Invalidate",
+var protoSchemes = [...]core.Scheme{
+	ProtoBase:            core.Base{},
+	ProtoDragon:          core.Dragon{},
+	ProtoNoCache:         core.NoCache{},
+	ProtoSoftwareFlush:   core.SoftwareFlush{},
+	ProtoWriteInvalidate: core.WriteInvalidate{},
 }
 
 // String returns the protocol's registered scheme name.
 func (p Protocol) String() string {
 	if p.valid() {
-		return protoNames[p]
+		return protoSchemes[p].Name()
 	}
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
+// Scheme returns the analytic scheme the protocol simulates, or nil for
+// an unknown protocol.
+func (p Protocol) Scheme() core.Scheme {
+	if p.valid() {
+		return protoSchemes[p]
+	}
+	return nil
+}
+
 // valid reports whether p is a known protocol.
 func (p Protocol) valid() bool {
-	return p >= 0 && int(p) < len(protoNames)
+	return p >= 0 && int(p) < len(protoSchemes)
 }
 
 // ProtocolByName resolves a protocol name through the scheme registry,
@@ -57,13 +67,17 @@ func ProtocolByName(name string) (Protocol, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: unknown protocol %q", ErrBadConfig, name)
 	}
-	for p, n := range protoNames {
-		if n == info.Scheme.Name() {
+	for p, s := range protoSchemes {
+		if s.Name() == info.Scheme.Name() {
 			return Protocol(p), nil
 		}
 	}
-	return 0, fmt.Errorf("%w: scheme %q has no trace-driven protocol (simulatable: base, dragon, nocache, swflush, wi)",
-		ErrBadConfig, info.Scheme.Name())
+	names := make([]string, len(protoSchemes))
+	for p, s := range protoSchemes {
+		names[p] = s.Name()
+	}
+	return 0, fmt.Errorf("%w: scheme %q has no trace-driven protocol (simulatable: %s)",
+		ErrBadConfig, info.Scheme.Name(), strings.Join(names, ", "))
 }
 
 // Config describes one simulation run.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"swcc/internal/core"
@@ -75,17 +76,28 @@ func TestProtocolNames(t *testing.T) {
 	}
 }
 
-// TestProtocolNamesRegistered: every protocol's name is its scheme's
-// canonical name in the core registry, and resolves back to it.
+// TestProtocolNamesRegistered: every protocol's scheme is registered
+// under its own canonical name, and that name resolves back to the
+// protocol. An unknown protocol has no scheme.
 func TestProtocolNamesRegistered(t *testing.T) {
-	for p := range protoNames {
+	for p := range protoSchemes {
 		proto := Protocol(p)
-		info, ok := core.SchemeInfoByName(proto.String())
-		if !ok || info.Scheme.Name() != proto.String() {
-			t.Errorf("%d: %q is not a canonical registered scheme name", p, proto.String())
+		s := proto.Scheme()
+		info, ok := core.SchemeInfoByName(s.Name())
+		if !ok || info.Scheme != s || proto.String() != s.Name() {
+			t.Errorf("%d: %q (%T) is not a canonical registered scheme", p, proto.String(), s)
 		}
 		if got, err := ProtocolByName(proto.String()); err != nil || got != proto {
 			t.Errorf("ProtocolByName(%q) = %v, %v; want %v", proto.String(), got, err, proto)
+		}
+	}
+	if s := Protocol(len(protoSchemes)).Scheme(); s != nil {
+		t.Errorf("unknown protocol has scheme %v", s)
+	}
+	_, err := ProtocolByName("directory")
+	for p := range protoSchemes {
+		if name := Protocol(p).String(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("analytic-only error %v does not list simulatable %s", err, name)
 		}
 	}
 }

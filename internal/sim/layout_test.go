@@ -61,7 +61,7 @@ func TestRunDependsOnlyOnPerProcessorOrder(t *testing.T) {
 	}
 
 	cache := CacheConfig{Size: 4 * 1024, BlockSize: 16, Assoc: 2}
-	for proto := range protoNames {
+	for proto := range protoSchemes {
 		for _, medium := range []Medium{MediumBus, MediumNetwork} {
 			if medium == MediumNetwork && (Protocol(proto) == ProtoDragon || Protocol(proto) == ProtoWriteInvalidate) {
 				continue

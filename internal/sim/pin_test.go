@@ -47,7 +47,7 @@ func TestResultPin(t *testing.T) {
 			machines = append(machines, machine{n, full.Restrict(n)})
 		}
 	}
-	for p := range protoNames {
+	for p := range protoSchemes {
 		for _, medium := range []Medium{MediumBus, MediumNetwork} {
 			key := Protocol(p).String() + "/" + medium.String()
 			t.Run(key, func(t *testing.T) {
@@ -128,7 +128,7 @@ func TestPreparedRunMatchesRun(t *testing.T) {
 			}
 			for _, n := range []int{1, 2, full.NCPU, full.NCPU + 2} {
 				sub := full.Restrict(n)
-				for proto := range protoNames {
+				for proto := range protoSchemes {
 					for _, medium := range []Medium{MediumBus, MediumNetwork} {
 						for _, warm := range []float64{0, 0.5} {
 							for _, policy := range []Policy{LRU, FIFO, Random} {

@@ -71,39 +71,46 @@ func TestEvaluatorMatchesFreshSolves(t *testing.T) {
 	}
 }
 
-// TestParamsUsedDeclarationsSound validates the canonicalization tables
-// against the model itself: varying a parameter a scheme does NOT
-// declare must leave its computed demand bit-identical. If a scheme ever
-// starts reading an undeclared parameter, this fails before the cache
-// can serve wrong answers.
+// TestParamsUsedDeclarationsSound validates each scheme's parameter
+// declaration against the model itself. It finds the parameters a
+// scheme ignores by probing core.CanonicalParams, the rule the cache
+// keys by, and checks that varying them leaves the computed demand
+// bit-identical. If a scheme ever starts reading a parameter its
+// declaration leaves out, this fails before the cache can serve wrong
+// answers. Every registered scheme is covered, plus non-default knob
+// settings.
 func TestParamsUsedDeclarationsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	costs := core.BusCosts()
-	for _, s := range allSchemes() {
-		pu, ok := s.(core.ParamsUser)
-		if !ok {
-			t.Errorf("%s does not declare ParamsUsed", s.Name())
-			continue
-		}
-		used := map[string]bool{}
-		for _, name := range pu.ParamsUsed() {
-			used[name] = true
-		}
+	schemes := []core.Scheme{core.Hybrid{LockFrac: 0.5}, core.HybridUpdate{UpdateFrac: 0.25}}
+	for _, info := range core.RegisteredSchemes() {
+		schemes = append(schemes, info.Scheme)
+	}
+	for _, s := range schemes {
 		base := core.MiddleParams()
 		want, err := core.ComputeDemand(s, base, costs)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
+		canon := core.CanonicalParams(s, base)
 		for _, f := range core.Fields() {
-			if used[f.Name] {
+			lo, hi := f.Low, f.High
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			// The probe moves f to a range end it is not at: f is
+			// read iff the canonical form moves with it.
+			probe := base
+			if f.Get(&base) == lo {
+				f.Set(&probe, hi)
+			} else {
+				f.Set(&probe, lo)
+			}
+			if core.CanonicalParams(s, probe) != canon {
 				continue
 			}
 			for trial := 0; trial < 5; trial++ {
 				p := base
-				lo, hi := f.Low, f.High
-				if lo > hi {
-					lo, hi = hi, lo
-				}
 				f.Set(&p, lo+rng.Float64()*(hi-lo))
 				got, err := core.ComputeDemand(s, p, costs)
 				if err != nil {
