@@ -61,10 +61,10 @@ func TestOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range tr.Refs {
-		if r.Kind == trace.Flush {
+		if r.Kind() == trace.Flush {
 			t.Fatal("flush despite -noflush")
 		}
-		if r.Shared {
+		if r.Shared() {
 			t.Fatal("shared ref despite -shd 0")
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -182,7 +183,7 @@ func TestPriorityBusNetworkRejected(t *testing.T) {
 	if _, err := EvaluatePacketNetwork(s, p, 4); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("EvaluatePacketNetwork: %v, want ErrUnsupported", err)
 	}
-	if _, err := EvaluateNetworkMVA(s, p, 4); !errors.Is(err, ErrUnsupported) {
+	if _, err := EvaluateNetworkMVA(context.Background(), s, p, 4); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("EvaluateNetworkMVA: %v, want ErrUnsupported", err)
 	}
 	// Snoopy extensions are rejected too (their ops are undefined in the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"swcc/internal/queueing"
@@ -23,8 +24,10 @@ import (
 // Every network size solves: the load-dependent solution rescales its
 // unnormalized probabilities instead of overflowing float64. The solve
 // is linear in the processor count, so 20 stages (2^20 processors)
-// hold two 2^20-entry slices, about 16 MB, for about a second.
-func EvaluateNetworkMVA(s Scheme, p Params, stages int) (NetworkPoint, error) {
+// hold two 2^20-entry slices, about 16 MB, for about a second; the solve
+// stops with ctx's error within a few thousand populations of ctx being
+// done.
+func EvaluateNetworkMVA(ctx context.Context, s Scheme, p Params, stages int) (NetworkPoint, error) {
 	if stages < 1 {
 		return NetworkPoint{}, fmt.Errorf("core: stages %d < 1", stages)
 	}
@@ -68,7 +71,7 @@ func EvaluateNetworkMVA(s Scheme, p Params, stages int) (NetworkPoint, error) {
 		}
 		return float64(nproc) * pn.Forward(m)
 	}
-	res, err := queueing.LoadDependentMVA(think, rate, nproc)
+	res, err := queueing.LoadDependentMVA(ctx, think, rate, nproc)
 	if err != nil {
 		return NetworkPoint{}, err
 	}

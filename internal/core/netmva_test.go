@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestNetworkMVAUncontendedLimit(t *testing.T) {
 	p := MiddleParams()
 	p.LS, p.MsDat, p.MsIns, p.Shd = 0.01, 0.0001, 0.00001, 0
-	pt, err := EvaluateNetworkMVA(Base{}, p, 6)
+	pt, err := EvaluateNetworkMVA(context.Background(), Base{}, p, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestNetworkMVAAgreesWithPatelModerateLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mva, err := EvaluateNetworkMVA(s, p, 8)
+			mva, err := EvaluateNetworkMVA(context.Background(), s, p, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +53,7 @@ func TestNetworkMVASaturationBandwidthShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mva, err := EvaluateNetworkMVA(NoCache{}, p, 8)
+	mva, err := EvaluateNetworkMVA(context.Background(), NoCache{}, p, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestNetworkMVASaturationBandwidthShared(t *testing.T) {
 func TestNetworkMVAZeroTraffic(t *testing.T) {
 	p := MiddleParams()
 	p.LS, p.MsDat, p.MsIns, p.Shd = 0, 0, 0, 0
-	pt, err := EvaluateNetworkMVA(Base{}, p, 4)
+	pt, err := EvaluateNetworkMVA(context.Background(), Base{}, p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +76,15 @@ func TestNetworkMVAZeroTraffic(t *testing.T) {
 }
 
 func TestNetworkMVAErrors(t *testing.T) {
-	if _, err := EvaluateNetworkMVA(Base{}, MiddleParams(), 0); err == nil {
+	if _, err := EvaluateNetworkMVA(context.Background(), Base{}, MiddleParams(), 0); err == nil {
 		t.Error("want error for zero stages")
 	}
-	if _, err := EvaluateNetworkMVA(Dragon{}, MiddleParams(), 4); err == nil {
+	if _, err := EvaluateNetworkMVA(context.Background(), Dragon{}, MiddleParams(), 4); err == nil {
 		t.Error("want error for Dragon on network")
 	}
 	bad := MiddleParams()
 	bad.Shd = 2
-	if _, err := EvaluateNetworkMVA(Base{}, bad, 4); err == nil {
+	if _, err := EvaluateNetworkMVA(context.Background(), Base{}, bad, 4); err == nil {
 		t.Error("want error for invalid params")
 	}
 }
@@ -98,7 +99,7 @@ func TestNetworkMVALargeNetworksMatchPatel(t *testing.T) {
 		t.Run(s.Name(), func(t *testing.T) {
 			t.Parallel()
 			for stages := 12; stages <= 20; stages++ {
-				mva, err := EvaluateNetworkMVA(s, MiddleParams(), stages)
+				mva, err := EvaluateNetworkMVA(context.Background(), s, MiddleParams(), stages)
 				if err != nil {
 					t.Fatalf("%d stages: %v", stages, err)
 				}

@@ -160,7 +160,7 @@ func runHybrid(ctx context.Context, opt Options) (*Dataset, error) {
 	return ds, nil
 }
 
-func runNetMVA(context.Context, Options) (*Dataset, error) {
+func runNetMVA(ctx context.Context, _ Options) (*Dataset, error) {
 	ds := &Dataset{
 		ID:     "netmva",
 		Title:  "Two network contention models (256 processors): retrying circuit switch (Patel) vs queued load-dependent server (MVA)",
@@ -175,7 +175,7 @@ func runNetMVA(context.Context, Options) (*Dataset, error) {
 			if err != nil {
 				return nil, err
 			}
-			mva, err := core.EvaluateNetworkMVA(s, p, 8)
+			mva, err := core.EvaluateNetworkMVA(ctx, s, p, 8)
 			if err != nil {
 				return nil, err
 			}

@@ -192,16 +192,16 @@ func (m *Measurement) streamAnalysis(t *trace.Trace, n, blockSize int) error {
 	var instr, data, sharedData, sharedWrites, flushes int
 	for _, r := range t.Refs {
 		switch {
-		case int(r.CPU) >= n:
-		case r.Kind == trace.IFetch:
+		case int(r.CPU()) >= n:
+		case r.Kind() == trace.IFetch:
 			instr++
-		case r.Kind == trace.Flush:
+		case r.Kind() == trace.Flush:
 			flushes++
-		case r.Kind.IsData():
+		case r.Kind().IsData():
 			data++
-			if r.Shared {
+			if r.Shared() {
 				sharedData++
-				if r.Kind == trace.Write {
+				if r.Kind() == trace.Write {
 					sharedWrites++
 				}
 			}
@@ -250,12 +250,12 @@ func (m *Measurement) aplFromFlushes(t *trace.Trace, n int, blockShift uint) {
 	runs := map[cpuBlock]*runState{}
 	var totalRuns, totalRefs, dirtyRuns int
 	for _, r := range t.Refs {
-		if int(r.CPU) >= n {
+		if int(r.CPU()) >= n {
 			continue
 		}
-		key := cpuBlock{r.CPU, r.Addr >> blockShift}
+		key := cpuBlock{r.CPU(), r.Addr() >> blockShift}
 		switch {
-		case r.Kind == trace.Flush:
+		case r.Kind() == trace.Flush:
 			if st, ok := runs[key]; ok {
 				totalRuns++
 				totalRefs += st.count
@@ -264,14 +264,14 @@ func (m *Measurement) aplFromFlushes(t *trace.Trace, n int, blockShift uint) {
 				}
 				delete(runs, key)
 			}
-		case r.Kind.IsData() && r.Shared:
+		case r.Kind().IsData() && r.Shared():
 			st := runs[key]
 			if st == nil {
 				st = &runState{}
 				runs[key] = st
 			}
 			st.count++
-			if r.Kind == trace.Write {
+			if r.Kind() == trace.Write {
 				st.hasWrite = true
 			}
 		}
@@ -304,21 +304,21 @@ func (m *Measurement) aplFromHandoffs(t *trace.Trace, n int, blockShift uint) {
 		st.run = runState{}
 	}
 	for _, r := range t.Refs {
-		if int(r.CPU) >= n || !r.Kind.IsData() || !r.Shared {
+		if int(r.CPU()) >= n || !r.Kind().IsData() || !r.Shared() {
 			continue
 		}
-		blk := r.Addr >> blockShift
+		blk := r.Addr() >> blockShift
 		st := blocks[blk]
 		if st == nil {
-			st = &blockState{owner: r.CPU}
+			st = &blockState{owner: r.CPU()}
 			blocks[blk] = st
 		}
-		if r.CPU != st.owner {
+		if r.CPU() != st.owner {
 			endRun(st)
-			st.owner = r.CPU
+			st.owner = r.CPU()
 		}
 		st.run.count++
-		if r.Kind == trace.Write {
+		if r.Kind() == trace.Write {
 			st.run.hasWrite = true
 		}
 	}

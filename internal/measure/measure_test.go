@@ -113,7 +113,7 @@ func TestExtractEmptyTrace(t *testing.T) {
 }
 
 func TestExtractInvalidTrace(t *testing.T) {
-	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{{CPU: 5, Kind: trace.Read}}}
+	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{trace.NewRef(5, trace.Read, 0, false)}}
 	if _, err := Extract(tr, cache64k, 0.5); err == nil {
 		t.Error("want error for invalid trace")
 	}
@@ -123,10 +123,10 @@ func TestAPLFromFlushesExact(t *testing.T) {
 	// One CPU: 3 refs to a block (one write) then a flush; then 5 reads
 	// and a flush. apl = (3+5)/2 = 4; mdshd = 1/2.
 	mk := func(kind trace.Kind, addr uint64) trace.Ref {
-		return trace.Ref{Kind: kind, Addr: addr, Shared: true}
+		return trace.NewRef(0, kind, addr, true)
 	}
 	refs := []trace.Ref{
-		{Kind: trace.IFetch, Addr: 0x9990},
+		trace.NewRef(0, trace.IFetch, 0x9990, false),
 		mk(trace.Read, 0x100), mk(trace.Write, 0x104), mk(trace.Read, 0x108),
 		mk(trace.Flush, 0x100),
 		mk(trace.Read, 0x200), mk(trace.Read, 0x204), mk(trace.Read, 0x208),
@@ -157,10 +157,10 @@ func TestAPLFromHandoffsExact(t *testing.T) {
 	// over with 2 refs (one write), CPU0 returns with 1 read (no
 	// write; excluded from apl but included in mdshd denominator).
 	sh := func(cpu uint8, kind trace.Kind) trace.Ref {
-		return trace.Ref{CPU: cpu, Kind: kind, Addr: 0x100, Shared: true}
+		return trace.NewRef(cpu, kind, 0x100, true)
 	}
 	refs := []trace.Ref{
-		{Kind: trace.IFetch, Addr: 0x9990},
+		trace.NewRef(0, trace.IFetch, 0x9990, false),
 		sh(0, trace.Read), sh(0, trace.Write), sh(0, trace.Read),
 		sh(1, trace.Write), sh(1, trace.Read),
 		sh(0, trace.Read),
@@ -189,9 +189,9 @@ func TestAPLFromHandoffsExact(t *testing.T) {
 // 0x100 over from another; with 8-byte blocks 0x100 and 0x108 are two
 // blocks, each flushed or handed off on its own.
 func TestAPLKeysOnCacheBlock(t *testing.T) {
-	ins := func(cpu uint8) trace.Ref { return trace.Ref{CPU: cpu, Kind: trace.IFetch, Addr: 0x9990} }
+	ins := func(cpu uint8) trace.Ref { return trace.NewRef(cpu, trace.IFetch, 0x9990, false) }
 	sh := func(cpu uint8, kind trace.Kind, addr uint64) trace.Ref {
-		return trace.Ref{CPU: cpu, Kind: kind, Addr: addr, Shared: true}
+		return trace.NewRef(cpu, kind, addr, true)
 	}
 	for _, c := range []struct {
 		name      string
@@ -272,8 +272,8 @@ func TestAPLClampedToOne(t *testing.T) {
 	// A single shared write then a flush gives apl = 1; degenerate
 	// traces below 1 clamp.
 	refs := []trace.Ref{
-		{Kind: trace.IFetch, Addr: 0x9990},
-		{Kind: trace.Flush, Addr: 0x100, Shared: true}, // flush with no refs: ignored
+		trace.NewRef(0, trace.IFetch, 0x9990, false),
+		trace.NewRef(0, trace.Flush, 0x100, true), // flush with no refs: ignored
 	}
 	tr := &trace.Trace{NCPU: 1, Refs: refs}
 	var m Measurement
@@ -317,12 +317,12 @@ func TestStabilityOnStationaryTrace(t *testing.T) {
 }
 
 func TestStabilityErrors(t *testing.T) {
-	short := &trace.Trace{NCPU: 1, Refs: []trace.Ref{{Kind: trace.IFetch}}}
+	short := &trace.Trace{NCPU: 1, Refs: []trace.Ref{trace.NewRef(0, trace.IFetch, 0, false)}}
 	if _, err := Stability(short, cache64k, 0.25); err == nil {
 		t.Error("want error for too-short trace")
 	}
 	bad := &trace.Trace{NCPU: 1, Refs: make([]trace.Ref, 8)}
-	bad.Refs[0].CPU = 9
+	bad.Refs[0] = trace.NewRef(9, trace.IFetch, 0, false)
 	if _, err := Stability(bad, cache64k, 0.25); err == nil {
 		t.Error("want error for invalid trace")
 	}
@@ -334,7 +334,7 @@ func TestStabilityErrors(t *testing.T) {
 func TestStabilityBadRecordIsErrBadTrace(t *testing.T) {
 	for _, at := range []int{1, 6} {
 		bad := &trace.Trace{NCPU: 1, Refs: make([]trace.Ref, 8)}
-		bad.Refs[at].Kind = 99
+		bad.Refs[at] = trace.NewRef(1, trace.Read, 0, false)
 		if _, err := Stability(bad, cache64k, 0.25); !errors.Is(err, trace.ErrBadTrace) {
 			t.Errorf("bad record %d: err = %v, want trace.ErrBadTrace", at, err)
 		}

@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -19,6 +20,11 @@ type LoadDependentResult struct {
 	// Idle is the probability the server is empty.
 	Idle float64
 }
+
+// ctxCheckEvery is how many populations the solve steps between looks
+// at its context: a 2^20-customer network solve runs about a second, and
+// a look per 4,096 steps costs nothing beside the rate calls.
+const ctxCheckEvery = 4096
 
 // rescaleAt bounds the unnormalized probabilities: when their sum would
 // pass it, every live one is multiplied by rescaleBy. Both are powers of
@@ -49,14 +55,17 @@ const (
 // multistage networks: "the multistage network is represented as a
 // load-dependent service center characterised by its service rate at
 // various loads."
-func LoadDependentMVA(think float64, rate func(k int) float64, customers int) (LoadDependentResult, error) {
-	res, _, err := loadDependentMVA(think, rate, customers)
+//
+// The solve stops with ctx's error within ctxCheckEvery populations of
+// ctx being done.
+func LoadDependentMVA(ctx context.Context, think float64, rate func(k int) float64, customers int) (LoadDependentResult, error) {
+	res, _, err := loadDependentMVA(ctx, think, rate, customers)
 	return res, err
 }
 
 // loadDependentMVA is LoadDependentMVA that also reports how many
 // probabilities its rescales multiplied in all.
-func loadDependentMVA(think float64, rate func(k int) float64, customers int) (LoadDependentResult, int, error) {
+func loadDependentMVA(ctx context.Context, think float64, rate func(k int) float64, customers int) (LoadDependentResult, int, error) {
 	if customers < 1 {
 		return LoadDependentResult{}, 0, fmt.Errorf("%w: customers %d < 1", ErrInvalidInput, customers)
 	}
@@ -76,6 +85,11 @@ func loadDependentMVA(think float64, rate func(k int) float64, customers int) (L
 	sum := 1.0
 	lo, touched := 0, 0
 	for k := 1; k <= n; k++ {
+		if k%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return LoadDependentResult{}, touched, err
+			}
+		}
 		m := rate(k)
 		if m <= 0 || math.IsNaN(m) || math.IsInf(m, 0) {
 			return LoadDependentResult{}, touched, fmt.Errorf("%w: rate(%d) = %g", ErrInvalidInput, k, m)

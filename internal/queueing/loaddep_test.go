@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -18,7 +19,7 @@ func TestLoadDependentMatchesConstantRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range mva {
-		ld, err := LoadDependentMVA(think, constRate, i+1)
+		ld, err := LoadDependentMVA(context.Background(), think, constRate, i+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +37,7 @@ func TestLoadDependentScalableServerNeverQueues(t *testing.T) {
 	// infinite server: throughput = n/(think + 1/perCustomerRate).
 	think, mu := 10.0, 0.5
 	for n := 1; n <= 8; n++ {
-		r, err := LoadDependentMVA(think, func(k int) float64 { return mu * float64(k) }, n)
+		r, err := LoadDependentMVA(context.Background(), think, func(k int) float64 { return mu * float64(k) }, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestLoadDependentScalableServerNeverQueues(t *testing.T) {
 func TestLoadDependentSaturation(t *testing.T) {
 	// Capped rate: throughput can never exceed the cap.
 	cap_ := 0.3
-	last, err := LoadDependentMVA(1, func(k int) float64 { return cap_ }, 50)
+	last, err := LoadDependentMVA(context.Background(), 1, func(k int) float64 { return cap_ }, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestLoadDependentLittleLaw(t *testing.T) {
 		base := float64(rateRaw%50)/100 + 0.01
 		n := int(nRaw%12) + 1
 		rate := func(k int) float64 { return base * (1 + float64(k)/4) }
-		r, err := LoadDependentMVA(think, rate, n)
+		r, err := LoadDependentMVA(context.Background(), think, rate, n)
 		if err != nil {
 			return false
 		}
@@ -90,19 +91,19 @@ func TestLoadDependentLittleLaw(t *testing.T) {
 
 func TestLoadDependentErrors(t *testing.T) {
 	ok := func(int) float64 { return 1 }
-	if _, err := LoadDependentMVA(1, ok, 0); err == nil {
+	if _, err := LoadDependentMVA(context.Background(), 1, ok, 0); err == nil {
 		t.Error("want error for zero customers")
 	}
-	if _, err := LoadDependentMVA(0, ok, 2); err == nil {
+	if _, err := LoadDependentMVA(context.Background(), 0, ok, 2); err == nil {
 		t.Error("want error for zero think")
 	}
-	if _, err := LoadDependentMVA(1, nil, 2); err == nil {
+	if _, err := LoadDependentMVA(context.Background(), 1, nil, 2); err == nil {
 		t.Error("want error for nil rate")
 	}
-	if _, err := LoadDependentMVA(1, func(int) float64 { return 0 }, 2); err == nil {
+	if _, err := LoadDependentMVA(context.Background(), 1, func(int) float64 { return 0 }, 2); err == nil {
 		t.Error("want error for zero rate")
 	}
-	if _, err := LoadDependentMVA(1, func(int) float64 { return -1 }, 2); err == nil {
+	if _, err := LoadDependentMVA(context.Background(), 1, func(int) float64 { return -1 }, 2); err == nil {
 		t.Error("want error for negative rate")
 	}
 }
@@ -116,7 +117,7 @@ func TestLoadDependentCallsRateOncePerCustomer(t *testing.T) {
 		calls++
 		return 1 + float64(k)/n
 	}
-	if _, err := LoadDependentMVA(10*n, rate, n); err != nil {
+	if _, err := LoadDependentMVA(context.Background(), 10*n, rate, n); err != nil {
 		t.Fatal(err)
 	}
 	if calls != n {
@@ -135,7 +136,7 @@ func TestLoadDependentRescales(t *testing.T) {
 	const n = 1 << 20
 	calls := 0
 	rate := func(int) float64 { calls++; return 1 }
-	res, touched, err := loadDependentMVA(1, rate, n)
+	res, touched, err := loadDependentMVA(context.Background(), 1, rate, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestLoadDependentRescaleExact(t *testing.T) {
 	// 3,900 bits, three or four rescales.
 	const n = 400
 	rate := func(k int) float64 { return 1 + float64(k)/n }
-	res, touched, err := loadDependentMVA(1e-3, rate, n)
+	res, touched, err := loadDependentMVA(context.Background(), 1e-3, rate, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +194,33 @@ func TestLoadDependentRescaleExact(t *testing.T) {
 // reach, a single step whose ratio lambda/mu passes float64's range: it
 // is an input error, not a NaN or infinite throughput.
 func TestLoadDependentStepOutOfRange(t *testing.T) {
-	_, err := LoadDependentMVA(1e-300, func(int) float64 { return 1e-300 }, 4)
+	_, err := LoadDependentMVA(context.Background(), 1e-300, func(int) float64 { return 1e-300 }, 4)
 	if !errors.Is(err, ErrInvalidInput) {
 		t.Errorf("step ratio past float64's range: %v, want ErrInvalidInput", err)
+	}
+}
+
+// TestLoadDependentMVAStopsWhenCancelled: a solve whose context is
+// cancelled mid-way returns context.Canceled within 4,096 more
+// populations, not after the remaining million rate calls. The bound is
+// a count, so a loaded machine cannot flake it.
+func TestLoadDependentMVAStopsWhenCancelled(t *testing.T) {
+	const cancelAt, maxCalls = 10_000, 14_096
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	rate := func(k int) float64 {
+		calls++
+		if k == cancelAt {
+			cancel()
+		}
+		return 1
+	}
+	_, err := LoadDependentMVA(ctx, 1, rate, 1<<20)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls > maxCalls {
+		t.Errorf("%d rate calls after cancelling at population %d, want at most %d", calls, cancelAt, maxCalls)
 	}
 }

@@ -393,7 +393,7 @@ func (s *Server) handleNetwork(ctx context.Context, body []byte) (any, error) {
 		var pt core.NetworkPoint
 		var err error
 		if model == "mva" {
-			pt, err = core.EvaluateNetworkMVA(scheme, p, stages)
+			pt, err = core.EvaluateNetworkMVA(ctx, scheme, p, stages)
 		} else {
 			pt, err = core.EvaluateNetworkAt(scheme, p, stages)
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -117,7 +118,7 @@ func TestNetworkGolden(t *testing.T) {
 		var pt core.NetworkPoint
 		var err error
 		if model == "mva" {
-			pt, err = core.EvaluateNetworkMVA(core.SoftwareFlush{}, core.MiddleParams(), 6)
+			pt, err = core.EvaluateNetworkMVA(context.Background(), core.SoftwareFlush{}, core.MiddleParams(), 6)
 		} else {
 			pt, err = core.EvaluateNetworkAt(core.SoftwareFlush{}, core.MiddleParams(), 6)
 		}

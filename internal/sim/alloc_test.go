@@ -18,7 +18,7 @@ import (
 // the trace in place through a 1-byte skip to the next record per
 // record, so with the per-processor caches it stays under 5 bytes a
 // record. A 4-byte next-record link per record, or a copy of the trace
-// into per-processor streams (16 bytes a record more), fails it.
+// into per-processor streams (8 bytes a record more), fails it.
 func TestRunAllocBudget(t *testing.T) {
 	const budget = 5
 	tr := genTrace(t, "pops", 20_000)
@@ -44,7 +44,7 @@ func TestRunAllocBudget(t *testing.T) {
 // smaller than the trace: a 1..7-processor run of the 8-processor pero8
 // trace allocates its caches plus one 1-byte skip per full-trace record,
 // and nothing per simulated record. A 4-byte link per full-trace record,
-// or a copy of the restricted records (16 bytes each, 2 bytes per
+// or a copy of the restricted records (8 bytes each, 1 byte per
 // full-trace record even at one processor), fails it. Both runs are the
 // least of three, as in TestPreparedRunAllocBudget: a single run now
 // and then picks up ~5 KB of the runtime's background allocation, which

@@ -356,8 +356,8 @@ func Prepare(t *trace.Trace) (*Prepared, error) {
 	// Walking backward, first[c] is processor c's next record after i.
 	for i := len(t.Refs) - 1; i >= 0; i-- {
 		r := t.Refs[i]
-		c := int(r.CPU)
-		if c >= t.NCPU || !r.Kind.Valid() {
+		c := int(r.CPU())
+		if c >= t.NCPU {
 			return nil, t.Validate()
 		}
 		if next := p.first[c]; next >= 0 && int(next)-i <= maxSkip {
@@ -475,7 +475,7 @@ func (p *Prepared) Run(cfg Config) (*Result, error) {
 			continue
 		}
 		next := i + maxSkip + 1
-		for next < len(refs) && int(refs[next].CPU) != cpu {
+		for next < len(refs) && int(refs[next].CPU()) != cpu {
 			next++
 		}
 		if next < len(refs) {
@@ -617,10 +617,10 @@ func (e *engine) othersHolding(cpu int, block uint64) (holders int, dirtyAt int)
 
 // step processes one trace record.
 func (e *engine) step(cpu int, ref trace.Ref) {
-	switch ref.Kind {
+	switch ref.Kind() {
 	case trace.IFetch:
 		e.stats[cpu].Instructions++
-		e.applyOp(cpu, core.OpInstr, ref.Addr)
+		e.applyOp(cpu, core.OpInstr, ref.Addr())
 		e.access(cpu, ref, false)
 	case trace.Read:
 		e.stats[cpu].Reads++
@@ -635,14 +635,14 @@ func (e *engine) step(cpu int, ref trace.Ref) {
 
 // dataRef handles a load or store.
 func (e *engine) dataRef(cpu int, ref trace.Ref, write bool) {
-	if e.nocache && ref.Shared {
+	if e.nocache && ref.Shared() {
 		// Shared data is uncacheable: go straight to memory.
 		if write {
 			e.stats[cpu].WriteThroughs++
-			e.applyOp(cpu, core.OpWriteThrough, ref.Addr)
+			e.applyOp(cpu, core.OpWriteThrough, ref.Addr())
 		} else {
 			e.stats[cpu].ReadThroughs++
-			e.applyOp(cpu, core.OpReadThrough, ref.Addr)
+			e.applyOp(cpu, core.OpReadThrough, ref.Addr())
 		}
 		return
 	}
@@ -652,9 +652,9 @@ func (e *engine) dataRef(cpu int, ref trace.Ref, write bool) {
 // access performs a cacheable reference (data or instruction).
 func (e *engine) access(cpu int, ref trace.Ref, write bool) {
 	cache := e.caches[cpu]
-	block := cache.BlockOf(ref.Addr)
-	isData := ref.Kind.IsData()
-	sharedData := isData && ref.Shared
+	block := cache.BlockOf(ref.Addr())
+	isData := ref.Kind().IsData()
+	sharedData := isData && ref.Shared()
 	snoopy := e.snoopy
 
 	// A hit needs the snoop scan only for a store (update or
@@ -719,13 +719,13 @@ func (e *engine) access(cpu int, ref trace.Ref, write bool) {
 	fromCache := snoopy && dirtyAt >= 0
 	switch {
 	case fromCache && victim.Valid && victim.Dirty:
-		e.applyOp(cpu, core.OpDirtyMissCache, ref.Addr)
+		e.applyOp(cpu, core.OpDirtyMissCache, ref.Addr())
 	case fromCache:
-		e.applyOp(cpu, core.OpCleanMissCache, ref.Addr)
+		e.applyOp(cpu, core.OpCleanMissCache, ref.Addr())
 	case victim.Valid && victim.Dirty:
-		e.applyOp(cpu, core.OpDirtyMissMem, ref.Addr)
+		e.applyOp(cpu, core.OpDirtyMissMem, ref.Addr())
 	default:
-		e.applyOp(cpu, core.OpCleanMissMem, ref.Addr)
+		e.applyOp(cpu, core.OpCleanMissMem, ref.Addr())
 	}
 	if fromCache {
 		e.stats[cpu].CacheSupplied++
@@ -778,13 +778,13 @@ func (e *engine) flush(cpu int, ref trace.Ref) {
 	}
 	e.stats[cpu].Flushes++
 	cache := e.caches[cpu]
-	block := cache.BlockOf(ref.Addr)
+	block := cache.BlockOf(ref.Addr())
 	present, wasDirty := cache.Invalidate(block)
 	if present && wasDirty {
 		e.stats[cpu].DirtyFlushes++
-		e.applyOp(cpu, core.OpDirtyFlush, ref.Addr)
+		e.applyOp(cpu, core.OpDirtyFlush, ref.Addr())
 		return
 	}
 	e.stats[cpu].CleanFlushes++
-	e.applyOp(cpu, core.OpCleanFlush, ref.Addr)
+	e.applyOp(cpu, core.OpCleanFlush, ref.Addr())
 }

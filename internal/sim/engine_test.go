@@ -105,10 +105,10 @@ func TestProtocolNamesRegistered(t *testing.T) {
 // Single-CPU timing: verify exact Table 1 cycle accounting.
 func TestBaseTimingExact(t *testing.T) {
 	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{
-		{Kind: trace.IFetch, Addr: 0x1000}, // instr 1 + clean miss 10
-		{Kind: trace.IFetch, Addr: 0x1004}, // instr 1 (same block hit)
-		{Kind: trace.Read, Addr: 0x2000},   // clean miss 10
-		{Kind: trace.Read, Addr: 0x2008},   // hit, free
+		trace.NewRef(0, trace.IFetch, 0x1000, false), // instr 1 + clean miss 10
+		trace.NewRef(0, trace.IFetch, 0x1004, false), // instr 1 (same block hit)
+		trace.NewRef(0, trace.Read, 0x2000, false),   // clean miss 10
+		trace.NewRef(0, trace.Read, 0x2008, false),   // hit, free
 	}}
 	res := run(t, ProtoBase, tr)
 	s := res.PerCPU[0]
@@ -131,9 +131,9 @@ func TestDirtyReplacementTiming(t *testing.T) {
 	// a dirty write-back (14 cycles).
 	cfg := Config{NCPU: 1, Cache: CacheConfig{Size: 16, BlockSize: 16, Assoc: 1}, Protocol: ProtoBase}
 	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{
-		{Kind: trace.Write, Addr: 0x0},   // clean miss 10, line dirty
-		{Kind: trace.Read, Addr: 0x100},  // dirty miss 14
-		{Kind: trace.Write, Addr: 0x200}, // clean miss 10 (victim clean)
+		trace.NewRef(0, trace.Write, 0x0, false),   // clean miss 10, line dirty
+		trace.NewRef(0, trace.Read, 0x100, false),  // dirty miss 14
+		trace.NewRef(0, trace.Write, 0x200, false), // clean miss 10 (victim clean)
 	}}
 	res, err := Run(cfg, tr)
 	if err != nil {
@@ -150,10 +150,10 @@ func TestDirtyReplacementTiming(t *testing.T) {
 
 func TestNoCacheBypass(t *testing.T) {
 	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{
-		{Kind: trace.Read, Addr: 0x100, Shared: true},  // read-through 5
-		{Kind: trace.Write, Addr: 0x100, Shared: true}, // write-through 2
-		{Kind: trace.Read, Addr: 0x100, Shared: true},  // read-through again (never cached)
-		{Kind: trace.Read, Addr: 0x900},                // private: clean miss 10
+		trace.NewRef(0, trace.Read, 0x100, true),  // read-through 5
+		trace.NewRef(0, trace.Write, 0x100, true), // write-through 2
+		trace.NewRef(0, trace.Read, 0x100, true),  // read-through again (never cached)
+		trace.NewRef(0, trace.Read, 0x900, false), // private: clean miss 10
 	}}
 	res := run(t, ProtoNoCache, tr)
 	s := res.PerCPU[0]
@@ -170,11 +170,11 @@ func TestNoCacheBypass(t *testing.T) {
 
 func TestSoftwareFlushSemantics(t *testing.T) {
 	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{
-		{Kind: trace.Write, Addr: 0x100, Shared: true}, // clean miss 10, dirty line
-		{Kind: trace.Flush, Addr: 0x100, Shared: true}, // dirty flush 6
-		{Kind: trace.Read, Addr: 0x100, Shared: true},  // miss again (was flushed): 10
-		{Kind: trace.Flush, Addr: 0x100, Shared: true}, // clean flush 1
-		{Kind: trace.Flush, Addr: 0x500, Shared: true}, // absent: clean flush 1
+		trace.NewRef(0, trace.Write, 0x100, true), // clean miss 10, dirty line
+		trace.NewRef(0, trace.Flush, 0x100, true), // dirty flush 6
+		trace.NewRef(0, trace.Read, 0x100, true),  // miss again (was flushed): 10
+		trace.NewRef(0, trace.Flush, 0x100, true), // clean flush 1
+		trace.NewRef(0, trace.Flush, 0x500, true), // absent: clean flush 1
 	}}
 	res := run(t, ProtoSoftwareFlush, tr)
 	s := res.PerCPU[0]
@@ -194,9 +194,9 @@ func TestSoftwareFlushSemantics(t *testing.T) {
 
 func TestFlushIgnoredByOtherProtocols(t *testing.T) {
 	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{
-		{Kind: trace.Write, Addr: 0x100, Shared: true},
-		{Kind: trace.Flush, Addr: 0x100, Shared: true},
-		{Kind: trace.Read, Addr: 0x100, Shared: true},
+		trace.NewRef(0, trace.Write, 0x100, true),
+		trace.NewRef(0, trace.Flush, 0x100, true),
+		trace.NewRef(0, trace.Read, 0x100, true),
 	}}
 	for _, proto := range []Protocol{ProtoBase, ProtoDragon, ProtoWriteInvalidate} {
 		res := run(t, proto, tr)
@@ -214,9 +214,9 @@ func TestDragonCacheToCacheAndBroadcast(t *testing.T) {
 	// CPU0 dirties block A; CPU1 then reads it (cache-supplied) and
 	// writes it (broadcast + cycle steal on CPU0).
 	tr := &trace.Trace{NCPU: 2, Refs: []trace.Ref{
-		{CPU: 0, Kind: trace.Write, Addr: 0x100, Shared: true},
-		{CPU: 1, Kind: trace.Read, Addr: 0x100, Shared: true},
-		{CPU: 1, Kind: trace.Write, Addr: 0x104, Shared: true},
+		trace.NewRef(0, trace.Write, 0x100, true),
+		trace.NewRef(1, trace.Read, 0x100, true),
+		trace.NewRef(1, trace.Write, 0x104, true),
 	}}
 	res := run(t, ProtoDragon, tr)
 	s0, s1 := res.PerCPU[0], res.PerCPU[1]
@@ -262,11 +262,11 @@ func TestWriteInvalidateRemovesCopies(t *testing.T) {
 	// CPU0 reads block A (clean copy); CPU1 writes it: CPU1 misses,
 	// then invalidates CPU0's copy. A second CPU0 read must miss again.
 	tr := &trace.Trace{NCPU: 2, Refs: []trace.Ref{
-		{CPU: 0, Kind: trace.Read, Addr: 0x100, Shared: true},
-		{CPU: 1, Kind: trace.Write, Addr: 0x100, Shared: true},
-		{CPU: 0, Kind: trace.Read, Addr: 0x100, Shared: true},
-		{CPU: 0, Kind: trace.Read, Addr: 0x200, Shared: false},
-		{CPU: 0, Kind: trace.Read, Addr: 0x300, Shared: false},
+		trace.NewRef(0, trace.Read, 0x100, true),
+		trace.NewRef(1, trace.Write, 0x100, true),
+		trace.NewRef(0, trace.Read, 0x100, true),
+		trace.NewRef(0, trace.Read, 0x200, false),
+		trace.NewRef(0, trace.Read, 0x300, false),
 	}}
 	res := run(t, ProtoWriteInvalidate, tr)
 	s0 := res.PerCPU[0]
@@ -286,15 +286,15 @@ func TestDragonVsInvalidateOnPingPong(t *testing.T) {
 	// writes genuinely alternate in time (as they would in a real
 	// instruction stream).
 	refs := []trace.Ref{
-		{CPU: 0, Kind: trace.Read, Addr: 0x100, Shared: true},
-		{CPU: 1, Kind: trace.Read, Addr: 0x100, Shared: true},
+		trace.NewRef(0, trace.Read, 0x100, true),
+		trace.NewRef(1, trace.Read, 0x100, true),
 	}
 	for i := 0; i < 50; i++ {
 		refs = append(refs,
-			trace.Ref{CPU: 0, Kind: trace.IFetch, Addr: 0x1000},
-			trace.Ref{CPU: 0, Kind: trace.Write, Addr: 0x100, Shared: true},
-			trace.Ref{CPU: 1, Kind: trace.IFetch, Addr: 0x2000},
-			trace.Ref{CPU: 1, Kind: trace.Write, Addr: 0x100, Shared: true},
+			trace.NewRef(0, trace.IFetch, 0x1000, false),
+			trace.NewRef(0, trace.Write, 0x100, true),
+			trace.NewRef(1, trace.IFetch, 0x2000, false),
+			trace.NewRef(1, trace.Write, 0x100, true),
 		)
 	}
 	tr := &trace.Trace{NCPU: 2, Refs: refs}
@@ -307,7 +307,7 @@ func TestDragonVsInvalidateOnPingPong(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	tr := &trace.Trace{NCPU: 2, Refs: []trace.Ref{{CPU: 1, Kind: trace.Read}}}
+	tr := &trace.Trace{NCPU: 2, Refs: []trace.Ref{trace.NewRef(1, trace.Read, 0, false)}}
 	// A machine smaller than the trace runs its first processors: here
 	// processor 0, which has no records.
 	small := Config{NCPU: 1, Cache: testCache, Protocol: ProtoBase}
@@ -333,7 +333,7 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(Config{NCPU: 2, Cache: testCache, Protocol: Protocol(42)}, tr); err == nil {
 		t.Error("want error for bad protocol")
 	}
-	bad := &trace.Trace{NCPU: 1, Refs: []trace.Ref{{CPU: 5, Kind: trace.Read}}}
+	bad := &trace.Trace{NCPU: 1, Refs: []trace.Ref{trace.NewRef(5, trace.Read, 0, false)}}
 	if _, err := Run(Config{NCPU: 1, Cache: testCache, Protocol: ProtoBase}, bad); err == nil {
 		t.Error("want error for invalid trace")
 	}
@@ -341,8 +341,8 @@ func TestRunErrors(t *testing.T) {
 	// when it belongs to a processor the run does not simulate, and
 	// the first malformed record is the one named.
 	for _, bad := range []*trace.Trace{
-		{NCPU: 2, Refs: []trace.Ref{{CPU: 0, Kind: trace.Read}, {CPU: 2, Kind: trace.Read}, {CPU: 3, Kind: trace.Read}}},
-		{NCPU: 2, Refs: []trace.Ref{{CPU: 1, Kind: trace.Kind(9)}, {CPU: 0, Kind: trace.Kind(4)}}},
+		{NCPU: 2, Refs: []trace.Ref{trace.NewRef(0, trace.Read, 0, false), trace.NewRef(2, trace.Read, 0, false), trace.NewRef(3, trace.Read, 0, false)}},
+		{NCPU: 2, Refs: []trace.Ref{trace.NewRef(2, trace.Write, 0, false), trace.NewRef(1, trace.Read, 0, false), trace.NewRef(255, trace.Flush, 0, false)}},
 		{NCPU: 0},
 	} {
 		want := bad.Validate()
@@ -380,7 +380,7 @@ func TestRunClockBound(t *testing.T) {
 }
 
 func TestRunDefaultsNCPUFromTrace(t *testing.T) {
-	tr := &trace.Trace{NCPU: 3, Refs: []trace.Ref{{CPU: 2, Kind: trace.Read, Addr: 0x10}}}
+	tr := &trace.Trace{NCPU: 3, Refs: []trace.Ref{trace.NewRef(2, trace.Read, 0x10, false)}}
 	res, err := Run(Config{Cache: testCache, Protocol: ProtoBase}, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -392,9 +392,9 @@ func TestRunDefaultsNCPUFromTrace(t *testing.T) {
 
 func TestResultAggregates(t *testing.T) {
 	tr := &trace.Trace{NCPU: 2, Refs: []trace.Ref{
-		{CPU: 0, Kind: trace.IFetch, Addr: 0x1000},
-		{CPU: 1, Kind: trace.IFetch, Addr: 0x2000},
-		{CPU: 0, Kind: trace.Read, Addr: 0x3000},
+		trace.NewRef(0, trace.IFetch, 0x1000, false),
+		trace.NewRef(1, trace.IFetch, 0x2000, false),
+		trace.NewRef(0, trace.Read, 0x3000, false),
 	}}
 	res := run(t, ProtoBase, tr)
 	tot := res.Totals()

@@ -25,7 +25,7 @@ func TestRunDependsOnlyOnPerProcessorOrder(t *testing.T) {
 	// in the same order: processor 1 then has none.
 	noRecords := &trace.Trace{NCPU: tr.NCPU}
 	for _, r := range tr.Refs {
-		if r.CPU != 1 {
+		if r.CPU() != 1 {
 			noRecords.Refs = append(noRecords.Refs, r)
 		}
 	}
@@ -102,7 +102,7 @@ func TestRunDependsOnlyOnPerProcessorOrder(t *testing.T) {
 func relay(t *trace.Trace, order func(lens []int) []int) *trace.Trace {
 	streams := make([][]trace.Ref, t.NCPU)
 	for _, r := range t.Refs {
-		streams[r.CPU] = append(streams[r.CPU], r)
+		streams[r.CPU()] = append(streams[r.CPU()], r)
 	}
 	lens := make([]int, t.NCPU)
 	for c, s := range streams {

@@ -21,8 +21,8 @@ func TestNetworkMediumTimingSingleCPU(t *testing.T) {
 	// One processor, 2-stage network (nproc<=4 -> stages=1 for 2...
 	// NCPU=1 -> stages=1): clean miss costs 9+2n CPU, 6+2n network.
 	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{
-		{Kind: trace.IFetch, Addr: 0x1000}, // instr 1 + clean fetch 9+2
-		{Kind: trace.IFetch, Addr: 0x1004}, // instr 1
+		trace.NewRef(0, trace.IFetch, 0x1000, false), // instr 1 + clean fetch 9+2
+		trace.NewRef(0, trace.IFetch, 0x1004, false), // instr 1
 	}}
 	res, err := Run(Config{NCPU: 1, Cache: testCache, Protocol: ProtoBase, Medium: MediumNetwork}, tr)
 	if err != nil {
@@ -37,7 +37,7 @@ func TestNetworkMediumTimingSingleCPU(t *testing.T) {
 }
 
 func TestNetworkMediumRejectsSnoopy(t *testing.T) {
-	tr := &trace.Trace{NCPU: 2, Refs: []trace.Ref{{Kind: trace.Read, Addr: 1}}}
+	tr := &trace.Trace{NCPU: 2, Refs: []trace.Ref{trace.NewRef(0, trace.Read, 1, false)}}
 	for _, proto := range []Protocol{ProtoDragon, ProtoWriteInvalidate} {
 		_, err := Run(Config{NCPU: 2, Cache: testCache, Protocol: proto, Medium: MediumNetwork}, tr)
 		if !errors.Is(err, ErrBadConfig) {
@@ -106,7 +106,7 @@ func TestMultistageLinkConflicts(t *testing.T) {
 	// the final-stage link; different modules on disjoint paths must
 	// not. 4-CPU network (2 stages), block-interleaved modules.
 	mk := func(cpu uint8, addr uint64) trace.Ref {
-		return trace.Ref{CPU: cpu, Kind: trace.Read, Addr: addr}
+		return trace.NewRef(cpu, trace.Read, addr, false)
 	}
 	cache := CacheConfig{Size: 1024, BlockSize: 16, Assoc: 2}
 	// Same module 0 (addresses 0x0 and 0x400 both have block%4 == 0).

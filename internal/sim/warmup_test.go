@@ -14,7 +14,7 @@ func TestWarmupExcludesColdMisses(t *testing.T) {
 	var refs []trace.Ref
 	for pass := 0; pass < 2; pass++ {
 		for b := uint64(0); b < 64; b++ {
-			refs = append(refs, trace.Ref{Kind: trace.Read, Addr: b * 16})
+			refs = append(refs, trace.NewRef(0, trace.Read, b*16, false))
 		}
 	}
 	tr := &trace.Trace{NCPU: 1, Refs: refs}
@@ -84,7 +84,7 @@ func TestWarmupAdditivity(t *testing.T) {
 }
 
 func TestWarmupErrors(t *testing.T) {
-	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{{Kind: trace.Read, Addr: 1}}}
+	tr := &trace.Trace{NCPU: 1, Refs: []trace.Ref{trace.NewRef(0, trace.Read, 1, false)}}
 	cfg := Config{NCPU: 1, Cache: testCache, Protocol: ProtoBase}
 	cfg.WarmupRefs = -1
 	if _, err := Run(cfg, tr); err == nil {

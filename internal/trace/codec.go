@@ -68,25 +68,20 @@ func (w *Writer) Write(r Ref) error {
 	if w.err != nil {
 		return w.err
 	}
-	if r.CPU >= 32 {
-		w.err = fmt.Errorf("%w: cpu %d out of range", ErrBadTrace, r.CPU)
+	cpu := r.CPU()
+	if cpu >= 32 {
+		w.err = fmt.Errorf("%w: cpu %d out of range", ErrBadTrace, cpu)
 		return w.err
 	}
-	if r.Kind >= numKinds {
-		w.err = fmt.Errorf("%w: kind %d", ErrBadTrace, r.Kind)
-		return w.err
-	}
-	header := byte(r.Kind) & 0x3
-	if r.Shared {
-		header |= 1 << 2
-	}
-	header |= r.CPU << 3
-	if err := w.w.WriteByte(header); err != nil {
+	// The header byte is the record's low byte: kind, shared flag and
+	// a CPU below 32 sit in the same bits in both.
+	if err := w.w.WriteByte(byte(r)); err != nil {
 		w.err = err
 		return err
 	}
-	delta := r.Addr ^ w.prev[r.CPU]
-	w.prev[r.CPU] = r.Addr
+	addr := r.Addr()
+	delta := addr ^ w.prev[cpu]
+	w.prev[cpu] = addr
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], delta)
 	if _, err := w.w.Write(buf[:n]); err != nil {
@@ -163,36 +158,35 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Read returns the next record, or io.EOF at end of stream.
 func (r *Reader) Read() (Ref, error) {
 	if r.remaining == 0 {
-		return Ref{}, io.EOF
+		return 0, io.EOF
 	}
 	header, err := r.r.ReadByte()
 	if err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = io.EOF
 		}
-		return Ref{}, err
+		return 0, err
 	}
 	delta, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Ref{}, fmt.Errorf("%w: truncated record: %v", ErrBadTrace, err)
+		return 0, fmt.Errorf("%w: truncated record: %v", ErrBadTrace, err)
 	}
-	ref := Ref{
-		Kind:   Kind(header & 0x3),
-		Shared: header&(1<<2) != 0,
-		CPU:    header >> 3,
+	cpu := header >> 3
+	addr := r.prev[cpu] ^ delta
+	r.prev[cpu] = addr
+	if int(cpu) >= r.NCPU {
+		return 0, fmt.Errorf("%w: cpu %d >= ncpu %d", ErrBadTrace, cpu, r.NCPU)
 	}
-	ref.Addr = r.prev[ref.CPU] ^ delta
-	r.prev[ref.CPU] = ref.Addr
-	if int(ref.CPU) >= r.NCPU {
-		return Ref{}, fmt.Errorf("%w: cpu %d >= ncpu %d", ErrBadTrace, ref.CPU, r.NCPU)
+	if addr > MaxAddr {
+		return 0, fmt.Errorf("%w: address %#x above MaxAddr", ErrBadTrace, addr)
 	}
 	if r.remaining != openCount {
 		r.remaining--
 	}
-	return ref, nil
+	return NewRef(cpu, Kind(header&0x3), addr, header&(1<<2) != 0), nil
 }
 
 // ReadTrace reads a whole binary trace.
@@ -234,10 +228,10 @@ func WriteText(w io.Writer, t *Trace) error {
 	letters := [numKinds]byte{'i', 'r', 'w', 'f'}
 	for _, r := range t.Refs {
 		var err error
-		if r.Shared {
-			_, err = fmt.Fprintf(bw, "%d %c %x s\n", r.CPU, letters[r.Kind], r.Addr)
+		if r.Shared() {
+			_, err = fmt.Fprintf(bw, "%d %c %x s\n", r.CPU(), letters[r.Kind()], r.Addr())
 		} else {
-			_, err = fmt.Fprintf(bw, "%d %c %x\n", r.CPU, letters[r.Kind], r.Addr)
+			_, err = fmt.Fprintf(bw, "%d %c %x\n", r.CPU(), letters[r.Kind()], r.Addr())
 		}
 		if err != nil {
 			return err
@@ -291,11 +285,11 @@ func ReadText(rd io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: line %d addr: %v", ErrBadTrace, line, err)
 		}
-		ref := Ref{CPU: uint8(cpu), Kind: kind, Addr: addr}
-		if len(fields) > 3 && fields[3] == "s" {
-			ref.Shared = true
+		if addr > MaxAddr {
+			return nil, fmt.Errorf("%w: line %d addr %#x above MaxAddr", ErrBadTrace, line, addr)
 		}
-		t.Refs = append(t.Refs, ref)
+		shared := len(fields) > 3 && fields[3] == "s"
+		t.Refs = append(t.Refs, NewRef(uint8(cpu), kind, addr, shared))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

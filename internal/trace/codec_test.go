@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand/v2"
@@ -34,12 +35,12 @@ func TestBinaryRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	tr := &Trace{NCPU: 8}
 	for i := 0; i < 10000; i++ {
-		tr.Refs = append(tr.Refs, Ref{
-			CPU:    uint8(rng.IntN(8)),
-			Kind:   Kind(rng.IntN(4)),
-			Addr:   rng.Uint64() >> uint(rng.IntN(40)),
-			Shared: rng.IntN(2) == 0,
-		})
+		tr.Refs = append(tr.Refs, NewRef(
+			uint8(rng.IntN(8)),
+			Kind(rng.IntN(4)),
+			rng.Uint64()>>uint(64-53+rng.IntN(40)),
+			rng.IntN(2) == 0,
+		))
 	}
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, tr); err != nil {
@@ -63,7 +64,7 @@ func TestBinaryCompression(t *testing.T) {
 	addr := uint64(0x10000)
 	for i := 0; i < 1000; i++ {
 		addr += 4
-		tr.Refs = append(tr.Refs, Ref{Kind: IFetch, Addr: addr})
+		tr.Refs = append(tr.Refs, NewRef(0, IFetch, addr, false))
 	}
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, tr); err != nil {
@@ -82,9 +83,9 @@ func TestStreamingWriterReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := []Ref{
-		{CPU: 0, Kind: Read, Addr: 100},
-		{CPU: 3, Kind: Write, Addr: 200, Shared: true},
-		{CPU: 1, Kind: Flush, Addr: 300},
+		NewRef(0, Read, 100, false),
+		NewRef(3, Write, 200, true),
+		NewRef(1, Flush, 300, false),
 	}
 	for _, r := range refs {
 		if err := w.Write(r); err != nil {
@@ -127,11 +128,11 @@ func TestWriterRejectsBadRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(Ref{CPU: 33}); err == nil {
+	if err := w.Write(NewRef(33, IFetch, 0, false)); err == nil {
 		t.Error("want error for cpu out of range")
 	}
 	// Writer is poisoned after an error.
-	if err := w.Write(Ref{CPU: 0}); err == nil {
+	if err := w.Write(NewRef(0, IFetch, 0, false)); err == nil {
 		t.Error("writer must stay failed")
 	}
 	if _, err := NewWriter(&buf, 0); err == nil {
@@ -152,7 +153,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	// Valid header, truncated record.
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, 1)
-	_ = w.Write(Ref{Addr: 1 << 40})
+	_ = w.Write(NewRef(0, IFetch, 1<<40, false))
 	_ = w.Flush()
 	data := buf.Bytes()[:buf.Len()-2]
 	r, err := NewReader(bytes.NewReader(data))
@@ -161,6 +162,41 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	}
 	if _, err := r.Read(); err == nil {
 		t.Error("want error for truncated record")
+	}
+}
+
+// Inputs naming the address 2^53, one above MaxAddr, in each format:
+// both readers must reject it rather than build a record that cannot
+// hold it.
+const overMaxText = "#swcc-trace ncpu=1\n0 r 20000000000000\n"
+
+func overMaxBinary() []byte {
+	data := []byte("SWCT\x01\x01\x01\x00\x00\x00\x00\x00\x00\x00")
+	data = append(data, byte(Read))
+	return binary.AppendUvarint(data, MaxAddr+1)
+}
+
+func TestReadersRejectAddrAboveMax(t *testing.T) {
+	if _, err := ReadTrace(bytes.NewReader(overMaxBinary())); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("binary reader: want ErrBadTrace, got %v", err)
+	}
+	if _, err := ReadText(strings.NewReader(overMaxText)); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("text reader: want ErrBadTrace, got %v", err)
+	}
+	// MaxAddr itself is a legal address in both formats.
+	top := &Trace{NCPU: 1, Refs: []Ref{NewRef(0, Read, MaxAddr, false)}}
+	var bin, text bytes.Buffer
+	if err := WriteTrace(&bin, top); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteText(&text, top); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadTrace(&bin); err != nil || got.Refs[0] != top.Refs[0] {
+		t.Errorf("binary reader on MaxAddr: %v, %v", got, err)
+	}
+	if got, err := ReadText(&text); err != nil || got.Refs[0] != top.Refs[0] {
+		t.Errorf("text reader on MaxAddr: %v, %v", got, err)
 	}
 }
 
@@ -193,7 +229,7 @@ func TestTextSkipsCommentsAndBlanks(t *testing.T) {
 	if len(tr.Refs) != 2 {
 		t.Fatalf("got %d refs, want 2", len(tr.Refs))
 	}
-	if !tr.Refs[0].Shared || tr.Refs[0].Addr != 0xff {
+	if !tr.Refs[0].Shared() || tr.Refs[0].Addr() != 0xff {
 		t.Errorf("first ref wrong: %+v", tr.Refs[0])
 	}
 }
@@ -224,12 +260,7 @@ func TestBinaryPropertyRoundTrip(t *testing.T) {
 		}
 		tr := &Trace{NCPU: 32}
 		for i := 0; i < n; i++ {
-			tr.Refs = append(tr.Refs, Ref{
-				CPU:    cpus[i] % 32,
-				Kind:   Kind(kinds[i] % 4),
-				Addr:   addrs[i],
-				Shared: shared[i],
-			})
+			tr.Refs = append(tr.Refs, NewRef(cpus[i]%32, Kind(kinds[i]%4), addrs[i]&MaxAddr, shared[i]))
 		}
 		var buf bytes.Buffer
 		if err := WriteTrace(&buf, tr); err != nil {

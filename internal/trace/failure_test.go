@@ -49,7 +49,7 @@ func TestStreamingWriterFlushError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(Ref{CPU: 0, Kind: Read, Addr: 42}); err != nil {
+	if err := w.Write(NewRef(0, Read, 42, false)); err != nil {
 		t.Fatalf("buffered write should succeed: %v", err)
 	}
 	if err := w.Flush(); err == nil {

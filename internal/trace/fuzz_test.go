@@ -18,6 +18,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte("SWCT"))
 	f.Add([]byte{})
 	f.Add([]byte("SWCT\x01\x04\xff\xff\xff\xff\xff\xff\xff\xff\x00"))
+	f.Add(overMaxBinary())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
@@ -55,6 +56,7 @@ func FuzzReadText(f *testing.F) {
 	f.Add(seed.String())
 	f.Add("#swcc-trace ncpu=2\n0 r ff s\n")
 	f.Add("#swcc-trace ncpu=300\n")
+	f.Add(overMaxText)
 	f.Add("")
 	f.Fuzz(func(t *testing.T, data string) {
 		tr, err := ReadText(strings.NewReader(data))
@@ -95,8 +97,8 @@ func FuzzStreamReader(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if int(ref.CPU) >= r.NCPU {
-				t.Fatalf("reader produced out-of-range cpu %d", ref.CPU)
+			if int(ref.CPU()) >= r.NCPU {
+				t.Fatalf("reader produced out-of-range cpu %d", ref.CPU())
 			}
 		}
 	})

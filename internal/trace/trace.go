@@ -7,6 +7,12 @@
 // the same shape as the ATUM-2 traces the paper used for validation. In
 // addition to instruction fetches, loads, and stores, a trace may carry
 // explicit Flush records so Software-Flush executions can be replayed.
+//
+// Each reference is a Ref: processor, kind, shared flag and a byte
+// address of at most MaxAddr (2^53 - 1), packed into one 8-byte word,
+// so a trace of n references holds 8n bytes. NewRef builds one; the
+// binary and text readers reject an address above MaxAddr with
+// ErrBadTrace.
 package trace
 
 import (
@@ -44,22 +50,63 @@ func (k Kind) String() string {
 // IsData reports whether the record is a load or store.
 func (k Kind) IsData() bool { return k == Read || k == Write }
 
-// Valid reports whether k is one of the four record kinds.
-func (k Kind) Valid() bool { return k < numKinds }
+// Ref is one memory reference by one processor, packed into one word
+// so a record is 8 bytes:
+//
+//	bits 0-1   kind
+//	bit  2     shared flag
+//	bits 3-10  cpu
+//	bits 11-63 byte address (at most MaxAddr)
+//
+// A two-bit kind cannot name anything but the four record kinds. Build
+// records with NewRef and read them with the accessors.
+type Ref uint64
 
-// Ref is one memory reference by one processor. Addr comes first so
-// the three one-byte fields pack behind it: a record is 16 bytes, not
-// the 24 that leading one-byte fields would pad it to.
-type Ref struct {
-	// Addr is the byte address.
-	Addr uint64
-	// CPU is the issuing processor, 0-based.
-	CPU uint8
-	// Kind classifies the reference.
-	Kind Kind
-	// Shared marks references the compiler/programmer designated as
-	// shared (drives the software schemes; ignored by hardware ones).
-	Shared bool
+// MaxAddr is the largest byte address a Ref holds: 53 bits.
+const MaxAddr = 1<<53 - 1
+
+const (
+	refKindMask  = 0x3
+	refSharedBit = 1 << 2
+	refCPUShift  = 3
+	refAddrShift = 11
+)
+
+// NewRef packs one record, keeping kind's low two bits. An address
+// above MaxAddr is a caller bug and panics; readers of untrusted input
+// check the bound first.
+func NewRef(cpu uint8, kind Kind, addr uint64, shared bool) Ref {
+	if addr > MaxAddr {
+		panic(fmt.Sprintf("trace: address %#x exceeds MaxAddr", addr))
+	}
+	r := Ref(addr<<refAddrShift | uint64(cpu)<<refCPUShift | uint64(kind&refKindMask))
+	if shared {
+		r |= refSharedBit
+	}
+	return r
+}
+
+// Addr returns the byte address.
+func (r Ref) Addr() uint64 { return uint64(r) >> refAddrShift }
+
+// CPU returns the issuing processor, 0-based.
+func (r Ref) CPU() uint8 { return uint8(r >> refCPUShift) }
+
+// Kind classifies the reference.
+func (r Ref) Kind() Kind { return Kind(r & refKindMask) }
+
+// Shared reports whether the compiler/programmer designated the
+// reference as shared (drives the software schemes; ignored by hardware
+// ones).
+func (r Ref) Shared() bool { return r&refSharedBit != 0 }
+
+// String prints the record's fields.
+func (r Ref) String() string {
+	s := fmt.Sprintf("{cpu %d %s %#x", r.CPU(), r.Kind(), r.Addr())
+	if r.Shared() {
+		s += " shared"
+	}
+	return s + "}"
 }
 
 // Trace is a fully materialized interleaved trace.
@@ -77,18 +124,15 @@ const MaxNCPU = 256
 // ErrBadTrace reports a malformed trace or record.
 var ErrBadTrace = errors.New("trace: malformed trace")
 
-// Validate checks that every record's CPU lies below NCPU and kinds are
-// known.
+// Validate checks that NCPU is in range and every record's CPU lies
+// below it.
 func (t *Trace) Validate() error {
 	if t.NCPU < 1 || t.NCPU > MaxNCPU {
 		return fmt.Errorf("%w: ncpu %d", ErrBadTrace, t.NCPU)
 	}
 	for i, r := range t.Refs {
-		if int(r.CPU) >= t.NCPU {
-			return fmt.Errorf("%w: ref %d cpu %d >= ncpu %d", ErrBadTrace, i, r.CPU, t.NCPU)
-		}
-		if !r.Kind.Valid() {
-			return fmt.Errorf("%w: ref %d kind %d", ErrBadTrace, i, r.Kind)
+		if int(r.CPU()) >= t.NCPU {
+			return fmt.Errorf("%w: ref %d cpu %d >= ncpu %d", ErrBadTrace, i, r.CPU(), t.NCPU)
 		}
 	}
 	return nil
@@ -107,7 +151,7 @@ func (t *Trace) Restrict(ncpu int) *Trace {
 	}
 	out := &Trace{NCPU: ncpu, Refs: make([]Ref, 0, t.RestrictedLen(ncpu))}
 	for _, r := range t.Refs {
-		if int(r.CPU) < ncpu {
+		if int(r.CPU()) < ncpu {
 			out.Refs = append(out.Refs, r)
 		}
 	}
@@ -119,7 +163,7 @@ func (t *Trace) Restrict(ncpu int) *Trace {
 func (t *Trace) RestrictedLen(ncpu int) int {
 	n := 0
 	for _, r := range t.Refs {
-		if int(r.CPU) < ncpu {
+		if int(r.CPU()) < ncpu {
 			n++
 		}
 	}
@@ -184,12 +228,12 @@ func ComputeStats(t *Trace, blockSize int) (Stats, error) {
 		shift++
 	}
 	for _, r := range t.Refs {
-		s.ByKind[r.Kind]++
-		s.ByCPU[r.CPU]++
-		if r.Kind.IsData() && r.Shared {
+		s.ByKind[r.Kind()]++
+		s.ByCPU[r.CPU()]++
+		if r.Kind().IsData() && r.Shared() {
 			s.SharedData++
 		}
-		blocks[r.Addr>>shift] = struct{}{}
+		blocks[r.Addr()>>shift] = struct{}{}
 	}
 	s.UniqueBlocks = len(blocks)
 	return s, nil

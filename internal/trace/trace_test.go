@@ -10,12 +10,12 @@ func sample() *Trace {
 	return &Trace{
 		NCPU: 2,
 		Refs: []Ref{
-			{CPU: 0, Kind: IFetch, Addr: 0x1000},
-			{CPU: 1, Kind: IFetch, Addr: 0x2000},
-			{CPU: 0, Kind: Read, Addr: 0x8000, Shared: true},
-			{CPU: 1, Kind: Write, Addr: 0x8000, Shared: true},
-			{CPU: 0, Kind: Read, Addr: 0x4000},
-			{CPU: 0, Kind: Flush, Addr: 0x8000, Shared: true},
+			NewRef(0, IFetch, 0x1000, false),
+			NewRef(1, IFetch, 0x2000, false),
+			NewRef(0, Read, 0x8000, true),
+			NewRef(1, Write, 0x8000, true),
+			NewRef(0, Read, 0x4000, false),
+			NewRef(0, Flush, 0x8000, true),
 		},
 	}
 }
@@ -37,16 +37,12 @@ func TestValidate(t *testing.T) {
 	if err := sample().Validate(); err != nil {
 		t.Error(err)
 	}
-	bad := &Trace{NCPU: 1, Refs: []Ref{{CPU: 3, Kind: Read}}}
+	bad := &Trace{NCPU: 1, Refs: []Ref{NewRef(3, Read, 0, false)}}
 	if err := bad.Validate(); !errors.Is(err, ErrBadTrace) {
 		t.Errorf("want ErrBadTrace, got %v", err)
 	}
 	if err := (&Trace{NCPU: 0}).Validate(); err == nil {
 		t.Error("want error for zero cpus")
-	}
-	badKind := &Trace{NCPU: 1, Refs: []Ref{{CPU: 0, Kind: Kind(7)}}}
-	if err := badKind.Validate(); err == nil {
-		t.Error("want error for bad kind")
 	}
 }
 
@@ -55,7 +51,7 @@ func TestValidate(t *testing.T) {
 // per turn in processor order, an exhausted stream dropping out of later
 // turns, and each processor's own order preserved.
 func TestPerCPUAndInterleave(t *testing.T) {
-	ref := func(cpu uint8, addr uint64) Ref { return Ref{CPU: cpu, Kind: Read, Addr: addr} }
+	ref := func(cpu uint8, addr uint64) Ref { return NewRef(cpu, Read, addr, false) }
 	streams := [][]Ref{
 		{ref(0, 0x10), ref(0, 0x11), ref(0, 0x12)},
 		{ref(1, 0x20)},
@@ -89,8 +85,8 @@ func TestRestrict(t *testing.T) {
 			t.Errorf("ncpu %d: RestrictedLen %d, Restrict kept %d records, want %d", ncpu, got, sub.Len(), want)
 		}
 		for _, r := range sub.Refs {
-			if int(r.CPU) >= ncpu {
-				t.Errorf("ncpu %d: kept a record of cpu %d", ncpu, r.CPU)
+			if int(r.CPU()) >= ncpu {
+				t.Errorf("ncpu %d: kept a record of cpu %d", ncpu, r.CPU())
 			}
 		}
 	}
@@ -151,11 +147,39 @@ func almost(a, b float64) bool {
 	return d < 1e-12 && d > -1e-12
 }
 
-// TestRefIs16Bytes pins the record layout: the simulator and every trace
-// consumer stream over []Ref, so a field order that pads it back to 24
-// bytes costs half again the memory traffic.
-func TestRefIs16Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(Ref{}); got != 16 {
-		t.Errorf("sizeof(Ref) = %d, want 16", got)
+// TestRefIs8Bytes pins the packed record: the simulator and every trace
+// consumer stream over []Ref, and the largest trace dominates a
+// regeneration's peak heap, so a record that grows back to a 16-byte
+// struct doubles both.
+func TestRefIs8Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Ref(0)); got != 8 {
+		t.Errorf("sizeof(Ref) = %d, want 8", got)
 	}
+}
+
+// TestNewRefRoundTrip checks that every field comes back out of the
+// packed record unchanged and leaves the others alone, at the extremes
+// of each field.
+func TestNewRefRoundTrip(t *testing.T) {
+	for k := IFetch; k < numKinds; k++ {
+		for _, cpu := range []uint8{0, 255} {
+			for _, shared := range []bool{false, true} {
+				for _, addr := range []uint64{0, MaxAddr} {
+					r := NewRef(cpu, k, addr, shared)
+					if r.Kind() != k || r.CPU() != cpu || r.Shared() != shared || r.Addr() != addr {
+						t.Errorf("NewRef(%d, %s, %#x, %t) reads back as %s", cpu, k, addr, shared, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestNewRefPanicsAboveMaxAddr(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewRef accepted an address above MaxAddr")
+		}
+	}()
+	NewRef(0, Read, MaxAddr+1, false)
 }

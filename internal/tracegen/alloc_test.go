@@ -10,11 +10,14 @@ package tracegen
 import (
 	"runtime"
 	"testing"
+	"unsafe"
+
+	"swcc/internal/trace"
 )
 
 // TestGenerateAllocBudget pins Generate to writing each trace once: it
-// allocates at most 1.1 times the finished trace's 16 bytes a record on
-// every preset. Generating whole per-processor streams and then
+// allocates at most 1.1 times the finished trace's bytes on every
+// preset. Generating whole per-processor streams and then
 // interleaving them into a new buffer costs about 3.2 times.
 func TestGenerateAllocBudget(t *testing.T) {
 	const budget = 1.1
@@ -31,7 +34,7 @@ func TestGenerateAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(16*len(tr.Refs))
+		ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(int(unsafe.Sizeof(trace.Ref(0)))*len(tr.Refs))
 		t.Logf("%s: %.3fx the trace's %d records", name, ratio, len(tr.Refs))
 		if ratio > budget {
 			t.Errorf("%s: Generate allocates %.3fx the trace's bytes, budget %.1fx", name, ratio, budget)

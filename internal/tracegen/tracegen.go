@@ -150,8 +150,18 @@ func (c *Config) validate() error {
 		return fmt.Errorf("%w: phases with sharedFrac %g would exceed 1", ErrBadConfig, c.SharedFrac)
 	case c.BlockSize < 4 || c.BlockSize&(c.BlockSize-1) != 0:
 		return fmt.Errorf("%w: block size %d", ErrBadConfig, c.BlockSize)
+	case !fits(perCPUStride, c.BlockSize, max(c.CodeBlocks, c.HotBlocks, c.ColdBlocks), 1),
+		!fits(arenaSize, c.BlockSize, c.SharedRegions, c.BlocksPerRegion):
+		return fmt.Errorf("%w: working sets overflow their address arenas", ErrBadConfig)
 	}
 	return nil
+}
+
+// fits reports whether a*b blocks of blockSize bytes fit in size bytes,
+// without overflowing.
+func fits(size uint64, blockSize, a, b int) bool {
+	blocks := size / uint64(blockSize)
+	return uint64(a) <= blocks && uint64(b) <= blocks/uint64(a)
 }
 
 // isFraction reports whether x lies in [0,1]; NaN does not.
@@ -159,13 +169,25 @@ func isFraction(x float64) bool { return x >= 0 && x <= 1 }
 
 // Address-space layout: disjoint gigabyte-scale arenas keyed by CPU so
 // private regions never collide across processors, plus one shared arena.
+// A 2^36-byte arena holds sixteen processors' 2^32-byte slices, so CPUs
+// 0-15 use the code, hot and cold arenas below the shared one and CPUs
+// 16-31 a second set above it. Every address stays below 2^39, far under
+// trace.MaxAddr.
 const (
 	codeArena    = uint64(1) << 36
 	hotArena     = uint64(2) << 36
 	coldArena    = uint64(3) << 36
 	sharedArena  = uint64(4) << 36
+	arenaSize    = uint64(1) << 36
 	perCPUStride = uint64(1) << 32
 )
+
+// privateBase returns the start of cpu's slice of a private arena; the
+// arenas of CPUs 16-31 sit sharedArena bytes above those of CPUs 0-15.
+func privateBase(arena uint64, cpu int) uint64 {
+	const perArena = int(arenaSize / perCPUStride)
+	return arena + uint64(cpu/perArena)*sharedArena + uint64(cpu%perArena)*perCPUStride
+}
 
 // cpuState is one processor's generator: its own deterministic RNG and
 // workload state, plus the records of its current instruction not yet
@@ -238,9 +260,9 @@ func (st *cpuState) init(cfg *Config, cpu int) {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewPCG(cfg.Seed, uint64(cpu)+1)),
 		cpu:      uint8(cpu),
-		codeBase: codeArena + uint64(cpu)*perCPUStride,
-		hotBase:  hotArena + uint64(cpu)*perCPUStride,
-		coldBase: coldArena + uint64(cpu)*perCPUStride,
+		codeBase: privateBase(codeArena, cpu),
+		hotBase:  privateBase(hotArena, cpu),
+		coldBase: privateBase(coldArena, cpu),
 		region:   -1,
 		// An instruction emits at most an ifetch, one episode's
 		// flushes and one shared reference.
@@ -266,7 +288,7 @@ func (st *cpuState) next() (trace.Ref, bool) {
 				st.pending = st.flushRegion(st.pending)
 			}
 		default:
-			return trace.Ref{}, false
+			return 0, false
 		}
 	}
 	r := st.pending[st.head]
@@ -281,7 +303,7 @@ func (st *cpuState) instruction(refs []trace.Ref) []trace.Ref {
 	bs := uint64(cfg.BlockSize)
 	// Instruction fetch: sequential walk of the loop region with
 	// occasional jumps to fresh code.
-	refs = append(refs, trace.Ref{CPU: st.cpu, Kind: trace.IFetch, Addr: st.pc})
+	refs = append(refs, trace.NewRef(st.cpu, trace.IFetch, st.pc, false))
 	st.pc += 4
 	loopBytes := uint64(cfg.LoopBlocks) * bs
 	if st.pc >= st.loopStart+loopBytes {
@@ -324,7 +346,7 @@ func (st *cpuState) instruction(refs []trace.Ref) []trace.Ref {
 	if st.rng.Float64() < cfg.WriteFrac {
 		kind = trace.Write
 	}
-	return append(refs, trace.Ref{CPU: st.cpu, Kind: kind, Addr: addr})
+	return append(refs, trace.NewRef(st.cpu, kind, addr, false))
 }
 
 // sharedRef emits one shared data reference, managing episode lifecycle.
@@ -347,7 +369,7 @@ func (st *cpuState) sharedRef(refs []trace.Ref) []trace.Ref {
 		kind = trace.Write
 	}
 	st.episodeRem--
-	return append(refs, trace.Ref{CPU: st.cpu, Kind: kind, Addr: addr, Shared: true})
+	return append(refs, trace.NewRef(st.cpu, kind, addr, true))
 }
 
 // flushRegion emits one flush record per block of the current region.
@@ -355,10 +377,7 @@ func (st *cpuState) flushRegion(refs []trace.Ref) []trace.Ref {
 	bs := uint64(st.cfg.BlockSize)
 	regionBase := sharedArena + uint64(st.region)*uint64(st.cfg.BlocksPerRegion)*bs
 	for b := 0; b < st.cfg.BlocksPerRegion; b++ {
-		refs = append(refs, trace.Ref{
-			CPU: st.cpu, Kind: trace.Flush,
-			Addr: regionBase + uint64(b)*bs, Shared: true,
-		})
+		refs = append(refs, trace.NewRef(st.cpu, trace.Flush, regionBase+uint64(b)*bs, true))
 	}
 	return refs
 }

@@ -109,14 +109,14 @@ func TestGenerateAddressArenasDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range tr.Refs {
-		arena := r.Addr >> 36
+		arena := r.Addr() >> 36
 		switch {
-		case r.Kind == trace.IFetch && arena != 1:
-			t.Fatalf("ref %d: ifetch outside code arena: %x", i, r.Addr)
-		case r.Shared && arena != 4:
-			t.Fatalf("ref %d: shared ref outside shared arena: %x", i, r.Addr)
-		case r.Kind.IsData() && !r.Shared && arena != 2 && arena != 3:
-			t.Fatalf("ref %d: private ref outside private arenas: %x", i, r.Addr)
+		case r.Kind() == trace.IFetch && arena != 1:
+			t.Fatalf("ref %d: ifetch outside code arena: %x", i, r.Addr())
+		case r.Shared() && arena != 4:
+			t.Fatalf("ref %d: shared ref outside shared arena: %x", i, r.Addr())
+		case r.Kind().IsData() && !r.Shared() && arena != 2 && arena != 3:
+			t.Fatalf("ref %d: private ref outside private arenas: %x", i, r.Addr())
 		}
 	}
 }
@@ -130,13 +130,43 @@ func TestGeneratePrivateArenasPerCPU(t *testing.T) {
 	}
 	owner := map[uint64]uint8{}
 	for _, r := range tr.Refs {
-		if r.Shared {
+		if r.Shared() {
 			continue
 		}
-		if prev, ok := owner[r.Addr]; ok && prev != r.CPU {
-			t.Fatalf("private address %x used by CPUs %d and %d", r.Addr, prev, r.CPU)
+		if prev, ok := owner[r.Addr()]; ok && prev != r.CPU() {
+			t.Fatalf("private address %x used by CPUs %d and %d", r.Addr(), prev, r.CPU())
 		}
-		owner[r.Addr] = r.CPU
+		owner[r.Addr()] = r.CPU()
+	}
+}
+
+// TestGeneratePrivateArenasAt32CPUs checks the largest machine Config
+// allows: no private block is touched by two processors, and no private
+// reference lands in the shared arena. Sixteen processors fill one
+// arena, so a layout that keeps stepping by processor runs CPU 16's code
+// into CPU 0's hot data and its cold pool into the shared arena.
+func TestGeneratePrivateArenasAt32CPUs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NCPU = 32
+	cfg.InstrPerCPU = 5_000
+	tr, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := uint64(cfg.BlockSize)
+	owner := map[uint64]uint8{}
+	for i, r := range tr.Refs {
+		if r.Shared() {
+			continue
+		}
+		if r.Addr()>>36 == sharedArena>>36 {
+			t.Fatalf("ref %d: cpu %d private ref in the shared arena: %x", i, r.CPU(), r.Addr())
+		}
+		blk := r.Addr() / bs
+		if prev, ok := owner[blk]; ok && prev != r.CPU() {
+			t.Fatalf("ref %d: private block %x touched by CPUs %d and %d", i, blk, prev, r.CPU())
+		}
+		owner[blk] = r.CPU()
 	}
 }
 
@@ -153,19 +183,19 @@ func TestGenerateTrueSharingExists(t *testing.T) {
 	users := map[uint64]map[uint8]bool{}
 	bs := uint64(cfg.BlockSize)
 	for _, r := range tr.Refs {
-		if !r.Shared || !r.Kind.IsData() {
+		if !r.Shared() || !r.Kind().IsData() {
 			continue
 		}
-		blk := r.Addr / bs
+		blk := r.Addr() / bs
 		if users[blk] == nil {
 			users[blk] = map[uint8]bool{}
 		}
-		users[blk][r.CPU] = true
-		if r.Kind == trace.Write {
+		users[blk][r.CPU()] = true
+		if r.Kind() == trace.Write {
 			if writers[blk] == nil {
 				writers[blk] = map[uint8]bool{}
 			}
-			writers[blk][r.CPU] = true
+			writers[blk][r.CPU()] = true
 		}
 	}
 	shared := 0
@@ -190,13 +220,13 @@ func TestGenerateFlushBalance(t *testing.T) {
 	}
 	flushes := 0
 	for _, r := range tr.Refs {
-		if r.Kind == trace.Flush {
+		if r.Kind() == trace.Flush {
 			flushes++
-			if r.Addr>>36 != 4 {
-				t.Fatalf("flush outside shared arena: %x", r.Addr)
+			if r.Addr()>>36 != 4 {
+				t.Fatalf("flush outside shared arena: %x", r.Addr())
 			}
-			if r.Addr%uint64(cfg.BlockSize) != 0 {
-				t.Fatalf("flush not block-aligned: %x", r.Addr)
+			if r.Addr()%uint64(cfg.BlockSize) != 0 {
+				t.Fatalf("flush not block-aligned: %x", r.Addr())
 			}
 		}
 	}
@@ -216,7 +246,7 @@ func TestGenerateNoFlushMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range tr.Refs {
-		if r.Kind == trace.Flush {
+		if r.Kind() == trace.Flush {
 			t.Fatal("flush record despite EmitFlush=false")
 		}
 	}
@@ -246,11 +276,11 @@ func TestGeneratePhases(t *testing.T) {
 		var fractions []float64
 		shared, data := 0, 0
 		for _, r := range tr.Refs {
-			if !r.Kind.IsData() {
+			if !r.Kind().IsData() {
 				continue
 			}
 			data++
-			if r.Shared {
+			if r.Shared() {
 				shared++
 			}
 			if data == window {
@@ -296,6 +326,11 @@ func TestGenerateBadConfigs(t *testing.T) {
 		func(c *Config) { c.BlockSize = 2 },
 		func(c *Config) { c.PhaseLen = -1 },
 		func(c *Config) { c.PhaseLen = 100; c.SharedFrac = 0.7 },
+		// Working sets that overflow their arenas would collide or
+		// run past trace.MaxAddr.
+		func(c *Config) { c.ColdBlocks = 1 << 29 },
+		func(c *Config) { c.BlockSize = 1 << 40 },
+		func(c *Config) { c.SharedRegions = 1 << 31; c.BlocksPerRegion = 1 << 31 },
 		// NaN fails every comparison, so a range check written as
 		// "x < 0 || x > 1" would let it through.
 		func(c *Config) { c.LS = math.NaN() },

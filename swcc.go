@@ -190,7 +190,7 @@ func NetworkUtilization(stages int, rate, msgWords float64) (float64, error) {
 // EvaluateNetworkMVA is the alternative load-dependent-server network
 // contention model (paper footnote 2).
 func EvaluateNetworkMVA(s Scheme, p Params, stages int) (NetworkPoint, error) {
-	return core.EvaluateNetworkMVA(s, p, stages)
+	return core.EvaluateNetworkMVA(context.Background(), s, p, stages)
 }
 
 // APLToMatch returns the smallest apl at which Software-Flush matches the
@@ -239,8 +239,29 @@ func ReadParams(r io.Reader) (Params, error) { return core.ReadParams(r) }
 // Trace is an interleaved multiprocessor address trace.
 type Trace = trace.Trace
 
-// Ref is one trace record.
+// Ref is one trace record: processor, kind, shared flag and a byte
+// address of at most MaxAddr, packed into 8 bytes. Build one with
+// NewRef; read it with its Addr, CPU, Kind and Shared methods.
 type Ref = trace.Ref
+
+// MaxAddr is the largest byte address a Ref holds (2^53 - 1).
+const MaxAddr = trace.MaxAddr
+
+// RefKind classifies a trace record.
+type RefKind = trace.Kind
+
+// Trace record kinds.
+const (
+	RefIFetch = trace.IFetch
+	RefRead   = trace.Read
+	RefWrite  = trace.Write
+	RefFlush  = trace.Flush
+)
+
+// NewRef packs one trace record. It panics if addr exceeds MaxAddr.
+func NewRef(cpu uint8, kind RefKind, addr uint64, shared bool) Ref {
+	return trace.NewRef(cpu, kind, addr, shared)
+}
 
 // TraceConfig controls synthetic trace generation.
 type TraceConfig = tracegen.Config

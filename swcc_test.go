@@ -57,6 +57,29 @@ func TestEndToEndValidation(t *testing.T) {
 	}
 }
 
+// TestFacadeNewRef builds a hand-written trace through the facade alone
+// and simulates it: a store then a reload of one block is two
+// references, one miss.
+func TestFacadeNewRef(t *testing.T) {
+	r := swcc.NewRef(3, swcc.RefWrite, swcc.MaxAddr, true)
+	if r.CPU() != 3 || r.Kind() != swcc.RefWrite || r.Addr() != swcc.MaxAddr || !r.Shared() {
+		t.Errorf("NewRef reads back as %s", r)
+	}
+	tr := &swcc.Trace{NCPU: 1, Refs: []swcc.Ref{
+		swcc.NewRef(0, swcc.RefWrite, 0x100, false),
+		swcc.NewRef(0, swcc.RefRead, 0x104, false),
+	}}
+	res, err := swcc.Simulate(swcc.SimConfig{
+		NCPU: 1, Cache: swcc.CacheConfig{Size: 1024, BlockSize: 16, Assoc: 1}, Protocol: swcc.ProtoBase,
+	}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.PerCPU[0]; st.Writes != 1 || st.Reads != 1 || st.DataMisses != 1 {
+		t.Errorf("stats %+v, want one write, one read, one miss", st)
+	}
+}
+
 func TestFacadeSchemes(t *testing.T) {
 	if len(swcc.Schemes()) != 4 {
 		t.Error("want 4 paper schemes")
