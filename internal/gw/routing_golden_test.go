@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"strconv"
@@ -105,19 +107,25 @@ func TestRoutingKeysPinned(t *testing.T) {
 			t.Fatalf("%s %s: backend answered %d", r.path, r.body, resp.StatusCode)
 		}
 	}
-	got := renderRoutingKeys()
-	if *updateRoutingGolden {
+	checkGolden(t, routingGoldenPath, renderRoutingKeys(), *updateRoutingGolden, "-update-routing-golden")
+}
+
+// checkGolden compares got with the golden file at path line by line,
+// or rewrites the file when update is set.
+func checkGolden(t *testing.T, path string, got []byte, update bool, flagName string) {
+	t.Helper()
+	if update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(routingGoldenPath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(routingGoldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update-routing-golden to create it)", err)
+		t.Fatalf("%v (run with %s to create it)", err, flagName)
 	}
 	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gl) || i < len(wl); i++ {
@@ -132,4 +140,64 @@ func TestRoutingKeysPinned(t *testing.T) {
 			t.Errorf("line %d:\n got  %s\n want %s", i+1, g, w)
 		}
 	}
+}
+
+// updateOwnersGolden refreshes testdata/rendezvous_owners.txt. Run
+// `go test ./internal/gw -run TestRendezvousOwnersPinned -update-owners-golden`
+// only when a change of backend ranking is intended: every key that
+// moves strands the curves its old owner has cached.
+var updateOwnersGolden = flag.Bool("update-owners-golden", false, "rewrite testdata/rendezvous_owners.txt")
+
+const ownersGoldenPath = "testdata/rendezvous_owners.txt"
+
+// ownerSets are the fixed fleets the rendezvous golden ranks over.
+var ownerSets = [][]string{
+	{"http://127.0.0.1:8081", "http://127.0.0.1:8082"},
+	{"http://10.0.0.1:8080", "http://10.0.0.2:8080", "http://10.0.0.3:8080"},
+	{"http://be-a:9000", "http://be-b:9000", "https://be-c:9000", "http://be-d:9000", "http://be-e:9000"},
+}
+
+// renderOwners renders the rendezvous golden: for each routing golden
+// request, its key, then per fleet the full affinity rank order and the
+// key's owner, both as indexes into the fleet.
+func renderOwners(t *testing.T) []byte {
+	quiet := slog.New(slog.NewJSONHandler(io.Discard, nil))
+	var buf bytes.Buffer
+	gws := make([]*Gateway, len(ownerSets))
+	for i, set := range ownerSets {
+		g, err := New(Config{Backends: set, Logger: quiet})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gws[i] = g
+		fmt.Fprintf(&buf, "# fleet %d: %s\n", i, strings.Join(set, " "))
+	}
+	index := func(g *Gateway, b *backend) int {
+		for i, c := range g.snapshot() {
+			if c == b {
+				return i
+			}
+		}
+		return -1
+	}
+	for _, r := range routingGoldenRequests() {
+		key := gws[0].routeKey(r.path, []byte(r.body))
+		fmt.Fprintf(&buf, "%016x", key)
+		for i, g := range gws {
+			fmt.Fprintf(&buf, " %d:", i)
+			for _, b := range g.rank(key) {
+				fmt.Fprintf(&buf, "%d", index(g, b))
+			}
+			fmt.Fprintf(&buf, "/%d", index(g, g.owner(key)))
+		}
+		fmt.Fprintf(&buf, " %s %s\n", r.path, r.body)
+	}
+	return buf.Bytes()
+}
+
+// TestRendezvousOwnersPinned pins which backend owns each routing
+// golden request, and the order its keys re-spill in, over three fixed
+// fleets.
+func TestRendezvousOwnersPinned(t *testing.T) {
+	checkGolden(t, ownersGoldenPath, renderOwners(t), *updateOwnersGolden, "-update-owners-golden")
 }
