@@ -162,8 +162,9 @@ serve:
 	$(GO) run ./cmd/cohered -addr $(COHERED_ADDR)
 
 # End-to-end smoke test: build the daemon, start it on an ephemeral-ish
-# port, hit /healthz and one /v1/bus query, then shut it down (SIGTERM
-# exercises the graceful-shutdown path).
+# port, hit /healthz, one query each on /v1/bus, /v1/sweep, /v1/advisor
+# and /v1/sensitivity, and /readyz, then shut it down (SIGTERM exercises
+# the graceful-shutdown path).
 SMOKE_ADDR ?= 127.0.0.1:18080
 smoke:
 	@$(GO) build -o /tmp/cohered.smoke ./cmd/cohered
@@ -178,6 +179,11 @@ smoke:
 	curl -sf -X POST -d '{"points": [{"scheme": "dragon", "procs": 8, "point": true}, {"scheme": "base", "procs": 8, "point": true}]}' \
 		http://$(SMOKE_ADDR)/v1/sweep \
 		| grep -q '"count":2' || { echo "smoke: /v1/sweep failed"; exit 1; }; \
+	curl -sf -X POST -d '{"level":"high","procs":8}' http://$(SMOKE_ADDR)/v1/advisor \
+		| grep -q '"rankings"' || { echo "smoke: /v1/advisor failed"; exit 1; }; \
+	curl -sf -X POST -d '{"procs":4}' http://$(SMOKE_ADDR)/v1/sensitivity \
+		| grep -q '"Cells"' || { echo "smoke: /v1/sensitivity failed"; exit 1; }; \
+	curl -sf http://$(SMOKE_ADDR)/readyz >/dev/null || { echo "smoke: readyz failed"; exit 1; }; \
 	kill -TERM $$pid; wait $$pid; \
 	echo "smoke: ok"
 

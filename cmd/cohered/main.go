@@ -13,7 +13,7 @@
 // reference):
 //
 //	GET    /healthz              liveness + cache snapshot
-//	GET    /readyz               readiness + cache warmth (503 while draining or shedding)
+//	GET    /readyz               readiness (503 while draining or shedding)
 //	GET    /metrics              Prometheus text format
 //	POST   /v1/bus               bus-model curve or single point
 //	POST   /v1/network           multistage-network point

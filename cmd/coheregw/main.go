@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	coheregw -backends http://h1:8080,http://h2:8080=4 [-addr :8070]
+//	coheregw -backends http://h1:8080,http://h2:8080 [-addr :8070]
 //	         [-policy affinity|roundrobin] [-check-interval 1s]
 //	         [-check-timeout 2s] [-fail-threshold 2] [-timeout 15s]
 //	         [-max-body BYTES] [-grace 5s] [-quiet]
@@ -23,8 +23,7 @@
 // The gateway health-checks each backend's /readyz, excludes backends
 // after -fail-threshold consecutive failures, re-admits them on the
 // first success, and re-spills an excluded backend's keys to the
-// next-ranked survivors. Each backend spec may carry a rendezvous
-// weight ("URL=WEIGHT"); with -backends-file, SIGHUP re-reads the file
+// next-ranked survivors. With -backends-file, SIGHUP re-reads the file
 // and applies the new backend set live — added backends join the
 // routing set, removed backends drain their in-flight requests. It
 // shuts down gracefully on SIGINT/SIGTERM.
@@ -57,8 +56,8 @@ func main() {
 	}
 }
 
-// readBackendsFile parses a backends file: one "URL[=WEIGHT]" spec per
-// line, blank lines and #-comments ignored.
+// readBackendsFile parses a backends file: one backend URL per line,
+// blank lines and #-comments ignored.
 func readBackendsFile(path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -85,7 +84,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 	fs := flag.NewFlagSet("coheregw", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8070", "listen address")
-	backends := fs.String("backends", "", "comma-separated cohered base URLs, each optionally URL=WEIGHT (this or -backends-file is required)")
+	backends := fs.String("backends", "", "comma-separated cohered base URLs (this or -backends-file is required)")
 	backendsFile := fs.String("backends-file", "", "file listing one backend spec per line; SIGHUP re-reads it and applies the new set live")
 	policy := fs.String("policy", gw.PolicyAffinity, "routing policy: affinity or roundrobin")
 	checkInterval := fs.Duration("check-interval", time.Second, "per-backend /readyz probe period")
@@ -179,7 +178,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, onReady func(addr
 					continue
 				}
 				logger.Warn("SIGHUP reload applied",
-					"added", len(res.Added), "removed", len(res.Removed), "reweighted", len(res.Reweighted))
+					"added", len(res.Added), "removed", len(res.Removed))
 			}
 		}
 	}()

@@ -145,7 +145,7 @@ func TestSighupReloadsBackendsFile(t *testing.T) {
 		t.Fatalf("booted with %d backends, want 1", got)
 	}
 
-	if err := os.WriteFile(file, []byte(b1.URL+"\n"+b2.URL+"=2\n"), 0o644); err != nil {
+	if err := os.WriteFile(file, []byte(b1.URL+"\n"+b2.URL+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
@@ -187,6 +187,9 @@ func TestBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-backends", "x", "positional"}, io.Discard, nil); err == nil ||
 		!strings.Contains(err.Error(), "unexpected arguments") {
 		t.Error("positional args accepted")
+	}
+	if err := run(context.Background(), []string{"-backends", "http://h:8080=4"}, io.Discard, nil); err == nil {
+		t.Error("weight-suffixed backend spec accepted")
 	}
 	if err := run(context.Background(), []string{"-backends", "h1", "-policy", "nope"}, io.Discard, nil); err == nil ||
 		!strings.Contains(err.Error(), "policy") {

@@ -158,6 +158,28 @@ func gwWarmPoints(pool int) func(*rand.Rand) (string, string) {
 	}
 }
 
+// gwCounters is the slice of the gateway's /metrics page the drill
+// reads to attribute a hit ratio: requests routed off an excluded
+// owner, and attempts retried on another backend.
+type gwCounters struct{ respills, retries int64 }
+
+// scrapeGwCounters reads the gateway's respill and retry counters. It
+// fails closed: a page missing either series is an error, never a zero.
+func scrapeGwCounters(client *http.Client, base string) (gwCounters, error) {
+	data, err := get(client, base+"/metrics")
+	if err != nil {
+		return gwCounters{}, err
+	}
+	var c gwCounters
+	var ok1, ok2 bool
+	c.respills, ok1 = seriesValue(data, "swcc_gw_respills_total")
+	c.retries, ok2 = seriesValue(data, "swcc_gw_retries_total")
+	if !ok1 || !ok2 {
+		return gwCounters{}, fmt.Errorf("%s/metrics lacks the respill or retry counter", base)
+	}
+	return c, nil
+}
+
 // gwArm is one policy's fleet in the affinity-vs-round-robin
 // comparison, and what its timed windows recorded.
 type gwArm struct {
@@ -165,6 +187,7 @@ type gwArm struct {
 	fleet     fleet
 	backends  []*backend
 	before    []sweep.Stats
+	gwBefore  gwCounters
 	total     result
 	windowP99 []float64 // per timed window, ms
 }
@@ -233,6 +256,9 @@ func gwBenchArms(conc int, dur time.Duration, seed int64) (affinity, rr summary,
 		if a.before, err = a.scrape(client); err != nil {
 			return summary{}, summary{}, err
 		}
+		if a.gwBefore, err = scrapeGwCounters(client, a.fleet.base); err != nil {
+			return summary{}, summary{}, fmt.Errorf("%s: scraping gateway: %w", a.label, err)
+		}
 	}
 	for w := 0; w < gwWindows; w++ {
 		for k := range arms {
@@ -250,12 +276,21 @@ func gwBenchArms(conc int, dur time.Duration, seed int64) (affinity, rr summary,
 		if err != nil {
 			return summary{}, summary{}, err
 		}
+		gwAfter, err := scrapeGwCounters(client, a.fleet.base)
+		if err != nil {
+			return summary{}, summary{}, fmt.Errorf("%s: scraping gateway: %w", a.label, err)
+		}
 		f := a.fleet
 		f.duration = gwWindows * dur
 		out[i] = a.total.summary(a.label, f, false)
 		out[i].HitRatio = 1 // the schedule draws only warm-pool keys
 		out[i].BackendHitRatio = fleetHitRatio(a.before, after)
 		out[i].WindowP99 = a.windowP99
+		out[i].GwRespills = gwAfter.respills - a.gwBefore.respills
+		out[i].GwRetries = gwAfter.retries - a.gwBefore.retries
+		for j := range after {
+			out[i].CurveEvictions += after[j].CurveEvictions - a.before[j].CurveEvictions
+		}
 	}
 	return out[0], out[1], nil
 }
@@ -542,14 +577,18 @@ var errTailBand = errors.New("gw bench: affinity p99 over round-robin's band")
 // aggregate backend hit ratio is at least gwHitRatioGate times the
 // round-robin control's, with client p99 within gwP99Band of it — the
 // median, over paired windows, of affinity's window p99 over
-// round-robin's. A p99 miss alone wraps errTailBand.
+// round-robin's. A p99 miss alone wraps errTailBand. Every failure
+// also reports the affinity arm's respills, retries and evictions, so
+// a failed run can be traced to probe exclusion or shard overflow.
 func affinityGate(affinity, rr summary) error {
 	if rr.BackendHitRatio <= 0 {
 		return errors.New("gw bench: round-robin arm recorded no lookups")
 	}
+	why := fmt.Sprintf("affinity arm over the timed windows: %d gateway respills, %d gateway retries, %d fleet curve evictions",
+		affinity.GwRespills, affinity.GwRetries, affinity.CurveEvictions)
 	if gain := affinity.BackendHitRatio / rr.BackendHitRatio; gain < gwHitRatioGate {
-		return fmt.Errorf("gw bench: affinity hit ratio %.3f is only %.2fx round-robin's %.3f (gate %.1fx)",
-			affinity.BackendHitRatio, gain, rr.BackendHitRatio, gwHitRatioGate)
+		return fmt.Errorf("gw bench: affinity hit ratio %.3f is only %.2fx round-robin's %.3f (gate %.1fx; %s)",
+			affinity.BackendHitRatio, gain, rr.BackendHitRatio, gwHitRatioGate, why)
 	}
 	if len(affinity.WindowP99) == 0 || len(affinity.WindowP99) != len(rr.WindowP99) {
 		return fmt.Errorf("gw bench: %d affinity windows vs %d round-robin windows", len(affinity.WindowP99), len(rr.WindowP99))
@@ -560,8 +599,8 @@ func affinityGate(affinity, rr summary) error {
 	}
 	sort.Float64s(ratios)
 	if med := ratios[len(ratios)/2]; med > gwP99Band {
-		return fmt.Errorf("%w: median window p99 ratio %.3f (affinity %.3v ms, round-robin %.3v ms; band %.2fx)",
-			errTailBand, med, affinity.WindowP99, rr.WindowP99, gwP99Band)
+		return fmt.Errorf("%w: median window p99 ratio %.3f (affinity %.3v ms, round-robin %.3v ms; band %.2fx; %s)",
+			errTailBand, med, affinity.WindowP99, rr.WindowP99, gwP99Band, why)
 	}
 	return nil
 }

@@ -161,6 +161,15 @@ type summary struct {
 	// window.
 	WindowP99 []float64 `json:"window_p99_ms,omitempty"`
 
+	// GwRespills, GwRetries and CurveEvictions attribute the gateway
+	// drill's hit ratio over its timed windows: requests the gateway
+	// routed off an excluded owner, attempts it retried on another
+	// backend, and curves the fleet's CLOCK evicted. Respills and
+	// retries point at probe exclusion, evictions at shard overflow.
+	GwRespills     int64  `json:"gw_respills,omitempty"`
+	GwRetries      int64  `json:"gw_retries,omitempty"`
+	CurveEvictions uint64 `json:"curve_evictions,omitempty"`
+
 	// BackendSendRatio is the hedging drill's backend-load amplification:
 	// gateway-to-backend sends over client requests in the timed window.
 	// 1.0 means every request cost one backend call; the hedged arm gates
@@ -782,6 +791,17 @@ func runChaos(stdout, stderr io.Writer, addr string, conc int, dur time.Duration
 	return nil
 }
 
+// seriesValue reads one series' integer value off a /metrics page; the
+// series is its name with any labels exactly as rendered.
+func seriesValue(page []byte, series string) (int64, bool) {
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\d+)$`).FindSubmatch(page)
+	if m == nil {
+		return 0, false
+	}
+	n, _ := strconv.ParseInt(string(m[1]), 10, 64)
+	return n, true
+}
+
 // scrapeChaosStats reads the daemon's own overload accounting off
 // /metrics — the drill's verdict comes from the server, not from what
 // the clients happened to observe. It fails closed: a page missing any
@@ -794,13 +814,11 @@ func scrapeChaosStats(base string) (chaosStats, error) {
 	text := string(data)
 	var missing []string
 	counter := func(name string) int {
-		m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`).FindStringSubmatch(text)
-		if m == nil {
+		n, ok := seriesValue(data, name)
+		if !ok {
 			missing = append(missing, name)
-			return 0
 		}
-		n, _ := strconv.Atoi(m[1])
-		return n
+		return int(n)
 	}
 	stats := chaosStats{
 		Sheds:           counter("swcc_http_sheds_total"),

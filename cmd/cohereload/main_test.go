@@ -180,6 +180,19 @@ func TestGwGateFailsOnHitRatio(t *testing.T) {
 	}
 }
 
+// TestGwGateReportsAttribution: a failed gate names the affinity arm's
+// respills, retries and evictions, on either branch.
+func TestGwGateReportsAttribution(t *testing.T) {
+	for _, hit := range []float64{0.70, 0.97} {
+		aff := gateArm(1.5, hit, 0)
+		aff.GwRespills, aff.GwRetries, aff.CurveEvictions = 17, 3, 412
+		err := affinityGate(aff, gateArm(1.4, 0.58, 0))
+		if err == nil || !strings.Contains(err.Error(), "17 gateway respills, 3 gateway retries, 412 fleet curve evictions") {
+			t.Errorf("hit ratio %.2f: got %v, want the arm's counters in the error", hit, err)
+		}
+	}
+}
+
 // TestGwGateFailsOnP99: affinity p99 past round-robin's times gwP99Band
 // fails with errTailBand even with a winning hit ratio.
 func TestGwGateFailsOnP99(t *testing.T) {

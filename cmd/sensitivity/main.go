@@ -39,6 +39,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
 	tab8, err := sensitivity.AnalyzeWithCtx(context.Background(), sweep.New(*parallel), core.PaperSchemes(), *procs)
 	if err != nil {
 		return err

@@ -47,3 +47,15 @@ func TestSensitivityErrors(t *testing.T) {
 		t.Error("want error for unknown flag")
 	}
 }
+
+// TestRejectsPositionalArgs: a stray argument is an error, not ignored.
+func TestRejectsPositionalArgs(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-procs", "8", "Dragon"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
+		t.Fatalf("positional argument: %v, want an unexpected-arguments error", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed %d bytes despite the error", out.Len())
+	}
+}

@@ -93,3 +93,16 @@ func TestBadArgs(t *testing.T) {
 		t.Error("want error for unknown flag")
 	}
 }
+
+// TestRejectsPositionalArgs: an output file named without -o is an
+// error, not a trace written to stdout.
+func TestRejectsPositionalArgs(t *testing.T) {
+	var out, errB bytes.Buffer
+	err := run([]string{"-preset", "pops", "-instr", "100", "out.trace"}, &out, &errB)
+	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
+		t.Fatalf("positional output file: %v, want an unexpected-arguments error", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("wrote %d bytes despite the error", out.Len())
+	}
+}

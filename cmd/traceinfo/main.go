@@ -43,6 +43,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
 
 	var r io.Reader = stdin
 	if *traceFile != "" {

@@ -125,3 +125,14 @@ func TestErrors(t *testing.T) {
 		t.Error("want error for bad warmup")
 	}
 }
+
+// TestRejectsPositionalArgs: a trace named without -trace is an error,
+// not a silent read of stdin.
+func TestRejectsPositionalArgs(t *testing.T) {
+	path := makeTrace(t)
+	var out bytes.Buffer
+	err := run([]string{path}, strings.NewReader(""), &out)
+	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
+		t.Fatalf("positional trace file: %v, want an unexpected-arguments error", err)
+	}
+}

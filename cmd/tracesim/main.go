@@ -40,6 +40,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
 
 	// Written so NaN fails too: int(NaN*len) would reach the simulator
 	// as a huge negative record count.

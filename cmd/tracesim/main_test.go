@@ -124,3 +124,14 @@ func TestBadInputs(t *testing.T) {
 		t.Error("want error for bad cache size")
 	}
 }
+
+// TestRejectsPositionalArgs: a trace named without -trace is an error,
+// not a silent read of stdin.
+func TestRejectsPositionalArgs(t *testing.T) {
+	path := writeTestTrace(t, false)
+	var out bytes.Buffer
+	err := run([]string{"-protocol", "base", path}, strings.NewReader(""), &out)
+	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
+		t.Fatalf("positional trace file: %v, want an unexpected-arguments error", err)
+	}
+}

@@ -17,24 +17,25 @@
 //
 // Front-tier hardening on top of routing: hedged requests (an
 // idempotent request that outlives a fixed hedge delay is raced against
-// the next-ranked backend, first response wins), weighted
-// rendezvous for heterogeneous fleets, and live backend-set reload
-// without a restart. The gateway keeps no answers of its own: every
+// the next-ranked backend, first response wins) and live backend-set
+// reload without a restart. The gateway keeps no answers of its own: every
 // request is forwarded, and the backend's curve cache is the only memo.
+// Nor does it copy a backend's cache warmth: its probes read only the
+// /readyz status, and each backend serves its own cache counters.
 package gw
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
-	"sort"
-	"strconv"
+	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,6 @@ import (
 
 	"swcc/internal/core"
 	"swcc/internal/obs"
-	"swcc/internal/serve"
 )
 
 // Policy names accepted by Config.Policy.
@@ -59,10 +59,8 @@ const (
 // falls back to the default documented on it.
 type Config struct {
 	// Backends lists the cohered base URLs ("http://127.0.0.1:8081" or
-	// bare "127.0.0.1:8081") the gateway routes across, each with an
-	// optional "=WEIGHT" suffix ("http://big:8080=4") giving its
-	// rendezvous weight for heterogeneous fleets. Weight defaults to 1.
-	// Required.
+	// bare "127.0.0.1:8081") the gateway routes across: scheme http or
+	// https, a host and optional port, nothing after. Required.
 	Backends []string
 	// Policy selects the routing policy: PolicyAffinity (default) or
 	// PolicyRoundRobin.
@@ -127,18 +125,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backend is one routed-to cohered process and its health/warmth state.
+// backend is one routed-to cohered process and its health state.
 type backend struct {
 	url  string // normalized base URL, no trailing slash
 	hash uint64 // rendezvous identity
 
-	// weight holds the float64 bits of the configured rendezvous weight
-	// (atomic because a live reload may repin it); 0 = unpinned, weight 1.
-	weight atomic.Uint64
-
 	healthy atomic.Bool
-	fails   atomic.Int32 // consecutive probe failures
-	warmth  atomic.Pointer[serve.ReadyzCache]
+	fails   atomic.Int32       // consecutive probe failures
 	stop    context.CancelFunc // cancels this backend's probe loop (guarded by Gateway.mu)
 
 	routes    atomic.Int64    // requests answered from here
@@ -146,24 +139,11 @@ type backend struct {
 	responses [3]atomic.Int64 // responses by class: 2xx/3xx, 4xx, 5xx
 }
 
-// effWeight is the backend's rendezvous weight: the configured one when
-// pinned in the backend spec, else 1.
-func (b *backend) effWeight() float64 {
-	if w := b.pinnedWeight(); w > 0 {
-		return w
-	}
-	return 1
-}
-
-// score is the backend's weighted rendezvous score for a key: the
-// classic -w/ln(u) form with u a (0,1) uniform derived from
-// splitmix64(key^hash), so each backend wins a key-space share
-// proportional to its weight. At equal weights the ordering reduces
-// exactly to descending splitmix64 — the pre-weighting ranking.
-func (b *backend) score(key uint64) float64 {
-	u := (float64(splitmix64(key^b.hash)>>11) + 0.5) / (1 << 53)
-	return -b.effWeight() / math.Log(u)
-}
+// score is the backend's rendezvous score for a key: the highest score
+// owns the key, and the rest of the descending order is where the key
+// re-spills when its owner is excluded. splitmix64 is a bijection, so
+// two backends (distinct hashes) never tie.
+func (b *backend) score(key uint64) uint64 { return splitmix64(key ^ b.hash) }
 
 // classIdx buckets a status code into the responses array.
 func classIdx(code int) int {
@@ -229,54 +209,37 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// parseBackends normalizes and validates a backend spec list
-// ("URL[=WEIGHT]" each) into fresh backend values, rejecting empties,
-// duplicates, and non-positive weights.
+// parseBackends normalizes and validates a backend spec list into fresh
+// backend values, rejecting empties, duplicates, and anything but an
+// http or https scheme://host[:port]: request paths are appended to the
+// base URL verbatim, so a path, query, fragment or user part would
+// misroute every request, and a host holding "=" is a leftover weight
+// suffix ("http://h=4"), not a host.
 func parseBackends(specs []string) ([]*backend, error) {
 	seen := map[string]bool{}
 	var set []*backend
 	for _, spec := range specs {
-		u := strings.TrimSpace(spec)
-		weight := 0.0
-		if i := strings.LastIndex(u, "="); i >= 0 {
-			w, err := parseWeight(u[i+1:])
-			if err != nil {
-				return nil, fmt.Errorf("gw: backend %q: %w", spec, err)
-			}
-			u, weight = u[:i], w
-		}
-		u = strings.TrimSuffix(strings.TrimSpace(u), "/")
+		u := strings.TrimSuffix(strings.TrimSpace(spec), "/")
 		if u == "" {
 			return nil, errors.New("gw: empty backend address")
 		}
 		if !strings.Contains(u, "://") {
 			u = "http://" + u
 		}
+		pu, err := url.Parse(u)
+		if err != nil || pu.Scheme != "http" && pu.Scheme != "https" || pu.Host == "" ||
+			strings.Contains(pu.Host, "=") || (&url.URL{Scheme: pu.Scheme, Host: pu.Host}).String() != u {
+			return nil, fmt.Errorf("gw: backend %q: want http://host[:port] or https://host[:port], nothing after", spec)
+		}
 		if seen[u] {
 			return nil, fmt.Errorf("gw: duplicate backend %s", u)
 		}
 		seen[u] = true
 		bk := &backend{url: u, hash: core.HashBytes(core.FNVOffset, u)}
-		if weight > 0 {
-			bk.weight.Store(math.Float64bits(weight))
-		}
 		bk.healthy.Store(true)
 		set = append(set, bk)
 	}
 	return set, nil
-}
-
-// parseWeight parses the "=WEIGHT" suffix of a backend spec; the whole
-// suffix must be a number ("4x" is rejected, not read as 4).
-func parseWeight(s string) (float64, error) {
-	w, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad weight %q", s)
-	}
-	if !(w > 0) || math.IsInf(w, 0) {
-		return 0, fmt.Errorf("weight must be a positive finite number, got %q", s)
-	}
-	return w, nil
 }
 
 // snapshot returns the current backend set. The slice is immutable —
@@ -338,9 +301,10 @@ func (g *Gateway) CheckNow(ctx context.Context) {
 	wg.Wait()
 }
 
-// healthySet snapshots the healthy backends. With every backend
-// excluded it falls open to the full set: routing somewhere that might
-// answer beats synthesizing a guaranteed failure at the gateway.
+// healthySet returns a fresh slice of the healthy backends. With every
+// backend excluded it falls open to the full set: routing somewhere
+// that might answer beats synthesizing a guaranteed failure at the
+// gateway.
 func (g *Gateway) healthySet() []*backend {
 	all := g.snapshot()
 	healthy := make([]*backend, 0, len(all))
@@ -350,31 +314,23 @@ func (g *Gateway) healthySet() []*backend {
 		}
 	}
 	if len(healthy) == 0 {
-		return all
+		return append(healthy, all...)
 	}
 	return healthy
 }
 
 // rank orders the candidate backends for one request, best first. Under
-// affinity that is weighted rendezvous order — descending -w/ln(u) with
-// u drawn from splitmix64(key ^ backend) over the healthy set, so losing
-// a backend re-spills only its keys and each lands deterministically on
-// its next-ranked survivor. Under round-robin it is a rotation of the
-// healthy set.
+// affinity that is rendezvous order — descending splitmix64(key ^
+// backend) over the healthy set, so losing a backend re-spills only its
+// keys and each lands deterministically on its next-ranked survivor.
+// Under round-robin it is a rotation of the healthy set.
 func (g *Gateway) rank(key uint64) []*backend {
-	healthy := g.healthySet()
-	ranked := make([]*backend, len(healthy))
-	copy(ranked, healthy)
+	ranked := g.healthySet()
 	if g.cfg.Policy == PolicyRoundRobin {
 		off := int(g.rr.Add(1)-1) % len(ranked)
-		rot := make([]*backend, 0, len(ranked))
-		rot = append(rot, ranked[off:]...)
-		rot = append(rot, ranked[:off]...)
-		return rot
+		return append(ranked[off:], ranked[:off]...)
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		return ranked[i].score(key) > ranked[j].score(key)
-	})
+	slices.SortFunc(ranked, func(a, b *backend) int { return cmp.Compare(b.score(key), a.score(key)) })
 	return ranked
 }
 

@@ -240,10 +240,6 @@ func TestProbeExclusionAndReadmission(t *testing.T) {
 	if !bk1.healthy.Load() {
 		t.Fatal("recovered backend not re-admitted on first healthy probe")
 	}
-	// Warmth was captured from the probe body.
-	if bk1.warmth.Load() == nil {
-		t.Fatal("probe did not record cache warmth")
-	}
 }
 
 // TestSweepFanOut partitions a mixed batch across two backends and
@@ -506,13 +502,12 @@ func TestGatewayMetricsPage(t *testing.T) {
 	page, _ := io.ReadAll(resp.Body)
 	for _, family := range []string{
 		"swcc_gw_backend_healthy", "swcc_gw_healthy_backends",
-		"swcc_gw_backend_weight", "swcc_gw_backend_sends_total",
+		"swcc_gw_backend_sends_total",
 		"swcc_gw_routes_total", "swcc_gw_backend_responses_total",
 		"swcc_gw_retries_total", "swcc_gw_respills_total",
 		"swcc_gw_hedges_total", "swcc_gw_hedge_wins_total",
 		"swcc_gw_reloads_total",
 		"swcc_gw_key_fallbacks_total", "swcc_gw_bad_gateway_total",
-		"swcc_gw_backend_cache_entries", "swcc_gw_backend_hit_ratio",
 	} {
 		if !strings.Contains(string(page), "# TYPE "+family+" ") {
 			t.Errorf("family %s missing from scrape", family)

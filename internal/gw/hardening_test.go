@@ -21,13 +21,13 @@ import (
 // three failure-semantics bugs (caller-cancellation blamed on backends,
 // job streams severed by the blanket request timeout, request IDs
 // dropped at the tier boundary) and the rungs built on the fixes
-// (hedged requests, weighted rendezvous, live reload).
+// (hedged requests, live reload).
 
 // readyzOK is the minimal /readyz body a fake backend serves so the
 // gateway's probes keep it admitted.
 func readyzOK(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, `{"ready": true, "cache": {"curve_entries": 0, "hit_ratio": 0}}`)
+	fmt.Fprintln(w, `{"ready": true}`)
 }
 
 // newFakeBackend boots an httptest backend with a healthy /readyz plus
@@ -230,70 +230,49 @@ func TestHedgedRequestCutsTail(t *testing.T) {
 	}
 }
 
-// TestWeightedRendezvous pins the weighted-HRW contract: equal weights
-// reproduce the unweighted ranking exactly (no key remapping when the
-// feature landed), and a weight-4 backend wins a key-space share
-// proportional to its weight.
-func TestWeightedRendezvous(t *testing.T) {
-	urls := []string{"http://a:1", "http://b:1", "http://c:1"}
-	quiet := slog.New(slog.NewJSONHandler(io.Discard, nil))
-	plain, err := New(Config{Backends: urls, Logger: quiet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := New(Config{Backends: []string{urls[0] + "=1", urls[1] + "=1", urls[2] + "=1"}, Logger: quiet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		key := splitmix64(uint64(i))
-		if plain.owner(key).url != pinned.owner(key).url {
-			t.Fatalf("key %d: explicit weight 1 moved the owner (%s -> %s)",
-				i, plain.owner(key).url, pinned.owner(key).url)
-		}
-	}
-
-	heavy, err := New(Config{Backends: []string{urls[0] + "=4", urls[1], urls[2]}, Logger: quiet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wins := map[string]int{}
-	const keys = 6000
-	for i := 0; i < keys; i++ {
-		wins[heavy.owner(splitmix64(uint64(i))).url]++
-	}
-	share := float64(wins[urls[0]]) / keys
-	if share < 0.60 || share > 0.73 { // expect 4/6 ≈ 0.667
-		t.Fatalf("weight-4 backend won %.1f%% of keys, want ≈66.7%%: %v", share*100, wins)
-	}
-	for i, b := range heavy.snapshot() {
-		if want := []float64{4, 1, 1}[i]; b.effWeight() != want {
-			t.Fatalf("%s: effective weight %v, want %v", b.url, b.effWeight(), want)
-		}
-	}
-}
-
-// TestParseBackendWeights pins spec parsing: bad weights are rejected,
-// good ones recorded.
-func TestParseBackendWeights(t *testing.T) {
-	for _, bad := range []string{
-		"http://a=0", "http://a=-2", "http://a=x", "http://a=",
-		// Trailing garbage after a valid number rejects the whole spec.
-		"http://big:8080=4x", "http://a=2.5kg", "http://a=1e3junk",
+// TestParseBackendSpecs pins backend spec validation: a spec is a
+// scheme://host[:port] base URL (bare host:port means http), and
+// anything else — a weight suffix, a path, a query, another scheme — is
+// rejected at startup and on reload, where the current set stays.
+func TestParseBackendSpecs(t *testing.T) {
+	for _, bad := range [][]string{
+		{"=4"}, {"http://a:1=2"}, {"http://h=4"}, {"ftp://x"}, {"http://"},
+		{"http://a/p?q"}, {"http://a/p"}, {"http://a?q"}, {"http://a?"}, {"http://a#f"},
+		{"http://user@a"}, {"HTTP://a"}, {"http://a:x"},
+		{""}, {"  "}, {"http://a", ""},
+		{"http://a:1", "a:1"}, {"http://a:1", "http://a:1/"},
 	} {
-		if _, err := parseBackends([]string{bad}); err == nil {
-			t.Errorf("spec %q accepted, want error", bad)
+		if _, err := parseBackends(bad); err == nil {
+			t.Errorf("specs %q accepted, want error", bad)
 		}
 	}
-	set, err := parseBackends([]string{"http://a=2.5", "b:8080"})
+	set, err := parseBackends([]string{" b:8080 ", "http://a:1/", "https://[::1]:8443", "http://c"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := set[0].pinnedWeight(); got != 2.5 {
-		t.Fatalf("pinned weight %g, want 2.5", got)
+	var urls []string
+	for _, b := range set {
+		urls = append(urls, b.url)
 	}
-	if set[1].url != "http://b:8080" || set[1].pinnedWeight() != 0 {
-		t.Fatalf("unweighted spec parsed as %q weight %g", set[1].url, set[1].pinnedWeight())
+	if got, want := strings.Join(urls, " "), "http://b:8080 http://a:1 https://[::1]:8443 http://c"; got != want {
+		t.Fatalf("normalized specs %q, want %q", got, want)
+	}
+
+	g, err := New(Config{Backends: []string{"http://a:1", "http://b:1"}, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := g.snapshot()
+	for _, bad := range []string{"http://c:1=4", "http://a:1/p"} {
+		if _, err := g.Reload([]string{"http://a:1", bad}); err == nil {
+			t.Fatalf("reload with %q accepted", bad)
+		}
+		if after := g.snapshot(); len(after) != 2 || after[0] != before[0] || after[1] != before[1] {
+			t.Fatalf("rejected reload with %q changed the set", bad)
+		}
+	}
+	if g.reloads.Load() != 0 {
+		t.Fatalf("rejected reloads counted: %d", g.reloads.Load())
 	}
 }
 

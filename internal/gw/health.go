@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"time"
-
-	"swcc/internal/serve"
 )
 
 // probe health-checks one backend against its /readyz: an HTTP 200
@@ -16,10 +14,8 @@ import (
 // success re-admits it — exclusion is cautious, re-admission eager,
 // because a re-admitted backend that flaps just gets excluded again
 // while a healthy backend kept excluded sheds its whole key range onto
-// the survivors for no reason. The warmth counters in the body are
-// recorded either way (a shedding backend still reports its cache), so
-// /healthz aggregation and the metrics page reflect the fleet's real
-// state.
+// the survivors for no reason. Only the status code is read; the body
+// is drained so the connection goes back to the keep-alive pool.
 func (g *Gateway) probe(ctx context.Context, b *backend) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.CheckTimeout)
 	defer cancel()
@@ -33,12 +29,8 @@ func (g *Gateway) probe(ctx context.Context, b *backend) {
 		g.probeFailed(b, err)
 		return
 	}
-	defer resp.Body.Close()
-	var rz serve.ReadyzResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&rz); err == nil {
-		warmth := rz.Cache
-		b.warmth.Store(&warmth)
-	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		g.probeFailed(b, nil)
 		return
@@ -61,12 +53,10 @@ func (g *Gateway) probeFailed(b *backend, err error) {
 
 // backendHealth is one backend's row in the gateway's /healthz body.
 type backendHealth struct {
-	URL     string             `json:"url"`
-	Healthy bool               `json:"healthy"`
-	Weight  float64            `json:"weight"`
-	Routes  int64              `json:"routes"`
-	Sends   int64              `json:"sends"`
-	Cache   *serve.ReadyzCache `json:"cache,omitempty"`
+	URL     string `json:"url"`
+	Healthy bool   `json:"healthy"`
+	Routes  int64  `json:"routes"`
+	Sends   int64  `json:"sends"`
 }
 
 // gwHealth is the gateway's /healthz body: its own liveness plus the
@@ -89,8 +79,8 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	for _, b := range g.snapshot() {
 		row := backendHealth{
-			URL: b.url, Healthy: b.healthy.Load(), Weight: b.effWeight(),
-			Routes: b.routes.Load(), Sends: b.sends.Load(), Cache: b.warmth.Load(),
+			URL: b.url, Healthy: b.healthy.Load(),
+			Routes: b.routes.Load(), Sends: b.sends.Load(),
 		}
 		if row.Healthy {
 			h.Healthy++

@@ -13,7 +13,6 @@ import (
 var MetricFamilies = []obs.Family{
 	{Name: "swcc_gw_backend_healthy", Type: obs.TypeGauge, Help: "Whether the backend is currently routed to (1) or excluded (0)."},
 	{Name: "swcc_gw_healthy_backends", Type: obs.TypeGauge, Help: "Backends currently in the routing set."},
-	{Name: "swcc_gw_backend_weight", Type: obs.TypeGauge, Help: "Effective rendezvous weight per backend (configured, else 1)."},
 	{Name: "swcc_gw_routes_total", Type: obs.TypeCounter, Help: "Requests answered by each backend."},
 	{Name: "swcc_gw_backend_sends_total", Type: obs.TypeCounter, Help: "Proxied attempts issued to each backend, retries and hedges included."},
 	{Name: "swcc_gw_backend_responses_total", Type: obs.TypeCounter, Help: "Backend responses by status class."},
@@ -24,8 +23,6 @@ var MetricFamilies = []obs.Family{
 	{Name: "swcc_gw_key_fallbacks_total", Type: obs.TypeCounter, Help: "Requests keyed by raw body bytes because canonical parsing failed."},
 	{Name: "swcc_gw_bad_gateway_total", Type: obs.TypeCounter, Help: "Gateway-minted 502s: every candidate backend failed."},
 	{Name: "swcc_gw_reloads_total", Type: obs.TypeCounter, Help: "Backend-set reloads applied without a restart."},
-	{Name: "swcc_gw_backend_cache_entries", Type: obs.TypeGauge, Help: "Curve-cache entries per backend, from its last /readyz probe."},
-	{Name: "swcc_gw_backend_hit_ratio", Type: obs.TypeGauge, Help: "Lifetime cache hit ratio per backend, from its last /readyz probe."},
 }
 
 // classLabels names the responses array's status-class buckets.
@@ -53,10 +50,6 @@ func (g *Gateway) writeMetrics(w io.Writer) {
 		p.Int(v, "backend", b.url)
 	}
 	p.Family("swcc_gw_healthy_backends").Int(healthy)
-	p.Family("swcc_gw_backend_weight")
-	for _, b := range backends {
-		p.Float(b.effWeight(), "backend", b.url)
-	}
 	p.Family("swcc_gw_routes_total")
 	for _, b := range backends {
 		p.Int(b.routes.Load(), "backend", b.url)
@@ -79,21 +72,4 @@ func (g *Gateway) writeMetrics(w io.Writer) {
 	p.Family("swcc_gw_key_fallbacks_total").Int(g.keyFallbacks.Load())
 	p.Family("swcc_gw_bad_gateway_total").Int(g.badGateway.Load())
 	p.Family("swcc_gw_reloads_total").Int(g.reloads.Load())
-
-	p.Family("swcc_gw_backend_cache_entries")
-	for _, b := range backends {
-		var curve int
-		if c := b.warmth.Load(); c != nil {
-			curve = c.CurveEntries
-		}
-		p.Int(int64(curve), "backend", b.url, "cache", "curve")
-	}
-	p.Family("swcc_gw_backend_hit_ratio")
-	for _, b := range backends {
-		ratio := 0.0
-		if c := b.warmth.Load(); c != nil {
-			ratio = c.HitRatio
-		}
-		p.Float(ratio, "backend", b.url)
-	}
 }

@@ -7,18 +7,18 @@ import (
 	"swcc/internal/jsonscan"
 )
 
-// The model-query decoder: /v1/bus, /v1/network and /v1/sweep bodies go
-// straight from bytes to resolved queries, with no reflection and no
-// intermediate request structs. The gateway derives its routing key
-// through the same functions, so both tiers agree on what a body asks
-// by construction.
+// The request decoder: every /v1 body goes straight from bytes to its
+// fields, with no reflection and no intermediate request structs, and
+// /v1/bus, /v1/network and /v1/sweep bodies on to resolved queries. The
+// gateway derives its routing key through the same functions, so both
+// tiers agree on what a body asks by construction.
 //
 // The decoder accepts exactly the bodies encoding/json's strict decoding
 // (unknown fields disallowed) into the former request structs accepted,
 // and resolves them to the same values: case-insensitive keys, the last
 // of duplicate keys winning, null leaving a plain field unchanged and
-// clearing a knob. One deliberate tightening: anything but whitespace
-// after the body's value is rejected.
+// clearing a knob or a scheme list. One deliberate tightening: anything
+// but whitespace after the body's value is rejected.
 
 // Query is one resolved model question: the scheme with its knob
 // applied, the validated workload, and the endpoint's shape fields as
@@ -53,15 +53,18 @@ const (
 	fPoint
 	fStages
 	fModel
+	fSchemes
 )
 
 // queryFields are the request's JSON field names, by field index.
-var queryFields = []string{"scheme", "lockfrac", "updatefrac", "level", "params", "procs", "point", "stages", "model"}
+var queryFields = []string{"scheme", "lockfrac", "updatefrac", "level", "params", "procs", "point", "stages", "model", "schemes"}
 
 // Accepted field sets: a field outside the endpoint's set is unknown.
 const (
-	busFields     = 1<<fScheme | 1<<fLockFrac | 1<<fUpdateFrac | 1<<fLevel | 1<<fParams | 1<<fProcs | 1<<fPoint
-	networkFields = 1<<fScheme | 1<<fLockFrac | 1<<fUpdateFrac | 1<<fLevel | 1<<fParams | 1<<fStages | 1<<fModel
+	busFields         = 1<<fScheme | 1<<fLockFrac | 1<<fUpdateFrac | 1<<fLevel | 1<<fParams | 1<<fProcs | 1<<fPoint
+	networkFields     = 1<<fScheme | 1<<fLockFrac | 1<<fUpdateFrac | 1<<fLevel | 1<<fParams | 1<<fStages | 1<<fModel
+	advisorFields     = 1<<fSchemes | 1<<fLockFrac | 1<<fUpdateFrac | 1<<fLevel | 1<<fParams | 1<<fProcs | 1<<fStages
+	sensitivityFields = 1<<fSchemes | 1<<fLockFrac | 1<<fUpdateFrac | 1<<fProcs
 )
 
 // rawQuery is one request object as decoded, before resolution.
@@ -76,6 +79,8 @@ type rawQuery struct {
 	paramsErr     error
 	procs, stages int
 	point         bool
+	// schemes is the advisor's or sensitivity's scheme list.
+	schemes []string
 }
 
 // decode reads one request object into q, overwriting only the fields
@@ -117,6 +122,8 @@ func (q *rawQuery) decode(sc *jsonscan.Scanner, fields uint) error {
 				q.hasLock = false
 			case fUpdateFrac:
 				q.hasUpdate = false
+			case fSchemes:
+				q.schemes = nil
 			}
 			continue
 		}
@@ -145,6 +152,8 @@ func (q *rawQuery) decode(sc *jsonscan.Scanner, fields uint) error {
 			q.stages, err = sc.Int()
 		case fPoint:
 			q.point, err = sc.Bool()
+		case fSchemes:
+			q.schemes, err = decodeStrings(sc, q.schemes)
 		}
 		if err != nil {
 			return err
@@ -152,21 +161,120 @@ func (q *rawQuery) decode(sc *jsonscan.Scanner, fields uint) error {
 	}
 }
 
+// decodeStrings reads an array of strings into s, as encoding/json
+// decodes into a []string that may already hold a value.
+func decodeStrings(sc *jsonscan.Scanner, s []string) ([]string, error) {
+	if err := sc.Array(); err != nil {
+		return nil, err
+	}
+	for n := 0; ; n++ {
+		ok, err := sc.Elem(n)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return jsonTruncate(s, n), nil
+		}
+		s = jsonElem(s, n)
+		if sc.Null() {
+			continue
+		}
+		v, err := sc.String()
+		if err != nil {
+			return nil, err
+		}
+		s[n] = string(v)
+	}
+}
+
+// jsonElem returns s extended to hold element n, as encoding/json
+// extends a slice it decodes an array into: within capacity the backing
+// array's old element reappears, so a null element (or an object that
+// leaves fields out) keeps it; past capacity the element starts zero.
+func jsonElem[T any](s []T, n int) []T {
+	if n < cap(s) {
+		return s[:n+1]
+	}
+	var zero T
+	return append(s[:n], zero)
+}
+
+// jsonTruncate ends an array of n elements decoded into s: encoding/json
+// cuts s to n, and an empty array drops the backing array, so no later
+// array with the same key reuses its elements.
+func jsonTruncate[T any](s []T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return s[:n]
+}
+
+// knobs returns the knob values the request sent, nil where absent.
+func (q *rawQuery) knobs() (lockFrac, updateFrac *float64) {
+	if q.hasLock {
+		lockFrac = &q.lockFrac
+	}
+	if q.hasUpdate {
+		updateFrac = &q.updateFrac
+	}
+	return lockFrac, updateFrac
+}
+
+// workload applies the workload rules to the request's level and params
+// (null counts as sent): the two are mutually exclusive, a level selects
+// a whole Table 7 column, and neither means the middle column.
+func (q *rawQuery) workload() (core.Params, error) {
+	if q.level != "" && q.hasParams {
+		return core.Params{}, badRequest(`"level" and "params" are mutually exclusive`)
+	}
+	switch q.level {
+	case "":
+	case "low":
+		return core.ParamsAt(core.Low), nil
+	case "mid":
+		return core.ParamsAt(core.Mid), nil
+	case "high":
+		return core.ParamsAt(core.High), nil
+	default:
+		return core.Params{}, badRequest("unknown level %q (want low, mid, or high)", q.level)
+	}
+	if !q.hasParams {
+		return core.MiddleParams(), nil
+	}
+	if q.paramsErr != nil {
+		return core.Params{}, badRequest("%v", q.paramsErr)
+	}
+	return q.params, nil
+}
+
+// resolveSchemes resolves the request's scheme list, each name taking
+// the knob that applies to it; an absent or empty list means def.
+func (q *rawQuery) resolveSchemes(def []core.Scheme) ([]core.Scheme, error) {
+	if len(q.schemes) == 0 {
+		return def, nil
+	}
+	lockFrac, updateFrac := q.knobs()
+	out := make([]core.Scheme, 0, len(q.schemes))
+	for _, name := range q.schemes {
+		lf, uf := knobArgs(name, lockFrac, updateFrac)
+		sch, err := resolveScheme(name, lf, uf)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, sch)
+	}
+	return out, nil
+}
+
 // resolve turns the decoded fields into a Query: the scheme and knob
 // through the registry, then the workload.
 func (q *rawQuery) resolve() (Query, error) {
-	var lf, uf *float64
-	if q.hasLock {
-		lf = &q.lockFrac
-	}
-	if q.hasUpdate {
-		uf = &q.updateFrac
-	}
+	lf, uf := q.knobs()
 	scheme, err := resolveScheme(q.scheme, lf, uf)
 	if err != nil {
 		return Query{}, err
 	}
-	p, err := resolveWorkload(q.level, q.hasParams, q.params, q.paramsErr)
+	p, err := q.workload()
 	if err != nil {
 		return Query{}, err
 	}
@@ -176,15 +284,25 @@ func (q *rawQuery) resolve() (Query, error) {
 // decodeErr is the 400 for a body that is not a well-formed request.
 func decodeErr(err error) error { return badRequest("decoding request: %v", err) }
 
-// decodeQuery decodes and resolves a single-query body.
-func decodeQuery(body []byte, fields uint) (Query, error) {
+// decodeRaw decodes a single-object body, accepting only the given
+// fields, without resolving it.
+func decodeRaw(body []byte, fields uint) (rawQuery, error) {
 	sc := jsonscan.New(body)
 	var q rawQuery
 	if err := q.decode(&sc, fields); err != nil {
-		return Query{}, decodeErr(err)
+		return rawQuery{}, decodeErr(err)
 	}
 	if err := sc.End(); err != nil {
-		return Query{}, decodeErr(err)
+		return rawQuery{}, decodeErr(err)
+	}
+	return q, nil
+}
+
+// decodeQuery decodes and resolves a single-query body.
+func decodeQuery(body []byte, fields uint) (Query, error) {
+	q, err := decodeRaw(body, fields)
+	if err != nil {
+		return Query{}, err
 	}
 	return q.resolve()
 }
@@ -278,15 +396,13 @@ func decodeSweepPoints(sc *jsonscan.Scanner) (pts []rawPoint, spans bool, err er
 			if !ok {
 				break
 			}
-			if n == len(pts) {
-				pts = append(pts, rawPoint{})
-			}
+			pts = jsonElem(pts, n)
 			pts[n].start = sc.Pos()
 			if err := pts[n].q.decode(sc, busFields); err != nil {
 				return nil, false, err
 			}
 			pts[n].end = sc.Pos()
 		}
-		pts = pts[:n]
+		pts = jsonTruncate(pts, n)
 	}
 }

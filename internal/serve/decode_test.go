@@ -43,6 +43,23 @@ type oracleSweepRequest struct {
 	Points []oracleBusRequest `json:"points"`
 }
 
+type oracleAdvisorRequest struct {
+	Level      string          `json:"level,omitempty"`
+	Params     json.RawMessage `json:"params,omitempty"`
+	Procs      int             `json:"procs,omitempty"`
+	Stages     int             `json:"stages,omitempty"`
+	Schemes    []string        `json:"schemes,omitempty"`
+	LockFrac   *float64        `json:"lockfrac,omitempty"`
+	UpdateFrac *float64        `json:"updatefrac,omitempty"`
+}
+
+type oracleSensitivityRequest struct {
+	Procs      int      `json:"procs,omitempty"`
+	Schemes    []string `json:"schemes,omitempty"`
+	LockFrac   *float64 `json:"lockfrac,omitempty"`
+	UpdateFrac *float64 `json:"updatefrac,omitempty"`
+}
+
 type oracleParams struct {
 	LS     *float64 `json:"ls"`
 	MsDat  *float64 `json:"msdat"`
@@ -94,22 +111,47 @@ func oracleReadParams(data []byte) (core.Params, error) {
 	return p, p.Validate()
 }
 
+// oracleWorkload is the former workload resolution: a level, or a
+// params value (null counts as sent).
+func oracleWorkload(level string, params json.RawMessage) (core.Params, error) {
+	var p core.Params
+	var perr error
+	if len(params) > 0 {
+		p, perr = oracleReadParams(params)
+	}
+	return (&rawQuery{level: level, hasParams: len(params) > 0, params: p, paramsErr: perr}).workload()
+}
+
 // oracleResolve is the former per-request resolution.
 func oracleResolve(scheme string, lf, uf *float64, level string, params json.RawMessage) (Query, error) {
 	sch, err := resolveScheme(scheme, lf, uf)
 	if err != nil {
 		return Query{}, err
 	}
-	var p core.Params
-	var perr error
-	if len(params) > 0 {
-		p, perr = oracleReadParams(params)
-	}
-	p, err = resolveWorkload(level, len(params) > 0, p, perr)
+	p, err := oracleWorkload(level, params)
 	if err != nil {
 		return Query{}, err
 	}
 	return Query{Scheme: sch, Params: p}, nil
+}
+
+// oracleSchemes is the former scheme-list resolution of the advisor and
+// sensitivity handlers: each name takes the knob that applies to it, and
+// an absent or empty list means def.
+func oracleSchemes(names []string, lockFrac, updateFrac *float64, def []core.Scheme) ([]core.Scheme, error) {
+	if len(names) == 0 {
+		return def, nil
+	}
+	var out []core.Scheme
+	for _, name := range names {
+		lf, uf := knobArgs(name, lockFrac, updateFrac)
+		sch, err := resolveScheme(name, lf, uf)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, sch)
+	}
+	return out, nil
 }
 
 func oracleBus(body []byte) (Query, error) {
@@ -136,12 +178,102 @@ func oracleNetwork(body []byte) (Query, error) {
 	return q, err
 }
 
-// sameQuery compares two resolved queries bit for bit.
-func sameQuery(a, b Query) bool {
-	if a.Scheme != b.Scheme || core.SchemeKey(a.Scheme) != core.SchemeKey(b.Scheme) {
+// envelope is a /v1/advisor or /v1/sensitivity body as its handler
+// reads it: each part resolved, with its own error.
+type envelope struct {
+	params        core.Params
+	paramsErr     error
+	schemes       []core.Scheme
+	schemesErr    error
+	procs, stages int
+}
+
+// decodeEnvelope decodes a body the way the handler given by fields
+// does; def is the handler's default scheme list.
+func decodeEnvelope(body []byte, fields uint, def []core.Scheme) (envelope, error) {
+	q, err := decodeRaw(body, fields)
+	if err != nil {
+		return envelope{}, err
+	}
+	e := envelope{procs: q.procs, stages: q.stages}
+	if fields&(1<<fParams) != 0 {
+		e.params, e.paramsErr = q.workload()
+	}
+	e.schemes, e.schemesErr = q.resolveSchemes(def)
+	return e, nil
+}
+
+func decodeAdvisor(body []byte) (envelope, error) {
+	return decodeEnvelope(body, advisorFields, core.DefaultCandidates())
+}
+
+func decodeSensitivity(body []byte) (envelope, error) {
+	return decodeEnvelope(body, sensitivityFields, core.PaperSchemes())
+}
+
+func oracleAdvisor(body []byte) (envelope, error) {
+	var r oracleAdvisorRequest
+	if err := oracleDecode(body, &r); err != nil {
+		return envelope{}, err
+	}
+	e := envelope{procs: r.Procs, stages: r.Stages}
+	e.params, e.paramsErr = oracleWorkload(r.Level, r.Params)
+	e.schemes, e.schemesErr = oracleSchemes(r.Schemes, r.LockFrac, r.UpdateFrac, core.DefaultCandidates())
+	return e, nil
+}
+
+func oracleSensitivity(body []byte) (envelope, error) {
+	var r oracleSensitivityRequest
+	if err := oracleDecode(body, &r); err != nil {
+		return envelope{}, err
+	}
+	e := envelope{procs: r.Procs}
+	e.schemes, e.schemesErr = oracleSchemes(r.Schemes, r.LockFrac, r.UpdateFrac, core.PaperSchemes())
+	return e, nil
+}
+
+// sameEnvelope compares two decoded envelopes: the same parts fail, and
+// what resolves is the same bit for bit.
+func sameEnvelope(a, b envelope) bool {
+	if (a.paramsErr == nil) != (b.paramsErr == nil) || (a.schemesErr == nil) != (b.schemesErr == nil) ||
+		len(a.schemes) != len(b.schemes) || a.procs != b.procs || a.stages != b.stages {
 		return false
 	}
-	pa, pb := a.Params, b.Params
+	for i := range a.schemes {
+		if !sameScheme(a.schemes[i], b.schemes[i]) {
+			return false
+		}
+	}
+	return a.paramsErr != nil || sameParams(a.params, b.params)
+}
+
+// checkEnvelope compares one envelope decoder against its oracle on one
+// body.
+func checkEnvelope(t *testing.T, name string, body []byte, decode, oracle func([]byte) (envelope, error)) {
+	t.Helper()
+	got, gerr := decode(body)
+	want, werr := oracle(body)
+	switch {
+	case (gerr == nil) != (werr == nil):
+		t.Fatalf("%s %q: decoder err %v, oracle err %v", name, body, gerr, werr)
+	case gerr == nil && !sameEnvelope(got, want):
+		t.Fatalf("%s %q: decoder %+v, oracle %+v", name, body, got, want)
+	}
+}
+
+// sameScheme compares two resolved schemes, configuration included.
+func sameScheme(a, b core.Scheme) bool {
+	return a == b && core.SchemeKey(a) == core.SchemeKey(b)
+}
+
+// sameQuery compares two resolved queries bit for bit.
+func sameQuery(a, b Query) bool {
+	return sameScheme(a.Scheme, b.Scheme) && sameParams(a.Params, b.Params) &&
+		a.Procs == b.Procs && a.Point == b.Point && a.Stages == b.Stages && a.Model == b.Model
+}
+
+// sameParams compares two workloads bit for bit.
+func sameParams(pa, pb core.Params) bool {
 	for _, f := range [...][2]float64{
 		{pa.LS, pb.LS}, {pa.MsDat, pb.MsDat}, {pa.MsIns, pb.MsIns}, {pa.MD, pb.MD},
 		{pa.Shd, pb.Shd}, {pa.WR, pb.WR}, {pa.APL, pb.APL}, {pa.MdShd, pb.MdShd},
@@ -151,7 +283,7 @@ func sameQuery(a, b Query) bool {
 			return false
 		}
 	}
-	return a.Procs == b.Procs && a.Point == b.Point && a.Stages == b.Stages && a.Model == b.Model
+	return true
 }
 
 // checkSingle compares one decoder against its oracle on one body.
@@ -328,6 +460,11 @@ func sweepBodies(points []string) []string {
 		`{"points": [{"scheme": "dragon", "procs": 8}], "points": [null, {"scheme": "base"}]}`,
 		`{"points": [{"scheme": "base"},]}`, `{"points": [,{"scheme": "base"}]}`,
 		`{"points": [{"scheme": "base"}]}]`,
+		// A shorter repeat leaves later points in the backing array,
+		// where a longer one finds them again; an empty one drops them.
+		`{"points": [{"scheme": "dragon"}, {"scheme": "swflush"}], "points": [{}], "points": [{}, {}]}`,
+		`{"points": [{"scheme": "dragon"}, {"scheme": "swflush"}], "points": [{}], "points": [{}, null]}`,
+		`{"points": [{"scheme": "dragon"}], "points": [], "points": [null]}`,
 	}
 	for _, p := range points {
 		out = append(out, `{"points": [`+p+`]}`)
@@ -348,10 +485,15 @@ func TestDecodeMatchesOracle(t *testing.T) {
 	for _, b := range sweepBodies(quirkBodies) {
 		checkSweep(t, []byte(b))
 	}
+	for _, b := range envelopeBodies {
+		checkEnvelope(t, "advisor", []byte(b), decodeAdvisor, oracleAdvisor)
+		checkEnvelope(t, "sensitivity", []byte(b), decodeSensitivity, oracleSensitivity)
+	}
 }
 
 // TestDecodeRejectsStrayCloser pins the one deliberate tightening: the
-// former decodeStrict accepted a body followed by a stray '}' or ']'.
+// former encoding/json decoding, through Decoder.More, accepted a body
+// followed by a stray '}' or ']'.
 func TestDecodeRejectsStrayCloser(t *testing.T) {
 	for _, b := range []string{`{"scheme": "base"}}`, `{"scheme": "base"}]`} {
 		if _, err := DecodeBus([]byte(b)); err == nil {
@@ -360,6 +502,9 @@ func TestDecodeRejectsStrayCloser(t *testing.T) {
 	}
 	if _, _, err := DecodeSweep([]byte(`{"points": [{"scheme": "base"}]}}`)); err == nil {
 		t.Error("sweep with stray '}' accepted")
+	}
+	if _, err := decodeAdvisor([]byte(`{"procs": 4}}`)); err == nil {
+		t.Error("advisor with stray '}' accepted")
 	}
 }
 

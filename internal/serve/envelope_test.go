@@ -9,7 +9,8 @@ import (
 )
 
 // envelopeBodies seed FuzzEnvelopeDecode: well-formed advisor and
-// sensitivity requests, each rejection rule, and the decodeStrict quirks.
+// sensitivity requests, each rejection rule, and the encoding/json
+// quirks of a scheme list.
 var envelopeBodies = []string{
 	`{}`,
 	`{"level": "mid", "procs": 4}`,
@@ -34,12 +35,30 @@ var envelopeBodies = []string{
 	`null`,
 	``,
 	`{"schemes": ["moesi"]}`,
+	// Scheme lists: null elements keep what an earlier duplicate key
+	// left at that index, and a list of another type is rejected.
+	`{"schemes": ["dragon", "base"], "schemes": [null, null, null]}`,
+	`{"schemes": ["dragon", "base", "winv"], "schemes": ["swflush"], "schemes": [null, null, null]}`,
+	`{"schemes": ["dragon"], "schemes": [], "procs": 2}`,
+	`{"schemes": ["dragon"], "schemes": [], "schemes": [null]}`,
+	`{"schemes": ["dragon"], "Schemes": null}`,
+	`{"SCHEMES": ["hybrid", "hybrid"], "LockFrac": 0.2, "procs": 2}`,
+	`{"schemes": [null]}`,
+	`{"schemes": "dragon"}`,
+	`{"schemes": [1]}`,
+	`{"schemes": ["dragon",]}`,
+	`{"schemes": {}}`,
+	`{"schemes": ["dr\u0061gon", "ba\ud800se"]}`,
+	`{"schemes": ["hybrid-update"], "updatefrac": 0.3, "updatefrac": null}`,
+	`{"scheme": "dragon"}`,
+	`{"point": true}`,
 }
 
-// FuzzEnvelopeDecode drives the two encoding/json request envelopes,
-// /v1/advisor and /v1/sensitivity, through decode, validation and (for
-// bodies that pass) the solve, on arbitrary bytes. No input may panic,
-// and every rejection must render as a 4xx: a malformed request is the
+// FuzzEnvelopeDecode drives the two request envelopes, /v1/advisor and
+// /v1/sensitivity, on arbitrary bytes. Their decode must agree with the
+// encoding/json oracle. Then decode, validation and (for bodies that
+// pass) the solve run through the handlers: no input may panic, and
+// every rejection must render as a 4xx: a malformed request is the
 // client's fault and must never surface as a 5xx. The status is read
 // through writeError, the mapping clients see — decode and validation
 // failures are httpErrors, while a scheme with no network model fails
@@ -62,6 +81,8 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		{"sensitivity", s.handleSensitivity},
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkEnvelope(t, "advisor", body, decodeAdvisor, oracleAdvisor)
+		checkEnvelope(t, "sensitivity", body, decodeSensitivity, oracleSensitivity)
 		for _, h := range handlers {
 			_, err := h.fn(context.Background(), body)
 			if err == nil {

@@ -15,7 +15,6 @@ import (
 
 	"swcc/internal/core"
 	"swcc/internal/fault"
-	"swcc/internal/jsonscan"
 	"swcc/internal/obs"
 	"swcc/internal/sensitivity"
 	"swcc/internal/sweep"
@@ -179,64 +178,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	if buf.Cap() <= encodeBufMax {
 		encodeBufPool.Put(buf)
 	}
-}
-
-// decodeStrict decodes one JSON object, rejecting unknown fields and
-// trailing garbage. Strictness at the boundary is what turns typos
-// ("prox": 32) into 400s instead of silently-defaulted wrong answers.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("decoding request: %v", err)
-	}
-	if dec.More() {
-		return badRequest("decoding request: trailing data after JSON object")
-	}
-	return nil
-}
-
-// resolveParams turns an envelope's workload spec into a validated
-// core.Params: `params` decodes through core.DecodeParams, so field names,
-// unknown field rejection, Table 7 middle defaults for omitted fields,
-// and domain validation (including the NaN/Inf checks) are exactly the
-// library's; `level` selects a whole Table 7 column instead.
-func resolveParams(level string, params json.RawMessage) (core.Params, error) {
-	var p core.Params
-	var err error
-	if len(params) > 0 {
-		sc := jsonscan.New(params)
-		p, err = core.DecodeParams(&sc)
-	}
-	return resolveWorkload(level, len(params) > 0, p, err)
-}
-
-// resolveWorkload applies the workload rules to a request that sent a
-// level and/or a params value (null counts as sent) whose decode gave
-// decoded and decodeErr: the two are mutually exclusive, a level selects
-// a whole Table 7 column, and neither means the middle column.
-func resolveWorkload(level string, hasParams bool, decoded core.Params, decodeErr error) (core.Params, error) {
-	if level != "" && hasParams {
-		return core.Params{}, badRequest(`"level" and "params" are mutually exclusive`)
-	}
-	switch level {
-	case "":
-	case "low":
-		return core.ParamsAt(core.Low), nil
-	case "mid":
-		return core.ParamsAt(core.Mid), nil
-	case "high":
-		return core.ParamsAt(core.High), nil
-	default:
-		return core.Params{}, badRequest("unknown level %q (want low, mid, or high)", level)
-	}
-	if !hasParams {
-		return core.MiddleParams(), nil
-	}
-	if decodeErr != nil {
-		return core.Params{}, badRequest("%v", decodeErr)
-	}
-	return decoded, nil
 }
 
 // resolveScheme resolves a request's scheme name against the registry,
@@ -406,21 +347,6 @@ func (s *Server) handleNetwork(ctx context.Context, body []byte) (any, error) {
 
 // --- /v1/advisor ---
 
-type advisorRequest struct {
-	Level  string          `json:"level,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
-	Procs  int             `json:"procs,omitempty"`
-	// Stages 0 ranks on a Procs-processor bus; >= 1 on a 2^Stages
-	// network.
-	Stages int `json:"stages,omitempty"`
-	// Schemes restricts the candidate set (default: the advisor's usual
-	// implementable candidates).
-	Schemes  []string `json:"schemes,omitempty"`
-	LockFrac *float64 `json:"lockfrac,omitempty"`
-	// UpdateFrac tunes the hybrid-update scheme's update share.
-	UpdateFrac *float64 `json:"updatefrac,omitempty"`
-}
-
 type rankingJSON struct {
 	Scheme     string  `json:"scheme"`
 	Power      float64 `json:"power"`
@@ -433,30 +359,26 @@ type advisorResponse struct {
 }
 
 func (s *Server) handleAdvisor(ctx context.Context, body []byte) (any, error) {
-	var req advisorRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
-	}
-	p, err := resolveParams(req.Level, req.Params)
+	q, err := decodeRaw(body, advisorFields)
 	if err != nil {
 		return nil, err
 	}
-	candidates := core.DefaultCandidates()
-	if len(req.Schemes) > 0 {
-		candidates = candidates[:0]
-		for _, name := range req.Schemes {
-			lf, uf := knobArgs(name, req.LockFrac, req.UpdateFrac)
-			sch, err := resolveScheme(name, lf, uf)
-			if err != nil {
-				return nil, err
-			}
-			candidates = append(candidates, sch)
-		}
+	p, err := q.workload()
+	if err != nil {
+		return nil, err
+	}
+	// Schemes restricts the candidate set (default: the advisor's usual
+	// implementable candidates).
+	candidates, err := q.resolveSchemes(core.DefaultCandidates())
+	if err != nil {
+		return nil, err
 	}
 	var hardware string
 	var rank func() ([]core.Ranking, error)
-	if req.Stages == 0 {
-		procs, err := s.checkProcs(req.Procs)
+	// Stages 0 ranks on a Procs-processor bus; >= 1 on a 2^Stages
+	// network.
+	if q.stages == 0 {
+		procs, err := s.checkProcs(q.procs)
 		if err != nil {
 			return nil, err
 		}
@@ -465,10 +387,10 @@ func (s *Server) handleAdvisor(ctx context.Context, body []byte) (any, error) {
 			return core.RankBusWith(s.ev, candidates, p, s.costs, procs)
 		}
 	} else {
-		if req.Procs != 0 {
+		if q.procs != 0 {
 			return nil, badRequest(`"procs" and "stages" are mutually exclusive (a network's size is 2^stages)`)
 		}
-		stages, err := s.checkStages(req.Stages)
+		stages, err := s.checkStages(q.stages)
 		if err != nil {
 			return nil, err
 		}
@@ -496,36 +418,20 @@ func (s *Server) handleAdvisor(ctx context.Context, body []byte) (any, error) {
 
 // --- /v1/sensitivity ---
 
-type sensitivityRequest struct {
-	Procs int `json:"procs,omitempty"`
-	// Schemes lists the table's columns (default: the paper's four
-	// schemes).
-	Schemes  []string `json:"schemes,omitempty"`
-	LockFrac *float64 `json:"lockfrac,omitempty"`
-	// UpdateFrac tunes the hybrid-update scheme's update share.
-	UpdateFrac *float64 `json:"updatefrac,omitempty"`
-}
-
 func (s *Server) handleSensitivity(ctx context.Context, body []byte) (any, error) {
-	var req sensitivityRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
-	}
-	procs, err := s.checkProcs(req.Procs)
+	q, err := decodeRaw(body, sensitivityFields)
 	if err != nil {
 		return nil, err
 	}
-	schemes := core.PaperSchemes()
-	if len(req.Schemes) > 0 {
-		schemes = schemes[:0]
-		for _, name := range req.Schemes {
-			lf, uf := knobArgs(name, req.LockFrac, req.UpdateFrac)
-			sch, err := resolveScheme(name, lf, uf)
-			if err != nil {
-				return nil, err
-			}
-			schemes = append(schemes, sch)
-		}
+	procs, err := s.checkProcs(q.procs)
+	if err != nil {
+		return nil, err
+	}
+	// Schemes lists the table's columns (default: the paper's four
+	// schemes).
+	schemes, err := q.resolveSchemes(core.PaperSchemes())
+	if err != nil {
+		return nil, err
 	}
 	return s.solve(ctx, func() (any, error) {
 		// Threading the request ctx means an abandoned sensitivity grid
@@ -553,27 +459,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // --- /readyz ---
 
-// ReadyzCache summarizes cache warmth for readiness consumers. The
-// gateway records it from each probe and reports it per backend on its
-// own /healthz and /metrics; routing does not read it.
-type ReadyzCache struct {
-	// CurveEntries is the number of cached MVA curves.
-	CurveEntries int `json:"curve_entries"`
-	// HitRatio is lifetime curve-cache hits over lookups, 0 on a cold
-	// server.
-	HitRatio float64 `json:"hit_ratio"`
-}
-
-// ReadyzResponse is the JSON body of GET /readyz — exported so the
-// gateway's health checker decodes the same struct the daemon encodes.
-type ReadyzResponse struct {
+// readyzResponse is the JSON body of GET /readyz.
+type readyzResponse struct {
 	// Ready mirrors the HTTP status: true on 200, false on 503.
 	Ready bool `json:"ready"`
 	// Reason says why a not-ready server is not ready ("shedding",
 	// "draining", ...); empty when ready.
 	Reason string `json:"reason,omitempty"`
-	// Cache reports the evaluator's warmth.
-	Cache ReadyzCache `json:"cache"`
 }
 
 // handleReadyz implements GET /readyz: 503 while the daemon is
@@ -582,11 +474,7 @@ type ReadyzResponse struct {
 // Distinct from /healthz, which answers 200 for the whole process
 // lifetime: ready is "send me traffic", healthy is "don't restart me".
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	st := s.ev.Stats()
-	resp := ReadyzResponse{Ready: true, Cache: ReadyzCache{CurveEntries: st.CurveEntries}}
-	if lookups := st.MVAHits + st.MVASolves; lookups > 0 {
-		resp.Cache.HitRatio = float64(st.MVAHits) / float64(lookups)
-	}
+	resp := readyzResponse{Ready: true}
 	if reason := s.notReady.Load(); reason != nil {
 		resp.Ready, resp.Reason = false, *reason
 	} else if s.met.queueDepth.Load() >= int64(s.cfg.MaxQueueDepth) {
