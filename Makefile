@@ -162,9 +162,10 @@ serve:
 	$(GO) run ./cmd/cohered -addr $(COHERED_ADDR)
 
 # End-to-end smoke test: build the daemon, start it on an ephemeral-ish
-# port, hit /healthz, one query each on /v1/bus, /v1/sweep, /v1/advisor
-# and /v1/sensitivity, and /readyz, then shut it down (SIGTERM exercises
-# the graceful-shutdown path).
+# port, hit /healthz, one query each on /v1/bus, /v1/sweep (a batch with
+# a three-point dragon group: two points and a curve), /v1/advisor and
+# /v1/sensitivity, and /readyz, then shut it down (SIGTERM exercises the
+# graceful-shutdown path).
 SMOKE_ADDR ?= 127.0.0.1:18080
 smoke:
 	@$(GO) build -o /tmp/cohered.smoke ./cmd/cohered
@@ -176,9 +177,9 @@ smoke:
 	curl -sf http://$(SMOKE_ADDR)/healthz || { echo "smoke: healthz failed"; exit 1; }; \
 	curl -sf -X POST -d '{"scheme": "dragon", "procs": 8}' http://$(SMOKE_ADDR)/v1/bus \
 		| grep -q '"Power"' || { echo "smoke: /v1/bus failed"; exit 1; }; \
-	curl -sf -X POST -d '{"points": [{"scheme": "dragon", "procs": 8, "point": true}, {"scheme": "base", "procs": 8, "point": true}]}' \
+	curl -sf -X POST -d '{"points": [{"scheme": "dragon", "procs": 32, "point": true}, {"scheme": "dragon", "procs": 8, "point": true}, {"scheme": "base", "procs": 8, "point": true}, {"scheme": "dragon", "procs": 16}]}' \
 		http://$(SMOKE_ADDR)/v1/sweep \
-		| grep -q '"count":2' || { echo "smoke: /v1/sweep failed"; exit 1; }; \
+		| grep -q '"count":4' || { echo "smoke: /v1/sweep failed"; exit 1; }; \
 	curl -sf -X POST -d '{"level":"high","procs":8}' http://$(SMOKE_ADDR)/v1/advisor \
 		| grep -q '"rankings"' || { echo "smoke: /v1/advisor failed"; exit 1; }; \
 	curl -sf -X POST -d '{"procs":4}' http://$(SMOKE_ADDR)/v1/sensitivity \

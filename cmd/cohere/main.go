@@ -151,12 +151,25 @@ func cmdRun(ctx context.Context, cmd string, args []string, out io.Writer) error
 	return emit(out, ds, mode)
 }
 
+// parseFlags parses a subcommand that takes no positional arguments
+// and rejects any: flag parsing stops at the first non-flag, so a stray
+// word would otherwise silently drop every flag after it.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	return nil
+}
+
 func cmdAll(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("all", flag.ContinueOnError)
 	scale, preset, procs, mode := experimentFlags(fs)
 	parallel := fs.Int("parallel", 0, "experiments to run concurrently, at most one of them trace-driven (0 = all cores)")
 	outDir := fs.String("out", "", "write <id>.txt/.csv/.json per experiment into this directory")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	datasets, err := experiments.RunAllCtx(ctx, experiments.Options{
@@ -227,7 +240,7 @@ func cmdAdvise(args []string, out io.Writer) error {
 	procs := fs.Int("procs", 16, "bus machine size")
 	stages := fs.Int("stages", 0, "network stages (0 = shared bus)")
 	all := fs.Bool("all", false, "rank every registered scheme, not just the advisor's default candidates")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	var p core.Params
@@ -310,7 +323,7 @@ func cmdCompare(args []string, out io.Writer) error {
 	aSpec := fs.String("a", "mid", "first workload: low/mid/high or a JSON file")
 	bSpec := fs.String("b", "high", "second workload: low/mid/high or a JSON file")
 	procs := fs.Int("procs", 16, "bus machine size")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	load := func(spec string) (core.Params, error) {
@@ -378,7 +391,7 @@ func cmdEval(args []string, out io.Writer) error {
 	breakdown := fs.Bool("breakdown", false, "itemize the per-operation demand before the machine sweep")
 	var sets multiFlag
 	fs.Var(&sets, "set", "override one parameter, e.g. -set apl=4 (repeatable)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	s, err := core.SchemeByName(*schemeName)
@@ -445,7 +458,7 @@ func cmdSweep(args []string, out io.Writer) error {
 	steps := fs.Int("steps", 16, "number of points")
 	procs := fs.Int("procs", 16, "bus machine size")
 	level := fs.String("level", "mid", "base parameter level")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *steps < 2 {
@@ -489,7 +502,7 @@ func cmdRefine(ctx context.Context, args []string, out io.Writer) error {
 	minStep := fs.Float64("min-step", 0, "stop subdividing below this interval width (0 = range/1024)")
 	var sets multiFlag
 	fs.Var(&sets, "set", "override one base parameter, e.g. -set shd=0.1 (repeatable)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	var schemes []core.Scheme

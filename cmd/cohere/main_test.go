@@ -139,6 +139,24 @@ func TestErrors(t *testing.T) {
 	runErr(t, "run", "-preset", "nope", "fig1")
 }
 
+// TestStrayArguments: subcommands without positional arguments reject
+// them instead of silently dropping every flag after the first stray
+// word.
+func TestStrayArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"all", "stray", "-h"},
+		{"eval", "stray"},
+		{"sweep", "stray", "-steps", "2"},
+		{"refine", "-schemes", "base,dragon", "stray"},
+		{"advise", "stray"},
+		{"compare", "stray"},
+	} {
+		if err := runErr(t, args...); !strings.Contains(err.Error(), "unexpected arguments") {
+			t.Errorf("run(%v): %v, want unexpected arguments", args, err)
+		}
+	}
+}
+
 func TestHelp(t *testing.T) {
 	runOK(t, "help")
 }

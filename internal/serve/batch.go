@@ -89,13 +89,13 @@ func (s *Server) handleSweep(ctx context.Context, body []byte) (any, error) {
 	}
 	costs := s.costs
 	return s.solve(ctx, func() (any, error) {
-		// Points sharing one (scheme, canonical workload) form a group a
-		// single worker solves population-ascending through a CurveRun —
-		// each point resumes the MVA recursion where the previous one
-		// stopped. Result and per-point Points buffers come from pools;
-		// the response's release hook returns them after encoding.
-		groups := sweep.BatchGroups(len(jobs), func(i int) (core.Scheme, core.Params, int) {
-			return jobs[i].scheme, jobs[i].params, jobs[i].procs
+		// Points sharing one (scheme, canonical workload) form a group
+		// that costs the cache one query, at the group's largest procs;
+		// each point reads its own population off that curve. Result and
+		// per-point Points buffers come from pools; the response's
+		// release hook returns them after encoding.
+		groups := sweep.BatchGroups(len(jobs), func(i int) (core.Scheme, core.Params) {
+			return jobs[i].scheme, jobs[i].params
 		})
 		resultsBuf := responsePool.Acquire(len(jobs))
 		results := *resultsBuf
@@ -110,12 +110,12 @@ func (s *Server) handleSweep(ctx context.Context, body []byte) (any, error) {
 		}
 		errs := make([]error, len(jobs))
 		sweep.EachCtx(ctx, 0, len(groups), func(g int) error {
-			var run *sweep.CurveRun
+			var c groupCurve
 			for _, i := range groups[g] {
-				s.solveSweepPoint(ctx, jobs[i], costs, &run, &results[i], &pointBufs[i], &errs[i])
+				c.procs = max(c.procs, jobs[i].procs)
 			}
-			if run != nil {
-				run.Finish(ctx)
+			for _, i := range groups[g] {
+				s.solveSweepPoint(ctx, jobs[i], costs, &c, &results[i], &pointBufs[i], &errs[i])
 			}
 			return nil
 		})
@@ -127,12 +127,22 @@ func (s *Server) handleSweep(ctx context.Context, body []byte) (any, error) {
 	})
 }
 
-// solveSweepPoint answers one grid cell of a batch into *out, reusing
-// (or starting) the group's CurveRun. Each point remains its own
-// fault-injection site and cancellation point, and the pool's worker
-// goroutines have no recover of their own — an injected (or model)
-// panic here must become this point's error, not kill the process.
-func (s *Server) solveSweepPoint(ctx context.Context, j sweepJob, costs *core.CostTable, run **sweep.CurveRun, out *busResponse, pointBuf **[]core.BusPoint, errOut *error) {
+// groupCurve is one batch group's curve: solved once, at the group's
+// largest procs, by the first point that gets past its own checks.
+type groupCurve struct {
+	procs  int
+	curve  sweep.Curve
+	err    error
+	solved bool
+}
+
+// solveSweepPoint answers one grid cell of a batch into *out, reading
+// it off the group's curve (solving that first if no earlier point of
+// the group has). Each point remains its own fault-injection site and
+// cancellation point, and the pool's worker goroutines have no recover
+// of their own — an injected (or model) panic here must become this
+// point's error, not kill the process.
+func (s *Server) solveSweepPoint(ctx context.Context, j sweepJob, costs *core.CostTable, c *groupCurve, out *busResponse, pointBuf **[]core.BusPoint, errOut *error) {
 	defer func() {
 		if p := recover(); p != nil {
 			*errOut = fmt.Errorf("serve: internal error: %v", p)
@@ -146,24 +156,19 @@ func (s *Server) solveSweepPoint(ctx context.Context, j sweepJob, costs *core.Co
 		*errOut = err
 		return
 	}
-	if *run == nil {
-		r, err := s.ev.StartCurveRun(ctx, j.scheme, j.params, costs)
-		if err != nil {
-			*errOut = err
-			return
-		}
-		*run = r
+	if !c.solved {
+		c.curve, c.err = s.ev.CurveCtx(ctx, j.scheme, j.params, costs, c.procs)
+		c.solved = true
+	}
+	if c.err != nil {
+		*errOut = c.err
+		return
 	}
 	resp := busResponse{Scheme: schemeLabel(j.scheme), Costs: costs.Name, Procs: j.procs}
 	if j.point {
-		pt, err := (*run).BusPointAt(ctx, j.procs)
-		if err != nil {
-			*errOut = err
-			return
-		}
 		buf := sweep.AcquirePoints(1)
 		*pointBuf = buf
-		(*buf)[0] = pt
+		(*buf)[0] = c.curve.Point(j.procs)
 		resp.Points = *buf
 	} else {
 		// Park the buffer in *pointBuf BEFORE the call that can panic: the
@@ -172,12 +177,7 @@ func (s *Server) solveSweepPoint(ctx context.Context, j sweepJob, costs *core.Co
 		// each fault-injected panic would drain the pool by one buffer.
 		buf := sweep.AcquirePoints(j.procs)
 		*pointBuf = buf
-		pts, err := (*run).BusPointsInto(ctx, j.procs, *buf)
-		if err != nil {
-			*errOut = err
-			return
-		}
-		resp.Points = pts
+		resp.Points = c.curve.Points(j.procs, *buf)
 	}
 	*out = resp
 }

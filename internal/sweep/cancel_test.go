@@ -81,8 +81,8 @@ func TestEvaluatorCtxFailsFast(t *testing.T) {
 	cancel()
 	p := core.MiddleParams()
 	costs := core.BusCosts()
-	if _, err := ev.StartCurveRun(ctx, core.Base{}, p, costs); !errors.Is(err, context.Canceled) {
-		t.Errorf("StartCurveRun on cancelled ctx: %v", err)
+	if _, err := ev.CurveCtx(ctx, core.Base{}, p, costs, 8); !errors.Is(err, context.Canceled) {
+		t.Errorf("CurveCtx on cancelled ctx: %v", err)
 	}
 	if _, err := ev.BusPointCtx(ctx, core.Base{}, p, costs, 8); !errors.Is(err, context.Canceled) {
 		t.Errorf("BusPointCtx on cancelled ctx: %v", err)

@@ -18,9 +18,9 @@
 // Observability: an Evaluator optionally reports what it is doing
 // through an Observer (SetObserver) — per-stage wall time for the cache
 // lookup, the singleflight wait, and the cold solve, plus discrete
-// hit/miss/dedup-join/evict events. Every query method (EvaluateBusCtx,
-// BusPointCtx, StartCurveRun) takes the caller's context.Context, whose
-// trace ID correlates those events with a request and whose cancellation
-// stops work early; a context never changes what a completed query
-// computes.
+// hit/miss/dedup-join/evict events. Every query method (CurveCtx and
+// its wrappers EvaluateBusCtx and BusPointCtx) takes the caller's
+// context.Context, whose trace ID correlates those events with a request
+// and whose cancellation stops work early; a context never changes what
+// a completed query computes.
 package sweep

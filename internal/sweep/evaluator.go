@@ -58,8 +58,11 @@ type Observer interface {
 
 // Stats counts the evaluator's curve-cache traffic. A "solve" is one
 // real MVA recursion; hits served from memory and misses deduplicated
-// onto another goroutine's in-flight solve are counted separately.
-// Demand (equations 1-2) is not cached: it is computed on every query.
+// onto another goroutine's in-flight solve are counted separately. The
+// counters count queries (CurveCtx calls), not points: a batch group is
+// one query at its largest machine size, so it counts once — one hit,
+// one dedup or one solve — however many points it answers. Demand
+// (equations 1-2) is not cached: it is computed on every query.
 type Stats struct {
 	// DemandSolves, DemandHits, DemandDedups and DemandEvictions are
 	// always 0: the evaluator keeps no demand cache. They remain only
@@ -439,60 +442,83 @@ func demand(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostT
 	return core.ComputeDemand(s, p, costs)
 }
 
-// EvaluateBusCtx is a memoized core.EvaluateBus: identical results,
-// served from the curve cache when possible. The demand is computed
-// (and the workload validated) on every call; stage timings and cache
-// events reported to the evaluator's Observer carry ctx (and hence its
-// trace ID), and a done ctx fails fast with its error — before probing
-// the cache, and while parked on another goroutine's in-flight solve.
-// When cap(dst) >= maxProcs the returned slice reuses dst's backing
-// array, so a warm evaluation allocates nothing; a nil or short dst
-// allocates.
-func (ev *Evaluator) EvaluateBusCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int, dst []core.BusPoint) ([]core.BusPoint, error) {
-	if maxProcs < 1 {
-		return nil, fmt.Errorf("core: maxProcs %d < 1", maxProcs)
-	}
-	d, err := demand(ctx, s, p, costs)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := ev.curveShared(ctx, d, maxProcs)
-	if err != nil {
-		return nil, err
-	}
-	return busPoints(d, rs, maxProcs, dst), nil
+// Curve is one demand's bus-model curve as the cache holds it: the
+// residence times of populations 1..n for the n it was asked for (or
+// more), shared with the cache and every other reader. Its fields are
+// unexported so no holder can mutate the shared slice; it expands bus
+// points on demand, bit-identical to core.EvaluateBus.
+type Curve struct {
+	d  core.Demand
+	rs []float64
 }
 
-// busPoints expands the first maxProcs residence times of a curve into
-// bus points, into dst when cap(dst) >= maxProcs.
-func busPoints(d core.Demand, rs []float64, maxProcs int, dst []core.BusPoint) []core.BusPoint {
+// Point returns the prediction at exactly n processors, for 1 <= n <=
+// the population the curve was asked for.
+func (c Curve) Point(n int) core.BusPoint {
+	return core.BusPointFromResidence(c.d, n, c.rs[n-1])
+}
+
+// Points returns the predictions for 1..n, into dst when cap(dst) >= n
+// (so a warm caller-buffered read allocates nothing).
+func (c Curve) Points(n int, dst []core.BusPoint) []core.BusPoint {
 	var points []core.BusPoint
-	if cap(dst) >= maxProcs {
-		points = dst[:maxProcs]
+	if cap(dst) >= n {
+		points = dst[:n]
 	} else {
-		points = make([]core.BusPoint, maxProcs)
+		points = make([]core.BusPoint, n)
 	}
 	for i := range points {
-		points[i] = core.BusPointFromResidence(d, i+1, rs[i])
+		points[i] = c.Point(i + 1)
 	}
 	return points
 }
 
-// BusPointCtx returns the bus-model prediction at exactly nproc
-// processors (ctx as in EvaluateBusCtx).
-func (ev *Evaluator) BusPointCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error) {
-	if nproc < 1 {
-		return core.BusPoint{}, fmt.Errorf("core: nproc %d < 1", nproc)
+// CurveCtx returns the curve of s on workload p covering populations
+// 1..n: the evaluator's one query path, which every other query method
+// wraps. The demand is computed (and the workload validated) on every
+// call. Stage timings and cache events reported to the evaluator's
+// Observer carry ctx (and hence its trace ID), and a done ctx fails
+// fast with its error — before probing the cache, and while parked on
+// another goroutine's in-flight solve. A batch asks once, at its
+// largest machine size, and reads every smaller size off the one curve.
+func (ev *Evaluator) CurveCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, n int) (Curve, error) {
+	if n < 1 {
+		return Curve{}, fmt.Errorf("core: nproc %d < 1", n)
 	}
 	d, err := demand(ctx, s, p, costs)
 	if err != nil {
-		return core.BusPoint{}, err
+		return Curve{}, err
 	}
-	rs, err := ev.curveShared(ctx, d, nproc)
+	rs, err := ev.curveShared(ctx, d, n)
+	if err != nil {
+		return Curve{}, err
+	}
+	return Curve{d: d, rs: rs}, nil
+}
+
+// EvaluateBusCtx is a memoized core.EvaluateBus: identical results,
+// served from the curve cache when possible (ctx as in CurveCtx). When
+// cap(dst) >= maxProcs the returned slice reuses dst's backing array,
+// so a warm evaluation allocates nothing; a nil or short dst allocates.
+func (ev *Evaluator) EvaluateBusCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, maxProcs int, dst []core.BusPoint) ([]core.BusPoint, error) {
+	if maxProcs < 1 {
+		return nil, fmt.Errorf("core: maxProcs %d < 1", maxProcs)
+	}
+	c, err := ev.CurveCtx(ctx, s, p, costs, maxProcs)
+	if err != nil {
+		return nil, err
+	}
+	return c.Points(maxProcs, dst), nil
+}
+
+// BusPointCtx returns the bus-model prediction at exactly nproc
+// processors (ctx as in CurveCtx).
+func (ev *Evaluator) BusPointCtx(ctx context.Context, s core.Scheme, p core.Params, costs *core.CostTable, nproc int) (core.BusPoint, error) {
+	c, err := ev.CurveCtx(ctx, s, p, costs, nproc)
 	if err != nil {
 		return core.BusPoint{}, err
 	}
-	return core.BusPointFromResidence(d, nproc, rs[nproc-1]), nil
+	return c.Point(nproc), nil
 }
 
 // BusPower implements core.PowerEvaluator, so the evaluator plugs

@@ -183,11 +183,10 @@ var nearKnobSchemes = [][2]core.Scheme{
 
 // TestNearKnobValuesNotShared: knob values that agree to two decimals
 // are still different schemes. Each must get its uncached answer, on
-// the single-point path, the curve path, and through a batch CurveRun.
+// the single-point path, the curve path, and through a batch group.
 func TestNearKnobValuesNotShared(t *testing.T) {
 	costs := core.BusCosts()
 	p := core.MiddleParams()
-	ctx := context.Background()
 	for _, pair := range nearKnobSchemes {
 		ev := NewEvaluator()
 		for _, s := range pair {
@@ -210,25 +209,27 @@ func TestNearKnobValuesNotShared(t *testing.T) {
 				t.Errorf("%s: EvaluateBus[7] %+v, uncached %+v", core.SchemeKey(s), curve[7], want[7])
 			}
 		}
-		if groups := BatchGroups(2, func(i int) (core.Scheme, core.Params, int) { return pair[i], p, 16 }); len(groups) != 2 {
+		if groups := BatchGroups(2, func(i int) (core.Scheme, core.Params) { return pair[i], p }); len(groups) != 2 {
 			t.Errorf("%s and %s batched into one group", core.SchemeKey(pair[0]), core.SchemeKey(pair[1]))
 		}
-		for _, s := range pair {
-			run, err := NewEvaluator().StartCurveRun(ctx, s, p, costs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _ := core.EvaluateBus(s, p, costs, 16)
-			if got, err := run.BusPointAt(ctx, 16); err != nil || got != want[15] {
-				t.Errorf("%s: CurveRun point %+v (%v), uncached %+v", core.SchemeKey(s), got, err, want[15])
+		// Both schemes in one batch on one cache: two groups, each
+		// answered off its own curve.
+		var points []Point
+		for _, n := range []int{16, 8} {
+			points = append(points, Point{Scheme: pair[0], Params: p, NProc: n}, Point{Scheme: pair[1], Params: p, NProc: n})
+		}
+		for i, r := range (&Engine{Workers: 1, Cache: NewEvaluator()}).EvaluateBus(points, costs) {
+			want, _ := core.EvaluateBus(r.Point.Scheme, p, costs, r.Point.NProc)
+			if r.Err != nil || r.Bus != want[r.Point.NProc-1] {
+				t.Errorf("%s: batch point %d %+v (%v), uncached %+v", core.SchemeKey(r.Point.Scheme), i, r.Bus, r.Err, want[r.Point.NProc-1])
 			}
 		}
 	}
 }
 
 // TestPublishedCurvesExactLength: the cache holds no spare capacity —
-// a cold solve, a single-point run, and an over-grown ascending run all
-// publish curves with cap == len.
+// a cold solve, a single curve query, and a population-ascending batch
+// group all publish curves with cap == len.
 func TestPublishedCurvesExactLength(t *testing.T) {
 	costs := core.BusCosts()
 	ctx := context.Background()
@@ -254,27 +255,19 @@ func TestPublishedCurvesExactLength(t *testing.T) {
 	}
 	check("cold solve", core.Base{}, p, 37)
 
-	run, err := ev.StartCurveRun(ctx, core.Dragon{}, p, costs)
-	if err != nil {
+	if _, err := ev.CurveCtx(ctx, core.Dragon{}, p, costs, 300); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run.BusPointAt(ctx, 300); err != nil {
-		t.Fatal(err)
-	}
-	run.Finish(ctx)
-	check("single-point run", core.Dragon{}, p, 300)
+	check("single curve", core.Dragon{}, p, 300)
 
-	run, err = ev.StartCurveRun(ctx, core.NoCache{}, p, costs)
-	if err != nil {
+	var points []Point
+	for n := 1; n <= 40; n++ {
+		points = append(points, Point{Scheme: core.NoCache{}, Params: p, NProc: n})
+	}
+	if err := FirstError((&Engine{Workers: 1, Cache: ev}).EvaluateBus(points, costs)); err != nil {
 		t.Fatal(err)
 	}
-	for n := 1; n <= 40; n++ { // grows through capacity 64
-		if _, err := run.BusPointAt(ctx, n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run.Finish(ctx)
-	check("ascending run", core.NoCache{}, p, 40)
+	check("ascending group", core.NoCache{}, p, 40)
 }
 
 // TestInvalidParamsErrorDespiteCache checks error parity: an invalid

@@ -15,7 +15,7 @@ import (
 // by solving every cell; Refine answers it by solving a coarse grid and
 // recursively subdividing only the intervals where the winning scheme
 // flips between adjacent points. Every evaluated point goes through the
-// same Engine/CurveRun path as a dense sweep, so the values — and hence
+// same Engine batch path as a dense sweep, so the values — and hence
 // the located boundaries — are bit-identical to the dense grid's at the
 // points both evaluate; the refinement merely skips the cells where the
 // winner provably cannot change the answer at the requested resolution.
@@ -88,7 +88,7 @@ type RefineResult struct {
 
 // Refine runs the adaptive crossover search on the engine's worker pool
 // and cache. Each wave's cells feed one EvaluateBusCtx call, so cells
-// sharing a (scheme, canonical workload) ride one CurveRun exactly as a
+// sharing a (scheme, canonical workload) share one curve exactly as a
 // dense batch would. Cancellation is cooperative: once ctx is done the
 // current wave stops claiming cells and Refine returns ctx's error.
 func (e *Engine) Refine(ctx context.Context, spec RefineSpec) (*RefineResult, error) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"swcc/internal/core"
 )
@@ -93,14 +94,26 @@ func TestAPLToMatchSolveReduction(t *testing.T) {
 // TestSingleflightColdKeyRace is the dedup acceptance criterion: N
 // goroutines racing one cold curve key must cost exactly 1 MVA solve —
 // the leader's — with the other N-1 waiting on the in-flight solve and
-// sharing its result. The leader parks before solving until the
-// evaluator's wait hook has seen all N-1 racers commit to waiting, so
-// the count assertions are deterministic, not timing-dependent.
+// sharing its result. Half the racers are BusPointCtx queries and half
+// are engine batches whose one group (several machine sizes of the same
+// workload) is one query at its largest size. The leader parks before
+// solving until the evaluator's wait hook has seen all N-1 racers commit
+// to waiting, so the count assertions are deterministic, not
+// timing-dependent; a racer that never parks (solving on its own
+// instead) fails the assertions after the leader's timeout rather than
+// hanging the test.
 func TestSingleflightColdKeyRace(t *testing.T) {
 	const n = 16
 	ev := NewEvaluator()
 	release := make(chan struct{})
-	ev.solveHook = func() { <-release }
+	var timedOut atomic.Bool
+	ev.solveHook = func() {
+		select {
+		case <-release:
+		case <-time.After(5 * time.Second):
+			timedOut.Store(true)
+		}
+	}
 	var parked atomic.Int32
 	ev.waitHook = func() {
 		if parked.Add(1) == n-1 {
@@ -110,14 +123,26 @@ func TestSingleflightColdKeyRace(t *testing.T) {
 
 	costs := core.BusCosts()
 	p := core.MiddleParams()
+	group := []Point{
+		{Scheme: core.Base{}, Params: p, NProc: 9},
+		{Scheme: core.Base{}, Params: p, NProc: 16},
+		{Scheme: core.Base{}, Params: p, NProc: 4},
+	}
+	eng := &Engine{Workers: 1, Cache: ev}
 	points := make([]core.BusPoint, n)
+	batches := make([][]Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			points[i], errs[i] = ev.BusPointCtx(context.Background(), core.Base{}, p, costs, 16)
+			if i%2 == 0 {
+				points[i], errs[i] = ev.BusPointCtx(context.Background(), core.Base{}, p, costs, 16)
+				return
+			}
+			batches[i] = eng.EvaluateBusCtx(context.Background(), group, costs)
+			errs[i] = FirstError(batches[i])
 		}(i)
 	}
 	wg.Wait()
@@ -126,12 +151,23 @@ func TestSingleflightColdKeyRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if timedOut.Load() {
+		t.Errorf("only %d of %d racers parked on the in-flight solve", parked.Load(), n-1)
+	}
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
-		if points[i] != want[15] {
-			t.Errorf("goroutine %d: point %+v != fresh %+v", i, points[i], want[15])
+		if batches[i] == nil {
+			if points[i] != want[15] {
+				t.Errorf("goroutine %d: point %+v != fresh %+v", i, points[i], want[15])
+			}
+			continue
+		}
+		for _, r := range batches[i] {
+			if r.Bus != want[r.Point.NProc-1] {
+				t.Errorf("goroutine %d: nproc %d point %+v != fresh %+v", i, r.Point.NProc, r.Bus, want[r.Point.NProc-1])
+			}
 		}
 	}
 	st := ev.Stats()

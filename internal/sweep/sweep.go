@@ -62,11 +62,10 @@ func (e *Engine) EvaluateBus(points []Point, costs *core.CostTable) []Result {
 // the point, so the result slice is bit-identical to a sequential run.
 //
 // With a cache attached, points sharing one (scheme, canonical workload)
-// are grouped into a single work unit that a worker solves
-// population-ascending through a CurveRun: each point resumes the MVA
-// recursion where the previous one stopped, instead of round-tripping
-// the shared cache per point. Single-point groups take the plain
-// BusPointCtx path.
+// form a group, and a group costs the cache one query: the curve at its
+// largest valid machine size, from which every point reads its own
+// population. The MVA recursion solves populations 1..n in one pass, so
+// a smaller size read off that curve is bit-identical to its own solve.
 //
 // Cancellation is cooperative: once ctx is done no further group starts,
 // in-flight groups stop at the evaluator's next cancellation point, and
@@ -96,24 +95,18 @@ func (e *Engine) EvaluateBusCtx(ctx context.Context, points []Point, costs *core
 		markSkipped(ctx, points, results)
 		return results
 	}
-	groups := BatchGroups(len(points), func(i int) (core.Scheme, core.Params, int) {
-		return points[i].Scheme, points[i].Params, points[i].NProc
+	groups := BatchGroups(len(points), func(i int) (core.Scheme, core.Params) {
+		return points[i].Scheme, points[i].Params
 	})
 	EachCtx(ctx, workers, len(groups), func(g int) error {
-		for _, i := range groups[g] {
-			results[i].Point = points[i]
-		}
-		if len(groups[g]) == 1 {
-			i := groups[g][0]
-			pt := points[i]
-			results[i].Bus, results[i].Err = cache.BusPointCtx(ctx, pt.Scheme, pt.Params, costs, pt.NProc)
-			return nil
-		}
-		var run *CurveRun
+		first, maxProcs := -1, 0
 		for _, i := range groups[g] {
 			pt := points[i]
-			// Per-point validation order matches BusPointCtx exactly, so
-			// grouping never changes which error a point reports.
+			results[i].Point = pt
+			// Per-point checks, in CurveCtx's order and with its error
+			// texts, so grouping never changes which error a point
+			// reports — even when a canonically equal valid point shares
+			// its group (see TestInvalidParamsErrorDespiteCache).
 			if pt.NProc < 1 {
 				results[i].Err = fmt.Errorf("core: nproc %d < 1", pt.NProc)
 				continue
@@ -122,18 +115,24 @@ func (e *Engine) EvaluateBusCtx(ctx context.Context, points []Point, costs *core
 				results[i].Err = fmt.Errorf("%s: %w", pt.Scheme.Name(), err)
 				continue
 			}
-			if run == nil {
-				r, err := cache.StartCurveRun(ctx, pt.Scheme, pt.Params, costs)
-				if err != nil {
-					results[i].Err = err
-					continue
-				}
-				run = r
+			if first < 0 {
+				first = i
 			}
-			results[i].Bus, results[i].Err = run.BusPointAt(ctx, pt.NProc)
+			maxProcs = max(maxProcs, pt.NProc)
 		}
-		if run != nil {
-			run.Finish(ctx)
+		if first < 0 {
+			return nil
+		}
+		c, err := cache.CurveCtx(ctx, points[first].Scheme, points[first].Params, costs, maxProcs)
+		for _, i := range groups[g] {
+			if results[i].Err != nil {
+				continue // failed its own checks above
+			}
+			if err != nil {
+				results[i].Err = err
+			} else {
+				results[i].Bus = c.Point(points[i].NProc)
+			}
 		}
 		return nil
 	})
@@ -157,6 +156,28 @@ func markSkipped(ctx context.Context, points []Point, results []Result) {
 			results[i].Err = err
 		}
 	}
+}
+
+// BatchGroups partitions point indices 0..n-1 into groups that share one
+// (scheme, canonical workload) pair — and hence one demand and one MVA
+// curve. at reports point i's fields. Groups appear in first-occurrence
+// order and list their points in input order, so the decomposition is
+// deterministic; callers still write per-point results by index,
+// keeping output order independent of grouping.
+func BatchGroups(n int, at func(i int) (core.Scheme, core.Params)) [][]int {
+	groups := map[core.Key]int{}
+	out := [][]int{}
+	for i := 0; i < n; i++ {
+		k := core.KeyOf(at(i))
+		gi, ok := groups[k]
+		if !ok {
+			gi = len(out)
+			groups[k] = gi
+			out = append(out, nil)
+		}
+		out[gi] = append(out[gi], i)
+	}
+	return out
 }
 
 // FirstError returns the error of the lowest-index failed result, or nil.
